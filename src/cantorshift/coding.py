@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, HypothesisViolation, InconsistentTree
-from .maps import parse_exact, qc_bits
-
-_MAX_ORBIT_BITS = 2_000_000
+from .maps import DyadicOrbit, parse_exact
 
 
 @dataclass(frozen=True)
@@ -257,11 +255,17 @@ def _exact_local_degree(pmap, z):
 
 
 def chi(pmap, z, tree, horizon: int = 24) -> ChiResult:
-    """Walk the exact orbit of z, multiplying local degrees at critical hits.
+    """Walk the orbit of z, multiplying local degrees at critical hits.
 
-    The orbit is computed in exact rational arithmetic, so every in-horizon
-    step is decided with certainty (a point either is or is not a root of
-    f').  Certification beyond the horizon uses the degree budget: once the
+    The orbit is walked on certified dyadic balls (``DyadicOrbit``).  A
+    ball disjoint from every critical enclosure certifies that the step is
+    no hit, and a ball certified outside the closed domain ends the orbit.
+    Only where a ball meets a critical enclosure, or straddles the domain
+    circle at the precision ceiling, is the exact rational orbit point
+    computed, and the question decided exactly (a point either is or is
+    not a root of f'); hits are reported as those exact points.  If that
+    exact point passes the orbit-size guard, the result is a lower bound.
+    Certification beyond the horizon uses the degree budget: once the
     accumulated product reaches 2^(d - N), any further hit would exceed the
     global bound, so the tail is hit-free under the standing hypotheses.
     """
@@ -277,32 +281,43 @@ def chi(pmap, z, tree, horizon: int = 24) -> ChiResult:
     if not restriction_has_criticals:
         return ChiResult(value=1, status="certified", horizon=horizon, hits=())
 
+    critical_rects = [crit.enclosure.as_tuple() if crit.exact is None
+                      else (crit.exact[0], crit.exact[0], crit.exact[1], crit.exact[1])
+                      for crit in pmap.critical_points]
     value = 1
     hits = []
     seen_hit_points = {}
-    cur = z
+    orbit = DyadicOrbit(pmap, tree.disk, z)
     for step in range(horizon + 1):
-        if qc_bits(cur) > _MAX_ORBIT_BITS:
-            return ChiResult(value, "lower_bound", horizon, tuple(hits))
-        side = tree.disk.classify_exact(cur)
+        if step:
+            orbit.advance()
+        side = orbit.side()
+        if side is None:  # straddles the circle at the precision ceiling
+            cur = orbit.exact_point()
+            if cur is None:
+                return ChiResult(value, "lower_bound", horizon, tuple(hits))
+            side = tree.disk.classify_exact(cur)
         if side == "out":
             # the orbit left the closed domain: no further iterates exist
             return ChiResult(value, "certified", horizon, tuple(hits), escaped_at=step)
-        deg = _exact_local_degree(pmap, cur)
-        if deg >= 2:
-            if cur in seen_hit_points:
-                raise HypothesisViolation(
-                    "orbit revisits a critical point: a periodic critical orbit "
-                    "violates the standing hypotheses")
-            seen_hit_points[cur] = step
-            value *= deg
-            hits.append((step, f"{cur[0]}{'+' if cur[1] >= 0 else ''}{cur[1]}i", deg))
-            if value > budget:
-                raise HypothesisViolation(
-                    f"accumulated local degree {value} exceeds the bound 2^{d_prime}")
+        if any(orbit.meets(rect) for rect in critical_rects):
+            cur = orbit.exact_point()
+            if cur is None:
+                return ChiResult(value, "lower_bound", horizon, tuple(hits))
+            deg = _exact_local_degree(pmap, cur)
+            if deg >= 2:
+                if cur in seen_hit_points:
+                    raise HypothesisViolation(
+                        "orbit revisits a critical point: a periodic critical orbit "
+                        "violates the standing hypotheses")
+                seen_hit_points[cur] = step
+                value *= deg
+                hits.append((step, f"{cur[0]}{'+' if cur[1] >= 0 else ''}{cur[1]}i", deg))
+                if value > budget:
+                    raise HypothesisViolation(
+                        f"accumulated local degree {value} exceeds the bound 2^{d_prime}")
         if value == budget:
             return ChiResult(value, "certified", horizon, tuple(hits))
-        cur = pmap.eval_exact(cur)
     return ChiResult(value, "lower_bound", horizon, tuple(hits))
 
 

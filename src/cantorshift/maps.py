@@ -4,8 +4,10 @@ escape radius, and the restriction-hypothesis validator.
 Coefficients are exact Gaussian rationals (decimal-string real/imaginary
 parts), converted once to outward-rounded interval rectangles.  Keeping the
 exact values around buys two things: bit-reproducible float enclosures on
-any platform, and exact orbit arithmetic wherever a question (escape,
-periodicity, critical hits) can be decided by rational computation alone.
+any platform, and exact orbits.  Orbits of exact points are walked on
+adaptive-precision dyadic balls (``DyadicOrbit``), which settle escape and
+stay cheaply; exact rational arithmetic is kept where an equality is the
+question (a periodic revisit, a critical hit).
 
 Critical points are derived rigorously: exact square-free decomposition of
 f' over the rationals fixes every multiplicity, exact rational roots are
@@ -40,7 +42,8 @@ from .intervals import (
     visub,
 )
 
-_MAX_ORBIT_BITS = 2_000_000  # exact-orbit size guard
+# size guard for exact orbit points and ceiling of the dyadic-ball precision
+_MAX_ORBIT_BITS = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +441,9 @@ class PolynomialMap:
             raise ValueError("leading coefficient must be exactly 1")
         self.exact_coefficients = coeffs
         self.degree = len(coeffs) - 1
+        # D: lcm of every coefficient denominator (see _exact_orbit_status)
+        self.coefficient_denominator = math.lcm(
+            *(part.denominator for c in coeffs for part in c))
         self._interval_coeffs = _coeff_boxes_desc(coeffs)
         asc = list(reversed(self._interval_coeffs))  # ascending powers
         self._nonzero_boxes = [None if qc_is_zero(coeffs[k]) else asc[k]
@@ -604,6 +610,172 @@ class DomainDisk:
 
 
 # ---------------------------------------------------------------------------
+# orbits as dyadic balls
+# ---------------------------------------------------------------------------
+
+def _floor_scaled(x, prec) -> int:
+    """floor(x * 2**prec) for an exact rational (or float) x."""
+    x = Fraction(x)
+    return (x.numerator << prec) // x.denominator
+
+
+def _ceil_scaled(x, prec) -> int:
+    x = Fraction(x)
+    return -((-x.numerator << prec) // x.denominator)
+
+
+def _dyadic_point(z, prec):
+    return (_floor_scaled(z[0], prec), _ceil_scaled(z[0], prec),
+            _floor_scaled(z[1], prec), _ceil_scaled(z[1], prec))
+
+
+def _imul_int(alo, ahi, blo, bhi):
+    """Exact integer interval product."""
+    p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    return min(p1, p2, p3, p4), max(p1, p2, p3, p4)
+
+
+def _isq_int(lo, hi):
+    """Exact integer interval square, keeping the sign of x^2."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
+
+
+def _dadd(u, v):
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
+
+
+def _dmul(u, v, prec):
+    """Complex box product at scale 2**prec: exact products, then one
+    floor (lower bounds) or ceiling (upper bounds) shift."""
+    rr = _imul_int(u[0], u[1], v[0], v[1])
+    ii = _imul_int(u[2], u[3], v[2], v[3])
+    ri = _imul_int(u[0], u[1], v[2], v[3])
+    ir = _imul_int(u[2], u[3], v[0], v[1])
+    return ((rr[0] - ii[1]) >> prec, -((ii[0] - rr[1]) >> prec),
+            (ri[0] + ir[0]) >> prec, -((-ri[1] - ir[1]) >> prec))
+
+
+def _dsquare(u, prec):
+    """Box square, tighter than _dmul(u, u) as bsquare is than bmul."""
+    xx = _isq_int(u[0], u[1])
+    yy = _isq_int(u[2], u[3])
+    xy = _imul_int(u[0], u[1], u[2], u[3])
+    return ((xx[0] - yy[1]) >> prec, -((yy[0] - xx[1]) >> prec),
+            (2 * xy[0]) >> prec, -((-2 * xy[1]) >> prec))
+
+
+class DyadicOrbit:
+    """Certified enclosures of the orbit of an exact point: dyadic boxes
+    ``(re_lo, re_hi, im_lo, im_hi)`` of Python ints over 2**prec.
+
+    Each step applies f in the Horner order of ``PolynomialMap.eval_box``
+    with exact integer products rounded once, down for lower and up for
+    upper bounds, so every box contains the exact orbit point.  Precision
+    adapts as for Arb's midpoint-radius balls: whenever a box straddles the
+    circle |z - c| = R, or has kept fewer than half of its ``prec`` bits,
+    the precision doubles and the walk restarts from the exact seed, up to
+    the ceiling ``_MAX_ORBIT_BITS``.  The exact
+    orbit is advanced lazily, only for the steps where a caller needs an
+    equality decided, and only below the same bit guard.
+    """
+
+    def __init__(self, pmap: PolynomialMap, disk: DomainDisk, z, prec: int = 64):
+        self.pmap = pmap
+        self.step = 0
+        self._seed = z
+        self._exact = (0, z)
+        cden = math.lcm(disk.center[0].denominator, disk.center[1].denominator)
+        # the disk scaled to integers: center * cden and R^2 as a fraction
+        self._disk = (int(disk.center[0] * cden), int(disk.center[1] * cden),
+                      cden, disk.r2.numerator, disk.r2.denominator)
+        self._set_prec(min(prec, _MAX_ORBIT_BITS))
+
+    def _set_prec(self, prec):
+        """(Re)compute the box of the current step at precision ``prec``."""
+        self.prec = prec
+        self._coeffs = [None if qc_is_zero(c) else _dyadic_point(c, prec)
+                        for c in self.pmap.exact_coefficients[:-1]]
+        box = _dyadic_point(self._seed, prec)
+        for _ in range(self.step):
+            box = self._image(box)
+        self.box = box
+
+    def _refine(self) -> bool:
+        if self.prec >= _MAX_ORBIT_BITS:
+            return False
+        self._set_prec(min(2 * self.prec, _MAX_ORBIT_BITS))
+        return True
+
+    def _image(self, z):
+        acc = z
+        c = self._coeffs[-1]
+        if c is not None:
+            acc = _dadd(acc, c)
+        for k in range(len(self._coeffs) - 2, -1, -1):
+            acc = _dsquare(acc, self.prec) if acc is z else _dmul(acc, z, self.prec)
+            c = self._coeffs[k]
+            if c is not None:
+                acc = _dadd(acc, c)
+        return acc
+
+    def _too_wide(self) -> bool:
+        b = self.box
+        return max(b[1] - b[0], b[3] - b[2]).bit_length() > self.prec // 2
+
+    def advance(self):
+        """Enclose the next orbit point."""
+        self.box = self._image(self.box)
+        self.step += 1
+        while self._too_wide() and self._refine():
+            pass
+
+    def _side(self):
+        cx, cy, cden, rn, rd = self._disk
+        b, p = self.box, self.prec
+        dx = (b[0] * cden - (cx << p), b[1] * cden - (cx << p))
+        dy = (b[2] * cden - (cy << p), b[3] * cden - (cy << p))
+        sx, sy = _isq_int(*dx), _isq_int(*dy)
+        r2 = (rn * cden * cden) << (2 * p)  # R^2 at the scale of |z - c|^2
+        if (sx[1] + sy[1]) * rd < r2:
+            return "in"
+        if (sx[0] + sy[0]) * rd > r2:
+            return "out"
+        return None
+
+    def side(self):
+        """'in' (inside the open disk) or 'out' (outside the closed disk),
+        certified for the exact orbit point; None if the box still straddles
+        |z - c| = R at the precision ceiling."""
+        while True:
+            s = self._side()
+            if s is not None or not self._refine():
+                return s
+
+    def meets(self, rect) -> bool:
+        """Closed overlap of the box with an exact or float rectangle
+        ``(re_lo, re_hi, im_lo, im_hi)``; False certifies disjointness."""
+        b, p = self.box, self.prec
+        return (b[0] <= _floor_scaled(rect[1], p) and _ceil_scaled(rect[0], p) <= b[1]
+                and b[2] <= _floor_scaled(rect[3], p) and _ceil_scaled(rect[2], p) <= b[3])
+
+    def exact_point(self):
+        """The exact orbit point at the current step, or None once the exact
+        orbit passes the ``_MAX_ORBIT_BITS`` size guard."""
+        k, z = self._exact
+        while k < self.step and qc_bits(z) <= _MAX_ORBIT_BITS:
+            z = self.pmap.eval_exact(z)
+            k += 1
+        self._exact = (k, z)
+        if k < self.step or qc_bits(z) > _MAX_ORBIT_BITS:
+            return None
+        return z
+
+
+# ---------------------------------------------------------------------------
 # restriction-hypothesis validation
 # ---------------------------------------------------------------------------
 
@@ -636,13 +808,34 @@ class RestrictionReport:
         return lines
 
 
-def _exact_orbit_status(pmap, disk, start, horizon):
-    """Walk an exact orbit; returns (status, escape_step, periodic).
+def _leaves_lattice(pmap, z) -> bool:
+    """The no-revisit certificate: True when the exact point z = (a + bi)/q
+    (q reduced) has q not dividing D, the lcm of the coefficient
+    denominators.
 
-    Rational orbit points grow by a factor of the degree in bit size per
-    step; once they pass the size guard the walk hands the current exact
-    point to the interval path for the remaining steps (losing only the
-    ability to detect an exact period further out).
+    Then some prime p has v_p(q) > v_p(D).  Since gcd(a, b, q) = 1, some
+    Gaussian prime P over p divides a + bi less often than it divides p
+    (P = 1 + i for p = 2), so |z|_P > |1/D|_P >= max(1, |a_k|_P^(1/(d-k)))
+    for every coefficient a_k.  The leading term then dominates
+    P-adically, |f(z)|_P = |z|_P^d, so |z_n|_P grows strictly along the
+    rest of the orbit and stays above |w|_P <= |1/D|_P for every earlier
+    point w of (1/D)Z[i]: no later point equals any earlier one.
+    """
+    q = math.lcm(z[0].denominator, z[1].denominator)
+    return pmap.coefficient_denominator % q != 0
+
+
+def _exact_orbit_status(pmap, disk, start, horizon):
+    """Walk the orbit of an exact point; returns (status, escape_step,
+    periodic), where ``periodic`` marks an exact revisit of an earlier
+    orbit point.
+
+    Exact arithmetic is kept only while a revisit is still possible: while
+    the orbit stays in the finite set (1/D)Z[i] /\\ U its points stay about
+    2 log2(R D) bits long and every revisit is found.  Once ``_leaves_lattice``
+    certifies that no revisit can happen any more, the current exact point
+    seeds a ``DyadicOrbit`` that certifies escape or stay for the remaining
+    steps; nothing is lost, since there is no period left to detect.
     """
     z = start
     seen = {z: 0}
@@ -652,16 +845,27 @@ def _exact_orbit_status(pmap, disk, start, horizon):
             return "escapes", step, False
         if side == "boundary":
             return "undecided", None, False
-        if qc_bits(z) > _MAX_ORBIT_BITS:
-            status, esc, _ = _interval_orbit_status(
-                pmap, disk, IntervalBox.point(z[0], z[1]), horizon - step)
-            if esc is not None:
-                esc += step
-            return status, esc, False
+        if _leaves_lattice(pmap, z):
+            return _ball_orbit_status(pmap, disk, z, step, horizon)
         z = pmap.eval_exact(z)
         if z in seen:
             return "in_Uprime", None, True
         seen[z] = step + 1
+    return "in_Uprime", None, False
+
+
+def _ball_orbit_status(pmap, disk, z, first_step, horizon):
+    """Escape or stay of the orbit of the exact point z, counting its
+    steps from ``first_step``, certified on dyadic balls."""
+    orbit = DyadicOrbit(pmap, disk, z)
+    for step in range(first_step, horizon + 1):
+        if step > first_step:
+            orbit.advance()
+        side = orbit.side()
+        if side is None:
+            return "undecided", None, False
+        if side == "out":
+            return "escapes", step, False
     return "in_Uprime", None, False
 
 

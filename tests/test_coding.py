@@ -145,6 +145,31 @@ def test_chi_escaping_point_certified(cubic_map, cubic_tree):
     assert res.escaped_at is not None
 
 
+def test_chi_deep_preimage_certified_by_balls(cubic_map, cubic_tree):
+    # an 8-fold inverse-branch preimage of u = 0.5+2.7i, |f(u)| ~ 26 > 3:
+    # the orbit meets no critical point and leaves U at step 9, where its
+    # exact rational point (4.2 M bits) is past the 2,000,000-bit guard
+    res = chi(cubic_map, ("0.9774095031748414", "1.0128061335335707"), cubic_tree)
+    assert (res.value, res.status, res.escaped_at) == (1, "certified", 9)
+    assert res.hits == ()
+
+
+def test_chi_near_critical_point_decided_exactly(cubic_map, cubic_tree, monkeypatch):
+    # the ball of 1 + 2^-200 contains the critical point +1, so step 0 is
+    # decided on the exact point, which is no root of f'
+    from cantorshift import coding
+
+    decided = []
+    exact_degree = coding._exact_local_degree
+    monkeypatch.setattr(coding, "_exact_local_degree",
+                        lambda pmap, z: decided.append(z) or exact_degree(pmap, z))
+    z = (1 + Fraction(1, 2 ** 200), Fraction(0))
+    res = chi(cubic_map, z, cubic_tree)
+    assert decided and decided[0] == z
+    assert res.value == 1
+    assert res.hits == ()
+
+
 def test_verify_quadratic(quadratic_tree, quadratic_assignment):
     report = verify_semiconjugacy(quadratic_assignment, quadratic_tree, 8)
     assert report.all_passed
@@ -189,3 +214,4 @@ def test_inconsistent_tree_detected():
     tree = AbstractTree(3, [[root], [a]])  # degrees sum to 2, alphabet is 3
     with pytest.raises(InconsistentTree):
         assign_symbols(tree)
+

@@ -1,5 +1,6 @@
 """Map model: exact parsing, critical points, escape radius, validation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,15 @@ from cantorshift import (
     validate_restriction,
 )
 from cantorshift.intervals import babs2
-from cantorshift.maps import certified_roots, p_derivative, p_eval, squarefree_decomposition
+from cantorshift.maps import (
+    DyadicOrbit,
+    _exact_orbit_status,
+    _leaves_lattice,
+    certified_roots,
+    p_derivative,
+    p_eval,
+    squarefree_decomposition,
+)
 
 from conftest import CUBIC_B_IM, CUBIC_B_RE
 
@@ -194,3 +203,131 @@ def test_validate_cubic_instance():
     assert by_point["-1+0i"]["status"] == "escapes"
     assert by_point["1+0i"]["in_restriction"] is True
     assert by_point["1+0i"]["status"] == "in_Uprime"
+
+
+# ---------------------------------------------------------------------------
+# dyadic-ball orbits and the exact-revisit hand-off
+# ---------------------------------------------------------------------------
+
+# dyadic rationals seed zero-width boxes whose images are exact before the
+# final rounding, so a rounding in the wrong direction shows
+_small_q = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.builds(Fraction, st.integers(-48, 48), st.sampled_from([1, 2, 4, 8, 16])))
+_gauss_q = st.tuples(_small_q, _small_q)
+# degree 2..4; zero coefficients are skipped by the Horner scheme, and a
+# zero next-to-leading one switches the first product to the square
+_monic_tail = st.lists(st.one_of(st.just((Fraction(0), Fraction(0))), _gauss_q),
+                       min_size=2, max_size=4)
+_precs = st.sampled_from([4, 16, 64, 200])
+
+
+def _walk(coeffs, z, steps, disk, prec):
+    """(exact f^steps(z), its DyadicOrbit, checking the enclosure on the way)."""
+    pmap = PolynomialMap(list(coeffs) + [(Fraction(1), Fraction(0))])
+    orbit = DyadicOrbit(pmap, disk, z, prec=prec)
+    w = z
+    for step in range(steps + 1):
+        if step:
+            orbit.advance()
+            w = p_eval(pmap.exact_coefficients, w)
+        b, scale = orbit.box, 2 ** orbit.prec
+        assert (Fraction(b[0], scale) <= w[0] <= Fraction(b[1], scale)
+                and Fraction(b[2], scale) <= w[1] <= Fraction(b[3], scale))
+    return w, orbit
+
+
+@given(coeffs=_monic_tail, z=_gauss_q, prec=_precs, steps=st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_dyadic_orbit_encloses_exact_orbit(coeffs, z, prec, steps):
+    w, orbit = _walk(coeffs, z, steps, DomainDisk(("0", "0"), "1"), prec)
+    assert orbit.exact_point() == w
+
+
+@given(coeffs=_monic_tail, z=_gauss_q, prec=_precs, steps=st.integers(0, 2),
+       center=_gauss_q,
+       offset=st.sampled_from([Fraction(k, 256) for k in (-8, -1, 0, 1, 8)]))
+@settings(max_examples=100, deadline=None)
+def test_dyadic_disk_test_never_wrong(coeffs, z, prec, steps, center, offset):
+    # the circle is put within 1/32 of the orbit point, where coarse boxes
+    # straddle it and the precision has to grow before the side is known
+    pmap = PolynomialMap(list(coeffs) + [(Fraction(1), Fraction(0))])
+    w = z
+    for _ in range(steps):
+        w = pmap.eval_exact(w)
+    d2 = (w[0] - center[0]) ** 2 + (w[1] - center[1]) ** 2
+    radius = max(Fraction(math.isqrt(int(d2 * 4 ** 10)), 2 ** 10) + offset, Fraction(1, 64))
+    disk = DomainDisk(center, radius)
+    _, orbit = _walk(coeffs, z, steps, disk, prec)
+    side = orbit.side()
+    exact = disk.classify_exact(w)
+    if side is None:
+        assert exact == "boundary"  # only an exact tie survives the ceiling
+    else:
+        assert side == exact
+
+
+def _cubic():
+    return PolynomialMap([(CUBIC_B_RE, CUBIC_B_IM), ("-3", "0"), ("0", "0"), ("1", "0")])
+
+
+def test_no_revisit_certificate_fires_at_step_two_on_cubic():
+    # 1 -> b - 2 stay in (1/D)Z[i]; z_2 has a denominator 10^120, not a
+    # divisor of D = 10^40, so the exact walk hands off there
+    pmap = _cubic()
+    assert pmap.coefficient_denominator == 10 ** 40
+    z = (Fraction(1), Fraction(0))
+    fired = []
+    for _ in range(4):
+        fired.append(_leaves_lattice(pmap, z))
+        z = pmap.eval_exact(z)
+    assert fired == [False, False, True, True]
+
+
+@given(coeffs=st.lists(_gauss_q, min_size=2, max_size=3), z=_gauss_q)
+@settings(max_examples=80, deadline=None)
+def test_no_revisit_certificate_is_inherited_and_points_stay_distinct(coeffs, z):
+    pmap = PolynomialMap(list(coeffs) + [(Fraction(1), Fraction(0))])
+    orbit = [z]
+    for _ in range(3):
+        orbit.append(pmap.eval_exact(orbit[-1]))
+    for k, w in enumerate(orbit):
+        if _leaves_lattice(pmap, w):
+            assert all(_leaves_lattice(pmap, v) for v in orbit[k:])
+            assert all(v not in orbit[:j] for j, v in enumerate(orbit) if j > k)
+            break
+
+
+@pytest.mark.parametrize("coeffs, radius, start, images", [
+    ([("0", "0"), ("-3", "0"), ("0", "0"), ("1", "0")], "4", 1, 2),  # +1 -> -2 -> -2
+    ([("-2", "0"), ("0", "0"), ("1", "0")], "3", 0, 3),              # 0 -> -2 -> 2 -> 2
+])
+def test_exact_revisit_still_found(monkeypatch, coeffs, radius, start, images):
+    pmap = PolynomialMap(coeffs)
+    calls = []
+    exact_image = pmap.eval_exact
+    monkeypatch.setattr(pmap, "eval_exact", lambda z: calls.append(z) or exact_image(z))
+    status, escape_step, _ = _exact_orbit_status(
+        pmap, DomainDisk(("0", "0"), radius), (Fraction(start), Fraction(0)), horizon=20)
+    assert (status, escape_step) == ("in_Uprime", None)
+    # the walk stops at the revisit instead of running out the horizon
+    assert len(calls) == images
+
+
+def test_cubic_escape_matches_mpmath_intervals():
+    mp = pytest.importorskip("mpmath")
+    iv = mp.iv
+    iv.prec = 256
+    b = iv.mpc(iv.mpf(CUBIC_B_RE), iv.mpf(CUBIC_B_IM))
+    z = iv.mpc(1, 0)
+    escape = None
+    for step in range(61):
+        d2 = z.real * z.real + z.imag * z.imag
+        if d2.a > 9:
+            escape = step
+            break
+        assert d2.b < 9, f"256-bit intervals undecided at step {step}"
+        z = z * z * z - 3 * z + b
+    assert escape == 39
+    assert _exact_orbit_status(_cubic(), DomainDisk(("0", "0"), "3"),
+                               (Fraction(1), Fraction(0)), horizon=60) == ("escapes", 39, False)
