@@ -12,7 +12,7 @@ from .coding import (
     fibers,
     verify_semiconjugacy,
 )
-from .covers import BoxCover, Frame, PavedCover, connected_clusters, paved_clusters, refine
+from .covers import Frame, PavedCover, paved_clusters
 from .errors import (
     BudgetExceeded,
     CantorshiftError,
@@ -23,7 +23,7 @@ from .errors import (
     ResolutionExceeded,
     Undecided,
 )
-from .intervals import Interval, IntervalBox, eval_enclosure
+from .intervals import IntervalBox, eval_enclosure
 from .maps import (
     CriticalPoint,
     DomainDisk,

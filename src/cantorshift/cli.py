@@ -26,7 +26,7 @@ from .errors import (
 )
 from .oracle import run_equivalence_cases
 from .render import render_svg
-from .tree import build_tree, cantor_diagnostic
+from .tree import ResolutionPolicy, build_tree, cantor_diagnostic
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,8 +36,11 @@ EXIT_CHECKS_FAILED = 5
 
 
 def _run_config(args, horizon):
+    """The run configuration; an environment budget overrides the flag,
+    and an unset budget takes the ResolutionPolicy default.  Zero is a
+    value here, so RunConfig rejects it."""
     env_boxes, env_res = env_budget_overrides()
-    max_res = env_res or getattr(args, "max_resolution", None) or 16
+    max_res = env_res if env_res is not None else args.max_resolution
     return RunConfig(
         map_path=args.config,
         depth=args.depth,
@@ -45,8 +48,8 @@ def _run_config(args, horizon):
         out_dir=getattr(args, "out", "out"),
         color_by=getattr(args, "color_by", "level"),
         image_size=getattr(args, "size", 800),
-        max_boxes=env_boxes or 1_000_000,
-        max_resolution=max_res,
+        max_boxes=ResolutionPolicy.max_boxes if env_boxes is None else env_boxes,
+        max_resolution=ResolutionPolicy.max_resolution if max_res is None else max_res,
     )
 
 

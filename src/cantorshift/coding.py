@@ -45,13 +45,6 @@ class SymbolAssignment:
             return tuple(range(self.degree))
         return self.symbols[(level, index)]
 
-    def to_json_dict(self):
-        return {
-            "degree": self.degree,
-            "symbols": {f"{lvl}:{idx}": list(syms)
-                        for (lvl, idx), syms in sorted(self.symbols.items())},
-        }
-
 
 def assign_symbols(tree) -> SymbolAssignment:
     """Construct the canonical branch-symbol assignment for a tree.
@@ -99,17 +92,55 @@ def assign_symbols(tree) -> SymbolAssignment:
     return SymbolAssignment(d, symbols)
 
 
-def _first_symbol_lookup(assignment: SymbolAssignment, tree, level: int) -> dict:
-    """(image index, first symbol) -> component index, for one level."""
+def _first_symbol_lookup(assignment: SymbolAssignment, tree, level: int,
+                         defects=None) -> dict:
+    """(image index, first symbol) -> component index, for one level.
+
+    A pair claimed twice raises InconsistentTree; when ``defects`` is a
+    list, it maps to None instead and (level, pair) is recorded there.
+    """
     table = {}
     for comp in tree.levels[level]:
         for s in assignment.of(level, comp.index):
             key = (comp.image, s)
             if key in table:
-                raise InconsistentTree(
-                    f"symbol {s} over image {comp.image} is claimed twice at level {level}")
-            table[key] = comp.index
+                if defects is None:
+                    raise InconsistentTree(
+                        f"symbol {s} over image {comp.image} is claimed twice "
+                        f"at level {level}")
+                table[key] = None
+                defects.append((level, key))
+            else:
+                table[key] = comp.index
     return table
+
+
+def _resolve_word(word, lookup, memo, defects=None):
+    """The cylinder map on component indices: c(w) is the level-|w|
+    component over c(shift(w)) that carries w[0].
+
+    ``lookup[k]`` is the ``_first_symbol_lookup`` table of level k and
+    ``memo`` caches resolved words; seed it with {(): 0}, the root.  A
+    missing carrier raises InconsistentTree; when ``defects`` is a list the
+    word resolves to None instead, (level, pair) is recorded, and every
+    word over an unresolved suffix resolves to None as well.
+    """
+    if word in memo:
+        return memo[word]
+    image_idx = _resolve_word(word[1:], lookup, memo, defects)
+    idx = None
+    if image_idx is not None:
+        table = lookup[len(word)]
+        key = (image_idx, word[0])
+        idx = table.get(key)
+        if idx is None and key not in table:
+            if defects is None:
+                raise InconsistentTree(
+                    f"no component for symbol {word[0]} over image {image_idx} "
+                    f"at level {len(word)}")
+            defects.append((len(word), key))
+    memo[word] = idx
+    return idx
 
 
 def cylinder_component(assignment: SymbolAssignment, tree, word):
@@ -118,7 +149,8 @@ def cylinder_component(assignment: SymbolAssignment, tree, word):
     Recursive in the word suffix: c(()) is the root, and c(w) is the unique
     level-|w| component whose image is c(shift(w)) and whose symbol set
     contains the first letter.  Total and single-valued whenever the
-    assignment satisfies the partition property.
+    assignment satisfies the partition property; raises InconsistentTree
+    otherwise.
     """
     word = tuple(word)
     k = len(word)
@@ -131,12 +163,8 @@ def cylinder_component(assignment: SymbolAssignment, tree, word):
     if k == 0:
         return (0, 0)
     _, image_idx = cylinder_component(assignment, tree, word[1:])
-    first = word[0]
-    for comp in tree.levels[k]:
-        if comp.image == image_idx and first in assignment.of(k, comp.index):
-            return (k, comp.index)
-    raise InconsistentTree(
-        f"no level-{k} component carries symbol {first} over image {image_idx}")
+    lookup = {k: _first_symbol_lookup(assignment, tree, k)}
+    return (k, _resolve_word(word, lookup, {word[1:]: image_idx}))
 
 
 @dataclass(frozen=True)
@@ -149,35 +177,6 @@ class FiberTable:
 
     def count(self, level: int, index: int) -> int:
         return len(self.words_by_component.get((level, index), ()))
-
-    def to_json_dict(self):
-        return {
-            "level": self.level,
-            "degree": self.degree,
-            "fibers": {
-                f"{lvl}:{idx}": {
-                    "fiber_count": len(words),
-                    "fiber_words": ["".join(map(str, w)) if self.degree <= 10
-                                    else ",".join(map(str, w)) for w in words],
-                }
-                for (lvl, idx), words in sorted(self.words_by_component.items())
-            },
-        }
-
-
-def _resolve_word(word, lookup, memo):
-    """Recursive form of the cylinder map: c(w) from c(shift(w))."""
-    hit = memo.get(word)
-    if hit is not None:
-        return hit
-    image_idx = _resolve_word(word[1:], lookup, memo)
-    idx = lookup[len(word)].get((image_idx, word[0]))
-    if idx is None:
-        raise InconsistentTree(
-            f"no component for symbol {word[0]} over image {image_idx} "
-            f"at level {len(word)}")
-    memo[word] = idx
-    return idx
 
 
 def fibers(assignment: SymbolAssignment, tree, k: int, max_words: int = 10_000_000) -> FiberTable:
@@ -356,35 +355,6 @@ class VerificationReport:
         }
 
 
-def _tolerant_code_map(assignment, tree, k):
-    """word -> component index for all word lengths <= k, tolerating broken
-    assignments (missing or doubly-claimed symbols yield None)."""
-    d = tree.degree
-    tables = [None]
-    defects = []
-    for lvl in range(1, k + 1):
-        table = {}
-        for comp in tree.levels[lvl]:
-            for s in assignment.of(lvl, comp.index):
-                key = (comp.image, s)
-                if key in table:
-                    table[key] = None  # ambiguous
-                    defects.append((lvl, key))
-                else:
-                    table[key] = comp.index
-        tables.append(table)
-    code = {(): 0}
-    for lvl in range(1, k + 1):
-        for word in [w for w in code if len(w) == lvl - 1]:
-            img = code[word]
-            for s in range(d):
-                idx = None if img is None else tables[lvl].get((img, s), None)
-                if idx is None and img is not None and (img, s) not in tables[lvl]:
-                    defects.append((lvl, (img, s)))
-                code[(s,) + word] = idx
-    return code, defects
-
-
 def _word_str(w):
     return "(" + ",".join(map(str, w)) + ")"
 
@@ -399,9 +369,18 @@ def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> Verifica
     chain.  Each failing check reports a concrete counterexample.
     """
     d = tree.degree
-    code, defects = _tolerant_code_map(assignment, tree, k)
-    words_k = [w for w in code if len(w) == k]
-    words_k.sort()
+    # resolve every word of length <= k, tolerating a broken assignment so
+    # that each defect still surfaces as a counterexample below
+    defects = []
+    lookup = [None] + [_first_symbol_lookup(assignment, tree, lvl, defects)
+                       for lvl in range(1, k + 1)]
+    code = {(): 0}
+    words = [()]
+    for _ in range(k):
+        words = [(s,) + w for w in words for s in range(d)]
+        for w in words:
+            _resolve_word(w, lookup, code, defects)
+    words_k = sorted(words)
 
     c1_ok, c1_ce = True, None
     c2_ok, c2_ce = True, None

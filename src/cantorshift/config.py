@@ -38,8 +38,8 @@ class RunConfig:
     out_dir: str = "out"
     color_by: str = "level"
     image_size: int = 800
-    max_boxes: int = 1_000_000
-    max_resolution: int = 16
+    max_boxes: int = ResolutionPolicy.max_boxes
+    max_resolution: int = ResolutionPolicy.max_resolution
 
     def __post_init__(self):
         if self.depth < 0:

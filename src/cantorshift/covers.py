@@ -8,21 +8,19 @@ same expression is evaluated everywhere, the cells tile the window exactly
 and a child cell at resolution r+delta is always contained in its ancestor
 at resolution r.
 
-A BoxCover is a set of same-resolution cells.  All geometric claims made
-from covers are one-sided: a cover is an *outer* enclosure of the set it
-tracks, so "certified disjoint" and "certified contained" tests are the
-only ones exported.
+A PavedCover is a set of such cells of mixed resolutions.  All geometric
+claims made from covers are one-sided: a cover is an *outer* enclosure of
+the set it tracks, so "certified disjoint" and "certified contained" tests
+are the only ones exported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded
 from .intervals import boverlap
 
 
@@ -78,18 +76,6 @@ class Frame:
         return (self.x0 + i * s, self.x0 + (i + 1) * s,
                 self.y0 + j * s, self.y0 + (j + 1) * s)
 
-    def index_range(self, rect, resolution: int):
-        """Conservative grid-index window covering every cell that could
-        overlap ``rect``; pad by one index so float rounding in the division
-        can never exclude a genuinely overlapping cell."""
-        s = math.ldexp(self.side, -resolution)
-        n = 1 << resolution
-        i0 = max(0, int(math.floor((rect[0] - self.x0) / s)) - 1)
-        i1 = min(n - 1, int(math.floor((rect[1] - self.x0) / s)) + 1)
-        j0 = max(0, int(math.floor((rect[2] - self.y0) / s)) - 1)
-        j1 = min(n - 1, int(math.floor((rect[3] - self.y0) / s)) + 1)
-        return i0, i1, j0, j1
-
     def __eq__(self, other):
         return (isinstance(other, Frame) and self.x0 == other.x0
                 and self.y0 == other.y0 and self.side == other.side)
@@ -97,137 +83,6 @@ class Frame:
     def __repr__(self):
         return f"Frame(x0={self.x0!r}, y0={self.y0!r}, side={self.side!r})"
 
-
-@dataclass(frozen=True)
-class BoxCover:
-    """A set of grid cells at one resolution of a shared frame.
-
-    Cells are kept sorted; every derived quantity (clusters, bounding box,
-    exports) is therefore independent of construction order.
-    """
-
-    frame: Frame
-    resolution: int
-    cells: tuple = ()
-    _cset: frozenset = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        cells = tuple(sorted(set(self.cells)))
-        n = 1 << self.resolution
-        for i, j in cells:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"cell {(i, j)} outside frame at resolution {self.resolution}")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_cset", frozenset(cells))
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __contains__(self, cell):
-        return cell in self._cset
-
-    @property
-    def cell_set(self) -> frozenset:
-        return self._cset
-
-    def cell_boxes(self):
-        b = self.frame.cell_bounds
-        r = self.resolution
-        return [b(i, j, r) for i, j in self.cells]
-
-    def bounding_rect(self):
-        if not self.cells:
-            return None
-        b = self.frame.cell_bounds
-        r = self.resolution
-        rects = [b(i, j, r) for i, j in self.cells]
-        return (min(q[0] for q in rects), max(q[1] for q in rects),
-                min(q[2] for q in rects), max(q[3] for q in rects))
-
-    def overlapping_cells(self, rect):
-        """Cells of this cover that a rectangle possibly overlaps (sound:
-        anything not returned is certified disjoint from ``rect``)."""
-        i0, i1, j0, j1 = self.frame.index_range(rect, self.resolution)
-        hits = []
-        bounds = self.frame.cell_bounds
-        cset = self._cset
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                if (i, j) in cset and boverlap(rect, bounds(i, j, self.resolution)):
-                    hits.append((i, j))
-        return hits
-
-    def rect_inside(self, rect) -> bool:
-        """True certifies rect is contained in the union of this cover's
-        cells: every grid cell the rectangle touches must be present."""
-        i0, i1, j0, j1 = self.frame.index_range(rect, self.resolution)
-        bounds = self.frame.cell_bounds
-        cset = self._cset
-        found = False
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                if boverlap(rect, bounds(i, j, self.resolution)):
-                    if (i, j) not in cset:
-                        return False
-                    found = True
-        return found
-
-
-def refine(cover: BoxCover, max_boxes: int = None) -> BoxCover:
-    """Split every cell into its four children one resolution deeper.
-
-    The union of the children equals the parent region exactly (dyadic
-    tiling).  Raises BudgetExceeded if the child count passes ``max_boxes``.
-    """
-    n_children = 4 * len(cover.cells)
-    if max_boxes is not None and n_children > max_boxes:
-        raise BudgetExceeded(
-            f"refining to resolution {cover.resolution + 1} needs "
-            f"{n_children} boxes > cap {max_boxes}")
-    kids = []
-    for i, j in cover.cells:
-        i2, j2 = 2 * i, 2 * j
-        kids.append((i2, j2))
-        kids.append((i2 + 1, j2))
-        kids.append((i2, j2 + 1))
-        kids.append((i2 + 1, j2 + 1))
-    return BoxCover(cover.frame, cover.resolution + 1, tuple(kids))
-
-
-def connected_clusters(cover: BoxCover):
-    """Partition a cover into maximal edge-adjacent clusters.
-
-    Cells sharing only a corner are *not* adjacent: open connected sets
-    cannot pass through a grid corner whose other two cells were discarded,
-    so edge-clusters are the correct component granularity.  The returned
-    list is in canonical order, by (min re, then min im) of each cluster's
-    bounding box, which on a fixed grid is (min i, then min j).  The result
-    is a deterministic function of the cell *set*.
-    """
-    cset = set(cover.cell_set)
-    clusters = []
-    for seed in cover.cells:  # sorted order makes discovery deterministic
-        if seed not in cset:
-            continue
-        stack = [seed]
-        cset.discard(seed)
-        members = []
-        while stack:
-            i, j = stack.pop()
-            members.append((i, j))
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in cset:
-                    cset.discard(nb)
-                    stack.append(nb)
-        clusters.append(BoxCover(cover.frame, cover.resolution, tuple(members)))
-    clusters.sort(key=lambda c: (min(i for i, _ in c.cells),
-                                 min(j for _, j in c.cells)))
-    return clusters
-
-
-# ---------------------------------------------------------------------------
-# adaptive multi-resolution pavements
-# ---------------------------------------------------------------------------
 
 class PavedCover:
     """Outer cover made of dyadic cells of mixed resolutions.
@@ -295,18 +150,6 @@ class PavedCover:
                 hi_y = max(hi_y, q[3])
         return (lo_x, hi_x, lo_y, hi_y)
 
-    def min_corner_key(self):
-        """Fine-grid (x, y) of the lower-left corner, for canonical order."""
-        R = self.finest
-        best = None
-        for r, cells in self.layers.items():
-            f = 1 << (R - r)
-            for i, j in cells:
-                key = (i * f, j * f)
-                if best is None or key < best:
-                    best = key
-        return best
-
     def _overlap_children(self, node, rect):
         r, i, j = node
         out = []
@@ -316,20 +159,6 @@ class PavedCover:
             if boverlap(rect, bounds(ci, cj, r + 1)):
                 out.append((r + 1, ci, cj))
         return out
-
-    def first_overlap(self, rect):
-        """Some present cell overlapping rect, or None (which certifies the
-        rectangle disjoint from the covered region); deterministic."""
-        if not boverlap(rect, self.frame.cell_bounds(0, 0, 0)):
-            return None
-        stack = [(0, 0, 0)]
-        while stack:
-            node = stack.pop()
-            if node in self._cells:
-                return node
-            if node in self._markers:
-                stack.extend(reversed(self._overlap_children(node, rect)))
-        return None
 
     def overlapping_cells(self, rect):
         """All present cells a rectangle possibly overlaps (sound: any cell
@@ -356,20 +185,6 @@ class PavedCover:
             r, i, j = r - 1, i >> 1, j >> 1
         return None
 
-    def cell_at_point(self, x: float, y: float):
-        """The present cell around a point, or None.
-
-        Wall points may resolve to either neighbor; callers use this as a
-        cache seed and re-verify geometrically, so that is harmless."""
-        if not self.layers:
-            return None
-        R = self.finest
-        s = self.frame.cell_size(R)
-        n = 1 << R
-        i = min(n - 1, max(0, int((x - self.frame.x0) / s)))
-        j = min(n - 1, max(0, int((y - self.frame.y0) / s)))
-        return self.ancestor_of(R, i, j)
-
     def covers_rect(self, rect) -> bool:
         """True certifies rect is inside the union of present cells."""
         root = self.frame.cell_bounds(0, 0, 0)
@@ -394,8 +209,9 @@ def paved_clusters(frame: Frame, cells):
     """Partition mixed-resolution cells into maximal edge-adjacent clusters.
 
     Two cells are adjacent when their boundaries share a segment of
-    positive length (corner contact does not connect, as for uniform
-    covers).  Equivalently: for every cell and each of its four same-size
+    positive length.  Corner contact does not connect: an open connected set
+    cannot pass through a grid corner whose other two cells were discarded.
+    Equivalently: for every cell and each of its four same-size
     neighbor slots, the cover cell containing that slot (necessarily the
     same size or coarser) is adjacent; finer neighbors register the pair
     when processed from their own side.  Neighbor resolution is vectorized

@@ -8,8 +8,8 @@ mode.  This one-ulp epsilon inflation is the portable substitute for
 directed rounding.
 
 The plain-tuple functions (``iadd``, ``imul``, ``badd``, ``bmul``, ...) are
-the hot path used by the subdivision loops; the ``Interval``/``IntervalBox``
-dataclasses are the public faces of the same data.
+the hot path used by the subdivision loops; the ``IntervalBox`` dataclass
+is the public face of a rectangle.
 
 Overflow is not an error: bounds saturate at +-inf and any NaN produced by
 ``inf * 0`` style products is widened to the whole line, which keeps every
@@ -74,37 +74,6 @@ def isq(a):
     if hi != hi:
         return (0.0, _INF)
     return (lo if lo == 0.0 else _nextafter(lo, -_INF), _nextafter(hi, _INF))
-
-
-def ineg(a):
-    return (-a[1], -a[0])
-
-
-def iabs(a):
-    """Exact: |[a, b]| needs no rounding."""
-    al, ah = a
-    if al >= 0.0:
-        return (al, ah)
-    if ah <= 0.0:
-        return (-ah, -al)
-    return (0.0, max(-al, ah))
-
-
-def idiv_pos(a, b):
-    """a / b for an interval b with b.lo > 0."""
-    al, ah = a
-    bl, bh = b
-    if bl <= 0.0:
-        raise ZeroDivisionError("idiv_pos requires a strictly positive denominator")
-    p1 = al / bl
-    p2 = al / bh
-    p3 = ah / bl
-    p4 = ah / bh
-    lo = min(p1, p2, p3, p4)
-    hi = max(p1, p2, p3, p4)
-    if lo != lo or hi != hi:
-        return (-_INF, _INF)
-    return (_nextafter(lo, -_INF), _nextafter(hi, _INF))
 
 
 def isqrt_hi(x):
@@ -182,15 +151,6 @@ def babs2(u, center):
 def boverlap(u, v) -> bool:
     """Closed-rectangle overlap test (False certifies disjointness)."""
     return u[0] <= v[1] and v[0] <= u[1] and u[2] <= v[3] and v[2] <= u[3]
-
-
-def bsubset(u, v) -> bool:
-    """True iff rectangle u is contained in rectangle v (closed)."""
-    return v[0] <= u[0] and u[1] <= v[1] and v[2] <= u[2] and u[3] <= v[3]
-
-
-def bhull(u, v):
-    return (min(u[0], v[0]), max(u[1], v[1]), min(u[2], v[2]), max(u[3], v[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -276,29 +236,8 @@ def vbabs2(u, center):
 
 
 # ---------------------------------------------------------------------------
-# public dataclasses
+# public dataclass
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed real interval with outward-rounded endpoints."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        if isinstance(x, Fraction):
-            return Fraction(self.lo) <= x <= Fraction(self.hi)
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class IntervalBox:
@@ -327,27 +266,9 @@ class IntervalBox:
     def as_tuple(self):
         return (self.re_lo, self.re_hi, self.im_lo, self.im_hi)
 
-    @property
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self.as_tuple()))
-
-    def contains_complex(self, z: complex) -> bool:
-        return (self.re_lo <= z.real <= self.re_hi
-                and self.im_lo <= z.imag <= self.im_hi)
-
-    def contains_exact(self, re, im) -> bool:
-        return (Fraction(self.re_lo) <= Fraction(re) <= Fraction(self.re_hi)
-                and Fraction(self.im_lo) <= Fraction(im) <= Fraction(self.im_hi))
-
     def midpoint(self) -> complex:
         return complex(0.5 * (self.re_lo + self.re_hi),
                        0.5 * (self.im_lo + self.im_hi))
-
-    def diameter_bound(self) -> float:
-        """Upper bound for the Euclidean diameter."""
-        w = self.re_hi - self.re_lo
-        h = self.im_hi - self.im_lo
-        return isqrt_hi(_nextafter(w * w + h * h, _INF))
 
 
 def eval_enclosure(poly, box: IntervalBox) -> IntervalBox:

@@ -455,10 +455,6 @@ class PolynomialMap:
             for k in range(len(deriv)))
         self._criticals = None
 
-    @classmethod
-    def from_real_strings(cls, strings):
-        return cls([(s, "0") for s in strings])
-
     def interval_coefficients(self):
         """Coefficient rectangles, leading term first (Horner order)."""
         return self._interval_coeffs
@@ -538,9 +534,6 @@ class PolynomialMap:
                 np.maximum(plain[2], centered[2]),
                 np.minimum(plain[3], centered[3]))
 
-    def derivative_coefficients(self):
-        return p_derivative(self.exact_coefficients)
-
     def describe(self) -> str:
         terms = []
         for k in range(self.degree, -1, -1):
@@ -589,10 +582,6 @@ class DomainDisk:
         lo, hi = enclose_fraction(r2)
         self.r2_lo = lo  # float <= exact R^2
         self.r2_hi = hi  # float >= exact R^2
-
-    @classmethod
-    def auto(cls, pmap: PolynomialMap) -> "DomainDisk":
-        return cls(("0", "0"), escape_radius(pmap))
 
     def classify_exact(self, z) -> str:
         """'in' / 'out' / 'boundary' for an exact point, decided exactly."""
@@ -827,8 +816,9 @@ def _leaves_lattice(pmap, z) -> bool:
 
 def _exact_orbit_status(pmap, disk, start, horizon):
     """Walk the orbit of an exact point; returns (status, escape_step,
-    periodic), where ``periodic`` marks an exact revisit of an earlier
-    orbit point.
+    periodic), where ``periodic`` marks an orbit that returns exactly to
+    its start.  A revisit of a later point makes the start strictly
+    preperiodic: the orbit stays bounded, but the start is not periodic.
 
     Exact arithmetic is kept only while a revisit is still possible: while
     the orbit stays in the finite set (1/D)Z[i] /\\ U its points stay about
@@ -838,7 +828,7 @@ def _exact_orbit_status(pmap, disk, start, horizon):
     steps; nothing is lost, since there is no period left to detect.
     """
     z = start
-    seen = {z: 0}
+    seen = {z}
     for step in range(horizon + 1):
         side = disk.classify_exact(z)
         if side == "out":
@@ -849,8 +839,8 @@ def _exact_orbit_status(pmap, disk, start, horizon):
             return _ball_orbit_status(pmap, disk, z, step, horizon)
         z = pmap.eval_exact(z)
         if z in seen:
-            return "in_Uprime", None, True
-        seen[z] = step + 1
+            return "in_Uprime", None, z == start
+        seen.add(z)
     return "in_Uprime", None, False
 
 

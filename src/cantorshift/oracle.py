@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InconsistentTree
+from .tree import check_structure
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,6 @@ class AbstractTree:
     @property
     def n_level1(self) -> int:
         return len(self.levels[1]) if self.depth >= 1 else 0
-
-    def components(self, level):
-        return self.levels[level]
 
 
 def _random_composition(rng: random.Random, total: int, bias: float, min_parts: int = 1):
@@ -112,29 +110,8 @@ def generate(seed: int, d: int, depth: int, bias: float = 0.5) -> AbstractTree:
                         ("c",) if deg > 1 else ()))
         levels.append(comps)
     tree = AbstractTree(d, levels)
-    check_admissible(tree)
+    check_structure(tree)
     return tree
-
-
-def check_admissible(tree: AbstractTree):
-    """Assert the structural invariants shared with geometric trees."""
-    d = tree.degree
-    for k in range(1, tree.depth + 1):
-        comps = tree.levels[k]
-        if sum(c.cumulative_degree for c in comps) != d ** k:
-            raise InconsistentTree(f"level {k}: cumulative degrees do not sum to d^{k}")
-        per_image = {}
-        for c in comps:
-            per_image[c.image] = per_image.get(c.image, 0) + c.local_degree
-        for v in range(len(tree.levels[k - 1])):
-            if per_image.get(v, 0) != d:
-                raise InconsistentTree(
-                    f"level {k}: degrees over image {v} sum to {per_image.get(v, 0)}")
-        if k >= 2:
-            prev = tree.levels[k - 1]
-            for c in comps:
-                if prev[c.image].container != prev[c.container].image:
-                    raise InconsistentTree(f"commuting square fails at {c.id}")
 
 
 def brute_force_fibers(tree, assignment, k: int, max_words: int = 10_000_000):

@@ -70,23 +70,24 @@ from .maps import (
 )
 
 
+# Subdivision strategy.  Level 0 starts from the 2^BASE_RESOLUTION grid.
+# An undecided boundary cell stops refining once its first image enclosure
+# is within BAND_RATIO of the size of the parent-level cell it lands on, or
+# once its k-step image enclosure is below BAND_SCALE times the disk
+# diameter, whichever happens first; certification failures split the
+# offending cells further regardless.
+BASE_RESOLUTION = 3
+BAND_SCALE = 0.0625
+BAND_RATIO = 2.0
+
+
 @dataclass(frozen=True)
 class ResolutionPolicy:
-    """Budgets and strategy knobs for the subdivision loop.
-
-    An undecided boundary cell stops refining once its first image
-    enclosure is within ``band_ratio`` of the size of the parent-level cell
-    it lands on, or once its k-step image enclosure is below ``band_scale``
-    times the disk diameter, whichever happens first; certification
-    failures split the offending cells further regardless.
-    """
+    """Budgets of the subdivision loop and the orbit horizon of the
+    restriction validator."""
 
     max_boxes: int = 1_000_000
     max_resolution: int = 16
-    base_resolution: int = 3
-    band_scale: float = 0.0625
-    band_ratio: float = 2.0
-    confirm_with_refinement: bool = False
     validation_horizon: int = 20
 
 
@@ -121,7 +122,7 @@ class _Built:
 
     __slots__ = ("pavement", "interior", "cluster_cells", "cluster_of",
                  "parent_of", "image_of", "local_degree", "crits_in",
-                 "witness_points", "signature")
+                 "witness_points")
 
     def __init__(self, pavement, interior, cluster_cells, parent_of, image_of,
                  local_degree, crits_in, witness_points):
@@ -137,9 +138,6 @@ class _Built:
         for idx, cells in enumerate(cluster_cells):
             for c in cells:
                 self.cluster_of[c] = idx
-        self.signature = tuple(
-            (parent_of[i], image_of[i], local_degree[i], crits_in[i])
-            for i in range(len(cluster_cells)))
 
 
 class _Failure(Exception):
@@ -204,9 +202,6 @@ class PuzzleTree:
     def n_level1(self) -> int:
         return len(self.levels[1]) if self.depth >= 1 else 0
 
-    def components(self, level: int):
-        return self.levels[level]
-
     def level_resolution(self, level: int) -> int:
         return self._built[level].pavement.finest
 
@@ -260,20 +255,19 @@ class _TreeBuilder:
     def _build_level0(self):
         """Pave the closed disk; circle-straddling cells are refined a few
         extra steps so level 1 starts from a reasonable boundary scale."""
-        policy = self.policy
         bounds = self.frame.cell_bounds
         center = self.disk.center_box
         r2_hi = self.disk.r2_hi
         r2_lo = self.disk.r2_lo
-        band_target = max(policy.base_resolution + 4,
+        band_target = max(BASE_RESOLUTION + 4,
                           -int(math.floor(math.log2(
-                              policy.band_scale * float(self.disk.radius)
+                              BAND_SCALE * float(self.disk.radius)
                               / self.frame.side))))
-        band_target = min(band_target, policy.max_resolution)
-        n = 1 << policy.base_resolution
+        band_target = min(band_target, self.policy.max_resolution)
+        n = 1 << BASE_RESOLUTION
         interior = []
         band = []
-        queue = [(policy.base_resolution, i, j) for i in range(n) for j in range(n)]
+        queue = [(BASE_RESOLUTION, i, j) for i in range(n) for j in range(n)]
         while queue:
             r, i, j = queue.pop()
             d2 = babs2(bounds(i, j, r), center)
@@ -386,7 +380,7 @@ class _TreeBuilder:
         my = 0.5 * (e1[2][undecided] + e1[3][undecided])
         local = self._scale_lookup(mx, my)
         wk = np.maximum(boxes[1] - boxes[0], boxes[3] - boxes[2])[mask]
-        stop = (w1 <= self.policy.band_ratio * local) | (wk <= self._stop_width)
+        stop = (w1 <= BAND_RATIO * local) | (wk <= self._stop_width)
         status[undecided[stop]] = 2
         status[undecided[~stop]] = 3
         return status
@@ -636,15 +630,13 @@ class _TreeBuilder:
     def _build_level(self, k):
         policy = self.policy
         witness_boxes = self._solve_witness_preimages(k)
-        self._stop_width = policy.band_scale * 2.0 * float(self.disk.radius)
+        self._stop_width = BAND_SCALE * 2.0 * float(self.disk.radius)
         self._build_scale_raster(self.built[k - 1])
         buckets = {}
         for r, i, j in self.built[k - 1].pavement.iter_cells():
             buckets.setdefault(r, []).append((i, j))
         band = set()
         interior = []
-        pending = None
-        last_failure = None
         uncontained_accepts = 0
         uncontained_build = None
         while True:
@@ -678,37 +670,24 @@ class _TreeBuilder:
             try:
                 built = self._certify(k, cover_cells, interior, witness_boxes)
             except _Failure as fail:
-                pending = None
-                last_failure = str(fail)
                 if not self._subdivide_band(band, buckets, fail.refine_cells):
                     if uncontained_build is not None:
                         self.built.append(uncontained_build)
                         return
                     raise ResolutionExceeded(
                         f"level {k}: certification stalled at the resolution cap "
-                        f"(last failure: {last_failure})")
+                        f"(last failure: {fail})")
                 continue
             if k == 1 and not self._level1_contained(cover_cells):
                 # everything else certifies; if separation from the circle
                 # keeps failing the preimage plausibly touches it, so accept
                 # and let the hypothesis validator report the failure
-                pending = None
                 uncontained_build = built
                 uncontained_accepts += 1
                 if uncontained_accepts < 4 and self._subdivide_band(band, buckets, None):
                     continue
-                self.built.append(built)
-                return
-            if not policy.confirm_with_refinement:
-                self.built.append(built)
-                return
-            if pending is not None and built.signature == pending.signature:
-                self.built.append(built)
-                return
-            pending = built
-            if not self._subdivide_band(band, buckets, None):
-                self.built.append(built)
-                return
+            self.built.append(built)
+            return
 
     def _subdivide_band(self, band, buckets, targets):
         """Split refinable band cells once and re-enqueue their children.
@@ -758,7 +737,7 @@ class _TreeBuilder:
         levels = self._make_components()
         tree = PuzzleTree(self.pmap, self.disk, self.frame, self.policy,
                           levels, list(self.built), restriction)
-        _check_structure(tree)
+        check_structure(tree)
         return tree
 
     def _make_components(self):
@@ -792,8 +771,15 @@ class _TreeBuilder:
         return levels
 
 
-def _check_structure(tree: PuzzleTree):
-    """Exact structural invariants every accepted tree must satisfy."""
+def check_structure(tree):
+    """Raise InconsistentTree unless the exact structural invariants hold.
+
+    Every accepted tree satisfies them, geometric (``build_tree``) and
+    abstract (``oracle.generate``) alike: per level, cumulative degrees sum
+    to d^k, sibling local degrees over each image component sum to d, the
+    square container(image) = image(container) commutes, and a component
+    is branched exactly when it contains a critical point.
+    """
     d = tree.degree
     for k in range(1, tree.depth + 1):
         comps = tree.levels[k]

@@ -143,6 +143,22 @@ def test_run_config_validation():
         RunConfig(map_path="m.json", max_boxes=0)
 
 
+@pytest.mark.parametrize("flags, env", [
+    (["--max-resolution", "0"], {}),
+    ([], {"CANTORSHIFT_MAX_BOXES": "0"}),
+    ([], {"CANTORSHIFT_MAX_RESOLUTION": "0"}),
+])
+def test_zero_budget_is_usage_error(quad_config, tmp_path, capsys, monkeypatch,
+                                    flags, env):
+    # a zero budget is rejected, not replaced by the default
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, _, err = run(["analyze", "--config", quad_config, "--depth", "1",
+                        "--out", str(tmp_path / "o")] + flags, capsys)
+    assert code == 2
+    assert "budgets must be positive" in err
+
+
 def test_map_config_auto_radius(tmp_path):
     from cantorshift.config import load_map_config
     cfg = dict(QUAD_CONFIG, disk_radius="auto")

@@ -1,4 +1,4 @@
-"""Dyadic covers: refinement, clustering, pavement queries."""
+"""Dyadic covers: frames, clustering, pavement queries."""
 
 import random
 
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorshift import BoxCover, Frame, PavedCover, connected_clusters, paved_clusters, refine
-from cantorshift.errors import BudgetExceeded
+from cantorshift import Frame, PavedCover, paved_clusters
 
 
 def frame16():
@@ -40,48 +39,31 @@ def test_cells_tile_exactly():
     assert kids[0][2] == p[2] and kids[1][3] == p[3]
 
 
-def test_refine_quadruples_and_preserves_region():
-    fr = frame16()
-    cover = BoxCover(fr, 2, ((1, 1),))
-    fine = refine(cover)
-    assert fine.resolution == 3 and len(fine) == 4
-    parent_rect = fr.cell_bounds(1, 1, 2)
-    rect = fine.bounding_rect()
-    assert rect == parent_rect
-
-
-def test_refine_empty_cover():
-    fine = refine(BoxCover(frame16(), 2, ()))
-    assert len(fine) == 0 and fine.resolution == 3
-
-
-def test_refine_budget():
-    cover = BoxCover(frame16(), 1, ((0, 0), (1, 1)))
-    with pytest.raises(BudgetExceeded):
-        refine(cover, max_boxes=7)
-
-
 def test_corner_contact_is_not_adjacent():
-    cover = BoxCover(frame16(), 3, ((1, 1), (2, 2)))
-    assert len(connected_clusters(cover)) == 2
+    cells = [(3, 1, 1), (3, 2, 2)]
+    clusters = paved_clusters(frame16(), cells)
+    assert len(clusters) == 2
+    assert clusters == _naive_clusters(frame16(), cells)
 
 
 def test_block_is_one_cluster():
-    cover = BoxCover(frame16(), 3, ((1, 1), (2, 1), (1, 2), (2, 2)))
-    assert len(connected_clusters(cover)) == 1
+    cells = [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]
+    clusters = paved_clusters(frame16(), cells)
+    assert len(clusters) == 1
+    assert clusters == _naive_clusters(frame16(), cells)
 
 
 def test_cluster_order_and_shuffle_determinism():
-    cells = [(5, 5), (6, 5), (1, 7), (1, 6), (3, 1)]
+    cells = [(4, 5, 5), (4, 6, 5), (4, 1, 7), (4, 1, 6), (4, 3, 1)]
     fr = frame16()
-    ref = connected_clusters(BoxCover(fr, 4, tuple(cells)))
+    ref = paved_clusters(fr, cells)
+    assert ref == _naive_clusters(fr, cells)
     rng = random.Random(0)
     for _ in range(5):
         rng.shuffle(cells)
-        got = connected_clusters(BoxCover(fr, 4, tuple(cells)))
-        assert [c.cells for c in got] == [c.cells for c in ref]
+        assert paved_clusters(fr, cells) == ref
     # canonical order: by (min i, then min j)
-    mins = [(min(i for i, _ in c.cells), min(j for _, j in c.cells)) for c in ref]
+    mins = [(min(i for _, i, _ in c), min(j for _, _, j in c)) for c in ref]
     assert mins == sorted(mins)
 
 
@@ -124,9 +106,8 @@ def test_paved_cover_queries():
     assert pc.covers_rect(inner)
     outside = fr.cell_bounds(7, 7, 3)
     assert not pc.covers_rect(outside)
-    assert pc.first_overlap(outside) is None
-    hit = pc.first_overlap(rect)
-    assert hit == (3, 1, 1)
+    assert pc.overlapping_cells(outside) == []
+    assert pc.overlapping_cells(rect) == [(3, 1, 1)]
     full = fr.cell_bounds(1, 1, 3)
     assert set(pc.overlapping_cells(full)) >= {(3, 1, 1), (4, 4, 2)}
 
@@ -135,9 +116,8 @@ def test_paved_cover_queries():
 @settings(max_examples=60)
 def test_uniform_and_paved_clustering_agree(cells):
     fr = frame16()
-    uniform = connected_clusters(BoxCover(fr, 3, tuple(cells)))
-    paved = paved_clusters(fr, [(3, i, j) for i, j in cells])
-    assert [[(3, i, j) for i, j in c.cells] for c in uniform] == paved
+    uniform = [(3, i, j) for i, j in cells]
+    assert paved_clusters(fr, uniform) == _naive_clusters(fr, uniform)
 
 
 def _random_pavement(rng, max_depth=4):
@@ -242,10 +222,6 @@ def test_pavement_queries_match_naive():
             rect = (cx, cx + w, cy, cy + w)
             naive = _naive_overlaps(fr, cells, rect)
             assert pc.overlapping_cells(rect) == naive
-            hit = pc.first_overlap(rect)
-            assert (hit is None) == (not naive)
-            if hit is not None:
-                assert hit in naive
             if pc.covers_rect(rect):
                 # certified containment implies every sampled point is inside
                 assert _naive_covers(fr, cells, rect)

@@ -298,18 +298,21 @@ def test_no_revisit_certificate_is_inherited_and_points_stay_distinct(coeffs, z)
             break
 
 
-@pytest.mark.parametrize("coeffs, radius, start, images", [
-    ([("0", "0"), ("-3", "0"), ("0", "0"), ("1", "0")], "4", 1, 2),  # +1 -> -2 -> -2
-    ([("-2", "0"), ("0", "0"), ("1", "0")], "3", 0, 3),              # 0 -> -2 -> 2 -> 2
+@pytest.mark.parametrize("coeffs, radius, start, images, periodic", [
+    ([("0", "0"), ("-3", "0"), ("0", "0"), ("1", "0")], "4", 1, 2, False),  # +1 -> -2 -> -2
+    ([("-2", "0"), ("0", "0"), ("1", "0")], "3", 0, 3, False),              # 0 -> -2 -> 2 -> 2
+    ([("-1", "0"), ("0", "0"), ("1", "0")], "2", 0, 2, True),               # 0 -> -1 -> 0
 ])
-def test_exact_revisit_still_found(monkeypatch, coeffs, radius, start, images):
+def test_exact_revisit_still_found(monkeypatch, coeffs, radius, start, images, periodic):
     pmap = PolynomialMap(coeffs)
     calls = []
     exact_image = pmap.eval_exact
     monkeypatch.setattr(pmap, "eval_exact", lambda z: calls.append(z) or exact_image(z))
-    status, escape_step, _ = _exact_orbit_status(
+    status = _exact_orbit_status(
         pmap, DomainDisk(("0", "0"), radius), (Fraction(start), Fraction(0)), horizon=20)
-    assert (status, escape_step) == ("in_Uprime", None)
+    # a revisit of a later point is preperiodic; only a return to the start
+    # is periodic
+    assert status == ("in_Uprime", None, periodic)
     # the walk stops at the revisit instead of running out the horizon
     assert len(calls) == images
 

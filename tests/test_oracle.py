@@ -7,10 +7,10 @@ from cantorshift.coding import assign_symbols, fibers
 from cantorshift.oracle import (
     AbstractTree,
     brute_force_fibers,
-    check_admissible,
     generate,
     run_equivalence_cases,
 )
+from cantorshift.tree import check_structure
 
 
 def test_generate_deterministic():
@@ -34,7 +34,7 @@ def test_generated_trees_admissible():
     @settings(max_examples=60, deadline=None)
     def run(seed, d, depth):
         tree = generate(seed, d, depth)
-        check_admissible(tree)
+        check_structure(tree)
         assert len(tree.levels[1]) >= 2
     run()
 
