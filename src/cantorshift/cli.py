@@ -42,12 +42,8 @@ def _run_config(args, horizon):
     env_boxes, env_res = env_budget_overrides()
     max_res = env_res if env_res is not None else args.max_resolution
     return RunConfig(
-        map_path=args.config,
         depth=args.depth,
         horizon=horizon,
-        out_dir=getattr(args, "out", "out"),
-        color_by=getattr(args, "color_by", "level"),
-        image_size=getattr(args, "size", 800),
         max_boxes=ResolutionPolicy.max_boxes if env_boxes is None else env_boxes,
         max_resolution=ResolutionPolicy.max_resolution if max_res is None else max_res,
     )

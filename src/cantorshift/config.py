@@ -32,19 +32,15 @@ ENV_MAX_RESOLUTION = "CANTORSHIFT_MAX_RESOLUTION"
 class RunConfig:
     """Everything a CLI run needs besides the map itself."""
 
-    map_path: str
     depth: int = 6
     horizon: int = 20
-    out_dir: str = "out"
-    color_by: str = "level"
-    image_size: int = 800
     max_boxes: int = ResolutionPolicy.max_boxes
     max_resolution: int = ResolutionPolicy.max_resolution
 
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
-        if self.max_boxes <= 0 or self.max_resolution <= 0 or self.image_size <= 0:
+        if self.max_boxes <= 0 or self.max_resolution <= 0:
             raise ValueError("budgets must be positive")
 
     def policy(self) -> ResolutionPolicy:

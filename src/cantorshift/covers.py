@@ -8,7 +8,8 @@ same expression is evaluated everywhere, the cells tile the window exactly
 and a child cell at resolution r+delta is always contained in its ancestor
 at resolution r.
 
-A PavedCover is a set of such cells of mixed resolutions.  All geometric
+A PavedCover is a set of such cells of mixed resolutions, indexed by
+sorted int64 keys per resolution (a linear quadtree).  All geometric
 claims made from covers are one-sided: a cover is an *outer* enclosure of
 the set it tracks, so "certified disjoint" and "certified contained" tests
 are the only ones exported.
@@ -76,12 +77,47 @@ class Frame:
         return (self.x0 + i * s, self.x0 + (i + 1) * s,
                 self.y0 + j * s, self.y0 + (j + 1) * s)
 
+    def grid_span(self, rect, resolution: int):
+        """(i_lo, i_hi, j_lo, j_hi): the index ranges of the grid cells at a
+        resolution whose closed bounds meet ``rect``, which must meet the
+        window.  Walls are compared exactly as ``cell_bounds`` computes them."""
+        s = self.cell_size(resolution)
+        n = 1 << resolution
+        return (_span(rect[0], rect[1], self.x0, s, n)
+                + _span(rect[2], rect[3], self.y0, s, n))
+
     def __eq__(self, other):
         return (isinstance(other, Frame) and self.x0 == other.x0
                 and self.y0 == other.y0 and self.side == other.side)
 
     def __repr__(self):
         return f"Frame(x0={self.x0!r}, y0={self.y0!r}, side={self.side!r})"
+
+
+def _span(lo, hi, origin, s, n):
+    """First and last index i < n whose closed interval
+    [origin + i*s, origin + (i+1)*s] meets [lo, hi]."""
+    first = 0
+    if lo > origin:
+        first = min(int((lo - origin) / s), n - 1)
+        while first > 0 and origin + first * s >= lo:
+            first -= 1
+        while origin + (first + 1) * s < lo:
+            first += 1
+    last = n - 1
+    if hi < origin + n * s:
+        last = min(max(int((hi - origin) / s), 0), n - 1)
+        while last < n - 1 and origin + (last + 1) * s <= hi:
+            last += 1
+        while origin + last * s > hi:
+            last -= 1
+    return first, last
+
+
+def _rank(sorted_values, q):
+    """Position of each q in a sorted array and whether it is present."""
+    pos = np.minimum(np.searchsorted(sorted_values, q), len(sorted_values) - 1)
+    return pos, sorted_values[pos] == q
 
 
 class PavedCover:
@@ -93,116 +129,129 @@ class PavedCover:
     so pavements are the representation that keeps cell counts proportional
     to geometric complexity rather than to the finest feature present.
 
-    Queries run by quadtree descent over ancestor markers, so their cost is
-    proportional to the output, not to the pavement size.
+    The cells are stored once, as int64 arrays ``r``, ``i``, ``j`` sorted by
+    (r, i, j); a cell's index is its position there.  Each resolution is a
+    contiguous run keyed by a sorted int64 array: the rank of i among the
+    run's distinct i times the number of its distinct j, plus the rank of
+    j.  The key is exact at every resolution up to 62, where i and j still
+    fit in int64, and its size is bounded by the square of the cell count.
+    ``find`` answers which present cell contains given grid cells; the
+    rectangle queries read the same sorted runs.
     """
 
-    __slots__ = ("frame", "layers", "_count", "_cells", "_markers")
+    __slots__ = ("frame", "r", "i", "j", "_layers")
 
     def __init__(self, frame: Frame, cells):
+        """``cells`` is an iterable of (r, i, j) or an (n, 3) integer array."""
         self.frame = frame
-        layers = {}
-        cellset = set()
-        for c in cells:
-            r, i, j = c
-            layers.setdefault(r, set()).add((i, j))
-            cellset.add((r, i, j))
-        self.layers = {r: frozenset(s) for r, s in sorted(layers.items())}
-        self._count = len(cellset)
-        self._cells = frozenset(cellset)
-        markers = set()
-        for r, i, j in cellset:
-            while r > 0:
-                r, i, j = r - 1, i >> 1, j >> 1
-                node = (r, i, j)
-                if node in markers:
-                    break
-                markers.add(node)
-        self._markers = frozenset(markers)
+        if not isinstance(cells, np.ndarray):
+            cells = list(cells)
+        a = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
+        a = a[np.lexsort(a.T[::-1])]
+        a = a[np.diff(a, axis=0, prepend=-1).any(axis=1)]
+        self.r, self.i, self.j = (np.ascontiguousarray(a[:, c]) for c in range(3))
+        self._layers = {}  # r -> (start, stop, distinct i, distinct j, keys)
+        cuts = np.flatnonzero(np.diff(self.r, prepend=-1, append=-1)).tolist()
+        for start, stop in zip(cuts, cuts[1:]):
+            xs, ri = np.unique(self.i[start:stop], return_inverse=True)
+            ys, rj = np.unique(self.j[start:stop], return_inverse=True)
+            self._layers[int(self.r[start])] = (start, stop, xs, ys, ri * len(ys) + rj)
 
     def __len__(self):
-        return self._count
+        return len(self.r)
 
-    def __contains__(self, cell):
-        return cell in self._cells
+    def cells_at(self, idx):
+        """The cells at the given indices, as (r, i, j) tuples."""
+        return list(zip(self.r[idx].tolist(), self.i[idx].tolist(), self.j[idx].tolist()))
 
     def iter_cells(self):
-        for r, cells in self.layers.items():
-            for i, j in sorted(cells):
-                yield (r, i, j)
+        return iter(self.cells_at(slice(None)))
+
+    def subset(self, idx) -> "PavedCover":
+        """The pavement of the cells at the given indices."""
+        return PavedCover(self.frame, np.stack((self.r[idx], self.i[idx], self.j[idx]), axis=1))
 
     @property
     def finest(self) -> int:
-        return max(self.layers) if self.layers else 0
+        return max(self._layers) if self._layers else 0
 
-    def bounding_rect(self):
-        if not self._cells:
-            return None
-        b = self.frame.cell_bounds
-        lo_x = lo_y = math.inf
-        hi_x = hi_y = -math.inf
-        for r, cells in self.layers.items():
-            for i, j in cells:
-                q = b(i, j, r)
-                lo_x = min(lo_x, q[0])
-                hi_x = max(hi_x, q[1])
-                lo_y = min(lo_y, q[2])
-                hi_y = max(hi_y, q[3])
-        return (lo_x, hi_x, lo_y, hi_y)
-
-    def _overlap_children(self, node, rect):
-        r, i, j = node
-        out = []
-        bounds = self.frame.cell_bounds
-        for ci, cj in ((2 * i, 2 * j), (2 * i + 1, 2 * j),
-                       (2 * i, 2 * j + 1), (2 * i + 1, 2 * j + 1)):
-            if boverlap(rect, bounds(ci, cj, r + 1)):
-                out.append((r + 1, ci, cj))
+    def find(self, r, i, j):
+        """Index of the present cell containing grid cell (i[n], j[n]) at
+        resolution r[n] (or a common r), or -1; arrays in, array out.
+        Present cells finer than the query never contain it."""
+        r, i, j = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (r, i, j)))
+        out = np.full(i.shape, -1, dtype=np.int64)
+        todo = np.arange(i.size)
+        for rp in sorted(self._layers, reverse=True):
+            q = todo[r[todo] >= rp]
+            if not q.size:
+                continue
+            start, _, xs, ys, keys = self._layers[rp]
+            d = r[q] - rp
+            pi, hi = _rank(xs, i[q] >> d)
+            pj, hj = _rank(ys, j[q] >> d)
+            pos, hk = _rank(keys, pi * len(ys) + pj)
+            out[q] = np.where(hi & hj & hk, start + pos, -1)
+            todo = todo[out[todo] < 0]
         return out
-
-    def overlapping_cells(self, rect):
-        """All present cells a rectangle possibly overlaps (sound: any cell
-        not returned is certified disjoint from rect)."""
-        if not boverlap(rect, self.frame.cell_bounds(0, 0, 0)):
-            return []
-        hits = []
-        stack = [(0, 0, 0)]
-        while stack:
-            node = stack.pop()
-            if node in self._cells:
-                hits.append(node)
-            elif node in self._markers:
-                stack.extend(self._overlap_children(node, rect))
-        hits.sort()
-        return hits
 
     def ancestor_of(self, r, i, j):
         """The present cell containing grid cell (i, j) at resolution r, or
         None; assumes present cells are never finer than the query."""
-        while r >= 0:
-            if (r, i, j) in self._cells:
-                return (r, i, j)
-            r, i, j = r - 1, i >> 1, j >> 1
-        return None
+        idx = self.find(r, [i], [j])
+        return self.cells_at(idx)[0] if idx[0] >= 0 else None
+
+    def bounding_rect(self):
+        if not len(self):
+            return None
+        b = self.frame.cell_bounds
+        lo_x = lo_y = math.inf
+        hi_x = hi_y = -math.inf
+        # cell walls grow with the index, so each run's extreme walls lie on
+        # its least and greatest distinct i and j
+        for r, (_, _, xs, ys, _) in self._layers.items():
+            lo = b(int(xs[0]), int(ys[0]), r)
+            hi = b(int(xs[-1]), int(ys[-1]), r)
+            lo_x = min(lo_x, lo[0])
+            hi_x = max(hi_x, hi[1])
+            lo_y = min(lo_y, lo[2])
+            hi_y = max(hi_y, hi[3])
+        return (lo_x, hi_x, lo_y, hi_y)
+
+    def overlapping(self, rect):
+        """Indices of all present cells a rectangle possibly overlaps
+        (sound: any cell not returned is certified disjoint from rect)."""
+        if not len(self) or not boverlap(rect, self.frame.cell_bounds(0, 0, 0)):
+            return np.empty(0, dtype=np.int64)
+        top = self.finest
+        a, b, c, e = self.frame.grid_span(rect, top)
+        hits = []
+        for r, (start, stop, _, _, _) in self._layers.items():
+            d = top - r
+            lo, hi = start + np.searchsorted(self.i[start:stop], (a >> d, (b >> d) + 1))
+            jj = self.j[lo:hi]
+            hits.append(lo + np.flatnonzero((jj >= c >> d) & (jj <= e >> d)))
+        return np.concatenate(hits)
+
+    def overlapping_cells(self, rect):
+        """All present cells a rectangle possibly overlaps, sorted."""
+        return self.cells_at(self.overlapping(rect))
 
     def covers_rect(self, rect) -> bool:
-        """True certifies rect is inside the union of present cells."""
+        """True certifies rect is inside the union of present cells: the
+        present cells it overlaps tile its whole block of finest grid cells."""
         root = self.frame.cell_bounds(0, 0, 0)
         if not (root[0] <= rect[0] and rect[1] <= root[1]
                 and root[2] <= rect[2] and rect[3] <= root[3]):
             return False  # anything poking out of the frame is uncovered
-        stack = [(0, 0, 0)]
-        while stack:
-            node = stack.pop()
-            if node in self._cells:
-                continue
-            if node not in self._markers:
-                return False
-            kids = self._overlap_children(node, rect)
-            if not kids:
-                return False
-            stack.extend(kids)
-        return True
+        top = self.finest
+        a, b, c, e = self.frame.grid_span(rect, top)
+        area = 0
+        for r, i, j in self.overlapping_cells(rect):
+            d = top - r
+            area += ((min(b, ((i + 1) << d) - 1) - max(a, i << d) + 1)
+                     * (min(e, ((j + 1) << d) - 1) - max(c, j << d) + 1))
+        return area == (b - a + 1) * (e - c + 1)
 
 
 def paved_clusters(frame: Frame, cells):
@@ -214,79 +263,40 @@ def paved_clusters(frame: Frame, cells):
     Equivalently: for every cell and each of its four same-size
     neighbor slots, the cover cell containing that slot (necessarily the
     same size or coarser) is adjacent; finer neighbors register the pair
-    when processed from their own side.  Neighbor resolution is vectorized
-    per pair of resolution layers and the resulting graph is labeled with
+    when processed from their own side.  One ``PavedCover.find`` call
+    resolves every neighbor slot, and the resulting graph is labeled with
     a C-implementation of connected components.
 
-    Returns clusters as lists of (r, i, j), clusters in canonical order by
-    fine-grid lower-left corner, cells sorted within each cluster.
+    ``cells`` is a PavedCover or an iterable of (r, i, j).  Returns clusters
+    as lists of (r, i, j), clusters in canonical order by fine-grid
+    lower-left corner, cells sorted within each cluster.
     """
-    cells = sorted(set(cells))
-    if not cells:
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    cover = cells if isinstance(cells, PavedCover) else PavedCover(frame, cells)
+    n = len(cover)
+    if not n:
         return []
-    n = len(cells)
-    by_r = {}
-    for idx, (r, i, j) in enumerate(cells):
-        by_r.setdefault(r, []).append((i, j, idx))
-    layer = {}
-    for r, items in by_r.items():
-        arr = np.array(items, dtype=np.int64)
-        keys = (arr[:, 0] << 32) | arr[:, 1]
-        order = np.argsort(keys)
-        layer[r] = (keys[order], arr[order, 2])
-    edges_a = []
-    edges_b = []
-    for r, items in sorted(by_r.items()):
-        arr = np.array(items, dtype=np.int64)
-        i, j, idx = arr[:, 0], arr[:, 1], arr[:, 2]
-        span = (1 << r) - 1
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = i + di, j + dj
-            ok = (ni >= 0) & (ni <= span) & (nj >= 0) & (nj <= span)
-            if not ok.any():
-                continue
-            ni, nj, src = ni[ok], nj[ok], idx[ok]
-            # find the cover cell containing each neighbor slot, searching
-            # this and every coarser layer
-            unresolved = np.ones(len(src), dtype=bool)
-            for rp in sorted(by_r, reverse=True):
-                if rp > r or not unresolved.any():
-                    continue
-                d = r - rp
-                keys = ((ni[unresolved] >> d) << 32) | (nj[unresolved] >> d)
-                lk, lidx = layer[rp]
-                pos = np.searchsorted(lk, keys)
-                pos[pos >= len(lk)] = len(lk) - 1
-                hit = lk[pos] == keys
-                if hit.any():
-                    where = np.flatnonzero(unresolved)[hit]
-                    edges_a.append(src[where])
-                    edges_b.append(lidx[pos[hit]])
-                    rem = unresolved.copy()
-                    rem[where] = False
-                    unresolved = rem
-    if edges_a:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-        a = np.concatenate(edges_a)
-        b = np.concatenate(edges_b)
-        graph = coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
-        _, labels = connected_components(graph, directed=False)
-    else:
-        labels = np.arange(n)
-    R = max(by_r)
-    corner_x = np.empty(n, dtype=np.int64)
-    corner_y = np.empty(n, dtype=np.int64)
-    for pos, (r, i, j) in enumerate(cells):
-        f = 1 << (R - r)
-        corner_x[pos] = i * f
-        corner_y[pos] = j * f
-    groups = {}
-    for pos in range(n):
-        groups.setdefault(int(labels[pos]), []).append(pos)
-    keyed = []
-    for members in groups.values():
-        key = min((int(corner_x[p]), int(corner_y[p])) for p in members)
-        keyed.append((key, sorted(cells[p] for p in members)))
-    keyed.sort(key=lambda t: t[0])
-    return [grp for _, grp in keyed]
+    r, i, j = np.tile(cover.r, 4), np.tile(cover.i, 4), np.tile(cover.j, 4)
+    src = np.tile(np.arange(n), 4)
+    i[:n] += 1
+    i[n:2 * n] -= 1
+    j[2 * n:3 * n] += 1
+    j[3 * n:] -= 1
+    ok = (i >= 0) & (j >= 0) & (i < (1 << r)) & (j < (1 << r))
+    nbr = cover.find(r[ok], i[ok], j[ok])
+    hit = nbr >= 0
+    graph = coo_matrix((np.ones(int(hit.sum()), dtype=np.int8), (src[ok][hit], nbr[hit])),
+                       shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    # number clusters by their least fine-grid lower-left corner; distinct
+    # non-overlapping cells never share that corner
+    d = cover.finest - cover.r
+    _, first = np.unique(labels[np.lexsort((cover.j << d, cover.i << d))], return_index=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    labels = rank[labels]
+    members = cover.cells_at(np.argsort(labels, kind="stable"))
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [members[s:t] for s, t in zip([0] + ends[:-1], ends)]

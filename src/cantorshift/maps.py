@@ -594,6 +594,21 @@ class DomainDisk:
             return "out"
         return "boundary"
 
+    def side(self, rect):
+        """'in' (inside the open disk) or 'out' (outside the closed disk),
+        certified for every point of a float rectangle; None if undecided."""
+        d2 = babs2(rect, self.center_box)
+        if d2[1] < self.r2_lo:
+            return "in"
+        if d2[0] > self.r2_hi:
+            return "out"
+        return None
+
+    def contains_cover(self, cover) -> bool:
+        """True certifies every cell of the cover lies in the open disk."""
+        bounds = cover.frame.cell_bounds
+        return all(self.side(bounds(i, j, r)) == "in" for r, i, j in cover.iter_cells())
+
     def __repr__(self):
         return f"DomainDisk(center=({self.center[0]}, {self.center[1]}), radius={self.radius})"
 
@@ -862,10 +877,10 @@ def _ball_orbit_status(pmap, disk, z, first_step, horizon):
 def _interval_orbit_status(pmap, disk, box, horizon):
     cur = box.as_tuple()
     for step in range(horizon + 1):
-        d2 = babs2(cur, disk.center_box)
-        if d2[0] > disk.r2_hi:
+        side = disk.side(cur)
+        if side == "out":
             return "escapes", step, False
-        if not d2[1] < disk.r2_lo:
+        if side is None:
             return "undecided", None, False
         if cur[1] - cur[0] > 0.25 or cur[3] - cur[2] > 0.25:
             return "undecided", None, False
@@ -889,16 +904,7 @@ def validate_restriction(pmap: PolynomialMap, disk: DomainDisk, level1, horizon:
     degrees = tuple(c.local_degree for c in level1)
     warnings = []
 
-    compact = True
-    for comp in level1:
-        for r, i, j in comp.cover.iter_cells():
-            cell = comp.cover.frame.cell_bounds(i, j, r)
-            d2 = babs2(cell, disk.center_box)
-            if not d2[1] < disk.r2_lo:
-                compact = False
-                break
-        if not compact:
-            break
+    compact = all(disk.contains_cover(comp.cover) for comp in level1)
 
     in_restriction_by_crit = {}
     for idx, comp in enumerate(level1):

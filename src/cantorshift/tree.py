@@ -59,7 +59,7 @@ from .errors import (
     ResolutionExceeded,
     Undecided,
 )
-from .intervals import IntervalBox, babs2, enclose_fraction, isqrt_hi, vbabs2
+from .intervals import IntervalBox, enclose_fraction, isqrt_hi, vbabs2
 from .maps import (
     DomainDisk,
     PolynomialMap,
@@ -116,28 +116,27 @@ class Component:
         return (self.level, self.index)
 
 
+@dataclass
 class _Built:
-    """Internal per-level record: pavement, its certified-interior part,
-    clusters, certified edges and the witness point of each cluster."""
+    """Internal per-level record: the pavement, the mask of its cells
+    certified inside f^-k(U) and the cluster index of each of its cells
+    (both aligned with the pavement), certified edges and the witness point
+    of each cluster."""
 
-    __slots__ = ("pavement", "interior", "cluster_cells", "cluster_of",
-                 "parent_of", "image_of", "local_degree", "crits_in",
-                 "witness_points")
+    pavement: PavedCover
+    interior: np.ndarray
+    labels: np.ndarray
+    parent_of: list
+    image_of: list
+    local_degree: list
+    crits_in: list
+    witness_points: list
 
-    def __init__(self, pavement, interior, cluster_cells, parent_of, image_of,
-                 local_degree, crits_in, witness_points):
-        self.pavement = pavement
-        self.interior = interior  # PavedCover of cells certified inside f^-k(U)
-        self.cluster_cells = cluster_cells
-        self.parent_of = parent_of
-        self.image_of = image_of
-        self.local_degree = local_degree
-        self.crits_in = crits_in
-        self.witness_points = witness_points
-        self.cluster_of = {}
-        for idx, cells in enumerate(cluster_cells):
-            for c in cells:
-                self.cluster_of[c] = idx
+
+def _indices(pavement, cells):
+    """Pavement indices of a list of its (r, i, j) cells."""
+    a = np.array(cells, dtype=np.int64).reshape(-1, 3)
+    return pavement.find(a[:, 0], a[:, 1], a[:, 2])
 
 
 class _Failure(Exception):
@@ -248,6 +247,7 @@ class _TreeBuilder:
             ((Fraction(0), Fraction(0)), r_esc),
         ])
         self.built = []                # _Built per level, 0-based
+        self.levels = []               # components per accepted level
         self.restriction_crits = ()    # critical indices certified inside U'
 
     # -- level 0: the disk itself ------------------------------------------
@@ -256,9 +256,6 @@ class _TreeBuilder:
         """Pave the closed disk; circle-straddling cells are refined a few
         extra steps so level 1 starts from a reasonable boundary scale."""
         bounds = self.frame.cell_bounds
-        center = self.disk.center_box
-        r2_hi = self.disk.r2_hi
-        r2_lo = self.disk.r2_lo
         band_target = max(BASE_RESOLUTION + 4,
                           -int(math.floor(math.log2(
                               BAND_SCALE * float(self.disk.radius)
@@ -270,22 +267,21 @@ class _TreeBuilder:
         queue = [(BASE_RESOLUTION, i, j) for i in range(n) for j in range(n)]
         while queue:
             r, i, j = queue.pop()
-            d2 = babs2(bounds(i, j, r), center)
-            if d2[0] > r2_hi:
+            side = self.disk.side(bounds(i, j, r))
+            if side == "out":
                 continue
-            if d2[1] < r2_lo:
+            if side == "in":
                 interior.append((r, i, j))
             elif r >= band_target:
                 band.append((r, i, j))
             else:
                 queue.extend(((r + 1, 2 * i, 2 * j), (r + 1, 2 * i + 1, 2 * j),
                               (r + 1, 2 * i, 2 * j + 1), (r + 1, 2 * i + 1, 2 * j + 1)))
-        kept = interior + band
-        built = _Built(PavedCover(self.frame, kept),
-                       PavedCover(self.frame, interior),
-                       [tuple(sorted(kept))], [None], [None], [1], [()],
-                       [self.disk.center])
-        self.built.append(built)
+        pavement = PavedCover(self.frame, interior + band)
+        inner = np.zeros(len(pavement), dtype=bool)
+        inner[_indices(pavement, interior)] = True
+        self._accept(_Built(pavement, inner, np.zeros(len(pavement), dtype=np.int64),
+                            [None], [None], [1], [()], [self.disk.center]))
 
     # -- witness preimages ---------------------------------------------------
 
@@ -313,7 +309,7 @@ class _TreeBuilder:
         box = (re[0], re[1], im[0], im[1])
         for _ in range(k):
             box = self.pmap.eval_box(box)
-            if not babs2(box, self.disk.center_box)[1] < self.disk.r2_lo:
+            if self.disk.side(box) != "in":
                 return False
         return True
 
@@ -387,21 +383,16 @@ class _TreeBuilder:
 
     _SCALE_BITS = 10  # the local-scale raster is 2^bits x 2^bits
 
-    def _paint_max(self, raster, cells_by_layer):
+    def _paint_max(self, raster, r, i, j):
         bits = self._SCALE_BITS
-        for r, cells in cells_by_layer:
-            if not cells:
-                continue
-            size = self.frame.cell_size(r)
-            if r >= bits:
-                d = r - bits
-                arr = np.array(sorted(cells), dtype=np.int64)
-                np.maximum.at(raster, (arr[:, 0] >> d, arr[:, 1] >> d), size)
-            else:
-                f = 1 << (bits - r)
-                for i, j in cells:
-                    block = raster[i * f:(i + 1) * f, j * f:(j + 1) * f]
-                    np.maximum(block, size, out=block)
+        size = self.frame.cell_size(r)
+        if r >= bits:
+            np.maximum.at(raster, (i >> (r - bits), j >> (r - bits)), size)
+        else:
+            f = 1 << (bits - r)
+            for a, b in zip(i.tolist(), j.tolist()):
+                block = raster[a * f:(a + 1) * f, b * f:(b + 1) * f]
+                np.maximum(block, size, out=block)
 
     def _build_scale_raster(self, built):
         """Rasterized local structure scale of a level: the typical band
@@ -414,15 +405,12 @@ class _TreeBuilder:
         m = 1 << bits
         interior_r = np.zeros((m, m))
         band_r = np.zeros((m, m))
-        int_layers = built.interior.layers
-        band_by_layer = []
-        int_by_layer = []
-        for r, cells in built.pavement.layers.items():
-            inter = int_layers.get(r, frozenset())
-            band_by_layer.append((r, cells - inter))
-            int_by_layer.append((r, inter))
-        self._paint_max(interior_r, int_by_layer)
-        self._paint_max(band_r, band_by_layer)
+        pav = built.pavement
+        for r in np.unique(pav.r).tolist():
+            at_r = pav.r == r
+            for raster, sel in ((interior_r, at_r & built.interior),
+                                (band_r, at_r & ~built.interior)):
+                self._paint_max(raster, r, pav.i[sel], pav.j[sel])
         self._scale_raster = np.where(band_r > 0.0, band_r, interior_r)
 
     def _scale_lookup(self, x, y):
@@ -435,7 +423,7 @@ class _TreeBuilder:
 
     # -- certified placements ------------------------------------------------
 
-    def _locate_criticals(self, k, pavement, cluster_of, cluster_cells, defects):
+    def _locate_criticals(self, k, pavement, labels, cluster_cells, defects):
         """Decide, per critical point, the unique cluster containing it.
 
         The enclosure must lie entirely inside one cluster's cells (never
@@ -450,14 +438,14 @@ class _TreeBuilder:
         for cidx in indices:
             crit = self.pmap.critical_points[cidx]
             rect = crit.enclosure.as_tuple()
-            hits = pavement.overlapping_cells(rect)
-            if not hits:
+            hits = pavement.overlapping(rect)
+            if not hits.size:
                 if k >= 2:
                     raise HypothesisViolation(
                         f"critical point {crit.point_str()} certified outside "
                         f"f^-{k}(U): its orbit escapes U'")
                 continue  # level 1: certified outside the restriction
-            clusters = {cluster_of[cell] for cell in hits}
+            clusters = set(labels[hits].tolist())
             if len(clusters) > 1 or not pavement.covers_rect(rect):
                 defects.add("critical-straddle",
                             f"critical {crit.point_str()} not resolved yet",
@@ -467,14 +455,12 @@ class _TreeBuilder:
         return placed
 
     def _certify(self, k, cells, interior_cells, witness_boxes):
-        clusters = paved_clusters(self.frame, cells)
-        cluster_cells = [tuple(grp) for grp in clusters]
         pavement = PavedCover(self.frame, cells)
-        cluster_of = {}
-        for idx, cc in enumerate(cluster_cells):
-            for cell in cc:
-                cluster_of[cell] = idx
+        cluster_cells = paved_clusters(self.frame, pavement)
         n_clusters = len(cluster_cells)
+        labels = np.empty(len(pavement), dtype=np.int64)
+        labels[_indices(pavement, [c for cc in cluster_cells for c in cc])] = np.repeat(
+            np.arange(n_clusters), [len(cc) for cc in cluster_cells])
         defects = _Defects()
 
         # container edges from exact dyadic ancestry
@@ -482,18 +468,19 @@ class _TreeBuilder:
             parent_of = [0] * n_clusters
         else:
             parent = self.built[k - 1]
-            parent_of = []
-            for cc in cluster_cells:
-                ancestors = set()
-                for r, i, j in cc:
-                    anc = parent.pavement.ancestor_of(r, i, j)
-                    ancestors.add(None if anc is None else parent.cluster_of[anc])
-                if None in ancestors or len(ancestors) != 1:
+            anc = parent.pavement.find(pavement.r, pavement.i, pavement.j)
+            up = np.where(anc >= 0, parent.labels[anc], -1)
+            m = len(parent.parent_of) + 1
+            pairs = np.unique(labels * m + up + 1)  # distinct (cluster, parent or -1)
+            spans = np.bincount(pairs // m, minlength=n_clusters).tolist()
+            parent_of = [None] * n_clusters
+            for idx, p in zip((pairs // m).tolist(), (pairs % m - 1).tolist()):
+                if spans[idx] == 1 and p >= 0:
+                    parent_of[idx] = p
+            for idx, cc in enumerate(cluster_cells):
+                if parent_of[idx] is None:
                     defects.add("container-straddle",
-                                f"cluster spans {len(ancestors)} parent clusters", cc)
-                    parent_of.append(None)
-                else:
-                    parent_of.append(ancestors.pop())
+                                f"cluster spans {spans[idx]} parent clusters", cc)
         if defects:
             defects.raise_failure()
 
@@ -501,9 +488,9 @@ class _TreeBuilder:
         # lies in the kept region, so each box locates in some cluster
         per_cluster = [[] for _ in range(n_clusters)]
         for rect, mult, v_idx in witness_boxes:
-            touched = {cluster_of[cell] for cell in pavement.overlapping_cells(rect)}
+            touched = set(labels[pavement.overlapping(rect)].tolist())
             if not touched:
-                if k == 1 and babs2(rect, self.disk.center_box)[0] > self.disk.r2_hi:
+                if k == 1 and self.disk.side(rect) == "out":
                     raise HypothesisViolation(
                         "a preimage of the basepoint is certified outside the "
                         "closed disk U, so U' is not contained in U")
@@ -550,7 +537,7 @@ class _TreeBuilder:
             if defects:
                 defects.raise_failure()
 
-        placed = self._locate_criticals(k, pavement, cluster_of, cluster_cells, defects)
+        placed = self._locate_criticals(k, pavement, labels, cluster_cells, defects)
         if defects:
             defects.raise_failure()
         crits_in = [tuple(sorted(c for c, cl in placed.items() if cl == idx))
@@ -614,18 +601,12 @@ class _TreeBuilder:
         if defects:
             defects.raise_failure()
 
-        return _Built(pavement, PavedCover(self.frame, interior_cells),
-                      cluster_cells, parent_of, image_of, local_degree,
+        inner = np.zeros(len(pavement), dtype=bool)
+        inner[_indices(pavement, interior_cells)] = True
+        return _Built(pavement, inner, labels, parent_of, image_of, local_degree,
                       crits_in, witness_points)
 
     # -- per-level driver ----------------------------------------------------
-
-    def _level1_contained(self, cells) -> bool:
-        """Certified separation of the level-1 cover from the circle of U."""
-        bounds = self.frame.cell_bounds
-        center = self.disk.center_box
-        r2_lo = self.disk.r2_lo
-        return all(babs2(bounds(i, j, r), center)[1] < r2_lo for r, i, j in cells)
 
     def _build_level(self, k):
         policy = self.policy
@@ -672,13 +653,13 @@ class _TreeBuilder:
             except _Failure as fail:
                 if not self._subdivide_band(band, buckets, fail.refine_cells):
                     if uncontained_build is not None:
-                        self.built.append(uncontained_build)
+                        self._accept(uncontained_build)
                         return
                     raise ResolutionExceeded(
                         f"level {k}: certification stalled at the resolution cap "
                         f"(last failure: {fail})")
                 continue
-            if k == 1 and not self._level1_contained(cover_cells):
+            if k == 1 and not self.disk.contains_cover(built.pavement):
                 # everything else certifies; if separation from the circle
                 # keeps failing the preimage plausibly touches it, so accept
                 # and let the hypothesis validator report the failure
@@ -686,7 +667,7 @@ class _TreeBuilder:
                 uncontained_accepts += 1
                 if uncontained_accepts < 4 and self._subdivide_band(band, buckets, None):
                     continue
-            self.built.append(built)
+            self._accept(built)
             return
 
     def _subdivide_band(self, band, buckets, targets):
@@ -724,51 +705,52 @@ class _TreeBuilder:
         for k in range(1, depth + 1):
             self._build_level(k)
             if k == 1:
-                level1 = self._make_components()
                 self.restriction_crits = tuple(
                     sorted(c for crits in self.built[1].crits_in for c in crits))
                 restriction = validate_restriction(
-                    self.pmap, self.disk, level1[1],
+                    self.pmap, self.disk, self.levels[1],
                     horizon=self.policy.validation_horizon)
                 if validate and not restriction.hypothesis_ok:
                     raise HypothesisViolation(
                         "restriction hypotheses not satisfied: "
                         + "; ".join(restriction.summary_lines()), restriction)
-        levels = self._make_components()
         tree = PuzzleTree(self.pmap, self.disk, self.frame, self.policy,
-                          levels, list(self.built), restriction)
+                          self.levels, self.built, restriction)
         check_structure(tree)
         return tree
 
-    def _make_components(self):
-        levels = []
-        for k, built in enumerate(self.built):
-            comps = []
-            for idx, cells in enumerate(built.cluster_cells):
-                cover = PavedCover(self.frame, cells)
-                if k == 0:
-                    diam = enclose_fraction(2 * self.disk.radius)[1]
-                    cum = 1
-                else:
-                    rect = cover.bounding_rect()
-                    w = rect[1] - rect[0]
-                    h = rect[3] - rect[2]
-                    diam = isqrt_hi(math.nextafter(w * w + h * h, math.inf))
-                    cum = (built.local_degree[idx]
-                           * levels[k - 1][built.image_of[idx]].cumulative_degree)
-                comps.append(Component(
-                    level=k,
-                    index=idx,
-                    container=built.parent_of[idx],
-                    image=built.image_of[idx],
-                    local_degree=built.local_degree[idx],
-                    cumulative_degree=cum,
-                    cover=cover,
-                    diameter_bound=diam,
-                    contains_critical=built.crits_in[idx],
-                ))
-            levels.append(comps)
-        return levels
+    def _accept(self, built):
+        """Record an accepted level and build its components, whose covers
+        are sliced from the level's pavement."""
+        k = len(self.built)
+        self.built.append(built)
+        order = np.argsort(built.labels, kind="stable")
+        ends = np.cumsum(np.bincount(built.labels, minlength=len(built.parent_of)))
+        comps = []
+        for idx, members in enumerate(np.split(order, ends[:-1])):
+            cover = built.pavement.subset(members)
+            if k == 0:
+                diam = enclose_fraction(2 * self.disk.radius)[1]
+                cum = 1
+            else:
+                rect = cover.bounding_rect()
+                w = rect[1] - rect[0]
+                h = rect[3] - rect[2]
+                diam = isqrt_hi(math.nextafter(w * w + h * h, math.inf))
+                cum = (built.local_degree[idx]
+                       * self.levels[k - 1][built.image_of[idx]].cumulative_degree)
+            comps.append(Component(
+                level=k,
+                index=idx,
+                container=built.parent_of[idx],
+                image=built.image_of[idx],
+                local_degree=built.local_degree[idx],
+                cumulative_degree=cum,
+                cover=cover,
+                diameter_bound=diam,
+                contains_critical=built.crits_in[idx],
+            ))
+        self.levels.append(comps)
 
 
 def check_structure(tree):
@@ -843,10 +825,10 @@ def locate(tree: PuzzleTree, z, k: int):
     chain = [tree.levels[0][0]]
     for lvl in range(1, k + 1):
         built = tree._built[lvl]
-        hits = built.pavement.overlapping_cells(box)
-        if not hits:
+        hits = built.pavement.overlapping(box)
+        if not hits.size:
             raise NotInCover(f"z is certified outside the level-{lvl} cover")
-        clusters = {built.cluster_of[cell] for cell in hits}
+        clusters = set(built.labels[hits].tolist())
         if len(clusters) > 1 or not built.pavement.covers_rect(box):
             raise Undecided(f"membership of z at level {lvl} is not certified "
                             f"at the built resolution")

@@ -135,12 +135,12 @@ def test_render_by_symbols(quadratic_tree, quadratic_assignment):
 
 def test_run_config_validation():
     from cantorshift.config import RunConfig
-    cfg = RunConfig(map_path="m.json", max_resolution=30)
+    cfg = RunConfig(max_resolution=30)
     assert cfg.policy().max_resolution == 30
     with pytest.raises(ValueError):
-        RunConfig(map_path="m.json", depth=-1)
+        RunConfig(depth=-1)
     with pytest.raises(ValueError):
-        RunConfig(map_path="m.json", max_boxes=0)
+        RunConfig(max_boxes=0)
 
 
 @pytest.mark.parametrize("flags, env", [

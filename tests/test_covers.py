@@ -13,6 +13,14 @@ def frame16():
     return Frame(-8.0, -8.0, 16.0)
 
 
+# pairs of cells past resolution 32 that are not adjacent: 2^32 rows apart,
+# and 256 columns apart with j past 2^32
+DEEP_PAIRS = [
+    [(33, 0, 2**32 - 1), (33, 1, 0)],
+    [(44, 3, 2**40), (44, 259, 2**40 - 1)],
+]
+
+
 def test_frame_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         Frame(0.0, 0.0, 10.0)
@@ -158,6 +166,14 @@ def _naive_covers(fr, cells, rect, samples=7):
     return True
 
 
+def _naive_ancestor(cells, r, i, j):
+    while r >= 0:
+        if (r, i, j) in cells:
+            return (r, i, j)
+        r, i, j = r - 1, i >> 1, j >> 1
+    return None
+
+
 def _naive_clusters(fr, cells):
     """Reference clustering: pairwise edge-overlap tests + union-find."""
     cells = sorted(set(cells))
@@ -204,6 +220,8 @@ def test_paved_clusters_match_naive():
         if not cells:
             continue
         assert paved_clusters(fr, cells) == _naive_clusters(fr, cells)
+    for cells in DEEP_PAIRS:
+        assert paved_clusters(fr, cells) == _naive_clusters(fr, cells)
 
 
 def test_pavement_queries_match_naive():
@@ -225,3 +243,20 @@ def test_pavement_queries_match_naive():
             if pc.covers_rect(rect):
                 # certified containment implies every sampled point is inside
                 assert _naive_covers(fr, cells, rect)
+    for cells in DEEP_PAIRS:
+        pc = PavedCover(fr, cells)
+        (ra, ia, ja), (rb, ib, jb) = cells
+        a, b = fr.cell_bounds(ia, ja, ra), fr.cell_bounds(ib, jb, rb)
+        span = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+        assert pc.overlapping_cells(span) == _naive_overlaps(fr, cells, span) == cells
+        assert not pc.covers_rect(span)
+        for r, i, j in cells:
+            x0, x1, y0, y1 = fr.cell_bounds(i, j, r)
+            q = (x1 - x0) / 4
+            inner = (x0 + q, x1 - q, y0 + q, y1 - q)
+            assert pc.overlapping_cells(inner) == _naive_overlaps(fr, cells, inner)
+            assert pc.covers_rect(inner) and _naive_covers(fr, cells, inner)
+            assert not pc.covers_rect((x0, x1, y0, y1))  # walls touch absent cells
+            for qr, qi, qj in ((r + 6, (i << 6) + 5, (j << 6) + 63), (r, i + 1, j),
+                               (r, i, j + 1), (r - 1, i >> 1, j >> 1)):
+                assert pc.ancestor_of(qr, qi, qj) == _naive_ancestor(cells, qr, qi, qj)

@@ -65,9 +65,9 @@ def test_nesting_of_covers(quadratic_tree):
         parents = quadratic_tree._built[k - 1]
         for c in quadratic_tree.levels[k]:
             for (r, i, j) in c.cover.iter_cells():
-                anc = parents.pavement.ancestor_of(r, i, j)
-                assert anc is not None
-                assert parents.cluster_of[anc] == c.container
+                anc = parents.pavement.find(r, [i], [j])[0]
+                assert anc >= 0
+                assert parents.labels[anc] == c.container
 
 
 def test_degree_iff_critical(cubic_tree):
