@@ -12,7 +12,15 @@ question (a periodic revisit, a critical hit).
 Critical points are derived rigorously: exact square-free decomposition of
 f' over the rationals fixes every multiplicity, exact rational roots are
 divided out where they exist, and the remaining simple roots are certified
-with a Krawczyk test around Durand-Kerner approximations.
+with a Krawczyk test around Durand-Kerner approximations
+(``certified_roots``).
+
+The preimages f^{-1}(w) of many exact points w, one tree level's witness
+points, are isolated in one batch (``witness_preimages``): companion-matrix
+eigenvalues seed a numpy Krawczyk test with every enclosure
+outward-rounded, and d pairwise-disjoint certified boxes prove d simple
+roots, so no square-free decomposition is needed.  Any point the batch
+cannot answer that way goes to the exact ``certified_roots``.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ from .intervals import (
     vbadd,
     vbmul,
     vbsquare,
+    viadd,
+    visq,
     visub,
 )
 
@@ -308,7 +318,16 @@ def _exact_point_box(z):
     return (r[0], r[1], i[0], i[1])
 
 
-def _krawczyk_certify(g, gp_boxes, approx, widths=(1e-8, 1e-10, 1e-6, 1e-4, 1e-2)):
+# The Krawczyk contraction loop, shared by the exact and the batched path:
+# the half-widths of the start boxes tried in turn around an approximation,
+# the most contraction rounds per box, and the width ratio that counts as
+# stalled (both sides of K /\ X above it end the contraction).
+_KRAWCZYK_WIDTHS = (1e-8, 1e-10, 1e-6, 1e-4, 1e-2)
+_KRAWCZYK_ROUNDS = 80
+_KRAWCZYK_STALL = 0.96
+
+
+def _krawczyk_certify(g, gp_boxes, approx, widths=_KRAWCZYK_WIDTHS):
     """Certify a unique simple root of g near ``approx``.
 
     Krawczyk test on a rectangle X around the approximation:
@@ -323,7 +342,7 @@ def _krawczyk_certify(g, gp_boxes, approx, widths=(1e-8, 1e-10, 1e-6, 1e-4, 1e-2
     for w in widths:
         X = (approx.real - w, approx.real + w, approx.imag - w, approx.imag + w)
         certified = False
-        for _ in range(80):
+        for _ in range(_KRAWCZYK_ROUNDS):
             m_re = Fraction(0.5 * (X[0] + X[1]))
             m_im = Fraction(0.5 * (X[2] + X[3]))
             gm = p_eval(g, (m_re, m_im))
@@ -356,8 +375,8 @@ def _krawczyk_certify(g, gp_boxes, approx, widths=(1e-8, 1e-10, 1e-6, 1e-4, 1e-2
             newX = (max(X[0], K[0]), min(X[1], K[1]), max(X[2], K[2]), min(X[3], K[3]))
             if newX[0] > newX[1] or newX[2] > newX[3]:
                 break
-            if (newX[1] - newX[0] > 0.96 * (X[1] - X[0])
-                    and newX[3] - newX[2] > 0.96 * (X[3] - X[2])):
+            if (newX[1] - newX[0] > _KRAWCZYK_STALL * (X[1] - X[0])
+                    and newX[3] - newX[2] > _KRAWCZYK_STALL * (X[3] - X[2])):
                 X = newX
                 break
             X = newX
@@ -426,6 +445,120 @@ def derive_critical_points(pmap: "PolynomialMap"):
     return tuple(found)
 
 
+def _krawczyk_boxes(pmap, X, const, gp_desc):
+    """One vectorized Krawczyk step for g = f - w on rectangles X.
+
+    ``const`` holds the enclosures of each root's constant term a_0 - w.
+    Returns K(X) = m - Y*g(m) + (1 - Y*g'(X)) * (X - m) and the mask of
+    rectangles with |1 - Y*g'(X)| < 1, both outward-rounded: g(m) is
+    enclosed on the float point m, g' = f' does not depend on w, and Y is
+    a float inverse of g'(m) whose error only costs contraction (Y = 0,
+    used where g'(m) is 0, fails the test).
+    """
+    mx = 0.5 * (X[0] + X[1])
+    my = 0.5 * (X[2] + X[3])
+    mid = (mx, mx, my, my)
+    with np.errstate(all="ignore"):
+        y = 1.0 / np.polyval(gp_desc, mx + 1j * my)
+    y = np.where(np.isfinite(y), y, 0.0)
+    Y = (y.real, y.real, y.imag, y.imag)
+    ygm = vbmul(Y, pmap.eval_boxes(mid, constant=const))
+    ygx = vbmul(Y, pmap.eval_deriv_boxes(X))
+    E = visub(1.0, 1.0, ygx[0], ygx[1]) + visub(0.0, 0.0, ygx[2], ygx[3])
+    Xm = visub(X[0], X[1], mx, mx) + visub(X[2], X[3], my, my)
+    K = vbadd(vbadd(mid, (-ygm[1], -ygm[0], -ygm[3], -ygm[2])), vbmul(E, Xm))
+    _, mag2 = viadd(*visq(E[0], E[1]), *visq(E[2], E[3]))
+    return K, mag2 < 1.0
+
+
+def witness_preimages(pmap: "PolynomialMap", points):
+    """Certified roots of f(z) = w for many exact points w at once.
+
+    Returns, per point, d ``(IntervalBox, 1)`` pairs in the canonical
+    (re_lo, im_lo) order of ``certified_roots``, or None.  The roots of
+    every g = f - w are seeded by one stacked eigenvalue call on the
+    companion matrices and run the contraction loop of
+    ``_krawczyk_certify`` in lockstep (``_krawczyk_boxes``).  The constant
+    term a_0 - w is enclosed from its exact value and g(m) on the float
+    point box m, which keeps the test sound (Rump, "Verification methods",
+    Acta Numerica 2010).  A point is answered only when all d boxes pass
+    K(X) in int X with |1 - Y*g'(X)| < 1 and are pairwise disjoint: they
+    then hold d distinct simple roots, every root of g, so each has
+    multiplicity 1.  None leaves the point to ``certified_roots``, whose
+    exact square-free decomposition decides multiplicities.
+    """
+    if not points:
+        return []
+    d = pmap.degree
+    a0 = pmap.exact_coefficients[0]
+    consts = [(a0[0] - w[0], a0[1] - w[1]) for w in points]
+    n, N = len(points), len(points) * d
+    companion = np.zeros((n, d, d), dtype=complex)
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion[:, 0, d - 1] = [-complex(float(c[0]), float(c[1])) for c in consts]
+    companion[:, 1:, d - 1] = [-complex(float(c[0]), float(c[1]))
+                               for c in pmap.exact_coefficients[1:d]]
+    seeds = np.linalg.eigvals(companion).reshape(N)
+    cb = np.repeat(np.array([_exact_point_box(c) for c in consts]), d, axis=0)
+    gp_desc = [complex(float(c[0]), float(c[1]))
+               for c in reversed(p_derivative(pmap.exact_coefficients))]
+
+    widths = np.array(_KRAWCZYK_WIDTHS)
+    X = np.empty((4, N))
+    stage = np.zeros(N, dtype=np.int64)   # index into widths
+    rounds = np.zeros(N, dtype=np.int64)
+    certified = np.zeros(N, dtype=bool)
+    answered = np.zeros(N, dtype=bool)
+
+    def start(idx):
+        w = widths[stage[idx]]
+        s = seeds[idx]
+        X[:, idx] = (s.real - w, s.real + w, s.imag - w, s.imag + w)
+        rounds[idx] = 0
+        certified[idx] = False
+
+    active = np.flatnonzero(np.isfinite(seeds))
+    start(active)
+    while active.size:
+        x = tuple(X[:, active])
+        K, contracting = _krawczyk_boxes(pmap, x, tuple(cb[active].T), gp_desc)
+        inside = (x[0] < K[0]) & (K[1] < x[1]) & (x[2] < K[2]) & (K[3] < x[3])
+        ok = certified[active] | (inside & contracting)
+        # a box that fails its first test moves on to the next start width
+        failed = active[~ok]
+        stage[failed] += 1
+        retry = failed[stage[failed] < len(widths)]
+        start(retry)
+        # a certified box contracts, X <- K /\ X, until it stalls
+        kept = active[ok]
+        certified[kept] = True
+        old = X[:, kept]
+        new = np.stack((np.maximum(old[0], K[0][ok]), np.minimum(old[1], K[1][ok]),
+                        np.maximum(old[2], K[2][ok]), np.minimum(old[3], K[3][ok])))
+        empty = (new[0] > new[1]) | (new[2] > new[3])
+        X[:, kept[~empty]] = new[:, ~empty]
+        rounds[kept] += 1
+        stalled = ((new[1] - new[0] > _KRAWCZYK_STALL * (old[1] - old[0]))
+                   & (new[3] - new[2] > _KRAWCZYK_STALL * (old[3] - old[2])))
+        done = empty | stalled | (rounds[kept] >= _KRAWCZYK_ROUNDS)
+        answered[kept[done]] = True
+        active = np.concatenate((retry, kept[~done]))
+
+    out = []
+    for p in range(n):
+        if not answered[p * d:(p + 1) * d].all():
+            out.append(None)
+            continue
+        boxes = sorted(map(tuple, X[:, p * d:(p + 1) * d].T.tolist()),
+                       key=lambda b: (b[0], b[2]))
+        if any(boverlap(boxes[a], boxes[b])
+               for a in range(d) for b in range(a + 1, d)):
+            out.append(None)
+            continue
+        out.append(tuple((IntervalBox.from_tuple(b), 1) for b in boxes))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the map and domain types
 # ---------------------------------------------------------------------------
@@ -488,16 +621,20 @@ class PolynomialMap:
                 acc = badd(acc, c)
         return acc
 
-    def eval_boxes(self, boxes):
+    def eval_boxes(self, boxes, constant=None):
         """Vectorized eval_box: ``boxes`` is a 4-tuple of ndarrays
-        (re_lo, re_hi, im_lo, im_hi); same Horner scheme, same rounding."""
+        (re_lo, re_hi, im_lo, im_hi); same Horner scheme, same rounding.
+
+        ``constant``, when given, is a 4-tuple of rectangles that replaces
+        the constant coefficient per box, e.g. enclosures of a_0 - w for
+        f - w."""
         acc = boxes
         c = self._nonzero_boxes[self.degree - 1]
         if c is not None:
             acc = vbadd(acc, c)
         for k in range(self.degree - 2, -1, -1):
             acc = vbsquare(acc) if acc is boxes else vbmul(acc, boxes)
-            c = self._nonzero_boxes[k]
+            c = self._nonzero_boxes[k] if k or constant is None else constant
             if c is not None:
                 acc = vbadd(acc, c)
         return acc

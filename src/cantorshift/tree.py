@@ -21,9 +21,12 @@ collar at interval-sharpness rather than inheriting any parent fuzz.
 The certificates that accept a level use a chain of *witness points*: the
 root witness is the disk center, and each accepted component V carries an
 exact rational point w_V certified to lie in it.  Building level k solves
-f(z) = w_V with certified root isolation for every parent component V; the
-resulting enclosures contain true preimage points counted with exact
-multiplicity.  A level is accepted when, for its edge-adjacent clusters,
+f(z) = w_V for every parent component V at once (``witness_preimages``, a
+batched outward-rounded Krawczyk test that answers a w_V only with d
+disjoint simple roots); a w_V it leaves open, such as a critical value, goes
+to the exact ``certified_roots``.  Either way the resulting enclosures
+contain true preimage points counted with exact multiplicity.  A level is
+accepted when, for its edge-adjacent clusters,
 
   * container: the cells of each cluster descend from cells of a single
     parent cluster (dyadic ancestry is exact);
@@ -67,6 +70,7 @@ from .maps import (
     escape_radius,
     parse_exact,
     validate_restriction,
+    witness_preimages,
 )
 
 
@@ -289,15 +293,20 @@ class _TreeBuilder:
         """Certified enclosures of f^{-1}(w_V) for every parent component V.
 
         Returns a list of (enclosure rectangle, multiplicity, parent index).
-        Root isolation is exact in the multiplicities, so the enclosures of
-        the preimages of w_V carry total multiplicity d.
+        One ``witness_preimages`` batch answers every w_V with d simple
+        roots; the rest (a w_V at or next to a critical value) go to
+        ``certified_roots``, whose multiplicities are exact.  Either way the
+        enclosures of the preimages of w_V carry total multiplicity d.
         """
         parent = self.built[k - 1]
         out = []
-        for v_idx, w in enumerate(parent.witness_points):
-            coeffs = list(self.pmap.exact_coefficients)
-            coeffs[0] = (coeffs[0][0] - w[0], coeffs[0][1] - w[1])
-            for box, mult, _ in certified_roots(tuple(coeffs)):
+        batch = witness_preimages(self.pmap, parent.witness_points)
+        for v_idx, (w, roots) in enumerate(zip(parent.witness_points, batch)):
+            if roots is None:
+                coeffs = list(self.pmap.exact_coefficients)
+                coeffs[0] = (coeffs[0][0] - w[0], coeffs[0][1] - w[1])
+                roots = [(box, mult) for box, mult, _ in certified_roots(tuple(coeffs))]
+            for box, mult in roots:
                 out.append((box.as_tuple(), mult, v_idx))
         return out
 
@@ -647,7 +656,7 @@ class _TreeBuilder:
                         nxt.append((i2 + 1, j2))
                         nxt.append((i2, j2 + 1))
                         nxt.append((i2 + 1, j2 + 1))
-            cover_cells = interior + sorted(band)
+            cover_cells = interior + list(band)
             try:
                 built = self._certify(k, cover_cells, interior, witness_boxes)
             except _Failure as fail:

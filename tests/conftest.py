@@ -37,6 +37,13 @@ QUAD_DEPTH = 10
 CUBIC_DEPTH = int(os.environ.get("CANTORSHIFT_ACCEPTANCE_CUBIC_DEPTH", "6"))
 
 
+def shifted_coefficients(pmap, w):
+    """Exact coefficients of f - w, whose roots are the preimages of w."""
+    c = list(pmap.exact_coefficients)
+    c[0] = (c[0][0] - w[0], c[0][1] - w[1])
+    return tuple(c)
+
+
 @pytest.fixture(scope="session")
 def quadratic_map():
     return PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])

@@ -16,7 +16,7 @@ from cantorshift import (
     escape_radius,
     validate_restriction,
 )
-from cantorshift.intervals import babs2
+from cantorshift.intervals import babs2, boverlap
 from cantorshift.maps import (
     DyadicOrbit,
     _exact_orbit_status,
@@ -25,9 +25,10 @@ from cantorshift.maps import (
     p_derivative,
     p_eval,
     squarefree_decomposition,
+    witness_preimages,
 )
 
-from conftest import CUBIC_B_IM, CUBIC_B_RE
+from conftest import CUBIC_B_IM, CUBIC_B_RE, shifted_coefficients
 
 
 def test_map_requires_monic_and_degree_two():
@@ -115,6 +116,73 @@ def test_certified_roots_fuzz_against_numeric():
                       and box.im_lo - 1e-7 <= z.imag <= box.im_hi + 1e-7
                       for box, _, _ in roots)
             assert hit, f"numeric root {z} not covered for {ints}"
+
+
+# ---------------------------------------------------------------------------
+# batched witness preimages against the exact path
+# ---------------------------------------------------------------------------
+
+_dyadic = st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 4, 8]))
+_dyadic_c = st.tuples(_dyadic, _dyadic)
+
+
+@given(tail=st.lists(_dyadic_c, min_size=2, max_size=4),
+       witnesses=st.lists(_dyadic_c, min_size=1, max_size=3))
+@settings(max_examples=50, deadline=None)
+def test_witness_preimages_agree_with_certified_roots(tail, witnesses):
+    pmap = PolynomialMap(tail + [(Fraction(1), Fraction(0))])
+    d = pmap.degree
+    batch = witness_preimages(pmap, witnesses)
+    assert len(batch) == len(witnesses)
+    for w, roots in zip(witnesses, batch):
+        if roots is None:
+            continue  # left to the exact path
+        rects = [box.as_tuple() for box, _ in roots]
+        assert len(rects) == d and all(m == 1 for _, m in roots)
+        assert rects == sorted(rects, key=lambda b: (b[0], b[2]))
+        assert not any(boverlap(rects[a], rects[b])
+                       for a in range(d) for b in range(a + 1, d))
+        exact = certified_roots(shifted_coefficients(pmap, w))
+        assert sum(m for _, m, _ in exact) == d
+        hits = [[e for e, (box, _, _) in enumerate(exact)
+                 if boverlap(rect, box.as_tuple())] for rect in rects]
+        assert all(len(h) == 1 for h in hits)
+        # d simple roots: the exact path finds each once, with multiplicity 1
+        assert sorted(h[0] for h in hits) == list(range(len(exact)))
+        assert all(m == 1 for _, m, _ in exact)
+
+
+def test_witness_preimages_leave_multiple_roots_to_the_exact_path():
+    quad = PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])
+    zero, crit_value = (Fraction(0), Fraction(0)), (Fraction(-6), Fraction(0))
+    # z^2 - 6 - (-6) = z^2: a double root at the critical point 0
+    assert witness_preimages(quad, [crit_value]) == [None]
+    answered, skipped = witness_preimages(quad, [zero, crit_value])
+    assert len(answered) == 2 and skipped is None
+    # the cubic at w = f(+1): z^3 - 3z + 2 = (z - 1)^2 (z + 2)
+    cubic = _cubic()
+    w = cubic.eval_exact((Fraction(1), Fraction(0)))
+    assert shifted_coefficients(cubic, w)[0] == (Fraction(2), Fraction(0))
+    assert witness_preimages(cubic, [w]) == [None]
+
+
+@pytest.mark.parametrize("seeds", [[6 ** 0.5, 6 ** 0.5], [6 ** 0.5, 0.0]])
+def test_witness_preimages_answer_only_with_d_disjoint_certified_boxes(monkeypatch, seeds):
+    # two seeds on one root of z^2 - 6 certify the same root twice; a seed at
+    # the critical point 0 never certifies: neither answers the point
+    import numpy as np
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([seeds], dtype=complex))
+    quad = PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])
+    assert witness_preimages(quad, [(Fraction(0), Fraction(0))]) == [None]
+
+
+def test_witness_preimages_enclose_rational_roots():
+    # z^2 - 6 - (-2) = z^2 - 4: roots -2 and 2, enclosed without exact values
+    quad = PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])
+    (roots,) = witness_preimages(quad, [(Fraction(-2), Fraction(0))])
+    for (box, mult), x in zip(roots, (-2, 2)):
+        assert mult == 1
+        assert box.re_lo <= x <= box.re_hi and box.im_lo <= 0 <= box.im_hi
 
 
 def test_escape_radius_values():

@@ -1,5 +1,8 @@
 """Component trees: structure, degrees, location, diagnostics."""
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
 from cantorshift import (
@@ -13,6 +16,11 @@ from cantorshift import (
     cantor_diagnostic,
     locate,
 )
+from cantorshift import tree as tree_mod
+from cantorshift.intervals import boverlap
+from cantorshift.maps import certified_roots
+
+from conftest import shifted_coefficients
 
 
 def small_policy():
@@ -68,6 +76,47 @@ def test_nesting_of_covers(quadratic_tree):
                 anc = parents.pavement.find(r, [i], [j])[0]
                 assert anc >= 0
                 assert parents.labels[anc] == c.container
+
+
+def test_batched_witness_roots_match_exact_path(quadratic_map, quadratic_disk):
+    builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
+    builder.build(4)
+    d = quadratic_map.degree
+    for k in range(1, 5):
+        witnesses = builder.built[k - 1].witness_points
+        out = builder._solve_witness_preimages(k)
+        assert sum(m for _, m, _ in out) == d * len(witnesses)
+        for v, w in enumerate(witnesses):
+            exact = [box.as_tuple() for box, _, _
+                     in certified_roots(shifted_coefficients(quadratic_map, w))]
+            rects = [rect for rect, _, v_idx in out if v_idx == v]
+            assert len(rects) == d
+            for rect in rects:
+                assert sum(boverlap(rect, e) for e in exact) == 1
+
+
+@pytest.mark.parametrize("case", ["quadratic", "cubic"])
+def test_critical_witness_falls_back_to_exact_roots(monkeypatch, request, case):
+    pmap = request.getfixturevalue(f"{case}_map")
+    disk = request.getfixturevalue(f"{case}_disk")
+    crit = (Fraction(0), Fraction(0)) if case == "quadratic" else (Fraction(1), Fraction(0))
+    w = pmap.eval_exact(crit)  # a critical value: f - w has a double root at crit
+    calls = []
+    exact = tree_mod.certified_roots
+    monkeypatch.setattr(tree_mod, "certified_roots", lambda p: calls.append(p) or exact(p))
+    builder = tree_mod._TreeBuilder(pmap, disk, small_policy())
+    builder.built = [SimpleNamespace(witness_points=[disk.center, w])]
+    out = builder._solve_witness_preimages(1)
+    # only the critical value goes through the exact path, via tree's import
+    assert calls == [shifted_coefficients(pmap, w)]
+    assert sum(m for _, m, v in out if v == 0) == pmap.degree
+    assert all(m == 1 for _, m, v in out if v == 0)
+    # z^2 at w = -6; (z - 1)^2 (z + 2) for the cubic at w = f(+1)
+    fallback = sorted((m, rect) for rect, m, v in out if v == 1)
+    roots = [(2, 0)] if case == "quadratic" else [(1, -2), (2, 1)]
+    assert [m for m, _ in fallback] == [m for m, _ in roots]
+    for (_, rect), (_, x) in zip(fallback, roots):
+        assert rect[0] <= x <= rect[1] and rect[2] <= 0 <= rect[3]
 
 
 def test_degree_iff_critical(cubic_tree):
