@@ -77,6 +77,13 @@ class Frame:
         return (self.x0 + i * s, self.x0 + (i + 1) * s,
                 self.y0 + j * s, self.y0 + (j + 1) * s)
 
+    def cell_walls(self, r, i, j):
+        """``cell_bounds`` for arrays: the walls of cells (i[n], j[n]) at
+        resolution r[n] (or a common r), computed the same way."""
+        s = np.ldexp(self.side, -r)
+        return (self.x0 + i * s, self.x0 + (i + 1) * s,
+                self.y0 + j * s, self.y0 + (j + 1) * s)
+
     def grid_span(self, rect, resolution: int):
         """(i_lo, i_hi, j_lo, j_hi): the index ranges of the grid cells at a
         resolution whose closed bounds meet ``rect``, which must meet the

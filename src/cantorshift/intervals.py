@@ -7,9 +7,13 @@ contains the exact real/complex result independently of the host's rounding
 mode.  This one-ulp epsilon inflation is the portable substitute for
 directed rounding.
 
-The plain-tuple functions (``iadd``, ``imul``, ``badd``, ``bmul``, ...) are
-the hot path used by the subdivision loops; the ``IntervalBox`` dataclass
-is the public face of a rectangle.
+The plain-tuple functions (``iadd``, ``imul``, ``badd``, ``bmul``, ...)
+work on scalars; the ``v*`` kernels do the same on numpy arrays of
+endpoints for the subdivision loops.  They widen by the exact one-ulp step
+of the int64 bit pattern (``_outward``), which gives np.nextafter's bits
+on every input: only +0 going down, -0 going up, the infinities and NaN
+need np.nextafter itself.  The ``IntervalBox`` dataclass is the public
+face of a rectangle.
 
 Overflow is not an error: bounds saturate at +-inf and any NaN produced by
 ``inf * 0`` style products is widened to the whole line, which keeps every
@@ -55,10 +59,10 @@ def imul(a, b):
     p2 = al * bh
     p3 = ah * bl
     p4 = ah * bh
+    if p1 != p1 or p2 != p2 or p3 != p3 or p4 != p4:  # 0 * inf
+        return (-_INF, _INF)
     lo = min(p1, p2, p3, p4)
     hi = max(p1, p2, p3, p4)
-    if lo != lo or hi != hi:
-        return (-_INF, _INF)
     return (_nextafter(lo, -_INF), _nextafter(hi, _INF))
 
 
@@ -156,26 +160,49 @@ def boverlap(u, v) -> bool:
 # ---------------------------------------------------------------------------
 # vectorized kernels: the same outward-rounded operations on ndarray
 # endpoints, used by the subdivision hot loop.  Semantically these mirror
-# the scalar functions above; np.nextafter provides the identical one-ulp
-# inflation elementwise.
+# the scalar functions above; ``_outward`` provides the identical one-ulp
+# inflation elementwise, by stepping bit patterns.
 # ---------------------------------------------------------------------------
 
-def _vscrub(lo, hi):
-    bad = np.isnan(lo) | np.isnan(hi)
-    if bad.any():
-        lo = np.where(bad, -_INF, lo)
-        hi = np.where(bad, _INF, hi)
-    return lo, hi
+_TINY = math.ulp(0.0)  # 5e-324, the least positive subnormal
+
+
+def _outward(lo, hi):
+    """np.nextafter(lo, -inf) and np.nextafter(hi, +inf) elementwise, with
+    a NaN at either end widened to the whole line, bit for bit.
+
+    Apart from its sign bit, a double's int64 bit pattern b orders like its
+    magnitude, so the next double down is b - s and the next one up is
+    b + s, with s = (b >> 63) | 1 (+1 for a positive, -1 for a negative
+    sign bit): a few integer passes instead of np.nextafter's per-element
+    call.  The step is wrong exactly at +0 going down, -0 going up, -inf
+    going down and +inf going up, where it yields a NaN pattern.  Those and
+    every NaN input fail the strict comparisons below, and only that subset
+    goes through np.nextafter.  (+inf going down gives DBL_MAX, -inf going
+    up -DBL_MAX and DBL_MAX going up +inf, as np.nextafter does.)
+    """
+    bl = lo.view(np.int64)
+    bh = hi.view(np.int64)
+    down = (bl - ((bl >> 63) | 1)).view(np.float64)
+    up = (bh + ((bh >> 63) | 1)).view(np.float64)
+    ok = down < lo
+    ok &= up > hi
+    if not ok.all():
+        idx = np.flatnonzero(~ok)
+        l = lo.take(idx)
+        h = hi.take(idx)
+        nan = np.isnan(l) | np.isnan(h)
+        np.put(down, idx, np.nextafter(np.where(nan, -_INF, l), -_INF))
+        np.put(up, idx, np.nextafter(np.where(nan, _INF, h), _INF))
+    return down, up
 
 
 def viadd(alo, ahi, blo, bhi):
-    lo, hi = _vscrub(alo + blo, ahi + bhi)
-    return np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
+    return _outward(alo + blo, ahi + bhi)
 
 
 def visub(alo, ahi, blo, bhi):
-    lo, hi = _vscrub(alo - bhi, ahi - blo)
-    return np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
+    return _outward(alo - bhi, ahi - blo)
 
 
 def vimul(alo, ahi, blo, bhi):
@@ -185,8 +212,7 @@ def vimul(alo, ahi, blo, bhi):
     p4 = ahi * bhi
     lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
     hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    lo, hi = _vscrub(lo, hi)
-    return np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
+    return _outward(lo, hi)
 
 
 def visq(alo, ahi):
@@ -196,8 +222,10 @@ def visq(alo, ahi):
     hi = np.where(neg, alo * alo, ahi * ahi)
     lo = np.where(straddle, 0.0, lo)
     hi = np.where(straddle, np.maximum(alo * alo, ahi * ahi), hi)
-    lo, hi = _vscrub(lo, hi)
-    return np.where(lo == 0.0, 0.0, np.nextafter(lo, -_INF)), np.nextafter(hi, _INF)
+    lo, hi = _outward(lo, hi)
+    # a zero lower bound is exact and stays: +-0 (and nothing else) step
+    # down to -_TINY
+    return np.where(lo == -_TINY, 0.0, lo), hi
 
 
 def vbadd(u, v):

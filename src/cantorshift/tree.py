@@ -137,6 +137,27 @@ class _Built:
     witness_points: list
 
 
+_NO_CELLS = np.empty((0, 3), dtype=np.int64)
+
+
+def _cell_array(pavement):
+    """The pavement's cells as an (n, 3) array of (r, i, j)."""
+    return np.stack((pavement.r, pavement.i, pavement.j), axis=1)
+
+
+def _enqueue(buckets, cells):
+    """Queue an (n, 3) array of (r, i, j) cells for classification, by
+    resolution."""
+    for r in np.unique(cells[:, 0]).tolist():
+        buckets.setdefault(r, []).append(cells[cells[:, 0] == r])
+
+
+def _children(cells):
+    """The four children of each (r, i, j) cell, one resolution finer."""
+    return (cells[:, None, :] * (1, 2, 2)
+            + ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))).reshape(-1, 3)
+
+
 def _indices(pavement, cells):
     """Pavement indices of a list of its (r, i, j) cells."""
     a = np.array(cells, dtype=np.int64).reshape(-1, 3)
@@ -146,38 +167,42 @@ def _indices(pavement, cells):
 class _Failure(Exception):
     """Internal: a certification attempt failed.
 
-    ``refine_cells`` localizes the failure: when set, only those cells
-    (intersected with the refinable band) need splitting, which keeps a
-    small defect (a spurious island, one unresolved critical enclosure)
-    from forcing a refinement of the whole level."""
+    ``refine``, a mask over the attempt's pavement, localizes the failure:
+    when set, only those cells (intersected with the refinable band) need
+    splitting, which keeps a small defect (a spurious island, one
+    unresolved critical enclosure) from forcing a refinement of the whole
+    level."""
 
-    def __init__(self, kind, detail="", refine_cells=None):
+    def __init__(self, kind, detail="", refine=None):
         super().__init__(f"{kind}: {detail}" if detail else kind)
         self.kind = kind
-        self.refine_cells = refine_cells
+        self.refine = refine
 
 
 class _Defects:
     """Collector for certification defects within one stage, so a single
-    refinement pass can address all of them at once."""
+    refinement pass can address all of them at once: a count per defect
+    kind, the first defect's text, and the clusters to refine."""
 
     def __init__(self):
-        self.kinds = []
-        self.cells = set()
+        self.counts = {}
+        self.first = None
+        self.clusters = set()
 
-    def add(self, kind, detail, cells):
-        self.kinds.append(f"{kind}: {detail}")
-        if cells is not None:
-            self.cells.update(cells)
+    def add(self, kind, detail, clusters):
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        if self.first is None:
+            self.first = f"{kind}: {detail}"
+        self.clusters.update(clusters)
 
     def __bool__(self):
-        return bool(self.kinds)
+        return bool(self.counts)
 
-    def raise_failure(self):
-        head = self.kinds[0]
-        more = f" (+{len(self.kinds) - 1} more defects)" if len(self.kinds) > 1 else ""
-        raise _Failure("defects", head + more,
-                       refine_cells=sorted(self.cells) if self.cells else None)
+    def raise_failure(self, labels):
+        """``labels`` maps pavement cells to the cluster indices named."""
+        histogram = ", ".join(f"{kind}={n}" for kind, n in self.counts.items())
+        refine = np.isin(labels, list(self.clusters)) if self.clusters else None
+        raise _Failure("defects", f"{self.first} (by kind: {histogram})", refine=refine)
 
 
 class PuzzleTree:
@@ -324,7 +349,7 @@ class _TreeBuilder:
 
     # -- classification ----------------------------------------------------
 
-    def _classify_batch(self, k, r, cells):
+    def _classify_batch(self, k, r, i, j):
         """Orbit-chain classification of same-resolution cells.
 
         z lies in f^{-k}(U) exactly when f^j(z) stays in U for j = 1..k, so
@@ -340,12 +365,8 @@ class _TreeBuilder:
         up, which is the scale the certificates need.  The parent lookup is
         a heuristic only; soundness rests on the chain alone.
         """
-        n = len(cells)
-        s = self.frame.cell_size(r)
-        ci = np.fromiter((c[0] for c in cells), np.float64, n)
-        cj = np.fromiter((c[1] for c in cells), np.float64, n)
-        boxes = (self.frame.x0 + ci * s, self.frame.x0 + (ci + 1.0) * s,
-                 self.frame.y0 + cj * s, self.frame.y0 + (cj + 1.0) * s)
+        n = len(i)
+        boxes = self.frame.cell_walls(r, i, j)
         center = self.disk.center_box
         r2_hi = self.disk.r2_hi
         r2_lo = self.disk.r2_lo
@@ -432,7 +453,7 @@ class _TreeBuilder:
 
     # -- certified placements ------------------------------------------------
 
-    def _locate_criticals(self, k, pavement, labels, cluster_cells, defects):
+    def _locate_criticals(self, k, pavement, labels, defects):
         """Decide, per critical point, the unique cluster containing it.
 
         The enclosure must lie entirely inside one cluster's cells (never
@@ -457,14 +478,12 @@ class _TreeBuilder:
             clusters = set(labels[hits].tolist())
             if len(clusters) > 1 or not pavement.covers_rect(rect):
                 defects.add("critical-straddle",
-                            f"critical {crit.point_str()} not resolved yet",
-                            [c for idx in clusters for c in cluster_cells[idx]])
+                            f"critical {crit.point_str()} not resolved yet", clusters)
                 continue
             placed[cidx] = clusters.pop()
         return placed
 
-    def _certify(self, k, cells, interior_cells, witness_boxes):
-        pavement = PavedCover(self.frame, cells)
+    def _certify(self, k, pavement, interior, witness_boxes):
         cluster_cells = paved_clusters(self.frame, pavement)
         n_clusters = len(cluster_cells)
         labels = np.empty(len(pavement), dtype=np.int64)
@@ -486,12 +505,12 @@ class _TreeBuilder:
             for idx, p in zip((pairs // m).tolist(), (pairs % m - 1).tolist()):
                 if spans[idx] == 1 and p >= 0:
                     parent_of[idx] = p
-            for idx, cc in enumerate(cluster_cells):
+            for idx in range(n_clusters):
                 if parent_of[idx] is None:
                     defects.add("container-straddle",
-                                f"cluster spans {spans[idx]} parent clusters", cc)
+                                f"cluster spans {spans[idx]} parent clusters", [idx])
         if defects:
-            defects.raise_failure()
+            defects.raise_failure(labels)
 
         # witness enclosures: every true preimage of every parent witness
         # lies in the kept region, so each box locates in some cluster
@@ -505,15 +524,15 @@ class _TreeBuilder:
                         "closed disk U, so U' is not contained in U")
                 defects.add("witness-lost",
                             f"a preimage of witness {v_idx} fell outside the cover",
-                            None)
+                            ())
             elif len(touched) > 1:
                 defects.add("witness-straddle",
                             f"a preimage of witness {v_idx} touches {len(touched)} clusters",
-                            [c for idx in touched for c in cluster_cells[idx]])
+                            touched)
             else:
                 per_cluster[touched.pop()].append((rect, mult, v_idx))
         if defects:
-            defects.raise_failure()
+            defects.raise_failure(labels)
 
         image_of = []
         for idx in range(n_clusters):
@@ -522,18 +541,18 @@ class _TreeBuilder:
             if not group:
                 defects.add("no-witness",
                             f"cluster {idx} holds no preimage of any parent witness",
-                            cluster_cells[idx])
+                            [idx])
                 image_of.append(None)
             elif len(parents) > 1:
                 defects.add("witness-disagree",
                             f"cluster {idx} holds preimages of {len(parents)} "
                             f"distinct parent witnesses (fused components)",
-                            cluster_cells[idx])
+                            [idx])
                 image_of.append(None)
             else:
                 image_of.append(parents.pop())
         if defects:
-            defects.raise_failure()
+            defects.raise_failure(labels)
 
         if k >= 2:
             parent = self.built[k - 1]
@@ -542,13 +561,13 @@ class _TreeBuilder:
                 if parent.parent_of[V] != parent.image_of[P]:
                     defects.add("commuting-square",
                                 f"container(image) != image(container) at cluster {idx}",
-                                cluster_cells[idx])
+                                [idx])
             if defects:
-                defects.raise_failure()
+                defects.raise_failure(labels)
 
-        placed = self._locate_criticals(k, pavement, labels, cluster_cells, defects)
+        placed = self._locate_criticals(k, pavement, labels, defects)
         if defects:
-            defects.raise_failure()
+            defects.raise_failure(labels)
         crits_in = [tuple(sorted(c for c, cl in placed.items() if cl == idx))
                     for idx in range(n_clusters)]
         local_degree = [1 + sum(self.pmap.critical_points[c].multiplicity for c in crits)
@@ -562,9 +581,9 @@ class _TreeBuilder:
                     "degree-mismatch",
                     f"cluster {idx}: {witness_mult} witness preimages vs local "
                     f"degree {local_degree[idx]} from critical points",
-                    cluster_cells[idx])
+                    [idx])
         if defects:
-            defects.raise_failure()
+            defects.raise_failure(labels)
 
         d = self.pmap.degree
         if k == 1:
@@ -587,10 +606,9 @@ class _TreeBuilder:
                             "conservation",
                             f"children of parent {p} over component {v} have degree "
                             f"{sums.get((p, v), 0)}, want {parent.local_degree[p]}",
-                            [c for idx in range(n_clusters)
-                             if parent_of[idx] == p for c in cluster_cells[idx]])
+                            [idx for idx in range(n_clusters) if parent_of[idx] == p])
             if defects:
-                defects.raise_failure()
+                defects.raise_failure(labels)
 
         # one certified-member witness point per cluster, chosen canonically
         witness_points = []
@@ -605,68 +623,60 @@ class _TreeBuilder:
             if chosen is None:
                 defects.add("witness-member",
                             f"no witness midpoint of cluster {idx} certifies "
-                            f"membership in f^-{k}(U)", cluster_cells[idx])
+                            f"membership in f^-{k}(U)", [idx])
             witness_points.append(chosen)
         if defects:
-            defects.raise_failure()
+            defects.raise_failure(labels)
 
-        inner = np.zeros(len(pavement), dtype=bool)
-        inner[_indices(pavement, interior_cells)] = True
-        return _Built(pavement, inner, labels, parent_of, image_of, local_degree,
+        return _Built(pavement, interior, labels, parent_of, image_of, local_degree,
                       crits_in, witness_points)
 
     # -- per-level driver ----------------------------------------------------
 
     def _build_level(self, k):
+        """Classify the parent pavement's cells and their refinements until
+        the level certifies.  Cells travel as (n, 3) int64 arrays of
+        (r, i, j): ``buckets`` maps a resolution to the arrays awaiting
+        classification, and the kept cells are lists of arrays, interior
+        and band apart."""
         policy = self.policy
         witness_boxes = self._solve_witness_preimages(k)
         self._stop_width = BAND_SCALE * 2.0 * float(self.disk.radius)
         self._build_scale_raster(self.built[k - 1])
         buckets = {}
-        for r, i, j in self.built[k - 1].pavement.iter_cells():
-            buckets.setdefault(r, []).append((i, j))
-        band = set()
-        interior = []
+        _enqueue(buckets, _cell_array(self.built[k - 1].pavement))
+        interior, band = [_NO_CELLS], [_NO_CELLS]
         uncontained_accepts = 0
         uncontained_build = None
         while True:
             while buckets:
                 r = min(buckets)
-                cells = buckets.pop(r)
-                total = (len(interior) + len(band) + len(cells)
-                         + sum(len(v) for v in buckets.values()))
+                cells = np.concatenate(buckets.pop(r))
+                total = (sum(map(len, interior)) + sum(map(len, band)) + len(cells)
+                         + sum(len(c) for parts in buckets.values() for c in parts))
                 if total > policy.max_boxes:
                     raise ResolutionExceeded(
                         f"level {k}: {total} boxes exceed cap {policy.max_boxes}")
-                status = self._classify_batch(k, r, cells)
-                nxt = None
-                for idx, cell in enumerate(cells):
-                    st = status[idx]
-                    if st == 0:
-                        continue
-                    if st == 1:
-                        interior.append((r, cell[0], cell[1]))
-                    elif st == 2:
-                        band.add((r, cell[0], cell[1]))
-                    else:
-                        if nxt is None:
-                            nxt = buckets.setdefault(r + 1, [])
-                        i2, j2 = 2 * cell[0], 2 * cell[1]
-                        nxt.append((i2, j2))
-                        nxt.append((i2 + 1, j2))
-                        nxt.append((i2, j2 + 1))
-                        nxt.append((i2 + 1, j2 + 1))
-            cover_cells = interior + list(band)
+                status = self._classify_batch(k, r, cells[:, 1], cells[:, 2])
+                interior.append(cells[status == 1])
+                band.append(cells[status == 2])
+                _enqueue(buckets, _children(cells[status == 3]))
+            inner = np.concatenate(interior)
+            pavement = PavedCover(self.frame, np.concatenate([inner] + band))
+            is_inner = np.zeros(len(pavement), dtype=bool)
+            is_inner[pavement.find(*inner.T)] = True
             try:
-                built = self._certify(k, cover_cells, interior, witness_boxes)
+                built = self._certify(k, pavement, is_inner, witness_boxes)
             except _Failure as fail:
-                if not self._subdivide_band(band, buckets, fail.refine_cells):
+                kept = self._subdivide_band(pavement, is_inner, buckets, fail.refine)
+                if kept is None:
                     if uncontained_build is not None:
                         self._accept(uncontained_build)
                         return
                     raise ResolutionExceeded(
                         f"level {k}: certification stalled at the resolution cap "
                         f"(last failure: {fail})")
+                interior, band = [kept[0]], [kept[1]]
                 continue
             if k == 1 and not self.disk.contains_cover(built.pavement):
                 # everything else certifies; if separation from the circle
@@ -674,37 +684,32 @@ class _TreeBuilder:
                 # and let the hypothesis validator report the failure
                 uncontained_build = built
                 uncontained_accepts += 1
-                if uncontained_accepts < 4 and self._subdivide_band(band, buckets, None):
-                    continue
+                if uncontained_accepts < 4:
+                    kept = self._subdivide_band(pavement, is_inner, buckets, None)
+                    if kept is not None:
+                        interior, band = [kept[0]], [kept[1]]
+                        continue
             self._accept(built)
             return
 
-    def _subdivide_band(self, band, buckets, targets):
+    def _subdivide_band(self, pavement, interior, buckets, targets):
         """Split refinable band cells once and re-enqueue their children.
 
-        ``targets`` localizes the split to the cells named by a failure
-        (falling back to the whole band when none of them can refine);
-        False means nothing can refine further.
+        ``interior`` and ``targets`` are masks over the pavement; ``targets``
+        localizes the split to the cells named by a failure (falling back to
+        the whole band when none of them can refine).  Returns the cells
+        that stay, as (n, 3) arrays of the interior and of the remaining
+        band, or None when nothing can refine further.
         """
-        cap = self.policy.max_resolution
-        if targets is not None:
-            chosen = [c for c in targets if c in band and c[0] < cap]
-            if not chosen:
-                chosen = [c for c in band if c[0] < cap]
-        else:
-            chosen = [c for c in band if c[0] < cap]
-        if not chosen:
-            return False
-        for cell in chosen:
-            band.discard(cell)
-            r, i, j = cell
-            nxt = buckets.setdefault(r + 1, [])
-            i2, j2 = 2 * i, 2 * j
-            nxt.append((i2, j2))
-            nxt.append((i2 + 1, j2))
-            nxt.append((i2, j2 + 1))
-            nxt.append((i2 + 1, j2 + 1))
-        return True
+        band = ~interior & (pavement.r < self.policy.max_resolution)
+        chosen = band & targets if targets is not None else band
+        if not chosen.any():
+            chosen = band
+            if not chosen.any():
+                return None
+        cells = _cell_array(pavement)
+        _enqueue(buckets, _children(cells[chosen]))
+        return cells[interior], cells[~interior & ~chosen]
 
     # -- public driver -------------------------------------------------------
 

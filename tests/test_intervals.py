@@ -1,6 +1,7 @@
 """Outward-rounded interval arithmetic: containment is the whole contract."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from cantorshift import IntervalBox, PolynomialMap, eval_enclosure
 from cantorshift.intervals import (
+    _outward,
+    babs2,
     badd,
     bhorner,
     bmul,
@@ -22,6 +25,10 @@ from cantorshift.intervals import (
     vbadd,
     vbmul,
     vbsquare,
+    viadd,
+    vimul,
+    visq,
+    visub,
 )
 from cantorshift.maps import p_eval
 
@@ -142,19 +149,63 @@ def test_overflow_reports_infinite_box():
     assert e.re_lo == -math.inf and e.re_hi == math.inf
 
 
-@given(st.lists(st.tuples(finite, finite, finite, finite), min_size=1, max_size=8))
-@settings(max_examples=60)
+# every double except NaN, with the extremes and zeros drawn often
+anyfloat = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                     sys.float_info.max, -sys.float_info.max, 1e154, -1e154]))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def same_bits(vec, scalar):
+    """Element n of each array of ``vec`` against the n-th scalar tuple,
+    bit for bit (zero signs count)."""
+    cols = np.array(scalar, dtype=np.float64).reshape(len(scalar), -1).T
+    assert all(np.array_equal(bits(v), bits(c)) for v, c in zip(vec, cols))
+
+
+@given(st.lists(st.tuples(anyfloat, anyfloat, anyfloat, anyfloat), min_size=1, max_size=8))
+@settings(max_examples=300)
 def test_vector_kernels_agree_with_scalar(rects):
     boxes = [(min(a, b), max(a, b), min(c, d), max(c, d)) for a, b, c, d in rects]
     arr = tuple(np.array(col) for col in zip(*boxes))
     other = boxes[0]
-    vm = vbmul(arr, other)
-    va = vbadd(arr, other)
-    vs = vbsquare(arr)
-    for n, box in enumerate(boxes):
-        assert bmul(box, other) == tuple(float(vm[t][n]) for t in range(4))
-        assert badd(box, other) == tuple(float(va[t][n]) for t in range(4))
-        assert bsquare(box) == tuple(float(vs[t][n]) for t in range(4))
+    x, y = (boxes[0][0], boxes[0][1]), (boxes[0][2], boxes[0][3])
+    xs = [(b[0], b[1]) for b in boxes]
+    same_bits(viadd(arr[0], arr[1], *x), [iadd(a, x) for a in xs])
+    same_bits(visub(arr[0], arr[1], *y), [isub(a, y) for a in xs])
+    same_bits(vimul(arr[0], arr[1], *y), [imul(a, y) for a in xs])
+    same_bits(visq(arr[0], arr[1]), [isq(a) for a in xs])
+    same_bits(vbabs2(arr, other), [babs2(b, other) for b in boxes])
+    same_bits(vbmul(arr, other), [bmul(b, other) for b in boxes])
+    same_bits(vbadd(arr, other), [badd(b, other) for b in boxes])
+    same_bits(vbsquare(arr), [bsquare(b) for b in boxes])
+
+
+def test_outward_matches_nextafter_bitwise():
+    """The bit-step rounding against its definition: np.nextafter after
+    widening a NaN at either end to the whole line."""
+    def reference(lo, hi):
+        nan = np.isnan(lo) | np.isnan(hi)
+        lo = np.where(nan, -math.inf, lo)
+        hi = np.where(nan, math.inf, hi)
+        return np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
+                        -sys.float_info.max, math.inf, -math.inf, math.nan,
+                        1e154, 1e308, -1e154, -1e308, sys.float_info.min, 1.0])
+    rng = np.random.default_rng(20261018)
+    patterns = rng.integers(-2 ** 63, 2 ** 63, size=(2, 200_000), dtype=np.int64)
+    lo = np.concatenate([np.repeat(special, len(special)), patterns[0].view(np.float64)])
+    hi = np.concatenate([np.tile(special, len(special)), patterns[1].view(np.float64)])
+    with np.errstate(over="ignore"):
+        want = reference(lo, hi)
+    got = _outward(lo.copy(), hi.copy())
+    for g, w in zip(got, want):
+        assert np.array_equal(bits(g), bits(w))
 
 
 def test_vector_abs2_bounds_contain_samples():

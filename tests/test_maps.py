@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +17,10 @@ from cantorshift import (
     escape_radius,
     validate_restriction,
 )
+from cantorshift.covers import Frame, PavedCover
 from cantorshift.intervals import babs2, boverlap
 from cantorshift.maps import (
+    _SHARP_CHUNK,
     DyadicOrbit,
     _exact_orbit_status,
     _leaves_lattice,
@@ -255,6 +258,49 @@ def test_validate_boundary_contact_fails_containment():
     report = validate_restriction(pmap, disk, _level1(pmap, disk), horizon=20)
     assert not report.compactly_contained
     assert not report.hypothesis_ok
+
+
+def test_contains_cover_matches_cellwise_side():
+    # the vector test against the scalar one, cell by cell, on a grid whose
+    # cells lie inside, outside and across the circle, at several scales
+    disk = DomainDisk(("0.25", "-0.125"), "3")
+    frame = Frame(-4.0, -4.0, 8.0)
+    cells = [(r, i, j) for r, step in ((3, 1), (5, 1), (9, 13))
+             for i in range(0, 1 << r, step) for j in range(0, 1 << r, step)]
+    want = [disk.side(frame.cell_bounds(i, j, r)) == "in" for r, i, j in cells]
+    assert 0 < sum(want) < len(cells)
+    for cell, inside in zip(cells, want):
+        assert disk.contains_cover(PavedCover(frame, [cell])) == inside
+    inner = [c for c, w in zip(cells, want) if w and c[0] == 9]
+    assert disk.contains_cover(PavedCover(frame, inner))
+    assert not disk.contains_cover(PavedCover(frame, cells[:1] + inner))
+
+
+def test_sharp_chunks_match_single_boxes():
+    # more than two chunks of boxes around the cubic's critical points +-1,
+    # with walls on the axes and at the critical points themselves.  The
+    # chunked batch equals one unchunked pass bit for bit, and so does each
+    # box on its own as a length-1 batch: all boxes within 3 of a chunk
+    # boundary and a random sample of the rest (all n take about a minute)
+    pmap = PolynomialMap([(CUBIC_B_RE, CUBIC_B_IM), ("-3", "0"),
+                          ("0", "0"), ("1", "0")])
+    n = 2 * _SHARP_CHUNK + 3
+    rng = np.random.default_rng(7)
+    cx = np.where(rng.random(n) < 0.5, -1.0, 1.0) + rng.normal(0.0, 1e-3, n)
+    cy = rng.normal(0.0, 1e-3, n)
+    h = np.ldexp(1.0, -rng.integers(4, 40, n))
+    lo_x = np.where(rng.random(n) < 0.1, np.round(cx), cx - h)
+    lo_y = np.where(rng.random(n) < 0.1, 0.0, cy - h)
+    boxes = (lo_x, lo_x + 2 * h, lo_y, lo_y + 2 * h)
+    whole = pmap.eval_boxes_sharp(boxes)
+    bits = [np.asarray(w).view(np.int64) for w in whole]
+    assert all(np.array_equal(b, np.asarray(u).view(np.int64))
+               for b, u in zip(bits, pmap._sharp(boxes)))
+    edges = [k + d for k in (0, _SHARP_CHUNK, 2 * _SHARP_CHUNK, n) for d in range(-3, 3)]
+    sample = set(rng.integers(0, n, 200).tolist()) | {k for k in edges if 0 <= k < n}
+    for k in sorted(sample):
+        one = pmap.eval_boxes_sharp(tuple(b[k:k + 1] for b in boxes))
+        assert [b[k] for b in bits] == [np.asarray(o).view(np.int64)[0] for o in one]
 
 
 def test_validate_cubic_instance():

@@ -1,5 +1,6 @@
 """Component trees: structure, degrees, location, diagnostics."""
 
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -212,5 +213,12 @@ def test_determinism_same_config(quadratic_map, quadratic_disk):
 def test_resolution_cap_raises(quadratic_map, quadratic_disk):
     from cantorshift.errors import ResolutionExceeded
     tight = ResolutionPolicy(max_resolution=5, max_boxes=2_000_000)
-    with pytest.raises(ResolutionExceeded):
+    with pytest.raises(ResolutionExceeded) as info:
         build_tree(quadratic_map, quadratic_disk, 6, policy=tight)
+    # the last failure carries the histogram of its defect kinds
+    found = re.search(r"last failure: defects: ([a-z-]+): .*\(by kind: (.*)\)\)$",
+                      str(info.value))
+    assert found
+    counts = dict(part.split("=") for part in found.group(2).split(", "))
+    assert found.group(1) in counts
+    assert all(int(n) >= 1 for n in counts.values())
