@@ -132,19 +132,6 @@ def bsquare(u):
     return (re[0], re[1], im[0], im[1])
 
 
-def bhorner(coeffs_desc, z):
-    """Enclosure of a polynomial at a rectangle, Horner form.
-
-    ``coeffs_desc`` are coefficient rectangles from the leading term down.
-    Inclusion-monotone: a smaller input rectangle never yields a larger
-    enclosure for the same coefficients.
-    """
-    acc = coeffs_desc[0]
-    for c in coeffs_desc[1:]:
-        acc = badd(bmul(acc, z), c)
-    return acc
-
-
 def babs2(u, center):
     """Interval of |z - c|^2 over z in rectangle u, c in rectangle center."""
     dx = isub((u[0], u[1]), (center[0], center[1]))
@@ -302,8 +289,8 @@ class IntervalBox:
 def eval_enclosure(poly, box: IntervalBox) -> IntervalBox:
     """Certified image rectangle: contains {f(z) : z in box}.
 
-    ``poly`` is anything exposing ``interval_coefficients()`` returning
-    coefficient rectangles from the leading term down (see PolynomialMap).
-    Overflow saturates to infinite bounds rather than raising.
+    ``poly`` is a ``PolynomialMap``; the enclosure is its ``eval_box``, a
+    monic Horner scheme that is monotone under inclusion.  Overflow
+    saturates to infinite bounds rather than raising.
     """
-    return IntervalBox.from_tuple(bhorner(poly.interval_coefficients(), box.as_tuple()))
+    return IntervalBox.from_tuple(poly.eval_box(box.as_tuple()))

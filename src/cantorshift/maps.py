@@ -37,13 +37,10 @@ from .intervals import (
     IntervalBox,
     babs2,
     badd,
-    bhorner,
     bmul,
     boverlap,
     bsquare,
     enclose_fraction,
-    isqrt_hi,
-    isub,
     vbabs2,
     vbadd,
     vbmul,
@@ -275,45 +272,8 @@ def _rational_roots(p):
     return roots, p
 
 
-def _durand_kerner(p, rounds=300):
-    """Float approximations to all roots of a monic polynomial (complex)."""
-    n = p_degree(p)
-    coeffs = [complex(float(c[0]), float(c[1])) for c in p]
-    zs = [(0.4 + 0.9j) ** k for k in range(n)]
-    for _ in range(rounds):
-        moved = 0.0
-        for i in range(n):
-            num = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                num = num * zs[i] + c
-            den = 1.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    den *= zs[i] - zs[j]
-            if den == 0:
-                den = 1e-300
-            step = num / den
-            zs[i] -= step
-            moved = max(moved, abs(step))
-        if moved < 1e-14:
-            break
-    return zs
-
-
-def _coeff_boxes_desc(p):
-    out = []
-    for c in reversed(p):
-        r = enclose_fraction(c[0])
-        i = enclose_fraction(c[1])
-        out.append((r[0], r[1], i[0], i[1]))
-    return tuple(out)
-
-
-def _box_mag_hi(b):
-    """Upper bound of |z| over a rectangle."""
-    mr = max(abs(b[0]), abs(b[1]))
-    mi = max(abs(b[2]), abs(b[3]))
-    return isqrt_hi(math.nextafter(mr * mr + mi * mi, math.inf))
+def _complex(c):
+    return complex(float(c[0]), float(c[1]))
 
 
 def _exact_point_box(z):
@@ -322,71 +282,22 @@ def _exact_point_box(z):
     return (r[0], r[1], i[0], i[1])
 
 
-# The Krawczyk contraction loop, shared by the exact and the batched path:
-# the half-widths of the start boxes tried in turn around an approximation,
-# the most contraction rounds per box, and the width ratio that counts as
-# stalled (both sides of K /\ X above it end the contraction).
-_KRAWCZYK_WIDTHS = (1e-8, 1e-10, 1e-6, 1e-4, 1e-2)
-_KRAWCZYK_ROUNDS = 80
-_KRAWCZYK_STALL = 0.96
+def _enclosures(p):
+    """Outward enclosures of exact coefficients, in their order, with None
+    for an exact zero (the kernels skip its addition)."""
+    return [None if qc_is_zero(c) else _exact_point_box(c) for c in p]
 
 
-def _krawczyk_certify(g, gp_boxes, approx, widths=_KRAWCZYK_WIDTHS):
-    """Certify a unique simple root of g near ``approx``.
-
-    Krawczyk test on a rectangle X around the approximation:
-        K(X) = m - Y*g(m) + (1 - Y*g'(X)) * (X - m)
-    with m the midpoint (an exact rational point, so g(m) is evaluated
-    exactly before enclosing) and Y a float inverse of g'(m).  K(X)
-    contained in the interior of X together with |1 - Y*g'(X)| < 1
-    certifies existence and uniqueness; the box is then contracted by
-    iterating X <- K(X) /\\ X.
-    """
-    gp = p_derivative(g)
-    for w in widths:
-        X = (approx.real - w, approx.real + w, approx.imag - w, approx.imag + w)
-        certified = False
-        for _ in range(_KRAWCZYK_ROUNDS):
-            m_re = Fraction(0.5 * (X[0] + X[1]))
-            m_im = Fraction(0.5 * (X[2] + X[3]))
-            gm = p_eval(g, (m_re, m_im))
-            gm_box = _exact_point_box(gm)
-            gpm = p_eval(gp, (m_re, m_im))
-            gpm_c = complex(float(gpm[0]), float(gpm[1]))
-            if gpm_c == 0:
-                break
-            Yc = 1.0 / gpm_c
-            Y = (Yc.real, Yc.real, Yc.imag, Yc.imag)
-            GpX = bhorner(gp_boxes, X)
-            YG = bmul(Y, GpX)
-            e_re = isub((1.0, 1.0), (YG[0], YG[1]))
-            e_im = isub((0.0, 0.0), (YG[2], YG[3]))
-            E_box = (e_re[0], e_re[1], e_im[0], e_im[1])
-            mid_box = (float(m_re), float(m_re), float(m_im), float(m_im))
-            Xm = (isub((X[0], X[1]), (mid_box[0], mid_box[1])),
-                  isub((X[2], X[3]), (mid_box[2], mid_box[3])))
-            Xm_box = (Xm[0][0], Xm[0][1], Xm[1][0], Xm[1][1])
-            Ygm = bmul(Y, gm_box)
-            K = badd(badd((mid_box[0], mid_box[1], mid_box[2], mid_box[3]),
-                          (-Ygm[1], -Ygm[0], -Ygm[3], -Ygm[2])),
-                     bmul(E_box, Xm_box))
-            inside = (X[0] < K[0] and K[1] < X[1] and X[2] < K[2] and K[3] < X[3])
-            contracting = _box_mag_hi(E_box) < 1.0
-            if inside and contracting:
-                certified = True
-            if not certified:
-                break
-            newX = (max(X[0], K[0]), min(X[1], K[1]), max(X[2], K[2]), min(X[3], K[3]))
-            if newX[0] > newX[1] or newX[2] > newX[3]:
-                break
-            if (newX[1] - newX[0] > _KRAWCZYK_STALL * (X[1] - X[0])
-                    and newX[3] - newX[2] > _KRAWCZYK_STALL * (X[3] - X[2])):
-                X = newX
-                break
-            X = newX
-        if certified:
-            return IntervalBox.from_tuple(X)
-    raise PrecisionExceeded(f"could not certify a simple root near {approx}")
+def _companion_roots(lower):
+    """Approximations to every root of monic polynomials, one stacked
+    eigenvalue call on their companion matrices: row m of ``lower`` holds
+    the coefficients of polynomial m below its leading one (ascending), and
+    its roots come out at positions m*n .. m*n + n - 1."""
+    m, n = lower.shape
+    companion = np.zeros((m, n, n), dtype=complex)
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    companion[:, :, n - 1] = -lower
+    return np.linalg.eigvals(companion).reshape(m * n)
 
 
 @dataclass(frozen=True)
@@ -412,8 +323,9 @@ def certified_roots(poly):
     root: multiplicities come from exact square-free decomposition (so they
     sum to the degree by construction), exact rational roots are divided
     out where enumerable, and the remaining simple roots of each
-    square-free factor are certified by the Krawczyk test.  Enclosures are
-    checked pairwise disjoint; results are in canonical (re, im) order.
+    square-free factor are certified in one Krawczyk batch (``_krawczyk``)
+    seeded by its companion eigenvalues.  Enclosures are checked pairwise
+    disjoint; results are in canonical (re, im) order.
     """
     poly = p_monic(poly)
     found = []
@@ -422,10 +334,12 @@ def certified_roots(poly):
         for r in rational:
             found.append((IntervalBox.point(r, Fraction(0)), mult, (r, Fraction(0))))
         if p_degree(rest) >= 1:
-            gp_boxes = _coeff_boxes_desc(p_derivative(rest))
-            for approx in _durand_kerner(rest):
-                box = _krawczyk_certify(rest, gp_boxes, approx)
-                found.append((box, mult, None))
+            seeds = _companion_roots(np.array([[_complex(c) for c in rest[:-1]]]))
+            X, answered = _krawczyk(_Monic(rest), seeds)
+            if not answered.all():
+                raise PrecisionExceeded(
+                    f"could not certify the simple roots near {seeds[~answered]}")
+            found.extend((IntervalBox.from_tuple(b), mult, None) for b in X.T.tolist())
     total = sum(m for _, m, _ in found)
     if total != p_degree(poly):
         raise PrecisionExceeded(
@@ -449,25 +363,38 @@ def derive_critical_points(pmap: "PolynomialMap"):
     return tuple(found)
 
 
-def _krawczyk_boxes(pmap, X, const, gp_desc):
-    """One vectorized Krawczyk step for g = f - w on rectangles X.
+# The one Krawczyk contraction loop (``_krawczyk``), behind both
+# ``certified_roots`` and ``witness_preimages``: the half-widths of the
+# start boxes tried in turn around an approximation, the most contraction
+# rounds per box, and the width ratio that counts as stalled (both sides of
+# K /\ X above it end the contraction).
+_KRAWCZYK_WIDTHS = (1e-8, 1e-10, 1e-6, 1e-4, 1e-2)
+_KRAWCZYK_ROUNDS = 80
+_KRAWCZYK_STALL = 0.96
 
-    ``const`` holds the enclosures of each root's constant term a_0 - w.
-    Returns K(X) = m - Y*g(m) + (1 - Y*g'(X)) * (X - m) and the mask of
-    rectangles with |1 - Y*g'(X)| < 1, both outward-rounded: g(m) is
-    enclosed on the float point m, g' = f' does not depend on w, and Y is
-    a float inverse of g'(m) whose error only costs contraction (Y = 0,
-    used where g'(m) is 0, fails the test).
+
+def _krawczyk_boxes(g, X, const):
+    """One vectorized Krawczyk step for the monic exact polynomial g (a
+    ``_Monic``) on rectangles X.
+
+    ``const``, when given, holds per rectangle the enclosure of the constant
+    term that replaces g's own, e.g. a_0 - w for f - w.  Returns
+    K(X) = m - Y*g(m) + (1 - Y*g'(X)) * (X - m) and the mask of rectangles
+    with |1 - Y*g'(X)| < 1, both outward-rounded: every coefficient is
+    enclosed from its exact value, g(m) is enclosed on the float point m,
+    g' does not depend on the constant term, and Y is a float inverse of
+    g'(m) whose error only costs contraction (Y = 0, used where g'(m) is 0,
+    fails the test).
     """
     mx = 0.5 * (X[0] + X[1])
     my = 0.5 * (X[2] + X[3])
     mid = (mx, mx, my, my)
     with np.errstate(all="ignore"):
-        y = 1.0 / np.polyval(gp_desc, mx + 1j * my)
+        y = 1.0 / np.polyval(g.deriv_desc, mx + 1j * my)
     y = np.where(np.isfinite(y), y, 0.0)
     Y = (y.real, y.real, y.imag, y.imag)
-    ygm = vbmul(Y, pmap.eval_boxes(mid, constant=const))
-    ygx = vbmul(Y, pmap.eval_deriv_boxes(X))
+    ygm = vbmul(Y, g.eval_boxes(mid, constant=const))
+    ygx = vbmul(Y, g.eval_deriv_boxes(X))
     E = visub(1.0, 1.0, ygx[0], ygx[1]) + visub(0.0, 0.0, ygx[2], ygx[3])
     Xm = visub(X[0], X[1], mx, mx) + visub(X[2], X[3], my, my)
     K = vbadd(vbadd(mid, (-ygm[1], -ygm[0], -ygm[3], -ygm[2])), vbmul(E, Xm))
@@ -475,44 +402,25 @@ def _krawczyk_boxes(pmap, X, const, gp_desc):
     return K, mag2 < 1.0
 
 
-def witness_preimages(pmap: "PolynomialMap", points):
-    """Certified roots of f(z) = w for many exact points w at once.
+def _krawczyk(g, seeds, const=None):
+    """Certify simple roots of g around the approximations ``seeds``, all in
+    lockstep.  ``const`` is None or an (n, 4) array of per-seed constant
+    terms (see ``_krawczyk_boxes``).
 
-    Returns, per point, d ``(IntervalBox, 1)`` pairs in the canonical
-    (re_lo, im_lo) order of ``certified_roots``, or None.  The roots of
-    every g = f - w are seeded by one stacked eigenvalue call on the
-    companion matrices and run the contraction loop of
-    ``_krawczyk_certify`` in lockstep (``_krawczyk_boxes``).  The constant
-    term a_0 - w is enclosed from its exact value and g(m) on the float
-    point box m, which keeps the test sound (Rump, "Verification methods",
-    Acta Numerica 2010).  A point is answered only when all d boxes pass
-    K(X) in int X with |1 - Y*g'(X)| < 1 and are pairwise disjoint: they
-    then hold d distinct simple roots, every root of g, so each has
-    multiplicity 1.  None leaves the point to ``certified_roots``, whose
-    exact square-free decomposition decides multiplicities.
+    Each seed tries the start widths in turn until K(X) lies inside X with
+    |1 - Y*g'(X)| < 1: X then holds exactly one root of g, and it is simple
+    (Krawczyk, Computing 4, 1969).  A certified box contracts,
+    X <- K(X) /\ X, until it stalls, empties or runs out of rounds.
+    Returns the boxes as a (4, n) array and the mask of the seeds answered
+    that way.
     """
-    if not points:
-        return []
-    d = pmap.degree
-    a0 = pmap.exact_coefficients[0]
-    consts = [(a0[0] - w[0], a0[1] - w[1]) for w in points]
-    n, N = len(points), len(points) * d
-    companion = np.zeros((n, d, d), dtype=complex)
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    companion[:, 0, d - 1] = [-complex(float(c[0]), float(c[1])) for c in consts]
-    companion[:, 1:, d - 1] = [-complex(float(c[0]), float(c[1]))
-                               for c in pmap.exact_coefficients[1:d]]
-    seeds = np.linalg.eigvals(companion).reshape(N)
-    cb = np.repeat(np.array([_exact_point_box(c) for c in consts]), d, axis=0)
-    gp_desc = [complex(float(c[0]), float(c[1]))
-               for c in reversed(p_derivative(pmap.exact_coefficients))]
-
+    n = len(seeds)
     widths = np.array(_KRAWCZYK_WIDTHS)
-    X = np.empty((4, N))
-    stage = np.zeros(N, dtype=np.int64)   # index into widths
-    rounds = np.zeros(N, dtype=np.int64)
-    certified = np.zeros(N, dtype=bool)
-    answered = np.zeros(N, dtype=bool)
+    X = np.empty((4, n))
+    stage = np.zeros(n, dtype=np.int64)   # index into widths
+    rounds = np.zeros(n, dtype=np.int64)
+    certified = np.zeros(n, dtype=bool)
+    answered = np.zeros(n, dtype=bool)
 
     def start(idx):
         w = widths[stage[idx]]
@@ -525,7 +433,8 @@ def witness_preimages(pmap: "PolynomialMap", points):
     start(active)
     while active.size:
         x = tuple(X[:, active])
-        K, contracting = _krawczyk_boxes(pmap, x, tuple(cb[active].T), gp_desc)
+        K, contracting = _krawczyk_boxes(
+            g, x, None if const is None else tuple(const[active].T))
         inside = (x[0] < K[0]) & (K[1] < x[1]) & (x[2] < K[2]) & (K[3] < x[3])
         ok = certified[active] | (inside & contracting)
         # a box that fails its first test moves on to the next start width
@@ -547,9 +456,38 @@ def witness_preimages(pmap: "PolynomialMap", points):
         done = empty | stalled | (rounds[kept] >= _KRAWCZYK_ROUNDS)
         answered[kept[done]] = True
         active = np.concatenate((retry, kept[~done]))
+    return X, answered
+
+
+def witness_preimages(pmap: "PolynomialMap", points):
+    """Certified roots of f(z) = w for many exact points w at once.
+
+    Returns, per point, d ``(IntervalBox, 1)`` pairs in the canonical
+    (re_lo, im_lo) order of ``certified_roots``, or None.  The roots of
+    every g = f - w are seeded by one stacked eigenvalue call on the
+    companion matrices and certified in one ``_krawczyk`` batch, with the
+    constant term a_0 - w enclosed from its exact value per seed.  g(m) is
+    enclosed on the float point box m, which keeps the test sound (Rump,
+    "Verification methods", Acta Numerica 2010).  A point is answered only
+    when all d boxes are certified and pairwise disjoint: they then hold d
+    distinct simple roots, every root of g, so each has multiplicity 1.
+    None leaves the point to ``certified_roots``, whose exact square-free
+    decomposition decides multiplicities.
+    """
+    if not points:
+        return []
+    d = pmap.degree
+    a0 = pmap.exact_coefficients[0]
+    consts = [(a0[0] - w[0], a0[1] - w[1]) for w in points]
+    lower = np.empty((len(points), d), dtype=complex)
+    lower[:, 0] = [_complex(c) for c in consts]
+    lower[:, 1:] = [_complex(c) for c in pmap.exact_coefficients[1:d]]
+    seeds = _companion_roots(lower)
+    cb = np.repeat(np.array([_exact_point_box(c) for c in consts]), d, axis=0)
+    X, answered = _krawczyk(pmap, seeds, cb)
 
     out = []
-    for p in range(n):
+    for p in range(len(points)):
         if not answered[p * d:(p + 1) * d].all():
             out.append(None)
             continue
@@ -567,8 +505,54 @@ def witness_preimages(pmap: "PolynomialMap", points):
 # the map and domain types
 # ---------------------------------------------------------------------------
 
-class PolynomialMap:
-    """Monic polynomial with exact Gaussian-rational coefficients."""
+class _Monic:
+    """A monic polynomial with exact Gaussian-rational coefficients
+    (ascending) and the vector kernels that enclose it and its derivative
+    over rectangles, every coefficient enclosed outward from its exact
+    value."""
+
+    def __init__(self, coeffs):
+        self.exact_coefficients = coeffs
+        self.degree = len(coeffs) - 1
+        self._nonzero_boxes = _enclosures(coeffs[:-1])
+        deriv = p_derivative(coeffs)
+        self._deriv_boxes_desc = _enclosures(deriv)[::-1]
+        self.deriv_desc = [_complex(c) for c in reversed(deriv)]  # floats, for numpy
+
+    def eval_boxes(self, boxes, constant=None):
+        """Enclosure over rectangles: ``boxes`` is a 4-tuple of ndarrays
+        (re_lo, re_hi, im_lo, im_hi); the Horner scheme and rounding of
+        ``PolynomialMap.eval_box``.
+
+        ``constant``, when given, is a 4-tuple of rectangles that replaces
+        the constant coefficient per box, e.g. enclosures of a_0 - w for
+        f - w."""
+        lower = self._nonzero_boxes
+        if constant is not None:
+            lower = [constant] + lower[1:]
+        acc = boxes
+        if lower[-1] is not None:
+            acc = vbadd(acc, lower[-1])
+        for k in range(self.degree - 2, -1, -1):
+            acc = vbsquare(acc) if acc is boxes else vbmul(acc, boxes)
+            if lower[k] is not None:
+                acc = vbadd(acc, lower[k])
+        return acc
+
+    def eval_deriv_boxes(self, boxes):
+        """Enclosure of the derivative over rectangles (generic Horner; the
+        derivative is not monic)."""
+        acc = self._deriv_boxes_desc[0]
+        for c in self._deriv_boxes_desc[1:]:
+            acc = vbmul(acc, boxes)
+            if c is not None:
+                acc = vbadd(acc, c)
+        return acc
+
+
+class PolynomialMap(_Monic):
+    """Monic polynomial map of degree at least 2 with exact
+    Gaussian-rational coefficients."""
 
     def __init__(self, coefficients):
         coeffs = tuple((parse_exact(re), parse_exact(im)) for re, im in coefficients)
@@ -576,25 +560,11 @@ class PolynomialMap:
             raise ValueError("degree must be at least 2")
         if coeffs[-1] != QC_ONE:
             raise ValueError("leading coefficient must be exactly 1")
-        self.exact_coefficients = coeffs
-        self.degree = len(coeffs) - 1
+        super().__init__(coeffs)
         # D: lcm of every coefficient denominator (see _exact_orbit_status)
         self.coefficient_denominator = math.lcm(
             *(part.denominator for c in coeffs for part in c))
-        self._interval_coeffs = _coeff_boxes_desc(coeffs)
-        asc = list(reversed(self._interval_coeffs))  # ascending powers
-        self._nonzero_boxes = [None if qc_is_zero(coeffs[k]) else asc[k]
-                               for k in range(self.degree)]
-        deriv = p_derivative(coeffs)
-        deriv_desc = _coeff_boxes_desc(deriv)
-        self._deriv_boxes_desc = tuple(
-            None if qc_is_zero(deriv[len(deriv) - 1 - k]) else deriv_desc[k]
-            for k in range(len(deriv)))
         self._criticals = None
-
-    def interval_coefficients(self):
-        """Coefficient rectangles, leading term first (Horner order)."""
-        return self._interval_coeffs
 
     @property
     def critical_points(self):
@@ -623,34 +593,6 @@ class PolynomialMap:
             c = self._nonzero_boxes[k]
             if c is not None:
                 acc = badd(acc, c)
-        return acc
-
-    def eval_boxes(self, boxes, constant=None):
-        """Vectorized eval_box: ``boxes`` is a 4-tuple of ndarrays
-        (re_lo, re_hi, im_lo, im_hi); same Horner scheme, same rounding.
-
-        ``constant``, when given, is a 4-tuple of rectangles that replaces
-        the constant coefficient per box, e.g. enclosures of a_0 - w for
-        f - w."""
-        acc = boxes
-        c = self._nonzero_boxes[self.degree - 1]
-        if c is not None:
-            acc = vbadd(acc, c)
-        for k in range(self.degree - 2, -1, -1):
-            acc = vbsquare(acc) if acc is boxes else vbmul(acc, boxes)
-            c = self._nonzero_boxes[k] if k or constant is None else constant
-            if c is not None:
-                acc = vbadd(acc, c)
-        return acc
-
-    def eval_deriv_boxes(self, boxes):
-        """Vectorized enclosure of f' over rectangles (generic Horner; the
-        derivative is not monic)."""
-        acc = self._deriv_boxes_desc[0]
-        for c in self._deriv_boxes_desc[1:]:
-            acc = vbmul(acc, boxes)
-            if c is not None:
-                acc = vbadd(acc, c)
         return acc
 
     def eval_boxes_sharp(self, boxes):

@@ -13,7 +13,6 @@ from cantorshift.intervals import (
     _outward,
     babs2,
     badd,
-    bhorner,
     bmul,
     bsquare,
     enclose_fraction,
