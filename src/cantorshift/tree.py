@@ -66,6 +66,7 @@ from .intervals import IntervalBox, enclose_fraction, isqrt_hi, vbabs2
 from .maps import (
     DomainDisk,
     PolynomialMap,
+    _exact_orbit_status,
     certified_roots,
     escape_radius,
     parse_exact,
@@ -156,6 +157,15 @@ def _children(cells):
     """The four children of each (r, i, j) cell, one resolution finer."""
     return (cells[:, None, :] * (1, 2, 2)
             + ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))).reshape(-1, 3)
+
+
+def _pave(frame, interior, band):
+    """The pavement of interior and band cells, (n, 3) arrays of (r, i, j),
+    and the mask of its interior cells."""
+    pavement = PavedCover(frame, np.concatenate((interior, band)))
+    is_inner = np.zeros(len(pavement), dtype=bool)
+    is_inner[pavement.find(*interior.T)] = True
+    return pavement, is_inner
 
 
 def _indices(pavement, cells):
@@ -284,31 +294,25 @@ class _TreeBuilder:
     def _build_level0(self):
         """Pave the closed disk; circle-straddling cells are refined a few
         extra steps so level 1 starts from a reasonable boundary scale."""
-        bounds = self.frame.cell_bounds
         band_target = max(BASE_RESOLUTION + 4,
                           -int(math.floor(math.log2(
                               BAND_SCALE * float(self.disk.radius)
                               / self.frame.side))))
         band_target = min(band_target, self.policy.max_resolution)
         n = 1 << BASE_RESOLUTION
+        i, j = np.divmod(np.arange(n * n), n)
+        cells = np.stack((np.full(n * n, BASE_RESOLUTION), i, j), axis=1)
         interior = []
-        band = []
-        queue = [(BASE_RESOLUTION, i, j) for i in range(n) for j in range(n)]
-        while queue:
-            r, i, j = queue.pop()
-            side = self.disk.side(bounds(i, j, r))
-            if side == "out":
-                continue
-            if side == "in":
-                interior.append((r, i, j))
-            elif r >= band_target:
-                band.append((r, i, j))
-            else:
-                queue.extend(((r + 1, 2 * i, 2 * j), (r + 1, 2 * i + 1, 2 * j),
-                              (r + 1, 2 * i, 2 * j + 1), (r + 1, 2 * i + 1, 2 * j + 1)))
-        pavement = PavedCover(self.frame, interior + band)
-        inner = np.zeros(len(pavement), dtype=bool)
-        inner[_indices(pavement, interior)] = True
+        r = BASE_RESOLUTION
+        while True:
+            inside, outside = self.disk.sides(self.frame.cell_walls(r, cells[:, 1], cells[:, 2]))
+            interior.append(cells[inside])
+            cells = cells[~inside & ~outside]
+            if r >= band_target:
+                break
+            cells = _children(cells)
+            r += 1
+        pavement, inner = _pave(self.frame, np.concatenate(interior), cells)
         self._accept(_Built(pavement, inner, np.zeros(len(pavement), dtype=np.int64),
                             [None], [None], [1], [()], [self.disk.center]))
 
@@ -334,18 +338,6 @@ class _TreeBuilder:
             for box, mult in roots:
                 out.append((box.as_tuple(), mult, v_idx))
         return out
-
-    def _certify_membership(self, point, k) -> bool:
-        """Interval-orbit certificate that an exact point lies in f^{-k}(U):
-        every iterate f^j(point), j = 1..k, is strictly inside U."""
-        re = enclose_fraction(point[0])
-        im = enclose_fraction(point[1])
-        box = (re[0], re[1], im[0], im[1])
-        for _ in range(k):
-            box = self.pmap.eval_box(box)
-            if self.disk.side(box) != "in":
-                return False
-        return True
 
     # -- classification ----------------------------------------------------
 
@@ -617,7 +609,11 @@ class _TreeBuilder:
             for rect, _, _ in sorted(per_cluster[idx]):
                 c = (Fraction(0.5 * (rect[0] + rect[1])),
                      Fraction(0.5 * (rect[2] + rect[3])))
-                if self._certify_membership(c, k):
+                # c lies in f^-k(U) when f^j(c), j = 1..k, stays strictly
+                # inside U: the orbit of f(c) through step k - 1
+                status, _, _ = _exact_orbit_status(
+                    self.pmap, self.disk, self.pmap.eval_exact(c), k - 1)
+                if status == "in_Uprime":
                     chosen = c
                     break
             if chosen is None:
@@ -661,10 +657,8 @@ class _TreeBuilder:
                 interior.append(cells[status == 1])
                 band.append(cells[status == 2])
                 _enqueue(buckets, _children(cells[status == 3]))
-            inner = np.concatenate(interior)
-            pavement = PavedCover(self.frame, np.concatenate([inner] + band))
-            is_inner = np.zeros(len(pavement), dtype=bool)
-            is_inner[pavement.find(*inner.T)] = True
+            pavement, is_inner = _pave(self.frame, np.concatenate(interior),
+                                       np.concatenate(band))
             try:
                 built = self._certify(k, pavement, is_inner, witness_boxes)
             except _Failure as fail:
