@@ -366,8 +366,9 @@ def derive_critical_points(pmap: "PolynomialMap"):
 # The one Krawczyk contraction loop (``_krawczyk``), behind both
 # ``certified_roots`` and ``witness_preimages``: the half-widths of the
 # start boxes tried in turn around an approximation, the most contraction
-# rounds per box, and the width ratio that counts as stalled (both sides of
-# K /\ X above it end the contraction).
+# rounds per box, and the width ratio that counts as stalled (either side of
+# K /\ X above it ends the contraction, so a side already at float
+# resolution does not keep the other contracting into the denormals).
 _KRAWCZYK_WIDTHS = (1e-8, 1e-10, 1e-6, 1e-4, 1e-2)
 _KRAWCZYK_ROUNDS = 80
 _KRAWCZYK_STALL = 0.96
@@ -452,7 +453,7 @@ def _krawczyk(g, seeds, const=None):
         X[:, kept[~empty]] = new[:, ~empty]
         rounds[kept] += 1
         stalled = ((new[1] - new[0] > _KRAWCZYK_STALL * (old[1] - old[0]))
-                   & (new[3] - new[2] > _KRAWCZYK_STALL * (old[3] - old[2])))
+                   | (new[3] - new[2] > _KRAWCZYK_STALL * (old[3] - old[2])))
         done = empty | stalled | (rounds[kept] >= _KRAWCZYK_ROUNDS)
         answered[kept[done]] = True
         active = np.concatenate((retry, kept[~done]))

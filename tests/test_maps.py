@@ -188,6 +188,17 @@ def test_witness_preimages_enclose_rational_roots():
         assert box.re_lo <= x <= box.re_hi and box.im_lo <= 0 <= box.im_hi
 
 
+def test_krawczyk_stops_when_either_side_stalls():
+    # the real side of a real root reaches float resolution in a few
+    # rounds; the contraction must stop there, not shrink the imaginary
+    # side on into the denormals
+    quad = PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])
+    (roots,) = witness_preimages(quad, [(Fraction(0), Fraction(0))])
+    for (box, _), x in zip(roots, (-math.sqrt(6), math.sqrt(6))):
+        assert box.re_lo <= x <= box.re_hi and box.im_lo <= 0 <= box.im_hi
+        assert box.im_hi - box.im_lo >= 2.0 ** -1022
+
+
 def test_escape_radius_values():
     assert escape_radius(PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])) == 7
     assert escape_radius(PolynomialMap(
