@@ -9,18 +9,19 @@ adaptive-precision dyadic balls (``DyadicOrbit``), which settle escape and
 stay cheaply; exact rational arithmetic is kept where an equality is the
 question (a periodic revisit, a critical hit).
 
-Critical points are derived rigorously: exact square-free decomposition of
-f' over the rationals fixes every multiplicity, exact rational roots are
-divided out where they exist, and the remaining simple roots are certified
-with a Krawczyk test around Durand-Kerner approximations
-(``certified_roots``).
+Every simple root is certified by one batched Krawczyk loop (``_krawczyk``):
+companion-matrix eigenvalues seed a numpy Krawczyk test on any monic exact
+polynomial, with every enclosure outward-rounded.  It has two callers.
 
-The preimages f^{-1}(w) of many exact points w, one tree level's witness
-points, are isolated in one batch (``witness_preimages``): companion-matrix
-eigenvalues seed a numpy Krawczyk test with every enclosure
-outward-rounded, and d pairwise-disjoint certified boxes prove d simple
-roots, so no square-free decomposition is needed.  Any point the batch
-cannot answer that way goes to the exact ``certified_roots``.
+* ``certified_roots``, which derives the critical points: exact square-free
+  decomposition over the rationals fixes every multiplicity, exact
+  rational roots are divided out where they exist, and the simple roots of
+  each remaining factor are certified in one batch.
+* ``witness_preimages``: the preimages f^{-1}(w) of many exact points w,
+  one tree level's witness points, in one batch.  d pairwise-disjoint
+  certified boxes prove d simple roots, so no square-free decomposition is
+  needed; any point the batch cannot answer that way goes to the exact
+  ``certified_roots``.
 """
 
 from __future__ import annotations
@@ -578,7 +579,8 @@ class PolynomialMap(_Monic):
         return p_eval(self.exact_coefficients, z)
 
     def eval_box(self, box4):
-        """Raw-tuple enclosure of the image of a rectangle (hot path).
+        """Raw-tuple enclosure of the image of one rectangle, for
+        ``eval_enclosure`` and the float-box orbit walk.
 
         Monic Horner with two cheap sharpenings: zero coefficients skip
         their addition, and the first accumulated product acc*z with acc
@@ -977,6 +979,8 @@ def _ball_orbit_status(pmap, disk, z, first_step, horizon):
 
 
 def _interval_orbit_status(pmap, disk, box, horizon):
+    """The orbit walk of a critical point known only by an enclosure: float
+    boxes, undecided once a box is wider than 0.25."""
     cur = box.as_tuple()
     for step in range(horizon + 1):
         side = disk.side(cur)

@@ -121,6 +121,67 @@ def test_certified_roots_fuzz_against_numeric():
             assert hit, f"numeric root {z} not covered for {ints}"
 
 
+def _mp_roots_in(mp, coeffs, roots):
+    """Check certified_roots output against mpmath.polyroots at 60 digits:
+    every mpmath root lies in exactly one enclosure (an exact root within
+    1e-40 of its value), and each enclosure holds as many mpmath roots as
+    its multiplicity, so a simple root's box holds exactly one."""
+    with mp.workdps(60):
+        def mpc(z):
+            return mp.mpc(mp.mpf(z[0].numerator) / z[0].denominator,
+                          mp.mpf(z[1].numerator) / z[1].denominator)
+
+        ref = mp.polyroots([mpc(c) for c in reversed(coeffs)], maxsteps=400, extraprec=300)
+
+        def holds(root, box, exact):
+            if exact is not None:
+                return abs(root - mpc(exact)) < mp.mpf("1e-40")
+            return (box.re_lo <= root.real <= box.re_hi
+                    and box.im_lo <= root.imag <= box.im_hi)
+
+        hits = [[holds(z, box, exact) for box, _, exact in roots] for z in ref]
+    assert all(sum(h) == 1 for h in hits), f"mpmath roots not isolated for {coeffs}"
+    assert [sum(h[e] for h in hits) for e in range(len(roots))] == [m for _, m, _ in roots]
+
+
+def _qc_poly_mul(a, b):
+    out = [(Fraction(0), Fraction(0))] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            p = (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+            out[i + j] = (out[i + j][0] + p[0], out[i + j][1] + p[1])
+    return tuple(out)
+
+
+def test_certified_roots_match_mpmath_polyroots():
+    mp = pytest.importorskip("mpmath")
+    # (z - (1+i)/2)^2 (z^2 - 2): the double root is a 1x1 companion batch
+    half = (Fraction(1, 2), Fraction(1, 2))
+    lin = ((-half[0], -half[1]), (Fraction(1), Fraction(0)))
+    quad = ((Fraction(-2), Fraction(0)), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
+    coeffs = _qc_poly_mul(_qc_poly_mul(lin, lin), quad)
+    roots = certified_roots(coeffs)
+    assert [m for _, m, _ in roots] == [1, 2, 1]
+    assert all(exact is None for _, _, exact in roots)
+    _mp_roots_in(mp, coeffs, roots)
+    # (z - 1)^2 (z + 2) (z^2 - 3): exact rational roots beside certified ones
+    cubic = tuple((Fraction(c), Fraction(0)) for c in (2, -3, 0, 1))
+    coeffs = _qc_poly_mul(cubic, ((Fraction(-3), Fraction(0)),) + quad[1:])
+    roots = certified_roots(coeffs)
+    assert [(m, exact is None) for _, m, exact in roots] == [
+        (1, False), (1, True), (2, False), (1, True)]
+    _mp_roots_in(mp, coeffs, roots)
+    # random Gaussian-rational polynomials of degree 2..6
+    rng = np.random.default_rng(50)
+    for _ in range(30):
+        deg = int(rng.integers(2, 7))
+        tail = tuple((Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 9))),
+                      Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 9))))
+                     for _ in range(deg))
+        coeffs = tail + ((Fraction(1), Fraction(0)),)
+        _mp_roots_in(mp, coeffs, certified_roots(coeffs))
+
+
 # ---------------------------------------------------------------------------
 # batched witness preimages against the exact path
 # ---------------------------------------------------------------------------

@@ -96,6 +96,43 @@ def test_batched_witness_roots_match_exact_path(quadratic_map, quadratic_disk):
                 assert sum(boverlap(rect, e) for e in exact) == 1
 
 
+def test_witness_points_lie_in_their_level(quadratic_tree, cubic_tree):
+    # exact arithmetic, apart from the orbit walker that chose them: the
+    # witness point w of a level-k cluster has f^j(w) strictly inside U for
+    # j = 1..k
+    for tree in (quadratic_tree, cubic_tree):
+        for k in range(1, 5):
+            for w in tree._built[k].witness_points:
+                z = w
+                for _ in range(k):
+                    z = tree.map.eval_exact(z)
+                    assert tree.disk.classify_exact(z) == "in"
+
+
+@pytest.mark.parametrize("center, radius", [(("0", "0"), "4"), (("0.3", "-0.7"), "2.5")])
+def test_level0_matches_cellwise_side(quadratic_map, center, radius):
+    # level 0 classifies a whole resolution per vector pass; recursing cell
+    # by cell with the scalar DomainDisk.side must give the same pavement
+    disk = DomainDisk(center, radius)
+    builder = tree_mod._TreeBuilder(quadratic_map, disk, small_policy())
+    builder._build_level0()
+    built = builder.built[0]
+    got = dict(zip(built.pavement.iter_cells(), built.interior.tolist()))
+    target = built.pavement.finest
+    n = 1 << tree_mod.BASE_RESOLUTION
+    queue = [(tree_mod.BASE_RESOLUTION, i, j) for i in range(n) for j in range(n)]
+    want = {}
+    while queue:
+        r, i, j = queue.pop()
+        side = disk.side(builder.frame.cell_bounds(i, j, r))
+        if side == "in" or (side is None and r == target):
+            want[(r, i, j)] = side == "in"
+        elif side is None:
+            queue += [(r + 1, 2 * i + a, 2 * j + b) for a in (0, 1) for b in (0, 1)]
+    assert got == want
+    assert not all(want.values())  # the band is there
+
+
 @pytest.mark.parametrize("case", ["quadratic", "cubic"])
 def test_critical_witness_falls_back_to_exact_roots(monkeypatch, request, case):
     pmap = request.getfixturevalue(f"{case}_map")
