@@ -412,7 +412,7 @@ def _krawczyk(g, seeds, const=None):
     Each seed tries the start widths in turn until K(X) lies inside X with
     |1 - Y*g'(X)| < 1: X then holds exactly one root of g, and it is simple
     (Krawczyk, Computing 4, 1969).  A certified box contracts,
-    X <- K(X) /\ X, until it stalls, empties or runs out of rounds.
+    X <- K(X) /\\ X, until it stalls, empties or runs out of rounds.
     Returns the boxes as a (4, n) array and the mask of the seeds answered
     that way.
     """
