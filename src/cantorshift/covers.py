@@ -274,17 +274,16 @@ def paved_clusters(frame: Frame, cells):
     resolves every neighbor slot, and the resulting graph is labeled with
     a C-implementation of connected components.
 
-    ``cells`` is a PavedCover or an iterable of (r, i, j).  Returns clusters
-    as lists of (r, i, j), clusters in canonical order by fine-grid
-    lower-left corner, cells sorted within each cluster.
+    ``cells`` is a PavedCover or an iterable of (r, i, j).  Returns the
+    cluster index of each cell as an int64 array aligned with the cover
+    (with ``PavedCover(frame, cells)`` for an iterable), clusters numbered
+    in canonical order by their least fine-grid lower-left corner.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     cover = cells if isinstance(cells, PavedCover) else PavedCover(frame, cells)
     n = len(cover)
-    if not n:
-        return []
     r, i, j = np.tile(cover.r, 4), np.tile(cover.i, 4), np.tile(cover.j, 4)
     src = np.tile(np.arange(n), 4)
     i[:n] += 1
@@ -301,9 +300,6 @@ def paved_clusters(frame: Frame, cells):
     # non-overlapping cells never share that corner
     d = cover.finest - cover.r
     _, first = np.unique(labels[np.lexsort((cover.j << d, cover.i << d))], return_index=True)
-    rank = np.empty_like(first)
+    rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
-    labels = rank[labels]
-    members = cover.cells_at(np.argsort(labels, kind="stable"))
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    return [members[s:t] for s, t in zip([0] + ends[:-1], ends)]
+    return rank[labels]

@@ -124,9 +124,9 @@ class Component:
 @dataclass
 class _Built:
     """Internal per-level record: the pavement, the mask of its cells
-    certified inside f^-k(U) and the cluster index of each of its cells
-    (both aligned with the pavement), certified edges and the witness point
-    of each cluster."""
+    certified inside f^-k(U) and the cluster label ``paved_clusters`` gives
+    each of its cells (both aligned with the pavement), certified edges and
+    the witness point of each cluster."""
 
     pavement: PavedCover
     interior: np.ndarray
@@ -166,12 +166,6 @@ def _pave(frame, interior, band):
     is_inner = np.zeros(len(pavement), dtype=bool)
     is_inner[pavement.find(*interior.T)] = True
     return pavement, is_inner
-
-
-def _indices(pavement, cells):
-    """Pavement indices of a list of its (r, i, j) cells."""
-    a = np.array(cells, dtype=np.int64).reshape(-1, 3)
-    return pavement.find(a[:, 0], a[:, 1], a[:, 2])
 
 
 class _Failure(Exception):
@@ -476,11 +470,8 @@ class _TreeBuilder:
         return placed
 
     def _certify(self, k, pavement, interior, witness_boxes):
-        cluster_cells = paved_clusters(self.frame, pavement)
-        n_clusters = len(cluster_cells)
-        labels = np.empty(len(pavement), dtype=np.int64)
-        labels[_indices(pavement, [c for cc in cluster_cells for c in cc])] = np.repeat(
-            np.arange(n_clusters), [len(cc) for cc in cluster_cells])
+        labels = paved_clusters(self.frame, pavement)
+        n_clusters = int(labels.max(initial=-1)) + 1
         defects = _Defects()
 
         # container edges from exact dyadic ancestry

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,16 @@ from cantorshift import Frame, PavedCover, paved_clusters
 
 def frame16():
     return Frame(-8.0, -8.0, 16.0)
+
+
+def _clusters(fr, cells):
+    """``paved_clusters`` read back as the sorted cell list of each
+    cluster, in label order."""
+    cover = PavedCover(fr, cells)
+    labels = paved_clusters(fr, cells)
+    assert labels.dtype == np.int64 and labels.shape == (len(cover),)
+    return [cover.cells_at(np.flatnonzero(labels == c))
+            for c in range(labels.max(initial=-1) + 1)]
 
 
 # pairs of cells past resolution 32 that are not adjacent: 2^32 rows apart,
@@ -49,14 +60,14 @@ def test_cells_tile_exactly():
 
 def test_corner_contact_is_not_adjacent():
     cells = [(3, 1, 1), (3, 2, 2)]
-    clusters = paved_clusters(frame16(), cells)
+    clusters = _clusters(frame16(), cells)
     assert len(clusters) == 2
     assert clusters == _naive_clusters(frame16(), cells)
 
 
 def test_block_is_one_cluster():
     cells = [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]
-    clusters = paved_clusters(frame16(), cells)
+    clusters = _clusters(frame16(), cells)
     assert len(clusters) == 1
     assert clusters == _naive_clusters(frame16(), cells)
 
@@ -64,12 +75,14 @@ def test_block_is_one_cluster():
 def test_cluster_order_and_shuffle_determinism():
     cells = [(4, 5, 5), (4, 6, 5), (4, 1, 7), (4, 1, 6), (4, 3, 1)]
     fr = frame16()
-    ref = paved_clusters(fr, cells)
+    ref = _clusters(fr, cells)
     assert ref == _naive_clusters(fr, cells)
+    ref_labels = paved_clusters(fr, cells)
     rng = random.Random(0)
     for _ in range(5):
         rng.shuffle(cells)
-        assert paved_clusters(fr, cells) == ref
+        assert np.array_equal(paved_clusters(fr, cells), ref_labels)
+        assert _clusters(fr, cells) == ref
     # canonical order: by (min i, then min j)
     mins = [(min(i for _, i, _ in c), min(j for _, _, j in c)) for c in ref]
     assert mins == sorted(mins)
@@ -77,14 +90,14 @@ def test_cluster_order_and_shuffle_determinism():
 
 def test_paved_corner_contact_not_adjacent():
     fr = frame16()
-    assert len(paved_clusters(fr, [(3, 1, 1), (3, 2, 2)])) == 2
+    assert _clusters(fr, [(3, 1, 1), (3, 2, 2)]) == [[(3, 1, 1)], [(3, 2, 2)]]
 
 
 def test_paved_mixed_resolution_adjacency():
     fr = frame16()
     # a fine cell sharing an edge with a coarse one joins it; a distant cell
     # stays separate
-    clusters = paved_clusters(fr, [(3, 1, 1), (4, 4, 2), (3, 5, 5)])
+    clusters = _clusters(fr, [(3, 1, 1), (4, 4, 2), (3, 5, 5)])
     assert len(clusters) == 2
     assert clusters[0] == [(3, 1, 1), (4, 4, 2)]
 
@@ -92,8 +105,8 @@ def test_paved_mixed_resolution_adjacency():
 def test_paved_fine_coarse_corner_only():
     fr = frame16()
     # fine cell (4, 4, 4) touches coarse (3, 1, 1) only at the corner (4, 4)
-    clusters = paved_clusters(fr, [(3, 1, 1), (4, 4, 4)])
-    assert len(clusters) == 2
+    clusters = _clusters(fr, [(3, 1, 1), (4, 4, 4)])
+    assert clusters == [[(3, 1, 1)], [(4, 4, 4)]]
 
 
 def test_paved_cover_queries():
@@ -125,7 +138,7 @@ def test_paved_cover_queries():
 def test_uniform_and_paved_clustering_agree(cells):
     fr = frame16()
     uniform = [(3, i, j) for i, j in cells]
-    assert paved_clusters(fr, uniform) == _naive_clusters(fr, uniform)
+    assert _clusters(fr, uniform) == _naive_clusters(fr, uniform)
 
 
 def _random_pavement(rng, max_depth=4):
@@ -219,9 +232,18 @@ def test_paved_clusters_match_naive():
         cells = _random_pavement(rng)
         if not cells:
             continue
-        assert paved_clusters(fr, cells) == _naive_clusters(fr, cells)
+        assert _clusters(fr, cells) == _naive_clusters(fr, cells)
+        # a PavedCover input gives the labels of the list it was built from
+        assert np.array_equal(paved_clusters(fr, PavedCover(fr, cells)),
+                              paved_clusters(fr, cells))
     for cells in DEEP_PAIRS:
-        assert paved_clusters(fr, cells) == _naive_clusters(fr, cells)
+        assert _clusters(fr, cells) == _naive_clusters(fr, cells)
+
+
+def test_paved_clusters_of_no_cells():
+    for cells in ([], PavedCover(frame16(), [])):
+        labels = paved_clusters(frame16(), cells)
+        assert labels.dtype == np.int64 and labels.shape == (0,)
 
 
 def test_pavement_queries_match_naive():

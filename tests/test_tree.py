@@ -4,12 +4,14 @@ import re
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cantorshift import (
     DomainDisk,
     HypothesisViolation,
     NotInCover,
+    PavedCover,
     PolynomialMap,
     ResolutionPolicy,
     Undecided,
@@ -107,6 +109,116 @@ def test_witness_points_lie_in_their_level(quadratic_tree, cubic_tree):
                 for _ in range(k):
                     z = tree.map.eval_exact(z)
                     assert tree.disk.classify_exact(z) == "in"
+
+
+def _walk_build(pmap, disk, depth, force=None):
+    """Build while recording each certification attempt as [level, walks,
+    failure text or None], a walk being the (start, horizon) of one
+    witness-membership orbit walk, and each level's witness enclosures.
+    ``force`` = (k, z) makes the first walk from z at level k report an
+    escape."""
+    attempts, boxes = [], {}
+    solve = tree_mod._TreeBuilder._solve_witness_preimages
+    certify = tree_mod._TreeBuilder._certify
+    walk = tree_mod._exact_orbit_status
+
+    def traced_solve(self, k):
+        boxes[k] = solve(self, k)
+        return boxes[k]
+
+    def traced_certify(self, k, *args):
+        attempts.append([k, [], None])
+        try:
+            return certify(self, k, *args)
+        except tree_mod._Failure as fail:
+            attempts[-1][2] = str(fail)
+            raise
+
+    def traced_walk(pmap_, disk_, z, horizon):
+        nonlocal force
+        attempts[-1][1].append((z, horizon))
+        if force == (attempts[-1][0], z):
+            force = None
+            return "escapes", 0, False
+        return walk(pmap_, disk_, z, horizon)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_mod._TreeBuilder, "_solve_witness_preimages", traced_solve)
+        mp.setattr(tree_mod._TreeBuilder, "_certify", traced_certify)
+        mp.setattr(tree_mod, "_exact_orbit_status", traced_walk)
+        tree = build_tree(pmap, disk, depth, policy=small_policy())
+    return tree, attempts, boxes
+
+
+def _candidates(built, rects):
+    """Per cluster of an accepted level, the midpoints of the witness
+    enclosures it holds, in the order the builder tries them."""
+    per = [[] for _ in built.witness_points]
+    for rect, mult, v in rects:
+        (idx,) = set(built.labels[built.pavement.overlapping(rect)].tolist())
+        per[idx].append((rect, mult, v))
+    return [[(Fraction(0.5 * (r[0] + r[1])), Fraction(0.5 * (r[2] + r[3])))
+             for r, _, _ in sorted(group)] for group in per]
+
+
+@pytest.mark.parametrize("case, depth", [("quadratic", 3), ("cubic", 2)])
+def test_witness_walk_starts_at_image_of_candidate(request, case, depth):
+    # c lies in f^-k(U) when f(c) stays in U for k - 1 more steps: every walk
+    # of the accepted attempt starts at f(c) for the first candidate c of
+    # its cluster, with horizon k - 1
+    pmap = request.getfixturevalue(f"{case}_map")
+    tree, attempts, boxes = _walk_build(
+        pmap, request.getfixturevalue(f"{case}_disk"), depth)
+    for k in range(1, depth + 1):
+        cands = _candidates(tree._built[k], boxes[k])
+        _, walks, failure = [a for a in attempts if a[0] == k][-1]
+        assert failure is None
+        assert walks == [(pmap.eval_exact(c[0]), k - 1) for c in cands]
+        assert tree._built[k].witness_points == [c[0] for c in cands]
+
+
+def test_witness_walk_tries_next_candidate(cubic_map, cubic_disk):
+    tree, _, boxes = _walk_build(cubic_map, cubic_disk, 2)
+    cands = _candidates(tree._built[1], boxes[1])
+    idx = [len(c) for c in cands].index(2)  # the branched cluster around +1
+    first, second = cands[idx]
+    tree, attempts, _ = _walk_build(cubic_map, cubic_disk, 2,
+                                    force=(1, cubic_map.eval_exact(first)))
+    _, walks, failure = [a for a in attempts if a[0] == 1][-1]
+    assert failure is None
+    want = [(cubic_map.eval_exact(c[0]), 0) for c in cands]
+    want.insert(idx + 1, (cubic_map.eval_exact(second), 0))
+    assert walks == want
+    assert tree._built[1].witness_points[idx] == second
+
+
+def test_witness_walk_without_candidate_left_fails(quadratic_map, quadratic_disk):
+    tree, _, boxes = _walk_build(quadratic_map, quadratic_disk, 3)
+    cands = _candidates(tree._built[2], boxes[2])
+    assert all(len(c) == 1 for c in cands)
+    forced = quadratic_map.eval_exact(cands[0][0])
+    tree, attempts, _ = _walk_build(quadratic_map, quadratic_disk, 3, force=(2, forced))
+    failed = [a for a in attempts if a[0] == 2 and a[1] and a[1][0][0] == forced]
+    _, walks, failure = failed[0]
+    # the defect is recorded and the walk goes on with the next cluster
+    assert walks == [(quadratic_map.eval_exact(c[0]), 1) for c in cands]
+    assert failure.startswith("defects: witness-member: ")
+    assert failure.endswith("(by kind: witness-member=1)")
+    assert [len(lvl) for lvl in tree.levels] == [1, 2, 4, 8]
+
+
+def test_empty_level_fails_certification(quadratic_map, quadratic_disk):
+    builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
+    builder._build_level0()
+    builder._build_level(1)
+    empty = PavedCover(builder.frame, [])
+    no_cells = np.zeros(0, dtype=bool)
+    for k in (1, 2):
+        boxes = builder._solve_witness_preimages(k)
+        with pytest.raises(tree_mod._Failure) as info:
+            builder._certify(k, empty, no_cells, boxes)
+        # nothing is left to refine, which ends the level in ResolutionExceeded
+        assert builder._subdivide_band(empty, no_cells, {}, info.value.refine) is None
 
 
 @pytest.mark.parametrize("center, radius", [(("0", "0"), "4"), (("0.3", "-0.7"), "2.5")])
