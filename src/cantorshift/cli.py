@@ -14,7 +14,7 @@ import os
 import sys
 
 from .coding import assign_symbols, chi, coding_to_json_dict, verify_semiconjugacy
-from .config import RunConfig, env_budget_overrides, load_map_config
+from .config import env_budget_overrides, load_map_config
 from .errors import (
     BudgetExceeded,
     CantorshiftError,
@@ -36,16 +36,15 @@ EXIT_CHECKS_FAILED = 5
 
 
 def _run_config(args, horizon):
-    """The run configuration; an environment budget overrides the flag,
-    and an unset budget takes the ResolutionPolicy default.  Zero is a
-    value here, so RunConfig rejects it."""
+    """The budgets of a run; an environment budget overrides the flag, and
+    an unset budget takes the ResolutionPolicy default.  Zero is a value
+    here, so ResolutionPolicy rejects it."""
     env_boxes, env_res = env_budget_overrides()
     max_res = env_res if env_res is not None else args.max_resolution
-    return RunConfig(
-        depth=args.depth,
-        horizon=horizon,
+    return ResolutionPolicy(
         max_boxes=ResolutionPolicy.max_boxes if env_boxes is None else env_boxes,
         max_resolution=ResolutionPolicy.max_resolution if max_res is None else max_res,
+        validation_horizon=horizon,
     )
 
 
@@ -60,9 +59,9 @@ def _write_json(out_dir, name, payload):
 
 def _build(args):
     pmap, disk, horizon, shrink = load_map_config(args.config)
-    run = _run_config(args, horizon)
+    policy = _run_config(args, horizon)
     try:
-        tree = build_tree(pmap, disk, run.depth, policy=run.policy())
+        tree = build_tree(pmap, disk, args.depth, policy=policy)
     except HypothesisViolation as exc:
         report = getattr(exc, "report", None)
         if shrink is None or report is None or report.compactly_contained:
@@ -75,7 +74,7 @@ def _build(args):
         print(f"boundary contact at radius {disk.radius}; retrying with "
               f"radius {smaller.radius}", file=sys.stderr)
         disk = smaller
-        tree = build_tree(pmap, disk, run.depth, policy=run.policy())
+        tree = build_tree(pmap, disk, args.depth, policy=policy)
     return pmap, disk, tree
 
 

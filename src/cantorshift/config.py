@@ -1,4 +1,4 @@
-"""Run configuration and map-file parsing.
+"""Map-file parsing and the budget overrides from the environment.
 
 Map configuration is a JSON document:
 
@@ -19,34 +19,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 from .maps import DomainDisk, PolynomialMap, escape_radius
-from .tree import ResolutionPolicy
 
 ENV_MAX_BOXES = "CANTORSHIFT_MAX_BOXES"
 ENV_MAX_RESOLUTION = "CANTORSHIFT_MAX_RESOLUTION"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a CLI run needs besides the map itself."""
-
-    depth: int = 6
-    horizon: int = 20
-    max_boxes: int = ResolutionPolicy.max_boxes
-    max_resolution: int = ResolutionPolicy.max_resolution
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if self.max_boxes <= 0 or self.max_resolution <= 0:
-            raise ValueError("budgets must be positive")
-
-    def policy(self) -> ResolutionPolicy:
-        return ResolutionPolicy(max_boxes=self.max_boxes,
-                                max_resolution=self.max_resolution,
-                                validation_horizon=self.horizon)
 
 
 def env_budget_overrides():

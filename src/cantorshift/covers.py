@@ -171,9 +171,6 @@ class PavedCover:
         """The cells at the given indices, as (r, i, j) tuples."""
         return list(zip(self.r[idx].tolist(), self.i[idx].tolist(), self.j[idx].tolist()))
 
-    def iter_cells(self):
-        return iter(self.cells_at(slice(None)))
-
     def subset(self, idx) -> "PavedCover":
         """The pavement of the cells at the given indices."""
         return PavedCover(self.frame, np.stack((self.r[idx], self.i[idx], self.j[idx]), axis=1))

@@ -1,19 +1,18 @@
 """Outward-rounded interval arithmetic on IEEE doubles.
 
-Real intervals are ``(lo, hi)`` float pairs; complex enclosures are
-axis-aligned rectangles ``(re_lo, re_hi, im_lo, im_hi)``.  Every arithmetic
-step is widened by one ulp with ``math.nextafter``, so a computed enclosure
-contains the exact real/complex result independently of the host's rounding
-mode.  This one-ulp epsilon inflation is the portable substitute for
-directed rounding.
-
-The plain-tuple functions (``iadd``, ``imul``, ``badd``, ``bmul``, ...)
-work on scalars; the ``v*`` kernels do the same on numpy arrays of
-endpoints for the subdivision loops.  They widen by the exact one-ulp step
-of the int64 bit pattern (``_outward``), which gives np.nextafter's bits
-on every input: only +0 going down, -0 going up, the infinities and NaN
-need np.nextafter itself.  The ``IntervalBox`` dataclass is the public
-face of a rectangle.
+Real intervals are ``(lo, hi)`` pairs of endpoints; complex enclosures are
+axis-aligned rectangles ``(re_lo, re_hi, im_lo, im_hi)``.  The ``v*``
+kernels compute them on numpy arrays of endpoints, one interval or
+rectangle per element; a single box is a batch of length one.  Every
+arithmetic step is widened by one ulp, so a computed enclosure contains
+the exact real/complex result independently of the host's rounding mode.
+This one-ulp epsilon inflation is the portable substitute for directed
+rounding.  The kernels widen by the exact one-ulp step of the int64 bit
+pattern (``_outward``), which gives np.nextafter's bits on every input:
+only +0 going down, -0 going up, the infinities and NaN need np.nextafter
+itself.  Scalar ``math.nextafter`` remains only where an exact value is
+enclosed once (``enclose_fraction``, ``isqrt_hi``).  The ``IntervalBox``
+dataclass is the public face of a rectangle.
 
 Overflow is not an error: bounds saturate at +-inf and any NaN produced by
 ``inf * 0`` style products is widened to the whole line, which keeps every
@@ -30,54 +29,6 @@ import numpy as np
 
 _INF = math.inf
 _nextafter = math.nextafter
-
-
-# ---------------------------------------------------------------------------
-# real intervals as (lo, hi) tuples
-# ---------------------------------------------------------------------------
-
-def iadd(a, b):
-    lo = a[0] + b[0]
-    hi = a[1] + b[1]
-    if lo != lo or hi != hi:  # inf - inf
-        return (-_INF, _INF)
-    return (_nextafter(lo, -_INF), _nextafter(hi, _INF))
-
-
-def isub(a, b):
-    lo = a[0] - b[1]
-    hi = a[1] - b[0]
-    if lo != lo or hi != hi:
-        return (-_INF, _INF)
-    return (_nextafter(lo, -_INF), _nextafter(hi, _INF))
-
-
-def imul(a, b):
-    al, ah = a
-    bl, bh = b
-    p1 = al * bl
-    p2 = al * bh
-    p3 = ah * bl
-    p4 = ah * bh
-    if p1 != p1 or p2 != p2 or p3 != p3 or p4 != p4:  # 0 * inf
-        return (-_INF, _INF)
-    lo = min(p1, p2, p3, p4)
-    hi = max(p1, p2, p3, p4)
-    return (_nextafter(lo, -_INF), _nextafter(hi, _INF))
-
-
-def isq(a):
-    """Interval square; tighter than imul(a, a) when a straddles 0."""
-    al, ah = a
-    if al >= 0.0:
-        lo, hi = al * al, ah * ah
-    elif ah <= 0.0:
-        lo, hi = ah * ah, al * al
-    else:
-        lo, hi = 0.0, max(al * al, ah * ah)
-    if hi != hi:
-        return (0.0, _INF)
-    return (lo if lo == 0.0 else _nextafter(lo, -_INF), _nextafter(hi, _INF))
 
 
 def isqrt_hi(x):
@@ -101,53 +52,14 @@ def enclose_fraction(q) -> tuple:
     return (_nextafter(f, -_INF), f)
 
 
-# ---------------------------------------------------------------------------
-# complex rectangles as (re_lo, re_hi, im_lo, im_hi) tuples
-# ---------------------------------------------------------------------------
-
-def badd(u, v):
-    re = iadd((u[0], u[1]), (v[0], v[1]))
-    im = iadd((u[2], u[3]), (v[2], v[3]))
-    return (re[0], re[1], im[0], im[1])
-
-
-def bmul(u, v):
-    ux = (u[0], u[1])
-    uy = (u[2], u[3])
-    vx = (v[0], v[1])
-    vy = (v[2], v[3])
-    re = isub(imul(ux, vx), imul(uy, vy))
-    im = iadd(imul(ux, vy), imul(uy, vx))
-    return (re[0], re[1], im[0], im[1])
-
-
-def bsquare(u):
-    """Enclosure of z^2 over a rectangle; tighter than bmul(u, u) because
-    x^2 and y^2 keep their signs."""
-    x = (u[0], u[1])
-    y = (u[2], u[3])
-    re = isub(isq(x), isq(y))
-    xy = imul(x, y)
-    im = iadd(xy, xy)
-    return (re[0], re[1], im[0], im[1])
-
-
-def babs2(u, center):
-    """Interval of |z - c|^2 over z in rectangle u, c in rectangle center."""
-    dx = isub((u[0], u[1]), (center[0], center[1]))
-    dy = isub((u[2], u[3]), (center[2], center[3]))
-    return iadd(isq(dx), isq(dy))
-
-
 def boverlap(u, v) -> bool:
     """Closed-rectangle overlap test (False certifies disjointness)."""
     return u[0] <= v[1] and v[0] <= u[1] and u[2] <= v[3] and v[2] <= u[3]
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels: the same outward-rounded operations on ndarray
-# endpoints, used by the subdivision hot loop.  Semantically these mirror
-# the scalar functions above; ``_outward`` provides the identical one-ulp
+# vectorized kernels: outward-rounded operations on ndarray endpoints, the
+# library's one float box arithmetic; ``_outward`` provides the one-ulp
 # inflation elementwise, by stepping bit patterns.
 # ---------------------------------------------------------------------------
 

@@ -4,10 +4,12 @@ escape radius, and the restriction-hypothesis validator.
 Coefficients are exact Gaussian rationals (decimal-string real/imaginary
 parts), converted once to outward-rounded interval rectangles.  Keeping the
 exact values around buys two things: bit-reproducible float enclosures on
-any platform, and exact orbits.  Orbits of exact points are walked on
-adaptive-precision dyadic balls (``DyadicOrbit``), which settle escape and
-stay cheaply; exact rational arithmetic is kept where an equality is the
-question (a periodic revisit, a critical hit).
+any platform, and exact orbits.  Orbits of exact points, and of critical
+points known only by an enclosure, are walked on adaptive-precision dyadic
+balls (``DyadicOrbit``), which settle escape and stay cheaply; exact
+rational arithmetic is kept where an equality is the question (a periodic
+revisit, a critical hit).  Float rectangles go through the vector kernels
+of ``intervals`` only, a single one as a batch of length one.
 
 Every simple root is certified by one batched Krawczyk loop (``_krawczyk``):
 companion-matrix eigenvalues seed a numpy Krawczyk test on any monic exact
@@ -36,11 +38,7 @@ import numpy as np
 from .errors import PrecisionExceeded
 from .intervals import (
     IntervalBox,
-    babs2,
-    badd,
-    bmul,
     boverlap,
-    bsquare,
     enclose_fraction,
     vbabs2,
     vbadd,
@@ -283,6 +281,11 @@ def _exact_point_box(z):
     return (r[0], r[1], i[0], i[1])
 
 
+def _one_box(rect):
+    """A single rectangle as a batch of length one for the vector kernels."""
+    return tuple(np.array([v], dtype=np.float64) for v in rect)
+
+
 def _enclosures(p):
     """Outward enclosures of exact coefficients, in their order, with None
     for an exact zero (the kernels skip its addition)."""
@@ -523,8 +526,13 @@ class _Monic:
 
     def eval_boxes(self, boxes, constant=None):
         """Enclosure over rectangles: ``boxes`` is a 4-tuple of ndarrays
-        (re_lo, re_hi, im_lo, im_hi); the Horner scheme and rounding of
-        ``PolynomialMap.eval_box``.
+        (re_lo, re_hi, im_lo, im_hi).
+
+        Monic Horner, monotone under inclusion, with two cheap sharpenings:
+        zero coefficients skip their addition, and the first accumulated
+        product acc*z with acc still equal to z uses the dedicated square
+        (which keeps the signs of x^2 and y^2, noticeably tightening
+        iterated images).
 
         ``constant``, when given, is a 4-tuple of rectangles that replaces
         the constant coefficient per box, e.g. enclosures of a_0 - w for
@@ -579,24 +587,9 @@ class PolynomialMap(_Monic):
         return p_eval(self.exact_coefficients, z)
 
     def eval_box(self, box4):
-        """Raw-tuple enclosure of the image of one rectangle, for
-        ``eval_enclosure`` and the float-box orbit walk.
-
-        Monic Horner with two cheap sharpenings: zero coefficients skip
-        their addition, and the first accumulated product acc*z with acc
-        still equal to z uses the dedicated square (which keeps the signs
-        of x^2 and y^2, noticeably tightening iterated images).
-        """
-        acc = box4
-        c = self._nonzero_boxes[self.degree - 1]
-        if c is not None:
-            acc = badd(acc, c)
-        for k in range(self.degree - 2, -1, -1):
-            acc = bsquare(acc) if acc is box4 else bmul(acc, box4)
-            c = self._nonzero_boxes[k]
-            if c is not None:
-                acc = badd(acc, c)
-        return acc
+        """``eval_boxes`` of one rectangle, a tuple of four floats, for
+        ``eval_enclosure``."""
+        return tuple(float(a[0]) for a in self.eval_boxes(_one_box(box4)))
 
     def eval_boxes_sharp(self, boxes):
         """Vectorized enclosure intersecting plain Horner with the centered
@@ -693,16 +686,13 @@ class DomainDisk:
 
     def side(self, rect):
         """'in' (inside the open disk) or 'out' (outside the closed disk),
-        certified for every point of a float rectangle; None if undecided."""
-        d2 = babs2(rect, self.center_box)
-        if d2[1] < self.r2_lo:
-            return "in"
-        if d2[0] > self.r2_hi:
-            return "out"
-        return None
+        certified for every point of a float rectangle; None if undecided.
+        ``sides`` of one rectangle."""
+        inside, outside = self.sides(_one_box(rect))
+        return "in" if inside[0] else "out" if outside[0] else None
 
     def sides(self, walls):
-        """``side`` for arrays of rectangles, in one vector pass: the masks
+        """Arrays of rectangles classified in one vector pass: the masks
         of those certified inside the open disk and of those certified
         outside the closed disk."""
         d2_lo, d2_hi = vbabs2(walls, self.center_box)
@@ -732,9 +722,14 @@ def _ceil_scaled(x, prec) -> int:
     return -((-x.numerator << prec) // x.denominator)
 
 
+def _dyadic_rect(rect, prec):
+    """The least box at scale 2**prec around an exact or float rectangle."""
+    return (_floor_scaled(rect[0], prec), _ceil_scaled(rect[1], prec),
+            _floor_scaled(rect[2], prec), _ceil_scaled(rect[3], prec))
+
+
 def _dyadic_point(z, prec):
-    return (_floor_scaled(z[0], prec), _ceil_scaled(z[0], prec),
-            _floor_scaled(z[1], prec), _ceil_scaled(z[1], prec))
+    return _dyadic_rect((z[0], z[0], z[1], z[1]), prec)
 
 
 def _imul_int(alo, ahi, blo, bhi):
@@ -768,7 +763,8 @@ def _dmul(u, v, prec):
 
 
 def _dsquare(u, prec):
-    """Box square, tighter than _dmul(u, u) as bsquare is than bmul."""
+    """Box square, tighter than _dmul(u, u) because x^2 and y^2 keep
+    their signs."""
     xx = _isq_int(u[0], u[1])
     yy = _isq_int(u[2], u[3])
     xy = _imul_int(u[0], u[1], u[2], u[3])
@@ -777,45 +773,57 @@ def _dsquare(u, prec):
 
 
 class DyadicOrbit:
-    """Certified enclosures of the orbit of an exact point: dyadic boxes
+    """Certified enclosures of an orbit: dyadic boxes
     ``(re_lo, re_hi, im_lo, im_hi)`` of Python ints over 2**prec.
 
-    Each step applies f in the Horner order of ``PolynomialMap.eval_box``
-    with exact integer products rounded once, down for lower and up for
-    upper bounds, so every box contains the exact orbit point.  Precision
-    adapts as for Arb's midpoint-radius balls: whenever a box straddles the
-    circle |z - c| = R, or has kept fewer than half of its ``prec`` bits,
-    the precision doubles and the walk restarts from the exact seed, up to
-    the ceiling ``_MAX_ORBIT_BITS``.  The exact
-    orbit is advanced lazily, only for the steps where a caller needs an
-    equality decided, and only below the same bit guard.
+    The seed is an exact point ``(re, im)`` or a rectangle
+    ``(re_lo, re_hi, im_lo, im_hi)`` of floats or rationals, such as the
+    enclosure of a critical point known only that way; the boxes then
+    contain the orbit of every point of the rectangle.  Each step applies f
+    in the Horner order of ``_Monic.eval_boxes`` with exact integer
+    products rounded once, down for lower and up for upper bounds, so every
+    box contains the exact orbit point.  Precision adapts as for Arb's
+    midpoint-radius balls: whenever a box straddles the circle |z - c| = R,
+    or has kept fewer than half of its ``prec`` bits, the precision doubles
+    and the walk restarts from the seed, up to a ceiling: ``_MAX_ORBIT_BITS``
+    for an exact point, and for a rectangle the precision that holds it
+    exactly (at least 64 bits), past which its own width dominates.  The
+    exact orbit of an exact point is advanced lazily, only for the steps
+    where a caller needs an equality decided, and only below the same bit
+    guard; a rectangle has none.
     """
 
     def __init__(self, pmap: PolynomialMap, disk: DomainDisk, z, prec: int = 64):
         self.pmap = pmap
         self.step = 0
-        self._seed = z
-        self._exact = (0, z)
+        if len(z) == 4:
+            self._seed = z
+            self._exact = None
+            self._ceiling = max(64, *(Fraction(v).denominator.bit_length() - 1 for v in z))
+        else:
+            self._seed = (z[0], z[0], z[1], z[1])
+            self._exact = (0, z)
+            self._ceiling = _MAX_ORBIT_BITS
         cden = math.lcm(disk.center[0].denominator, disk.center[1].denominator)
         # the disk scaled to integers: center * cden and R^2 as a fraction
         self._disk = (int(disk.center[0] * cden), int(disk.center[1] * cden),
                       cden, disk.r2.numerator, disk.r2.denominator)
-        self._set_prec(min(prec, _MAX_ORBIT_BITS))
+        self._set_prec(min(prec, self._ceiling))
 
     def _set_prec(self, prec):
         """(Re)compute the box of the current step at precision ``prec``."""
         self.prec = prec
         self._coeffs = [None if qc_is_zero(c) else _dyadic_point(c, prec)
                         for c in self.pmap.exact_coefficients[:-1]]
-        box = _dyadic_point(self._seed, prec)
+        box = _dyadic_rect(self._seed, prec)
         for _ in range(self.step):
             box = self._image(box)
         self.box = box
 
     def _refine(self) -> bool:
-        if self.prec >= _MAX_ORBIT_BITS:
+        if self.prec >= self._ceiling:
             return False
-        self._set_prec(min(2 * self.prec, _MAX_ORBIT_BITS))
+        self._set_prec(min(2 * self.prec, self._ceiling))
         return True
 
     def _image(self, z):
@@ -871,8 +879,11 @@ class DyadicOrbit:
                 and b[2] <= _floor_scaled(rect[3], p) and _ceil_scaled(rect[2], p) <= b[3])
 
     def exact_point(self):
-        """The exact orbit point at the current step, or None once the exact
-        orbit passes the ``_MAX_ORBIT_BITS`` size guard."""
+        """The exact orbit point at the current step, or None for a
+        rectangle seed or once the exact orbit passes the
+        ``_MAX_ORBIT_BITS`` size guard."""
+        if self._exact is None:
+            return None
         k, z = self._exact
         while k < self.step and qc_bits(z) <= _MAX_ORBIT_BITS:
             z = self.pmap.eval_exact(z)
@@ -964,8 +975,9 @@ def _exact_orbit_status(pmap, disk, start, horizon):
 
 
 def _ball_orbit_status(pmap, disk, z, first_step, horizon):
-    """Escape or stay of the orbit of the exact point z, counting its
-    steps from ``first_step``, certified on dyadic balls."""
+    """Escape or stay of the orbit of z, an exact point or a rectangle (see
+    ``DyadicOrbit``), counting its steps from ``first_step``, certified on
+    dyadic balls."""
     orbit = DyadicOrbit(pmap, disk, z)
     for step in range(first_step, horizon + 1):
         if step > first_step:
@@ -975,22 +987,6 @@ def _ball_orbit_status(pmap, disk, z, first_step, horizon):
             return "undecided", None, False
         if side == "out":
             return "escapes", step, False
-    return "in_Uprime", None, False
-
-
-def _interval_orbit_status(pmap, disk, box, horizon):
-    """The orbit walk of a critical point known only by an enclosure: float
-    boxes, undecided once a box is wider than 0.25."""
-    cur = box.as_tuple()
-    for step in range(horizon + 1):
-        side = disk.side(cur)
-        if side == "out":
-            return "escapes", step, False
-        if side is None:
-            return "undecided", None, False
-        if cur[1] - cur[0] > 0.25 or cur[3] - cur[2] > 0.25:
-            return "undecided", None, False
-        cur = pmap.eval_box(cur)
     return "in_Uprime", None, False
 
 
@@ -1030,7 +1026,8 @@ def validate_restriction(pmap: PolynomialMap, disk: DomainDisk, level1, horizon:
         if crit.exact is not None:
             status, esc_step, periodic = _exact_orbit_status(pmap, disk, crit.exact, horizon)
         else:
-            status, esc_step, periodic = _interval_orbit_status(pmap, disk, crit.enclosure, horizon)
+            status, esc_step, periodic = _ball_orbit_status(
+                pmap, disk, crit.enclosure.as_tuple(), 0, horizon)
         if periodic:
             periodic_flag = True
         if in_restr and (status == "escapes" or periodic):

@@ -47,10 +47,6 @@ class AbstractTree:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    @property
-    def n_level1(self) -> int:
-        return len(self.levels[1]) if self.depth >= 1 else 0
-
 
 def _random_composition(rng: random.Random, total: int, bias: float, min_parts: int = 1):
     """Random composition of ``total``; each of the total-1 gaps breaks

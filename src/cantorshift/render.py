@@ -62,9 +62,9 @@ def render_svg(tree, level: int, color_by: str = "level", assignment=None,
             out.append(f'<g fill="{color}" stroke="{color}">'
                        f'<title>component {lvl}:{comp.index} degree '
                        f'{comp.local_degree}</title>')
-            bounds = comp.cover.frame.cell_bounds
-            for r, i, j in comp.cover.iter_cells():
-                x_lo, x_hi, y_lo, y_hi = bounds(i, j, r)
+            cover = comp.cover
+            walls = (w.tolist() for w in frame.cell_walls(cover.r, cover.i, cover.j))
+            for x_lo, x_hi, y_lo, y_hi in zip(*walls):
                 out.append(f'<rect x="{x_lo:.8f}" y="{-y_hi:.8f}" '
                            f'width="{x_hi - x_lo:.8f}" height="{y_hi - y_lo:.8f}"/>')
             out.append('</g>')

@@ -95,6 +95,10 @@ class ResolutionPolicy:
     max_resolution: int = 16
     validation_horizon: int = 20
 
+    def __post_init__(self):
+        if self.max_boxes <= 0 or self.max_resolution <= 0:
+            raise ValueError("budgets must be positive")
+
 
 @dataclass
 class Component:
@@ -202,11 +206,14 @@ class _Defects:
     def __bool__(self):
         return bool(self.counts)
 
+    def __str__(self):
+        histogram = ", ".join(f"{kind}={n}" for kind, n in self.counts.items())
+        return f"{self.first} (by kind: {histogram})"
+
     def raise_failure(self, labels):
         """``labels`` maps pavement cells to the cluster indices named."""
-        histogram = ", ".join(f"{kind}={n}" for kind, n in self.counts.items())
         refine = np.isin(labels, list(self.clusters)) if self.clusters else None
-        raise _Failure("defects", f"{self.first} (by kind: {histogram})", refine=refine)
+        raise _Failure("defects", str(self), refine=refine)
 
 
 class PuzzleTree:
@@ -613,7 +620,9 @@ class _TreeBuilder:
                             f"membership in f^-{k}(U)", [idx])
             witness_points.append(chosen)
         if defects:
-            defects.raise_failure(labels)
+            # the candidates are the midpoints of the witness enclosures,
+            # solved once per level: no refinement changes a walk's answer
+            raise Undecided(f"level {k}: {defects}")
 
         return _Built(pavement, interior, labels, parent_of, image_of, local_degree,
                       crits_in, witness_points)
@@ -790,9 +799,10 @@ def build_tree(pmap: PolynomialMap, disk: DomainDisk, depth: int,
 
     Each level is refined until the container/image/witness/conservation
     certificates all hold.  Raises ResolutionExceeded when budgets run out
-    first, and HypothesisViolation when the geometry is certified
-    incompatible with a polynomial-like restriction (N < 2, escaping or
-    periodic critical orbits).
+    first, Undecided when no witness candidate of some cluster certifies
+    its membership (refinement cannot change that), and HypothesisViolation
+    when the geometry is certified incompatible with a polynomial-like
+    restriction (N < 2, escaping or periodic critical orbits).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -847,12 +857,6 @@ class CantorDiagnostic:
 
     max_diameters: tuple
     strictly_decreasing: bool
-
-    def to_json_dict(self):
-        return {
-            "max_diameters": [repr(x) for x in self.max_diameters],
-            "strictly_decreasing": self.strictly_decreasing,
-        }
 
 
 def cantor_diagnostic(tree: PuzzleTree) -> CantorDiagnostic:

@@ -133,14 +133,31 @@ def test_render_by_symbols(quadratic_tree, quadratic_assignment):
         render_svg(quadratic_tree, 99)
 
 
-def test_run_config_validation():
-    from cantorshift.config import RunConfig
-    cfg = RunConfig(max_resolution=30)
-    assert cfg.policy().max_resolution == 30
-    with pytest.raises(ValueError):
-        RunConfig(depth=-1)
-    with pytest.raises(ValueError):
-        RunConfig(max_boxes=0)
+def test_run_config_validation(quad_config, tmp_path, capsys, monkeypatch):
+    # a run's budgets are one ResolutionPolicy: the environment overrides the
+    # flag, an unset budget takes the default, and zero is rejected; the
+    # depth is checked by build_tree
+    from types import SimpleNamespace
+
+    from cantorshift import DomainDisk, PolynomialMap, ResolutionPolicy, build_tree
+    from cantorshift.cli import _run_config
+    monkeypatch.delenv("CANTORSHIFT_MAX_BOXES", raising=False)
+    monkeypatch.delenv("CANTORSHIFT_MAX_RESOLUTION", raising=False)
+    args = SimpleNamespace(max_resolution=30)
+    assert _run_config(args, 25) == ResolutionPolicy(max_resolution=30, validation_horizon=25)
+    monkeypatch.setenv("CANTORSHIFT_MAX_BOXES", "500")
+    monkeypatch.setenv("CANTORSHIFT_MAX_RESOLUTION", "12")
+    assert _run_config(args, 25) == ResolutionPolicy(
+        max_boxes=500, max_resolution=12, validation_horizon=25)
+    for budgets in ({"max_boxes": 0}, {"max_resolution": -1}):
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            ResolutionPolicy(**budgets)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        build_tree(PolynomialMap(QUAD_CONFIG["coefficients"]), DomainDisk(("0", "0"), "4"), -1)
+    code, _, err = run(["analyze", "--config", quad_config, "--depth", "-1",
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "depth must be >= 0" in err
 
 
 @pytest.mark.parametrize("flags, env", [
@@ -182,10 +199,3 @@ def test_shrink_on_contact_retries(tmp_path, capsys):
     assert "retrying with radius 27/10" in err
     assert code == 4  # still a certified hypothesis violation afterwards
 
-
-def test_diagnostic_export(quadratic_tree):
-    from cantorshift import cantor_diagnostic
-    doc = cantor_diagnostic(quadratic_tree).to_json_dict()
-    assert doc["strictly_decreasing"] is True
-    assert len(doc["max_diameters"]) == quadratic_tree.depth + 1
-    assert all(isinstance(x, str) for x in doc["max_diameters"])

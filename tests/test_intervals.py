@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 from cantorshift import IntervalBox, PolynomialMap, eval_enclosure
 from cantorshift.intervals import (
     _outward,
-    babs2,
-    badd,
-    bmul,
-    bsquare,
     enclose_fraction,
-    iadd,
-    imul,
-    isq,
-    isub,
     vbabs2,
     vbadd,
     vbmul,
@@ -44,20 +36,26 @@ def pick(iv, t):
     return min(max(iv[0] + t * (iv[1] - iv[0]), iv[0]), iv[1])
 
 
+def one(*values):
+    """Scalars as length-1 arrays, the batch the vector kernels take."""
+    return tuple(np.array([v], dtype=np.float64) for v in values)
+
+
+def holds(iv, q):
+    """The computed interval (length-1 arrays) contains the exact q."""
+    return Fraction(float(iv[0][0])) <= q <= Fraction(float(iv[1][0]))
+
+
 @given(finite, finite, finite, finite, st.floats(0, 1), st.floats(0, 1))
 def test_real_ops_contain_samples(a, b, c, d, ta, tb):
-    x = interval(a, b)
-    y = interval(c, d)
-    px = pick(x, ta)
-    py = pick(y, tb)
-    lo, hi = iadd(x, y)
-    assert lo <= px + py <= hi
-    lo, hi = isub(x, y)
-    assert lo <= px - py <= hi
-    lo, hi = imul(x, y)
-    assert lo <= px * py <= hi
-    lo, hi = isq(x)
-    assert lo <= px * px <= hi
+    x = one(*interval(a, b))
+    y = one(*interval(c, d))
+    px = Fraction(pick(interval(a, b), ta))
+    py = Fraction(pick(interval(c, d), tb))
+    assert holds(viadd(*x, *y), px + py)
+    assert holds(visub(*x, *y), px - py)
+    assert holds(vimul(*x, *y), px * py)
+    assert holds(visq(*x), px * px)
 
 
 @given(finite, finite, finite, finite, finite, finite, finite, finite,
@@ -66,16 +64,14 @@ def test_real_ops_contain_samples(a, b, c, d, ta, tb):
 def test_complex_ops_contain_samples(a, b, c, d, e, f, g, h, t1, t2, t3, t4):
     u = interval(a, b) + interval(c, d)
     v = interval(e, f) + interval(g, h)
-    zu = complex(pick(u[:2], t1), pick(u[2:], t2))
-    zv = complex(pick(v[:2], t3), pick(v[2:], t4))
-    s = badd(u, v)
-    assert s[0] <= (zu + zv).real <= s[1] and s[2] <= (zu + zv).imag <= s[3]
-    p = bmul(u, v)
-    w = zu * zv
-    assert p[0] <= w.real <= p[1] and p[2] <= w.imag <= p[3]
-    q = bsquare(u)
-    w2 = zu * zu
-    assert q[0] <= w2.real <= q[1] and q[2] <= w2.imag <= q[3]
+    xu, yu = Fraction(pick(u[:2], t1)), Fraction(pick(u[2:], t2))
+    xv, yv = Fraction(pick(v[:2], t3)), Fraction(pick(v[2:], t4))
+    s = vbadd(one(*u), one(*v))
+    assert holds(s[:2], xu + xv) and holds(s[2:], yu + yv)
+    p = vbmul(one(*u), one(*v))
+    assert holds(p[:2], xu * xv - yu * yv) and holds(p[2:], xu * yv + yu * xv)
+    q = vbsquare(one(*u))
+    assert holds(q[:2], xu * xu - yu * yu) and holds(q[2:], 2 * xu * yu)
 
 
 def test_enclose_fraction_contains_exact():
@@ -159,29 +155,82 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
-def same_bits(vec, scalar):
-    """Element n of each array of ``vec`` against the n-th scalar tuple,
-    bit for bit (zero signs count)."""
-    cols = np.array(scalar, dtype=np.float64).reshape(len(scalar), -1).T
-    assert all(np.array_equal(bits(v), bits(c)) for v, c in zip(vec, cols))
+# exact interval arithmetic on Fraction pairs: the value each kernel's
+# formula has before rounding, which its outward-rounded result contains
+def x_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def x_sub(a, b):
+    return a[0] - b[1], a[1] - b[0]
+
+
+def x_mul(a, b):
+    p = [x * y for x in a for y in b]
+    return min(p), max(p)
+
+
+def x_sq(a):
+    if a[0] >= 0:
+        return a[0] * a[0], a[1] * a[1]
+    if a[1] <= 0:
+        return a[1] * a[1], a[0] * a[0]
+    return Fraction(0), max(a[0] * a[0], a[1] * a[1])
+
+
+def pairs(box):
+    return [box[:2], box[2:]]
+
+
+def encloses(lo, hi, exact):
+    """Float bounds (possibly infinite) around an exact interval."""
+    return ((lo == -math.inf or Fraction(lo) <= exact[0])
+            and (hi == math.inf or exact[1] <= Fraction(hi)))
 
 
 @given(st.lists(st.tuples(anyfloat, anyfloat, anyfloat, anyfloat), min_size=1, max_size=8))
 @settings(max_examples=300)
-def test_vector_kernels_agree_with_scalar(rects):
+def test_vector_kernels_on_any_floats(rects):
+    # every kernel on infinities, signed zeros, subnormals and DBL_MAX: no
+    # NaN, ordered bounds, and, for finite inputs, the exact result inside
     boxes = [(min(a, b), max(a, b), min(c, d), max(c, d)) for a, b, c, d in rects]
     arr = tuple(np.array(col) for col in zip(*boxes))
     other = boxes[0]
-    x, y = (boxes[0][0], boxes[0][1]), (boxes[0][2], boxes[0][3])
-    xs = [(b[0], b[1]) for b in boxes]
-    same_bits(viadd(arr[0], arr[1], *x), [iadd(a, x) for a in xs])
-    same_bits(visub(arr[0], arr[1], *y), [isub(a, y) for a in xs])
-    same_bits(vimul(arr[0], arr[1], *y), [imul(a, y) for a in xs])
-    same_bits(visq(arr[0], arr[1]), [isq(a) for a in xs])
-    same_bits(vbabs2(arr, other), [babs2(b, other) for b in boxes])
-    same_bits(vbmul(arr, other), [bmul(b, other) for b in boxes])
-    same_bits(vbadd(arr, other), [badd(b, other) for b in boxes])
-    same_bits(vbsquare(arr), [bsquare(b) for b in boxes])
+    x, y = other[:2], other[2:]
+    with np.errstate(all="ignore"):  # overflow and inf - inf are expected
+        results = {  # name: (computed pairs, exact pairs of box b and other o)
+            "viadd": ([viadd(arr[0], arr[1], *x)],
+                      lambda b, o: [x_add(b[:2], o[:2])]),
+            "visub": ([visub(arr[0], arr[1], *y)],
+                      lambda b, o: [x_sub(b[:2], o[2:])]),
+            "vimul": ([vimul(arr[0], arr[1], *y)],
+                      lambda b, o: [x_mul(b[:2], o[2:])]),
+            "visq": ([visq(arr[0], arr[1])],
+                     lambda b, o: [x_sq(b[:2])]),
+            "vbadd": (pairs(vbadd(arr, other)),
+                      lambda b, o: [x_add(b[:2], o[:2]), x_add(b[2:], o[2:])]),
+            "vbmul": (pairs(vbmul(arr, other)),
+                      lambda b, o: [x_sub(x_mul(b[:2], o[:2]), x_mul(b[2:], o[2:])),
+                                    x_add(x_mul(b[:2], o[2:]), x_mul(b[2:], o[:2]))]),
+            "vbsquare": (pairs(vbsquare(arr)),
+                         lambda b, o: [x_sub(x_sq(b[:2]), x_sq(b[2:])),
+                                       x_add(x_mul(b[:2], b[2:]), x_mul(b[:2], b[2:]))]),
+            "vbabs2": ([vbabs2(arr, other)],
+                       lambda b, o: [x_add(x_sq(x_sub(b[:2], o[:2])),
+                                           x_sq(x_sub(b[2:], o[2:])))]),
+        }
+    is_finite = [all(map(math.isfinite, b)) for b in boxes]
+    for name, (got, exact) in results.items():
+        for lo, hi in got:
+            assert not (np.isnan(lo).any() or np.isnan(hi).any()), name
+            assert (lo <= hi).all(), name
+        if not is_finite[0]:  # the second operand of every binary kernel
+            continue
+        for n, box in enumerate(boxes):
+            if is_finite[n]:
+                want = exact(tuple(map(Fraction, box)), tuple(map(Fraction, other)))
+                for (lo, hi), w in zip(got, want):
+                    assert encloses(float(lo[n]), float(hi[n]), w), (name, box, other)
 
 
 def test_outward_matches_nextafter_bitwise():

@@ -18,10 +18,11 @@ from cantorshift import (
     validate_restriction,
 )
 from cantorshift.covers import Frame, PavedCover
-from cantorshift.intervals import babs2, boverlap
+from cantorshift.intervals import boverlap
 from cantorshift.maps import (
     _SHARP_CHUNK,
     DyadicOrbit,
+    _ball_orbit_status,
     _exact_orbit_status,
     _leaves_lattice,
     certified_roots,
@@ -269,18 +270,21 @@ def test_escape_radius_values():
 
 
 def test_escape_radius_expels_circle_samples():
-    # interval check of |f(z)| > |z| on samples of |z| = 1.05 R
+    # interval check of |f(z)| > |z| on samples of |z| = 1.05 R: the image
+    # enclosure lies outside the closed disk of radius r, and so does the
+    # exact image
+    import cmath
     for coeffs in ([("-6", "0"), ("0", "0"), ("1", "0")],
                    [("0.1", "0"), ("-3", "0"), ("0", "0"), ("1", "0")],
                    [("0", "0"), ("0", "0"), ("0", "0"), ("1", "0")]):
         pmap = PolynomialMap(coeffs)
         r = float(escape_radius(pmap)) * 1.05
+        disk = DomainDisk(("0", "0"), Fraction(r))
         for t in range(16):
-            import cmath
             z = r * cmath.exp(2j * cmath.pi * t / 16)
             e = pmap.eval_box((z.real, z.real, z.imag, z.imag))
-            d2 = babs2(e, (0.0, 0.0, 0.0, 0.0))
-            assert d2[0] > r * r
+            assert disk.side(e) == "out"
+            assert disk.classify_exact(pmap.eval_exact((Fraction(z.real), Fraction(z.imag)))) == "out"
 
 
 def test_squarefree_decomposition_multiplicity():
@@ -332,17 +336,80 @@ def test_validate_boundary_contact_fails_containment():
     assert not report.hypothesis_ok
 
 
+def _enclosure_only_cubic():
+    # z^3 - 2z + 3/2: the critical points +-sqrt(2/3) are irrational, known
+    # only by their enclosures
+    return (PolynomialMap([("1.5", "0"), ("-2", "0"), ("0", "0"), ("1", "0")]),
+            DomainDisk(("0", "0"), "4.5"))
+
+
+def test_validate_walks_enclosure_only_critical_points():
+    pmap, disk = _enclosure_only_cubic()
+    report = validate_restriction(pmap, disk, _level1(pmap, disk), horizon=20)
+    assert [c.exact for c in pmap.critical_points] == [None, None]
+    minus, plus = report.critical_escape_flags  # canonical order: -sqrt(2/3) first
+    assert (minus["status"], minus["escape_step"]) == ("escapes", 2)
+    assert (plus["status"], plus["escape_step"]) == ("in_Uprime", None)
+    # a 60-digit walk agrees: f^2(-sqrt(2/3)) leaves |z| < 4.5, and the
+    # orbit of +sqrt(2/3) stays inside with a wide margin through step 20
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    for sign, escape in ((-1, 2), (1, None)):
+        z = sign * mp.sqrt(mp.mpf(2) / 3)
+        steps = []
+        for step in range(21):
+            if abs(z) > 4.5:
+                steps.append(step)
+                break
+            assert abs(abs(z) - 4.5) > 1e-6
+            z = z ** 3 - 2 * z + mp.mpf("1.5")
+        assert steps == ([] if escape is None else [escape])
+
+
+def test_rectangle_orbit_stays_within_its_seed_precision(monkeypatch):
+    # a wide seed cannot be decided, and refining past the precision that
+    # holds it exactly (at least 64 bits) would only cost time
+    pmap, disk = _enclosure_only_cubic()
+    seed = (0.7, 0.9, -0.1, 0.1)
+    ceiling = max(64, *(Fraction(v).denominator.bit_length() - 1 for v in seed))
+    precs = []
+    set_prec = DyadicOrbit._set_prec
+
+    def bounded(self, prec):
+        assert prec <= ceiling
+        precs.append(prec)
+        set_prec(self, prec)
+
+    monkeypatch.setattr(DyadicOrbit, "_set_prec", bounded)
+    assert _ball_orbit_status(pmap, disk, seed, 0, 20) == ("undecided", None, False)
+    assert precs
+    orbit = DyadicOrbit(pmap, disk, seed)
+    assert orbit.exact_point() is None
+    orbit.advance()
+    assert orbit.exact_point() is None
+
+
 def test_contains_cover_matches_cellwise_side():
-    # the vector test against the scalar one, cell by cell, on a grid whose
-    # cells lie inside, outside and across the circle, at several scales
+    # cell by cell, on a grid whose cells lie inside, outside and across the
+    # circle, at several scales, against the exact farthest corner of each
+    # cell's float walls: the disk is convex, so a cell lies inside the open
+    # disk exactly when that corner does.  Outward rounding may refuse a
+    # cell only within a few ulps of the circle
     disk = DomainDisk(("0.25", "-0.125"), "3")
     frame = Frame(-4.0, -4.0, 8.0)
     cells = [(r, i, j) for r, step in ((3, 1), (5, 1), (9, 13))
              for i in range(0, 1 << r, step) for j in range(0, 1 << r, step)]
-    want = [disk.side(frame.cell_bounds(i, j, r)) == "in" for r, i, j in cells]
+    want = [disk.contains_cover(PavedCover(frame, [cell])) for cell in cells]
     assert 0 < sum(want) < len(cells)
-    for cell, inside in zip(cells, want):
-        assert disk.contains_cover(PavedCover(frame, [cell])) == inside
+    for (r, i, j), inside in zip(cells, want):
+        walls = frame.cell_bounds(i, j, r)
+        far = max((Fraction(x) - disk.center[0]) ** 2 + (Fraction(y) - disk.center[1]) ** 2
+                  for x in walls[:2] for y in walls[2:])
+        if inside:
+            assert far < disk.r2
+        else:
+            assert far > disk.r2 * (1 - Fraction(1, 10 ** 12))
+        assert (disk.side(walls) == "in") == inside
     inner = [c for c, w in zip(cells, want) if w and c[0] == 9]
     assert disk.contains_cover(PavedCover(frame, inner))
     assert not disk.contains_cover(PavedCover(frame, cells[:1] + inner))

@@ -75,7 +75,7 @@ def test_nesting_of_covers(quadratic_tree):
     for k in range(2, 5):
         parents = quadratic_tree._built[k - 1]
         for c in quadratic_tree.levels[k]:
-            for (r, i, j) in c.cover.iter_cells():
+            for (r, i, j) in c.cover.cells_at(slice(None)):
                 anc = parents.pavement.find(r, [i], [j])[0]
                 assert anc >= 0
                 assert parents.labels[anc] == c.container
@@ -111,13 +111,14 @@ def test_witness_points_lie_in_their_level(quadratic_tree, cubic_tree):
                     assert tree.disk.classify_exact(z) == "in"
 
 
-def _walk_build(pmap, disk, depth, force=None):
+def _walk_build(pmap, disk, depth, force=None, attempts=None):
     """Build while recording each certification attempt as [level, walks,
-    failure text or None], a walk being the (start, horizon) of one
-    witness-membership orbit walk, and each level's witness enclosures.
-    ``force`` = (k, z) makes the first walk from z at level k report an
-    escape."""
-    attempts, boxes = [], {}
+    failure text or None] in ``attempts``, a walk being the (start,
+    horizon) of one witness-membership orbit walk, and each level's witness
+    enclosures.  ``force`` = (k, z) makes the first walk from z at level k
+    report an escape."""
+    attempts = [] if attempts is None else attempts
+    boxes = {}
     solve = tree_mod._TreeBuilder._solve_witness_preimages
     certify = tree_mod._TreeBuilder._certify
     walk = tree_mod._exact_orbit_status
@@ -130,7 +131,7 @@ def _walk_build(pmap, disk, depth, force=None):
         attempts.append([k, [], None])
         try:
             return certify(self, k, *args)
-        except tree_mod._Failure as fail:
+        except (tree_mod._Failure, Undecided) as fail:
             attempts[-1][2] = str(fail)
             raise
 
@@ -197,14 +198,19 @@ def test_witness_walk_without_candidate_left_fails(quadratic_map, quadratic_disk
     cands = _candidates(tree._built[2], boxes[2])
     assert all(len(c) == 1 for c in cands)
     forced = quadratic_map.eval_exact(cands[0][0])
-    tree, attempts, _ = _walk_build(quadratic_map, quadratic_disk, 3, force=(2, forced))
-    failed = [a for a in attempts if a[0] == 2 and a[1] and a[1][0][0] == forced]
-    _, walks, failure = failed[0]
+    attempts = []
+    with pytest.raises(Undecided) as info:
+        _walk_build(quadratic_map, quadratic_disk, 3, force=(2, forced), attempts=attempts)
+    # the candidates are fixed for the level, so no refinement can help: the
+    # first level-2 attempt that walks is the last attempt of the build
+    walked = [a for a in attempts if a[0] == 2 and a[1]]
+    assert len(walked) == 1 and walked[0] is attempts[-1]
+    _, walks, failure = walked[0]
     # the defect is recorded and the walk goes on with the next cluster
     assert walks == [(quadratic_map.eval_exact(c[0]), 1) for c in cands]
-    assert failure.startswith("defects: witness-member: ")
+    assert failure == str(info.value)
+    assert failure.startswith("level 2: witness-member: no witness midpoint of cluster 0 ")
     assert failure.endswith("(by kind: witness-member=1)")
-    assert [len(lvl) for lvl in tree.levels] == [1, 2, 4, 8]
 
 
 def test_empty_level_fails_certification(quadratic_map, quadratic_disk):
@@ -229,7 +235,7 @@ def test_level0_matches_cellwise_side(quadratic_map, center, radius):
     builder = tree_mod._TreeBuilder(quadratic_map, disk, small_policy())
     builder._build_level0()
     built = builder.built[0]
-    got = dict(zip(built.pavement.iter_cells(), built.interior.tolist()))
+    got = dict(zip(built.pavement.cells_at(slice(None)), built.interior.tolist()))
     target = built.pavement.finest
     n = 1 << tree_mod.BASE_RESOLUTION
     queue = [(tree_mod.BASE_RESOLUTION, i, j) for i in range(n) for j in range(n)]
