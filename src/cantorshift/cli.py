@@ -24,6 +24,7 @@ from .errors import (
     ResolutionExceeded,
     Undecided,
 )
+from .maps import DomainDisk
 from .oracle import run_equivalence_cases
 from .render import render_svg
 from .tree import ResolutionPolicy, build_tree, cantor_diagnostic
@@ -68,9 +69,7 @@ def _build(args):
             raise
         # boundary contact with a configured shrink factor: retry once on
         # the slightly smaller disk
-        from .maps import DomainDisk
-        smaller = DomainDisk((str(disk.center[0]), str(disk.center[1])),
-                             disk.radius * shrink)
+        smaller = DomainDisk(disk.center, disk.radius * shrink)
         print(f"boundary contact at radius {disk.radius}; retrying with "
               f"radius {smaller.radius}", file=sys.stderr)
         disk = smaller

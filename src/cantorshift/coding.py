@@ -187,6 +187,8 @@ def fibers(assignment: SymbolAssignment, tree, k: int, max_words: int = 10_000_0
     component receives at least one word; both facts are consequences of
     the partition property and are re-asserted here.
     """
+    if not 0 <= k <= tree.depth:
+        raise ValueError(f"level {k} outside 0..{tree.depth}, the tree's depth")
     d = tree.degree
     if d ** k > max_words:
         raise BudgetExceeded(f"{d}^{k} words exceed the enumeration budget")
@@ -368,6 +370,8 @@ def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> Verifica
     mixes first symbols has a critical component somewhere on its image
     chain.  Each failing check reports a concrete counterexample.
     """
+    if not 1 <= k <= tree.depth:
+        raise ValueError(f"level {k} outside 1..{tree.depth}, the tree's depth")
     d = tree.degree
     # resolve every word of length <= k, tolerating a broken assignment so
     # that each defect still surfaces as a counterexample below

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 
-from .maps import DomainDisk, PolynomialMap, escape_radius
+from .maps import DomainDisk, PolynomialMap, escape_radius, parse_exact
 
 ENV_MAX_BOXES = "CANTORSHIFT_MAX_BOXES"
 ENV_MAX_RESOLUTION = "CANTORSHIFT_MAX_RESOLUTION"
@@ -58,7 +58,6 @@ def load_map_config(path: str):
         raise ValueError(f"{path}: horizon must be positive")
     shrink = data.get("shrink_on_contact")
     if shrink is not None:
-        from .maps import parse_exact
         shrink = parse_exact(shrink)
         if not 0 < shrink < 1:
             raise ValueError(f"{path}: shrink_on_contact must be in (0, 1)")

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intervals import boverlap
+from .intervals import _one_box, boverlap
 
 
 class Frame:
@@ -84,14 +84,15 @@ class Frame:
         return (self.x0 + i * s, self.x0 + (i + 1) * s,
                 self.y0 + j * s, self.y0 + (j + 1) * s)
 
-    def grid_span(self, rect, resolution: int):
-        """(i_lo, i_hi, j_lo, j_hi): the index ranges of the grid cells at a
-        resolution whose closed bounds meet ``rect``, which must meet the
-        window.  Walls are compared exactly as ``cell_bounds`` computes them."""
+    def grid_span(self, rects, resolution: int):
+        """(i_lo, i_hi, j_lo, j_hi): per rectangle of ``rects`` (four arrays
+        of walls, each rectangle meeting the window), the index ranges of the
+        grid cells at a resolution whose closed bounds meet it.  Walls are
+        compared exactly as ``cell_bounds`` computes them."""
         s = self.cell_size(resolution)
         n = 1 << resolution
-        return (_span(rect[0], rect[1], self.x0, s, n)
-                + _span(rect[2], rect[3], self.y0, s, n))
+        return (_span(rects[0], rects[1], self.x0, s, n)
+                + _span(rects[2], rects[3], self.y0, s, n))
 
     def __eq__(self, other):
         return (isinstance(other, Frame) and self.x0 == other.x0
@@ -103,22 +104,19 @@ class Frame:
 
 def _span(lo, hi, origin, s, n):
     """First and last index i < n whose closed interval
-    [origin + i*s, origin + (i+1)*s] meets [lo, hi]."""
-    first = 0
-    if lo > origin:
-        first = min(int((lo - origin) / s), n - 1)
-        while first > 0 and origin + first * s >= lo:
-            first -= 1
-        while origin + (first + 1) * s < lo:
-            first += 1
-    last = n - 1
-    if hi < origin + n * s:
-        last = min(max(int((hi - origin) / s), 0), n - 1)
-        while last < n - 1 and origin + (last + 1) * s <= hi:
-            last += 1
-        while origin + last * s > hi:
-            last -= 1
-    return first, last
+    [origin + i*s, origin + (i+1)*s] meets [lo, hi], elementwise, for
+    arrays of bounds with lo <= origin + n*s and hi >= origin."""
+    def last_wall(x, below):
+        # the last index whose wall is below x (or 0): a guess from the
+        # quotient, corrected against the computed walls
+        i = np.minimum(np.clip((x - origin) / s, 0, n).astype(np.int64), n - 1)
+        while (m := (i < n - 1) & below(origin + (i + 1) * s, x)).any():
+            i[m] += 1
+        while (m := (i > 0) & ~below(origin + i * s, x)).any():
+            i[m] -= 1
+        return i
+
+    return last_wall(lo, np.less), last_wall(hi, np.less_equal)
 
 
 def _rank(sorted_values, q):
@@ -142,8 +140,9 @@ class PavedCover:
     run's distinct i times the number of its distinct j, plus the rank of
     j.  The key is exact at every resolution up to 62, where i and j still
     fit in int64, and its size is bounded by the square of the cell count.
-    ``find`` answers which present cell contains given grid cells; the
-    rectangle queries read the same sorted runs.
+    ``find`` answers which present cell contains given grid cells, and
+    ``overlapping`` which present cells arrays of rectangles possibly meet;
+    both read the same sorted runs.
     """
 
     __slots__ = ("frame", "r", "i", "j", "_layers")
@@ -222,24 +221,32 @@ class PavedCover:
             hi_y = max(hi_y, hi[3])
         return (lo_x, hi_x, lo_y, hi_y)
 
-    def overlapping(self, rect):
-        """Indices of all present cells a rectangle possibly overlaps
-        (sound: any cell not returned is certified disjoint from rect)."""
-        if not len(self) or not boverlap(rect, self.frame.cell_bounds(0, 0, 0)):
-            return np.empty(0, dtype=np.int64)
+    def overlapping(self, rects):
+        """Every (rectangle, cell) pair in which the rectangle possibly
+        overlaps the present cell (sound: any pair not returned is certified
+        disjoint), as two int64 index arrays; each rectangle's cells come in
+        ascending order.  ``rects`` is four float arrays of walls, as
+        ``Frame.cell_walls`` returns them; one column-strip pass per
+        resolution run answers all the rectangles."""
+        q = np.flatnonzero(boverlap(rects, self.frame.cell_bounds(0, 0, 0)))
         top = self.finest
-        a, b, c, e = self.frame.grid_span(rect, top)
-        hits = []
+        a, b, c, e = self.frame.grid_span([v[q] for v in rects], top)
+        owners, cells = [q[:0]], [q[:0]]  # empty int64 arrays for an empty pavement
         for r, (start, stop, _, _, _) in self._layers.items():
             d = top - r
             lo, hi = start + np.searchsorted(self.i[start:stop], (a >> d, (b >> d) + 1))
-            jj = self.j[lo:hi]
-            hits.append(lo + np.flatnonzero((jj >= c >> d) & (jj <= e >> d)))
-        return np.concatenate(hits)
+            # the strip of each rectangle's columns: cells lo .. hi - 1
+            owner = np.repeat(np.arange(len(q)), hi - lo)
+            idx = np.arange(len(owner)) + (hi - np.cumsum(hi - lo))[owner]
+            jj = self.j[idx]
+            hit = (jj >= (c >> d)[owner]) & (jj <= (e >> d)[owner])
+            owners.append(q[owner[hit]])
+            cells.append(idx[hit])
+        return np.concatenate(owners), np.concatenate(cells)
 
     def overlapping_cells(self, rect):
-        """All present cells a rectangle possibly overlaps, sorted."""
-        return self.cells_at(self.overlapping(rect))
+        """All present cells one rectangle possibly overlaps, sorted."""
+        return self.cells_at(self.overlapping(_one_box(rect))[1])
 
     def covers_rect(self, rect) -> bool:
         """True certifies rect is inside the union of present cells: the
@@ -249,7 +256,7 @@ class PavedCover:
                 and root[2] <= rect[2] and rect[3] <= root[3]):
             return False  # anything poking out of the frame is uncovered
         top = self.finest
-        a, b, c, e = self.frame.grid_span(rect, top)
+        a, b, c, e = (int(v[0]) for v in self.frame.grid_span(_one_box(rect), top))
         area = 0
         for r, i, j in self.overlapping_cells(rect):
             d = top - r

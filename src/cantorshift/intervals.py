@@ -52,9 +52,15 @@ def enclose_fraction(q) -> tuple:
     return (_nextafter(f, -_INF), f)
 
 
-def boverlap(u, v) -> bool:
-    """Closed-rectangle overlap test (False certifies disjointness)."""
-    return u[0] <= v[1] and v[0] <= u[1] and u[2] <= v[3] and v[2] <= u[3]
+def boverlap(u, v):
+    """Closed-rectangle overlap test (False certifies disjointness), of
+    float walls or, elementwise, of arrays of walls."""
+    return (u[0] <= v[1]) & (v[0] <= u[1]) & (u[2] <= v[3]) & (v[2] <= u[3])
+
+
+def _one_box(rect):
+    """A single rectangle as a batch of length one for the vector kernels."""
+    return tuple(np.array([v], dtype=np.float64) for v in rect)
 
 
 # ---------------------------------------------------------------------------

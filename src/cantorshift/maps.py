@@ -38,6 +38,7 @@ import numpy as np
 from .errors import PrecisionExceeded
 from .intervals import (
     IntervalBox,
+    _one_box,
     boverlap,
     enclose_fraction,
     vbabs2,
@@ -279,11 +280,6 @@ def _exact_point_box(z):
     r = enclose_fraction(z[0])
     i = enclose_fraction(z[1])
     return (r[0], r[1], i[0], i[1])
-
-
-def _one_box(rect):
-    """A single rectangle as a batch of length one for the vector kernels."""
-    return tuple(np.array([v], dtype=np.float64) for v in rect)
 
 
 def _enclosures(p):
@@ -684,13 +680,6 @@ class DomainDisk:
             return "out"
         return "boundary"
 
-    def side(self, rect):
-        """'in' (inside the open disk) or 'out' (outside the closed disk),
-        certified for every point of a float rectangle; None if undecided.
-        ``sides`` of one rectangle."""
-        inside, outside = self.sides(_one_box(rect))
-        return "in" if inside[0] else "out" if outside[0] else None
-
     def sides(self, walls):
         """Arrays of rectangles classified in one vector pass: the masks
         of those certified inside the open disk and of those certified
@@ -700,7 +689,7 @@ class DomainDisk:
 
     def contains_cover(self, cover) -> bool:
         """True certifies every cell of the cover lies in the open disk
-        (``side`` is "in" for every cell)."""
+        (``sides`` puts every cell inside)."""
         return bool(self.sides(cover.frame.cell_walls(cover.r, cover.i, cover.j))[0].all())
 
     def __repr__(self):

@@ -62,7 +62,7 @@ from .errors import (
     ResolutionExceeded,
     Undecided,
 )
-from .intervals import IntervalBox, enclose_fraction, isqrt_hi, vbabs2
+from .intervals import IntervalBox, _one_box, enclose_fraction, isqrt_hi, vbabs2
 from .maps import (
     DomainDisk,
     PolynomialMap,
@@ -172,6 +172,18 @@ def _pave(frame, interior, band):
     return pavement, is_inner
 
 
+def _distinct(groups, values, n_groups):
+    """Item i lies in group ``groups[i]`` and carries ``values[i]`` >= -1.
+    Per group 0..n_groups-1: the number of distinct values its items carry,
+    and that value where there is exactly one, else -1."""
+    m = int(values.max(initial=-1)) + 2
+    group, value = np.divmod(np.unique(groups * m + values + 1), m)
+    count = np.bincount(group, minlength=n_groups)
+    single = np.full(n_groups, -1, dtype=np.int64)
+    single[group] = value - 1
+    return count, np.where(count == 1, single, -1)
+
+
 class _Failure(Exception):
     """Internal: a certification attempt failed.
 
@@ -210,10 +222,12 @@ class _Defects:
         histogram = ", ".join(f"{kind}={n}" for kind, n in self.counts.items())
         return f"{self.first} (by kind: {histogram})"
 
-    def raise_failure(self, labels):
-        """``labels`` maps pavement cells to the cluster indices named."""
-        refine = np.isin(labels, list(self.clusters)) if self.clusters else None
-        raise _Failure("defects", str(self), refine=refine)
+    def raise_any(self, labels):
+        """Raise the failure of the defects collected, if any; ``labels``
+        maps pavement cells to the cluster indices named."""
+        if self:
+            refine = np.isin(labels, list(self.clusters)) if self.clusters else None
+            raise _Failure("defects", str(self), refine=refine)
 
 
 class PuzzleTree:
@@ -288,7 +302,9 @@ class _TreeBuilder:
         ])
         self.built = []                # _Built per level, 0-based
         self.levels = []               # components per accepted level
-        self.restriction_crits = ()    # critical indices certified inside U'
+        # critical indices that may lie in the level being built: all of
+        # them until level 1 certifies which lie inside U'
+        self.restriction_crits = tuple(range(len(pmap.critical_points)))
 
     # -- level 0: the disk itself ------------------------------------------
 
@@ -322,14 +338,16 @@ class _TreeBuilder:
     def _solve_witness_preimages(self, k):
         """Certified enclosures of f^{-1}(w_V) for every parent component V.
 
-        Returns a list of (enclosure rectangle, multiplicity, parent index).
-        One ``witness_preimages`` batch answers every w_V with d simple
-        roots; the rest (a w_V at or next to a critical value) go to
+        Returns an (n, 4) array of enclosure rectangles, their multiplicities
+        and their parent indices, ascending in (rectangle, multiplicity,
+        parent index): the canonical candidate order.  One
+        ``witness_preimages`` batch answers every w_V with d simple roots;
+        the rest (a w_V at or next to a critical value) go to
         ``certified_roots``, whose multiplicities are exact.  Either way the
         enclosures of the preimages of w_V carry total multiplicity d.
         """
         parent = self.built[k - 1]
-        out = []
+        rows = []
         batch = witness_preimages(self.pmap, parent.witness_points)
         for v_idx, (w, roots) in enumerate(zip(parent.witness_points, batch)):
             if roots is None:
@@ -337,8 +355,10 @@ class _TreeBuilder:
                 coeffs[0] = (coeffs[0][0] - w[0], coeffs[0][1] - w[1])
                 roots = [(box, mult) for box, mult, _ in certified_roots(tuple(coeffs))]
             for box, mult in roots:
-                out.append((box.as_tuple(), mult, v_idx))
-        return out
+                rows.append((*box.as_tuple(), mult, v_idx))
+        rows = np.array(rows, dtype=np.float64).reshape(-1, 6)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        return rows[:, :4], rows[:, 4].astype(np.int64), rows[:, 5].astype(np.int64)
 
     # -- classification ----------------------------------------------------
 
@@ -453,27 +473,24 @@ class _TreeBuilder:
         poking outside the cover or across clusters); unresolved criticals
         are recorded as defects.  At k >= 2 a restriction critical outside
         the whole cover certifies an escaping critical orbit."""
-        if k == 1:
-            indices = range(len(self.pmap.critical_points))
-        else:
-            indices = self.restriction_crits
+        crits = [self.pmap.critical_points[cidx] for cidx in self.restriction_crits]
+        rects = np.array([crit.enclosure.as_tuple() for crit in crits]).reshape(-1, 4)
+        box, cell = pavement.overlapping(rects.T)
+        touched, cluster = _distinct(box, labels[cell], len(crits))
         placed = {}
-        for cidx in indices:
-            crit = self.pmap.critical_points[cidx]
-            rect = crit.enclosure.as_tuple()
-            hits = pavement.overlapping(rect)
-            if not hits.size:
+        for b, (cidx, crit) in enumerate(zip(self.restriction_crits, crits)):
+            if not touched[b]:
                 if k >= 2:
                     raise HypothesisViolation(
                         f"critical point {crit.point_str()} certified outside "
                         f"f^-{k}(U): its orbit escapes U'")
                 continue  # level 1: certified outside the restriction
-            clusters = set(labels[hits].tolist())
-            if len(clusters) > 1 or not pavement.covers_rect(rect):
+            if touched[b] > 1 or not pavement.covers_rect(crit.enclosure.as_tuple()):
                 defects.add("critical-straddle",
-                            f"critical {crit.point_str()} not resolved yet", clusters)
+                            f"critical {crit.point_str()} not resolved yet",
+                            labels[cell[box == b]].tolist())
                 continue
-            placed[cidx] = clusters.pop()
+            placed[cidx] = int(cluster[b])
         return placed
 
     def _certify(self, k, pavement, interior, witness_boxes):
@@ -482,67 +499,50 @@ class _TreeBuilder:
         defects = _Defects()
 
         # container edges from exact dyadic ancestry
-        if k == 1:
-            parent_of = [0] * n_clusters
-        else:
-            parent = self.built[k - 1]
-            anc = parent.pavement.find(pavement.r, pavement.i, pavement.j)
-            up = np.where(anc >= 0, parent.labels[anc], -1)
-            m = len(parent.parent_of) + 1
-            pairs = np.unique(labels * m + up + 1)  # distinct (cluster, parent or -1)
-            spans = np.bincount(pairs // m, minlength=n_clusters).tolist()
-            parent_of = [None] * n_clusters
-            for idx, p in zip((pairs // m).tolist(), (pairs % m - 1).tolist()):
-                if spans[idx] == 1 and p >= 0:
-                    parent_of[idx] = p
-            for idx in range(n_clusters):
-                if parent_of[idx] is None:
-                    defects.add("container-straddle",
-                                f"cluster spans {spans[idx]} parent clusters", [idx])
-        if defects:
-            defects.raise_failure(labels)
+        parent = self.built[k - 1]
+        anc = parent.pavement.find(pavement.r, pavement.i, pavement.j)
+        up = np.where(anc >= 0, parent.labels[anc], -1)
+        spans, parent_of = _distinct(labels, up, n_clusters)
+        for idx in np.flatnonzero(parent_of < 0).tolist():
+            defects.add("container-straddle",
+                        f"cluster spans {spans[idx]} parent clusters", [idx])
+        parent_of = parent_of.tolist()
+        defects.raise_any(labels)
 
         # witness enclosures: every true preimage of every parent witness
         # lies in the kept region, so each box locates in some cluster
-        per_cluster = [[] for _ in range(n_clusters)]
-        for rect, mult, v_idx in witness_boxes:
-            touched = set(labels[pavement.overlapping(rect)].tolist())
-            if not touched:
-                if k == 1 and self.disk.side(rect) == "out":
-                    raise HypothesisViolation(
-                        "a preimage of the basepoint is certified outside the "
-                        "closed disk U, so U' is not contained in U")
+        rects, mults, sources = witness_boxes
+        box, cell = pavement.overlapping(rects.T)
+        touched, cluster = _distinct(box, labels[cell], len(mults))
+        if k == 1 and self.disk.sides(rects[touched == 0].T)[1].any():
+            raise HypothesisViolation(
+                "a preimage of the basepoint is certified outside the "
+                "closed disk U, so U' is not contained in U")
+        for b in np.flatnonzero(touched != 1).tolist():
+            if touched[b] == 0:
                 defects.add("witness-lost",
-                            f"a preimage of witness {v_idx} fell outside the cover",
+                            f"a preimage of witness {sources[b]} fell outside the cover",
                             ())
-            elif len(touched) > 1:
-                defects.add("witness-straddle",
-                            f"a preimage of witness {v_idx} touches {len(touched)} clusters",
-                            touched)
             else:
-                per_cluster[touched.pop()].append((rect, mult, v_idx))
-        if defects:
-            defects.raise_failure(labels)
+                defects.add("witness-straddle",
+                            f"a preimage of witness {sources[b]} touches {touched[b]} clusters",
+                            labels[cell[box == b]].tolist())
+        defects.raise_any(labels)
 
-        image_of = []
-        for idx in range(n_clusters):
-            group = per_cluster[idx]
-            parents = {v for _, _, v in group}
-            if not group:
+        # image edges: the parent witnesses whose preimages each cluster holds
+        n_images, image_of = _distinct(cluster, sources, n_clusters)
+        for idx in np.flatnonzero(n_images != 1).tolist():
+            if n_images[idx] == 0:
                 defects.add("no-witness",
                             f"cluster {idx} holds no preimage of any parent witness",
                             [idx])
-                image_of.append(None)
-            elif len(parents) > 1:
+            else:
                 defects.add("witness-disagree",
-                            f"cluster {idx} holds preimages of {len(parents)} "
+                            f"cluster {idx} holds preimages of {n_images[idx]} "
                             f"distinct parent witnesses (fused components)",
                             [idx])
-                image_of.append(None)
-            else:
-                image_of.append(parents.pop())
-        if defects:
-            defects.raise_failure(labels)
+        defects.raise_any(labels)
+        image_of = image_of.tolist()
 
         if k >= 2:
             parent = self.built[k - 1]
@@ -552,28 +552,25 @@ class _TreeBuilder:
                     defects.add("commuting-square",
                                 f"container(image) != image(container) at cluster {idx}",
                                 [idx])
-            if defects:
-                defects.raise_failure(labels)
+            defects.raise_any(labels)
 
         placed = self._locate_criticals(k, pavement, labels, defects)
-        if defects:
-            defects.raise_failure(labels)
+        defects.raise_any(labels)
         crits_in = [tuple(sorted(c for c, cl in placed.items() if cl == idx))
                     for idx in range(n_clusters)]
         local_degree = [1 + sum(self.pmap.critical_points[c].multiplicity for c in crits)
                         for crits in crits_in]
 
         # Riemann-Hurwitz degree must equal the witness preimage count
+        witness_mult = np.bincount(np.repeat(cluster, mults), minlength=n_clusters).tolist()
         for idx in range(n_clusters):
-            witness_mult = sum(m for _, m, _ in per_cluster[idx])
-            if witness_mult != local_degree[idx]:
+            if witness_mult[idx] != local_degree[idx]:
                 defects.add(
                     "degree-mismatch",
-                    f"cluster {idx}: {witness_mult} witness preimages vs local "
+                    f"cluster {idx}: {witness_mult[idx]} witness preimages vs local "
                     f"degree {local_degree[idx]} from critical points",
                     [idx])
-        if defects:
-            defects.raise_failure(labels)
+        defects.raise_any(labels)
 
         d = self.pmap.degree
         if k == 1:
@@ -597,16 +594,15 @@ class _TreeBuilder:
                             f"children of parent {p} over component {v} have degree "
                             f"{sums.get((p, v), 0)}, want {parent.local_degree[p]}",
                             [idx for idx in range(n_clusters) if parent_of[idx] == p])
-            if defects:
-                defects.raise_failure(labels)
+            defects.raise_any(labels)
 
-        # one certified-member witness point per cluster, chosen canonically
+        # one certified-member witness point per cluster, chosen canonically:
+        # each cluster tries its boxes in candidate order
         witness_points = []
         for idx in range(n_clusters):
             chosen = None
-            for rect, _, _ in sorted(per_cluster[idx]):
-                c = (Fraction(0.5 * (rect[0] + rect[1])),
-                     Fraction(0.5 * (rect[2] + rect[3])))
+            for re_lo, re_hi, im_lo, im_hi in rects[cluster == idx].tolist():
+                c = (Fraction(0.5 * (re_lo + re_hi)), Fraction(0.5 * (im_lo + im_hi)))
                 # c lies in f^-k(U) when f^j(c), j = 1..k, stays strictly
                 # inside U: the orbit of f(c) through step k - 1
                 status, _, _ = _exact_orbit_status(
@@ -834,14 +830,14 @@ def locate(tree: PuzzleTree, z, k: int):
     chain = [tree.levels[0][0]]
     for lvl in range(1, k + 1):
         built = tree._built[lvl]
-        hits = built.pavement.overlapping(box)
-        if not hits.size:
+        _, hits = built.pavement.overlapping(_one_box(box))
+        touched, cluster = _distinct(np.zeros_like(hits), built.labels[hits], 1)
+        if not touched[0]:
             raise NotInCover(f"z is certified outside the level-{lvl} cover")
-        clusters = set(built.labels[hits].tolist())
-        if len(clusters) > 1 or not built.pavement.covers_rect(box):
+        if touched[0] > 1 or not built.pavement.covers_rect(box):
             raise Undecided(f"membership of z at level {lvl} is not certified "
                             f"at the built resolution")
-        comp = tree.levels[lvl][clusters.pop()]
+        comp = tree.levels[lvl][cluster[0]]
         if lvl >= 2 and comp.container != chain[-1].index:
             raise InconsistentTree("located chain is not nested")
         chain.append(comp)

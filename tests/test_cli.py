@@ -199,3 +199,23 @@ def test_shrink_on_contact_retries(tmp_path, capsys):
     assert "retrying with radius 27/10" in err
     assert code == 4  # still a certified hypothesis violation afterwards
 
+
+def test_shrink_on_contact_keeps_a_fractional_center(tmp_path, capsys):
+    # the retry keeps the exact center 1/2, whose string form is no decimal
+    cfg = dict(QUAD_CONFIG, disk_center=["0.5", "0"], disk_radius="3",
+               shrink_on_contact="0.9")
+    path = tmp_path / "contact.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(["analyze", "--config", str(path), "--depth", "1",
+                        "--out", str(tmp_path / "o"), "--max-resolution", "24"], capsys)
+    assert "retrying with radius 27/10" in err
+    assert code == 4
+
+
+@pytest.mark.parametrize("level", ["0", "3"])
+def test_verify_level_outside_the_tree_is_usage_error(quad_config, tmp_path, capsys, level):
+    code, _, err = run(["verify", "--config", quad_config, "--depth", "2", "--level", level,
+                        "--out", str(tmp_path / "o"), "--max-resolution", "24"], capsys)
+    assert code == 2
+    assert f"level {level} outside 1..2" in err
+

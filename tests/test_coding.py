@@ -199,6 +199,18 @@ def test_verify_detects_corruption():
     assert counterexamples  # a concrete witness is reported
 
 
+def test_levels_outside_the_tree_are_rejected():
+    tree = abstract_tree_d3()
+    a = assign_symbols(tree)
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            verify_semiconjugacy(a, tree, k)
+    for k in (-1, 3):
+        with pytest.raises(ValueError):
+            fibers(a, tree, k)
+    assert fibers(a, tree, 0).count(0, 0) == 1  # the empty word codes the root
+
+
 def test_coding_export_shape(quadratic_tree, quadratic_assignment):
     doc = coding_to_json_dict(quadratic_assignment, quadratic_tree, 3)
     assert doc["degree"] == 2

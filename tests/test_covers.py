@@ -157,6 +157,24 @@ def _random_pavement(rng, max_depth=4):
     return cells
 
 
+def test_grid_span_matches_a_scan_of_the_walls():
+    # every wall at resolution <= 10 is compared as cell_bounds computes it
+    fr = frame16()
+    rng = random.Random(99)
+    for r in range(11):
+        n = 1 << r
+        walls = [fr.cell_bounds(i, 0, r)[0] for i in range(n)] + [fr.cell_bounds(n - 1, 0, r)[1]]
+        picks = [rng.choice(walls) for _ in range(20)] + [rng.uniform(-8, 8) for _ in range(20)]
+        lo = np.array(picks + [-np.inf, -8.0, 8.0])
+        hi = np.maximum(lo, np.array([rng.choice((x, x + 1e-3, x + rng.uniform(0, 16)))
+                                      for x in picks] + [-8.0, np.inf, 8.0]))
+        first, last, first_y, last_y = fr.grid_span((lo, hi, lo, hi), r)
+        assert np.array_equal(first, first_y) and np.array_equal(last, last_y)
+        for a, b, f, g in zip(lo, hi, first.tolist(), last.tolist()):
+            meets = [i for i in range(n) if walls[i] <= b and a <= walls[i + 1]]
+            assert (f, g) == (meets[0], meets[-1])
+
+
 def _naive_overlaps(fr, cells, rect):
     from cantorshift.intervals import boverlap
     return sorted(c for c in cells
@@ -255,16 +273,27 @@ def test_pavement_queries_match_naive():
         if not cells:
             continue
         pc = PavedCover(fr, cells)
+        rects = []
         for _ in range(12):
             cx = rng.uniform(-9, 9)
             cy = rng.uniform(-9, 9)
             w = rng.uniform(0.01, 4.0)
             rect = (cx, cx + w, cy, cy + w)
+            rects.append(rect)
             naive = _naive_overlaps(fr, cells, rect)
             assert pc.overlapping_cells(rect) == naive
             if pc.covers_rect(rect):
                 # certified containment implies every sampled point is inside
                 assert _naive_covers(fr, cells, rect)
+        # on cell walls, of zero width, unbounded, outside and across the frame
+        r, i, j = rng.choice(cells)
+        x0, x1, y0, y1 = fr.cell_bounds(i, j, r)
+        rects += [(x0, x1, y0, y1), (x1, x1, y0, y1), (x0, x0, y1, y1),
+                  (-np.inf, x0, y0, y0), (x1, np.inf, -np.inf, np.inf),
+                  (-20.0, -9.0, 0.0, 1.0), (9.0, 9.5, -1.0, 1.0), (-9.0, 0.0, 7.0, 9.0)]
+        box, cell = pc.overlapping([np.array(v) for v in zip(*rects)])
+        for q, rect in enumerate(rects):
+            assert pc.cells_at(cell[box == q]) == _naive_overlaps(fr, cells, rect)
     for cells in DEEP_PAIRS:
         pc = PavedCover(fr, cells)
         (ra, ia, ja), (rb, ib, jb) = cells

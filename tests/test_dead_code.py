@@ -30,8 +30,6 @@ CALLERS = {
     "tree.PuzzleTree.to_json_dict": "src/cantorshift/cli.py::cmd_analyze",
     "coding.VerificationReport.summary_lines": "src/cantorshift/cli.py::cmd_verify",
     "maps.RestrictionReport.summary_lines": "src/cantorshift/cli.py::cmd_analyze",
-    "maps.DomainDisk.side": "src/cantorshift/tree.py::_TreeBuilder._certify",
-    "maps.DyadicOrbit.side": "src/cantorshift/maps.py::_ball_orbit_status",
     "oracle.AbstractComponent.id": "src/cantorshift/oracle.py::_check_assignment_invariants",
     "tree.Component.id": "src/cantorshift/tree.py::check_structure",
     "oracle.AbstractTree.depth": "src/cantorshift/oracle.py::_check_assignment_invariants",

@@ -283,7 +283,7 @@ def test_escape_radius_expels_circle_samples():
         for t in range(16):
             z = r * cmath.exp(2j * cmath.pi * t / 16)
             e = pmap.eval_box((z.real, z.real, z.imag, z.imag))
-            assert disk.side(e) == "out"
+            assert disk.sides([[v] for v in e])[1][0]
             assert disk.classify_exact(pmap.eval_exact((Fraction(z.real), Fraction(z.imag)))) == "out"
 
 
@@ -409,7 +409,7 @@ def test_contains_cover_matches_cellwise_side():
             assert far < disk.r2
         else:
             assert far > disk.r2 * (1 - Fraction(1, 10 ** 12))
-        assert (disk.side(walls) == "in") == inside
+        assert disk.sides([[v] for v in walls])[0][0] == inside
     inner = [c for c, w in zip(cells, want) if w and c[0] == 9]
     assert disk.contains_cover(PavedCover(frame, inner))
     assert not disk.contains_cover(PavedCover(frame, cells[:1] + inner))

@@ -9,6 +9,7 @@ import pytest
 
 from cantorshift import (
     DomainDisk,
+    Frame,
     HypothesisViolation,
     NotInCover,
     PavedCover,
@@ -18,6 +19,7 @@ from cantorshift import (
     build_tree,
     cantor_diagnostic,
     locate,
+    paved_clusters,
 )
 from cantorshift import tree as tree_mod
 from cantorshift.intervals import boverlap
@@ -87,14 +89,14 @@ def test_batched_witness_roots_match_exact_path(quadratic_map, quadratic_disk):
     d = quadratic_map.degree
     for k in range(1, 5):
         witnesses = builder.built[k - 1].witness_points
-        out = builder._solve_witness_preimages(k)
-        assert sum(m for _, m, _ in out) == d * len(witnesses)
+        rects, mults, sources = builder._solve_witness_preimages(k)
+        assert mults.sum() == d * len(witnesses)
         for v, w in enumerate(witnesses):
             exact = [box.as_tuple() for box, _, _
                      in certified_roots(shifted_coefficients(quadratic_map, w))]
-            rects = [rect for rect, _, v_idx in out if v_idx == v]
-            assert len(rects) == d
-            for rect in rects:
+            rects_v = [tuple(rect) for rect in rects[sources == v].tolist()]
+            assert len(rects_v) == d
+            for rect in rects_v:
                 assert sum(boverlap(rect, e) for e in exact) == 1
 
 
@@ -151,12 +153,14 @@ def _walk_build(pmap, disk, depth, force=None, attempts=None):
     return tree, attempts, boxes
 
 
-def _candidates(built, rects):
+def _candidates(built, boxes):
     """Per cluster of an accepted level, the midpoints of the witness
     enclosures it holds, in the order the builder tries them."""
     per = [[] for _ in built.witness_points]
-    for rect, mult, v in rects:
-        (idx,) = set(built.labels[built.pavement.overlapping(rect)].tolist())
+    rects, mults, sources = boxes
+    for rect, mult, v in zip(map(tuple, rects.tolist()), mults.tolist(), sources.tolist()):
+        (idx,) = {int(built.labels[built.pavement.find(r, [i], [j])[0]])
+                  for r, i, j in built.pavement.overlapping_cells(rect)}
         per[idx].append((rect, mult, v))
     return [[(Fraction(0.5 * (r[0] + r[1])), Fraction(0.5 * (r[2] + r[3])))
              for r, _, _ in sorted(group)] for group in per]
@@ -213,6 +217,87 @@ def test_witness_walk_without_candidate_left_fails(quadratic_map, quadratic_disk
     assert failure.endswith("(by kind: witness-member=1)")
 
 
+def _with_box(boxes, rect):
+    """Witness boxes with one more box of multiplicity 1 from witness 0."""
+    rects, mults, sources = boxes
+    return np.vstack((rects, [rect])), np.append(mults, 1), np.append(sources, 0)
+
+
+def _certify_failure(builder, k, boxes):
+    """The failure of re-certifying the accepted level k with ``boxes``."""
+    built = builder.built[k]
+    with pytest.raises(tree_mod._Failure) as info:
+        builder._certify(k, built.pavement, built.interior, boxes)
+    return info.value
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_witness_box_across_two_clusters_refines_both(quadratic_map, quadratic_disk, k):
+    builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
+    tree = builder.build(2)
+    a, b = (c.cover.bounding_rect() for c in tree.levels[k][:2])
+    rect = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+    built = builder.built[k]
+    touched = {int(built.labels[built.pavement.find(r, [i], [j])[0]])
+               for r, i, j in built.pavement.overlapping_cells(rect)}
+    assert touched == {0, 1}
+    fail = _certify_failure(builder, k, _with_box(builder._solve_witness_preimages(k), rect))
+    assert str(fail).endswith("(by kind: witness-straddle=1)")
+    assert np.array_equal(fail.refine, np.isin(built.labels, [0, 1]))
+    assert fail.refine.any() and (k == 1 or not fail.refine.all())
+
+
+def test_witness_box_outside_the_cover(quadratic_map, quadratic_disk):
+    builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
+    builder.build(2)
+    # 0 is inside U, but f(0) = -6 is not: no level-2 cell is near it
+    near_zero = (0.0, 0.01, 0.0, 0.01)
+    fail = _certify_failure(builder, 2, _with_box(builder._solve_witness_preimages(2),
+                                                  near_zero))
+    assert str(fail).endswith("(by kind: witness-lost=1)")
+    assert fail.refine is None
+    # at level 1 a preimage of the center outside the closed disk breaks U' in U
+    built = builder.built[1]
+    boxes = _with_box(builder._solve_witness_preimages(1), (5.0, 5.01, 0.0, 0.01))
+    with pytest.raises(HypothesisViolation):
+        builder._certify(1, built.pavement, built.interior, boxes)
+
+
+def test_critical_point_on_a_corner_names_both_clusters(cubic_map, cubic_disk):
+    # +1 on the corner shared by two diagonal cells: corner contact does not
+    # connect, so the enclosure touches two clusters; -1 is off the cover
+    builder = tree_mod._TreeBuilder(cubic_map, cubic_disk, small_policy())
+    frame = Frame(-4.0, -4.0, 8.0)
+    pavement = PavedCover(frame, [(3, 4, 4), (3, 5, 3)])
+    assert frame.cell_bounds(4, 4, 3)[1::2] == (1.0, 1.0)
+    assert frame.cell_bounds(5, 3, 3)[::3] == (1.0, 0.0)
+    labels = paved_clusters(frame, pavement)
+    assert sorted(labels.tolist()) == [0, 1]
+    defects = tree_mod._Defects()
+    assert builder._locate_criticals(1, pavement, labels, defects) == {}
+    assert defects.counts == {"critical-straddle": 1}
+    assert defects.clusters == {0, 1}
+
+
+def test_cluster_across_parent_clusters_fails(quadratic_map, quadratic_disk):
+    # one row of cells along the real axis joins both level-1 clusters and
+    # the gap between them into one level-2 cluster
+    builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
+    builder.build(1)
+    frame = builder.frame
+    s = frame.cell_size(6)
+    row = [(6, i, int(-frame.y0 / s)) for i in range(int((-3 - frame.x0) / s),
+                                                     int((3 - frame.x0) / s))]
+    pavement = PavedCover(frame, row)
+    assert len(set(paved_clusters(frame, pavement).tolist())) == 1
+    with pytest.raises(tree_mod._Failure) as info:
+        builder._certify(2, pavement, np.zeros(len(pavement), dtype=bool),
+                         builder._solve_witness_preimages(2))
+    assert str(info.value).endswith("(by kind: container-straddle=1)")
+    assert "cluster spans 3 parent clusters" in str(info.value)
+    assert info.value.refine.all()
+
+
 def test_empty_level_fails_certification(quadratic_map, quadratic_disk):
     builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
     builder._build_level0()
@@ -230,7 +315,7 @@ def test_empty_level_fails_certification(quadratic_map, quadratic_disk):
 @pytest.mark.parametrize("center, radius", [(("0", "0"), "4"), (("0.3", "-0.7"), "2.5")])
 def test_level0_matches_cellwise_side(quadratic_map, center, radius):
     # level 0 classifies a whole resolution per vector pass; recursing cell
-    # by cell with the scalar DomainDisk.side must give the same pavement
+    # by cell, one DomainDisk.sides call per cell, must give the same pavement
     disk = DomainDisk(center, radius)
     builder = tree_mod._TreeBuilder(quadratic_map, disk, small_policy())
     builder._build_level0()
@@ -242,10 +327,11 @@ def test_level0_matches_cellwise_side(quadratic_map, center, radius):
     want = {}
     while queue:
         r, i, j = queue.pop()
-        side = disk.side(builder.frame.cell_bounds(i, j, r))
-        if side == "in" or (side is None and r == target):
-            want[(r, i, j)] = side == "in"
-        elif side is None:
+        inside, outside = (bool(m[0]) for m in disk.sides(
+            [[v] for v in builder.frame.cell_bounds(i, j, r)]))
+        if inside or (not outside and r == target):
+            want[(r, i, j)] = inside
+        elif not outside:
             queue += [(r + 1, 2 * i + a, 2 * j + b) for a in (0, 1) for b in (0, 1)]
     assert got == want
     assert not all(want.values())  # the band is there
@@ -262,7 +348,8 @@ def test_critical_witness_falls_back_to_exact_roots(monkeypatch, request, case):
     monkeypatch.setattr(tree_mod, "certified_roots", lambda p: calls.append(p) or exact(p))
     builder = tree_mod._TreeBuilder(pmap, disk, small_policy())
     builder.built = [SimpleNamespace(witness_points=[disk.center, w])]
-    out = builder._solve_witness_preimages(1)
+    rects, mults, sources = builder._solve_witness_preimages(1)
+    out = list(zip(map(tuple, rects.tolist()), mults.tolist(), sources.tolist()))
     # only the critical value goes through the exact path, via tree's import
     assert calls == [shifted_coefficients(pmap, w)]
     assert sum(m for _, m, v in out if v == 0) == pmap.degree
