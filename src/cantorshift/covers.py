@@ -265,45 +265,64 @@ class PavedCover:
         return area == (b - a + 1) * (e - c + 1)
 
 
+_CHUNK = 1 << 12  # cells whose four neighbor slots one ``find`` call resolves
+
+
 def paved_clusters(frame: Frame, cells):
     """Partition mixed-resolution cells into maximal edge-adjacent clusters.
 
     Two cells are adjacent when their boundaries share a segment of
     positive length.  Corner contact does not connect: an open connected set
     cannot pass through a grid corner whose other two cells were discarded.
-    Equivalently: for every cell and each of its four same-size
-    neighbor slots, the cover cell containing that slot (necessarily the
-    same size or coarser) is adjacent; finer neighbors register the pair
-    when processed from their own side.  One ``PavedCover.find`` call
-    resolves every neighbor slot, and the resulting graph is labeled with
-    a C-implementation of connected components.
+    Equivalently: for every cell and each of its four same-size neighbor
+    slots, the cover cell containing that slot (the same size or coarser)
+    is adjacent; finer neighbors register the pair from their own side, and
+    a same-size pair is kept from its +i/+j side only.  One
+    ``PavedCover.find`` call resolves the four slots of a fixed chunk of
+    cells, and only the edges found are kept, as int32 pairs (fewer than
+    2^31 cells), so memory stays a few dozen bytes per cell.
 
     ``cells`` is a PavedCover or an iterable of (r, i, j).  Returns the
     cluster index of each cell as an int64 array aligned with the cover
     (with ``PavedCover(frame, cells)`` for an iterable), clusters numbered
     in canonical order by their least fine-grid lower-left corner.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     cover = cells if isinstance(cells, PavedCover) else PavedCover(frame, cells)
     n = len(cover)
-    r, i, j = np.tile(cover.r, 4), np.tile(cover.i, 4), np.tile(cover.j, 4)
-    src = np.tile(np.arange(n), 4)
-    i[:n] += 1
-    i[n:2 * n] -= 1
-    j[2 * n:3 * n] += 1
-    j[3 * n:] -= 1
-    ok = (i >= 0) & (j >= 0) & (i < (1 << r)) & (j < (1 << r))
-    nbr = cover.find(r[ok], i[ok], j[ok])
-    hit = nbr >= 0
-    graph = coo_matrix((np.ones(int(hit.sum()), dtype=np.int8), (src[ok][hit], nbr[hit])),
-                       shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
+    u, v = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    for lo in range(0, n, _CHUNK):
+        src = np.tile(np.arange(lo, min(lo + _CHUNK, n)), 4)  # +i, +j, -i, -j
+        m = len(src) // 4
+        r = cover.r[src]
+        i = cover.i[src] + np.repeat((1, 0, -1, 0), m)
+        j = cover.j[src] + np.repeat((0, 1, 0, -1), m)
+        ok = np.flatnonzero((i >= 0) & (j >= 0) & (i < (1 << r)) & (j < (1 << r)))
+        nbr = cover.find(r[ok], i[ok], j[ok])
+        hit = (nbr >= 0) & ((ok < 2 * m) | (cover.r[nbr] < r[ok]))
+        u.append(src[ok[hit]].astype(np.int32))
+        v.append(nbr[hit].astype(np.int32))
+    u, v = np.concatenate(u), np.concatenate(v)
+    root = _components(n, u, v)
     # number clusters by their least fine-grid lower-left corner; distinct
     # non-overlapping cells never share that corner
     d = cover.finest - cover.r
-    _, first = np.unique(labels[np.lexsort((cover.j << d, cover.i << d))], return_index=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[labels]
+    roots, first = np.unique(root[np.lexsort((cover.j << d, cover.i << d))],
+                             return_index=True)
+    rank = np.empty(n, dtype=np.int64)
+    rank[roots[np.argsort(first)]] = np.arange(len(roots))
+    return rank[root]
+
+
+def _components(n, u, v):
+    """The least node of each node's component in the graph on 0..n-1 with
+    edges (u, v): each round hooks every root onto the least root adjacent
+    to its tree, then jumps pointers until all point at roots (Shiloach and
+    Vishkin, J. Algorithms 3, 1982)."""
+    root = np.arange(n, dtype=np.int32)
+    while (cross := (ru := root[u]) != (rv := root[v])).any():
+        # an edge inside a tree hooks its root onto itself, a no-op
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv, out=rv))
+        u, v = u[cross], v[cross]
+        while not np.array_equal(nxt := root[root], root):
+            root = nxt
+    return root

@@ -28,8 +28,8 @@ def render_svg(tree, level: int, color_by: str = "level", assignment=None,
     ``color_by`` is "level" (hue per level) or "symbols" (hue per distinct
     symbol set, requires an assignment).
     """
-    if level > tree.depth:
-        raise ValueError(f"tree depth {tree.depth} < requested level {level}")
+    if not 0 <= level <= tree.depth:
+        raise ValueError(f"level {level} outside 0..{tree.depth}, the tree's depth")
     if color_by not in ("level", "symbols"):
         raise ValueError("color_by must be 'level' or 'symbols'")
     if color_by == "symbols" and assignment is None:
@@ -58,16 +58,17 @@ def render_svg(tree, level: int, color_by: str = "level", assignment=None,
         out.append(f'<g id="level-{lvl}" fill-opacity="0.35" '
                    f'stroke-width="{stroke:.8f}">')
         for comp in tree.levels[lvl]:
+            # one string per component: the list of its lines lives briefly
             color = _color_for(comp, color_by, assignment, symbol_index)
-            out.append(f'<g fill="{color}" stroke="{color}">'
-                       f'<title>component {lvl}:{comp.index} degree '
-                       f'{comp.local_degree}</title>')
             cover = comp.cover
             walls = (w.tolist() for w in frame.cell_walls(cover.r, cover.i, cover.j))
-            for x_lo, x_hi, y_lo, y_hi in zip(*walls):
-                out.append(f'<rect x="{x_lo:.8f}" y="{-y_hi:.8f}" '
-                           f'width="{x_hi - x_lo:.8f}" height="{y_hi - y_lo:.8f}"/>')
-            out.append('</g>')
+            out.append("\n".join([
+                f'<g fill="{color}" stroke="{color}"><title>component '
+                f'{lvl}:{comp.index} degree {comp.local_degree}</title>',
+                *(f'<rect x="{x_lo:.8f}" y="{-y_hi:.8f}" '
+                  f'width="{x_hi - x_lo:.8f}" height="{y_hi - y_lo:.8f}"/>'
+                  for x_lo, x_hi, y_lo, y_hi in zip(*walls)),
+                '</g>']))
         out.append('</g>')
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+    out.append('</svg>\n')
+    return "\n".join(out)

@@ -815,8 +815,8 @@ def locate(tree: PuzzleTree, z, k: int):
     Raises NotInCover when z is certified outside the level-k cover and
     Undecided when membership cannot be certified at the built resolution.
     """
-    if k > tree.depth:
-        raise ValueError(f"tree depth {tree.depth} < requested level {k}")
+    if not 0 <= k <= tree.depth:
+        raise ValueError(f"level {k} outside 0..{tree.depth}, the tree's depth")
     if isinstance(z, complex):
         z = (Fraction(z.real), Fraction(z.imag))
     else:

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cantorshift
 from cantorshift.cli import main
 from cantorshift.render import render_svg
 from cantorshift.coding import assign_symbols
@@ -131,6 +134,9 @@ def test_render_by_symbols(quadratic_tree, quadratic_assignment):
         render_svg(quadratic_tree, 2, color_by="symbols")  # needs an assignment
     with pytest.raises(ValueError):
         render_svg(quadratic_tree, 99)
+    with pytest.raises(ValueError, match="level -3 outside 0..10"):
+        render_svg(quadratic_tree, -3)
+    assert "level-1" not in render_svg(quadratic_tree, 0)  # the circle alone
 
 
 def test_run_config_validation(quad_config, tmp_path, capsys, monkeypatch):
@@ -219,3 +225,33 @@ def test_verify_level_outside_the_tree_is_usage_error(quad_config, tmp_path, cap
     assert code == 2
     assert f"level {level} outside 1..2" in err
 
+
+
+@pytest.mark.parametrize("level", ["-1", "3"])
+def test_render_level_outside_the_tree_is_usage_error(quad_config, tmp_path, capsys, level):
+    out_dir = tmp_path / "o"
+    code, _, err = run(["render", "--config", quad_config, "--depth", "2", "--level", level,
+                        "--out", str(out_dir), "--max-resolution", "24"], capsys)
+    assert code == 2
+    assert f"level {level} outside 0..2" in err
+    assert not (out_dir / f"pieces-level{level}.svg").exists()
+
+
+def test_library_runs_without_scipy():
+    # the build, the clustering and the renderer need numpy alone
+    src = os.path.dirname(os.path.dirname(cantorshift.__file__))
+    code = (
+        "import sys\n"
+        "from cantorshift import DomainDisk, PolynomialMap, ResolutionPolicy, build_tree\n"
+        "from cantorshift.render import render_svg\n"
+        "pmap = PolynomialMap([('-6', '0'), ('0', '0'), ('1', '0')])\n"
+        "tree = build_tree(pmap, DomainDisk(('0', '0'), '4'), 3,\n"
+        "                  policy=ResolutionPolicy(max_resolution=30))\n"
+        "assert render_svg(tree, 3).endswith('</svg>\\n')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

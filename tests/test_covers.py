@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorshift import Frame, PavedCover, paved_clusters
+from cantorshift.covers import _components
 
 
 def frame16():
@@ -29,6 +30,13 @@ def _clusters(fr, cells):
 DEEP_PAIRS = [
     [(33, 0, 2**32 - 1), (33, 1, 0)],
     [(44, 3, 2**40), (44, 259, 2**40 - 1)],
+]
+# pairs of adjacent cells past resolution 32: across a j wall at 2^32, and
+# fine cells beside coarse ones with i or j past 2^35
+DEEP_ADJACENT = [
+    [(33, 0, 2**32 - 1), (33, 0, 2**32)],
+    [(44, 3, 2**40), (43, 1, 2**39 - 1)],
+    [(44, 2**40, 3), (40, 2**36 - 1, 0)],
 ]
 
 
@@ -254,8 +262,98 @@ def test_paved_clusters_match_naive():
         # a PavedCover input gives the labels of the list it was built from
         assert np.array_equal(paved_clusters(fr, PavedCover(fr, cells)),
                               paved_clusters(fr, cells))
-    for cells in DEEP_PAIRS:
-        assert _clusters(fr, cells) == _naive_clusters(fr, cells)
+    for cells in DEEP_PAIRS + DEEP_ADJACENT:
+        clusters = _clusters(fr, cells)
+        assert clusters == _naive_clusters(fr, cells)
+        assert len(clusters) == (2 if cells in DEEP_PAIRS else 1)
+
+
+def _serpentine(r):
+    """A one-cell-wide path up every other column of the 2^r grid and
+    down the next, joined by single cells alternately at top and bottom."""
+    n = 1 << r
+    cells = [(r, i, j) for i in range(0, n, 2) for j in range(n - 1)]
+    return cells + [(r, i, n - 2 if i % 4 == 1 else 0) for i in range(1, n - 1, 2)]
+
+
+@pytest.mark.parametrize("cells, n_clusters", [
+    (_serpentine(5), 1),
+    # the serpentine with each odd connector split into two finer cells
+    ([c for c in _serpentine(4) if c[1] % 2 == 0]
+     + [(5, 2 * i + di, 2 * j) for _, i, j in _serpentine(4) if i % 2 for di in (0, 1)], 1),
+    ([(4, i, j) for i in range(16) for j in range(16) if (i + j) % 2 == 0], 128),
+    # fine cells whose only neighbor is coarser, on their -i or -j side
+    ([(3, 2, 2), (4, 6, 4)], 1),
+    ([(3, 2, 2), (4, 4, 6)], 1),
+    ([(3, 2, 2), (6, 24, 16), (6, 16, 24), (5, 12, 9), (4, 5, 6)], 1),
+    ([(0, 0, 0)], 1),
+    ([(5, 31, 31)], 1),
+], ids=["serpentine", "serpentine-mixed", "checkerboard", "coarse-minus-i",
+        "coarse-minus-j", "coarse-both", "whole-frame", "corner-cell"])
+def test_paved_clusters_of_hard_shapes(cells, n_clusters):
+    fr = frame16()
+    clusters = _clusters(fr, cells)
+    assert clusters == _naive_clusters(fr, cells)
+    assert len(clusters) == n_clusters
+
+
+def _least_members(n, edges):
+    """Reference for ``_components``: union-find, then each node's least
+    component member."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(a) for a in range(n)]
+
+
+def test_components_match_union_find():
+    # a path whose node numbers are bit-reversed along it has local minima
+    # at every scale: hooking onto the least root takes one round per bit
+    k = 10
+    path = np.array([int(format(p, f"0{k}b")[::-1], 2) for p in range(1 << k)], np.int32)
+    assert np.array_equal(_components(1 << k, path[:-1], path[1:]), np.zeros(1 << k))
+    # a graph whose labels go stale without full pointer jumping, then
+    # random multigraphs with loops and isolated nodes
+    graphs = [(9, [(1, 6), (3, 7), (5, 2), (1, 3), (1, 6), (4, 8), (4, 5), (5, 6), (7, 5)])]
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        graphs.append((n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14))]))
+    for n, edges in graphs:
+        u, v = (np.array([e[c] for e in edges], np.int32) for c in (0, 1))
+        assert _components(n, u, v).tolist() == _least_members(n, edges), edges
+
+
+def test_paved_clusters_memory_is_bounded():
+    # a mixed pavement of 125,056 cells: a 512 x 256 grid at resolution 9,
+    # cut into strips by empty columns, with a corner at resolution 7 and a
+    # block at 10 that each join several strips, leaving nine clusters
+    import tracemalloc
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(512), np.arange(256), indexing="ij"))
+    keep = (i % 37 != 0) & ~((i < 128) & (j < 128)) & ~((i >= 256) & (i < 320) & (j < 64))
+    fine = np.arange(128 * 128)
+    cells = np.concatenate([
+        np.stack((np.full(keep.sum(), 9), i[keep], j[keep]), axis=1),
+        [(7, a, b) for a in range(32) for b in range(32)],
+        np.stack((np.full(len(fine), 10), 512 + fine // 128, fine % 128), axis=1),
+    ])
+    cover = PavedCover(frame16(), cells)
+    assert len(cover) >= 100_000
+    tracemalloc.start()
+    try:
+        labels = paved_clusters(frame16(), cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.max() == 8
+    assert peak < 120 * len(cover), peak / len(cover)
 
 
 def test_paved_clusters_of_no_cells():

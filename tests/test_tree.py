@@ -395,6 +395,13 @@ def test_locate_outside_raises(quadratic_tree):
         locate(quadratic_tree, ("0", "0"), 3)
 
 
+def test_locate_level_outside_the_tree(quadratic_tree):
+    for k in (-1, quadratic_tree.depth + 1):
+        with pytest.raises(ValueError, match=f"level {k} outside 0..10"):
+            locate(quadratic_tree, ("-2", "0"), k)
+    assert locate(quadratic_tree, ("-2", "0"), 0) == [quadratic_tree.levels[0][0]]
+
+
 def test_locate_boundary_point_undecided(quadratic_tree):
     with pytest.raises(Undecided):
         locate(quadratic_tree, ("4", "0"), 1)  # exactly on the circle
