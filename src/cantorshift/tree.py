@@ -26,24 +26,31 @@ batched outward-rounded Krawczyk test that answers a w_V only with d
 disjoint simple roots); a w_V it leaves open, such as a critical value, goes
 to the exact ``certified_roots``.  Either way the resulting enclosures
 contain true preimage points counted with exact multiplicity.  A level is
-accepted when, for its edge-adjacent clusters,
+accepted when, for its edge-adjacent clusters, these certificates hold, in
+this order:
 
   * container: the cells of each cluster descend from cells of a single
     parent cluster (dyadic ancestry is exact);
+  * witness location: each witness enclosure lies in exactly one cluster;
   * image: all witness enclosures inside a cluster stem from the same
     parent witness w_V; f maps each true component onto one parent
     component, so mixed parents certify a fusion of two components;
-  * witness count: the witness multiplicity in each cluster equals
+  * commuting square: container(image(W)) = image(container(W));
+  * critical membership: each critical enclosure lies inside one cluster;
+  * degree: the witness multiplicity in each cluster equals
     1 + (critical multiplicities certified inside), the local degree by
     the Riemann-Hurwitz count; every point of V has exactly local_degree
     preimages in each child component over V, so any mismatch certifies
     an under- or over-split cover;
-  * critical membership: critical enclosures never straddle clusters;
-  * conservation: per parent cluster P and component V, child degrees sum
-    to local_degree(P).
+  * conservation: per parent cluster P and component V over image(P),
+    child degrees sum to local_degree(P);
+  * witness membership: some witness midpoint of each cluster is certified
+    inside f^-k(U) by an exact orbit walk; it becomes the cluster's w_V.
 
-A cluster without a witness cannot be accepted, so spurious clusters block
-certification until refinement kills them; they are never counted.
+Each certificate is an array stage over the attempt's cluster table and
+flags the clusters (or parent pairs) where it fails.  A cluster without a
+witness cannot be accepted, so spurious clusters block certification until
+refinement kills them; they are never counted.
 """
 
 from __future__ import annotations
@@ -96,8 +103,8 @@ class ResolutionPolicy:
     validation_horizon: int = 20
 
     def __post_init__(self):
-        if self.max_boxes <= 0 or self.max_resolution <= 0:
-            raise ValueError("budgets must be positive")
+        if min(self.max_boxes, self.max_resolution, self.validation_horizon) <= 0:
+            raise ValueError("budgets must be positive and the validation horizon at least 1")
 
 
 @dataclass
@@ -127,18 +134,22 @@ class Component:
 
 @dataclass
 class _Built:
-    """Internal per-level record: the pavement, the mask of its cells
-    certified inside f^-k(U) and the cluster label ``paved_clusters`` gives
-    each of its cells (both aligned with the pavement), certified edges and
-    the witness point of each cluster."""
+    """The cluster table of an accepted level.  Aligned with the pavement's
+    cells: ``interior``, the mask of the cells certified inside f^-k(U), and
+    ``labels``, the cluster ``paved_clusters`` gives each cell.  Per cluster,
+    int64 arrays: the parent clusters that contain it (``parent_of``) and
+    that f maps it onto (``image_of``), both -1 at level 0, and its
+    ``local_degree``.  Per critical point of the map, the cluster certified
+    to contain it, else -1 (``crit_cluster``).  Per cluster, the exact
+    witness point certified to lie in it."""
 
     pavement: PavedCover
     interior: np.ndarray
     labels: np.ndarray
-    parent_of: list
-    image_of: list
-    local_degree: list
-    crits_in: list
+    parent_of: np.ndarray
+    image_of: np.ndarray
+    local_degree: np.ndarray
+    crit_cluster: np.ndarray
     witness_points: list
 
 
@@ -184,6 +195,30 @@ def _distinct(groups, values, n_groups):
     return count, np.where(count == 1, single, -1)
 
 
+def _groups(keys, n_groups):
+    """The indices of the items with key 0..n_groups-1, one ascending array
+    per key."""
+    ends = np.cumsum(np.bincount(keys, minlength=n_groups))
+    return np.split(np.argsort(keys, kind="stable"), ends[:-1])
+
+
+def _conservation(parent_of, image_of, local_degree, parent):
+    """Conservation: for each parent cluster P and each component V of the
+    level above whose container is image(P), the children of P over V have
+    local degrees summing to local_degree(P).  Returns these (P, V) pairs,
+    ascending, with the sum over each and the sum wanted; once the commuting
+    square holds, every child's (container, image) is one of them."""
+    n = len(parent.parent_of)
+    by_container = np.argsort(parent.parent_of, kind="stable")
+    lo, hi = (np.searchsorted(parent.parent_of[by_container], parent.image_of, side)
+              for side in ("left", "right"))
+    p = np.repeat(np.arange(n), hi - lo)
+    v = by_container[np.arange(len(p)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+    pair = np.searchsorted(p * n + v, parent_of * n + image_of)
+    got = np.bincount(pair, weights=local_degree, minlength=len(p)).astype(np.int64)
+    return p, v, got, parent.local_degree[p]
+
+
 class _Failure(Exception):
     """Internal: a certification attempt failed.
 
@@ -195,39 +230,40 @@ class _Failure(Exception):
 
     def __init__(self, kind, detail="", refine=None):
         super().__init__(f"{kind}: {detail}" if detail else kind)
-        self.kind = kind
         self.refine = refine
 
 
 class _Defects:
-    """Collector for certification defects within one stage, so a single
+    """Collector for the certification defects of one stage, so a single
     refinement pass can address all of them at once: a count per defect
-    kind, the first defect's text, and the clusters to refine."""
+    kind, the first defect's text, and the clusters to refine.  Given the
+    ``labels`` that map pavement cells to clusters, a stage that flags any
+    defect ends the attempt in a _Failure."""
 
-    def __init__(self):
+    def __init__(self, labels=None):
+        self.labels = labels
         self.counts = {}
         self.first = None
         self.clusters = set()
 
-    def add(self, kind, detail, clusters):
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if self.first is None:
-            self.first = f"{kind}: {detail}"
-        self.clusters.update(clusters)
-
-    def __bool__(self):
-        return bool(self.counts)
+    def flag(self, flagged, describe, clusters=None):
+        """Record one defect per set entry of the mask ``flagged``, in index
+        order: ``describe(i)`` gives entry i's kind and text.  Entry i names
+        the clusters ``clusters(i)`` to refine, or cluster i itself.  Raises
+        the stage's _Failure when given ``labels`` and any entry is set."""
+        for i in np.flatnonzero(flagged).tolist():
+            kind, detail = describe(i)
+            self.counts[kind] = self.counts.get(kind, 0) + 1
+            if self.first is None:
+                self.first = f"{kind}: {detail}"
+            self.clusters.update([i] if clusters is None else clusters(i))
+        if self.counts and self.labels is not None:
+            refine = np.isin(self.labels, list(self.clusters)) if self.clusters else None
+            raise _Failure("defects", str(self), refine=refine)
 
     def __str__(self):
         histogram = ", ".join(f"{kind}={n}" for kind, n in self.counts.items())
         return f"{self.first} (by kind: {histogram})"
-
-    def raise_any(self, labels):
-        """Raise the failure of the defects collected, if any; ``labels``
-        maps pavement cells to the cluster indices named."""
-        if self:
-            refine = np.isin(labels, list(self.clusters)) if self.clusters else None
-            raise _Failure("defects", str(self), refine=refine)
 
 
 class PuzzleTree:
@@ -304,7 +340,7 @@ class _TreeBuilder:
         self.levels = []               # components per accepted level
         # critical indices that may lie in the level being built: all of
         # them until level 1 certifies which lie inside U'
-        self.restriction_crits = tuple(range(len(pmap.critical_points)))
+        self.restriction_crits = np.arange(len(pmap.critical_points))
 
     # -- level 0: the disk itself ------------------------------------------
 
@@ -331,7 +367,8 @@ class _TreeBuilder:
             r += 1
         pavement, inner = _pave(self.frame, np.concatenate(interior), cells)
         self._accept(_Built(pavement, inner, np.zeros(len(pavement), dtype=np.int64),
-                            [None], [None], [1], [()], [self.disk.center]))
+                            np.array([-1]), np.array([-1]), np.array([1]),
+                            np.full(len(self.pmap.critical_points), -1), [self.disk.center]))
 
     # -- witness preimages ---------------------------------------------------
 
@@ -464,53 +501,62 @@ class _TreeBuilder:
         iy = np.clip(((y - self.frame.y0) / s).astype(np.int64), 0, m - 1)
         return self._scale_raster[ix, iy]
 
-    # -- certified placements ------------------------------------------------
+    # -- certificates ----------------------------------------------------------
 
     def _locate_criticals(self, k, pavement, labels, defects):
-        """Decide, per critical point, the unique cluster containing it.
-
-        The enclosure must lie entirely inside one cluster's cells (never
-        poking outside the cover or across clusters); unresolved criticals
-        are recorded as defects.  At k >= 2 a restriction critical outside
-        the whole cover certifies an escaping critical orbit."""
-        crits = [self.pmap.critical_points[cidx] for cidx in self.restriction_crits]
+        """Critical membership: the enclosure of each restriction critical
+        point lies inside one cluster's cells, not across clusters or the
+        cover's edge.  Returns the cluster of each critical point of the map,
+        else -1.  At k >= 2 a restriction critical outside the whole cover
+        certifies an escaping critical orbit; at level 1, one outside U'."""
+        crits = [self.pmap.critical_points[c] for c in self.restriction_crits]
         rects = np.array([crit.enclosure.as_tuple() for crit in crits]).reshape(-1, 4)
         box, cell = pavement.overlapping(rects.T)
         touched, cluster = _distinct(box, labels[cell], len(crits))
-        placed = {}
-        for b, (cidx, crit) in enumerate(zip(self.restriction_crits, crits)):
-            if not touched[b]:
-                if k >= 2:
-                    raise HypothesisViolation(
-                        f"critical point {crit.point_str()} certified outside "
-                        f"f^-{k}(U): its orbit escapes U'")
-                continue  # level 1: certified outside the restriction
-            if touched[b] > 1 or not pavement.covers_rect(crit.enclosure.as_tuple()):
-                defects.add("critical-straddle",
-                            f"critical {crit.point_str()} not resolved yet",
-                            labels[cell[box == b]].tolist())
-                continue
-            placed[cidx] = int(cluster[b])
-        return placed
+        lost = np.flatnonzero(touched == 0)
+        if k >= 2 and lost.size:
+            raise HypothesisViolation(
+                f"critical point {crits[lost[0]].point_str()} certified outside "
+                f"f^-{k}(U): its orbit escapes U'")
+        inside = np.array([n == 1 and pavement.covers_rect(rect)
+                           for n, rect in zip(touched.tolist(), rects.tolist())], dtype=bool)
+        defects.flag((touched > 0) & ~inside, lambda b: (
+            "critical-straddle", f"critical {crits[b].point_str()} not resolved yet"),
+            lambda b: labels[cell[box == b]].tolist())
+        crit_cluster = np.full(len(self.pmap.critical_points), -1)
+        crit_cluster[self.restriction_crits[inside]] = cluster[inside]
+        return crit_cluster
+
+    def _witness_point(self, k, rects):
+        """The first midpoint c of the witness enclosures ``rects`` certified
+        to lie in f^-k(U), or None.  It does when f^j(c), j = 1..k, stays
+        strictly inside U: the orbit of f(c) through step k - 1."""
+        for re_lo, re_hi, im_lo, im_hi in rects.tolist():
+            c = (Fraction(0.5 * (re_lo + re_hi)), Fraction(0.5 * (im_lo + im_hi)))
+            status, _, _ = _exact_orbit_status(
+                self.pmap, self.disk, self.pmap.eval_exact(c), k - 1)
+            if status == "in_Uprime":
+                return c
+        return None
 
     def _certify(self, k, pavement, interior, witness_boxes):
+        """Run the certificates of level k on one attempt's pavement, in the
+        order of the module docstring.  Returns the level's cluster table, or
+        raises _Failure with the defects of the first stage that has any."""
         labels = paved_clusters(self.frame, pavement)
         n_clusters = int(labels.max(initial=-1)) + 1
-        defects = _Defects()
-
-        # container edges from exact dyadic ancestry
         parent = self.built[k - 1]
-        anc = parent.pavement.find(pavement.r, pavement.i, pavement.j)
-        up = np.where(anc >= 0, parent.labels[anc], -1)
-        spans, parent_of = _distinct(labels, up, n_clusters)
-        for idx in np.flatnonzero(parent_of < 0).tolist():
-            defects.add("container-straddle",
-                        f"cluster spans {spans[idx]} parent clusters", [idx])
-        parent_of = parent_of.tolist()
-        defects.raise_any(labels)
+        defects = _Defects(labels)
 
-        # witness enclosures: every true preimage of every parent witness
-        # lies in the kept region, so each box locates in some cluster
+        # container, from exact dyadic ancestry
+        anc = parent.pavement.find(pavement.r, pavement.i, pavement.j)
+        spans, parent_of = _distinct(labels, np.where(anc >= 0, parent.labels[anc], -1),
+                                     n_clusters)
+        defects.flag(parent_of < 0, lambda idx: (
+            "container-straddle", f"cluster spans {spans[idx]} parent clusters"))
+
+        # witness location: every true preimage of every parent witness lies
+        # in the kept region, so each enclosure touches some cluster
         rects, mults, sources = witness_boxes
         box, cell = pavement.overlapping(rects.T)
         touched, cluster = _distinct(box, labels[cell], len(mults))
@@ -518,110 +564,63 @@ class _TreeBuilder:
             raise HypothesisViolation(
                 "a preimage of the basepoint is certified outside the "
                 "closed disk U, so U' is not contained in U")
-        for b in np.flatnonzero(touched != 1).tolist():
-            if touched[b] == 0:
-                defects.add("witness-lost",
-                            f"a preimage of witness {sources[b]} fell outside the cover",
-                            ())
-            else:
-                defects.add("witness-straddle",
-                            f"a preimage of witness {sources[b]} touches {touched[b]} clusters",
-                            labels[cell[box == b]].tolist())
-        defects.raise_any(labels)
+        defects.flag(touched != 1, lambda b: (
+            ("witness-lost", f"a preimage of witness {sources[b]} fell outside the cover")
+            if touched[b] == 0 else
+            ("witness-straddle", f"a preimage of witness {sources[b]} touches "
+                                 f"{touched[b]} clusters")),
+            lambda b: labels[cell[box == b]].tolist())
 
-        # image edges: the parent witnesses whose preimages each cluster holds
+        # image: the parent witnesses whose preimages each cluster holds
         n_images, image_of = _distinct(cluster, sources, n_clusters)
-        for idx in np.flatnonzero(n_images != 1).tolist():
-            if n_images[idx] == 0:
-                defects.add("no-witness",
-                            f"cluster {idx} holds no preimage of any parent witness",
-                            [idx])
-            else:
-                defects.add("witness-disagree",
-                            f"cluster {idx} holds preimages of {n_images[idx]} "
-                            f"distinct parent witnesses (fused components)",
-                            [idx])
-        defects.raise_any(labels)
-        image_of = image_of.tolist()
+        defects.flag(n_images != 1, lambda idx: (
+            ("no-witness", f"cluster {idx} holds no preimage of any parent witness")
+            if n_images[idx] == 0 else
+            ("witness-disagree", f"cluster {idx} holds preimages of {n_images[idx]} "
+                                 f"distinct parent witnesses (fused components)")))
 
-        if k >= 2:
-            parent = self.built[k - 1]
-            for idx in range(n_clusters):
-                P, V = parent_of[idx], image_of[idx]
-                if parent.parent_of[V] != parent.image_of[P]:
-                    defects.add("commuting-square",
-                                f"container(image) != image(container) at cluster {idx}",
-                                [idx])
-            defects.raise_any(labels)
+        # commuting square; at level 1 both sides are level 0's -1
+        defects.flag(parent.parent_of[image_of] != parent.image_of[parent_of], lambda idx: (
+            "commuting-square", f"container(image) != image(container) at cluster {idx}"))
 
-        placed = self._locate_criticals(k, pavement, labels, defects)
-        defects.raise_any(labels)
-        crits_in = [tuple(sorted(c for c, cl in placed.items() if cl == idx))
-                    for idx in range(n_clusters)]
-        local_degree = [1 + sum(self.pmap.critical_points[c].multiplicity for c in crits)
-                        for crits in crits_in]
+        crit_cluster = self._locate_criticals(k, pavement, labels, defects)
 
-        # Riemann-Hurwitz degree must equal the witness preimage count
-        witness_mult = np.bincount(np.repeat(cluster, mults), minlength=n_clusters).tolist()
-        for idx in range(n_clusters):
-            if witness_mult[idx] != local_degree[idx]:
-                defects.add(
-                    "degree-mismatch",
-                    f"cluster {idx}: {witness_mult[idx]} witness preimages vs local "
-                    f"degree {local_degree[idx]} from critical points",
-                    [idx])
-        defects.raise_any(labels)
+        # degree: the Riemann-Hurwitz local degree must equal the witness
+        # preimage count
+        placed = crit_cluster >= 0
+        crit_mult = np.array([c.multiplicity for c in self.pmap.critical_points], dtype=np.int64)
+        local_degree = 1 + np.bincount(np.repeat(crit_cluster[placed], crit_mult[placed]),
+                                       minlength=n_clusters)
+        witness_mult = np.bincount(np.repeat(cluster, mults), minlength=n_clusters)
+        defects.flag(witness_mult != local_degree, lambda idx: (
+            "degree-mismatch", f"cluster {idx}: {witness_mult[idx]} witness preimages vs "
+                               f"local degree {local_degree[idx]} from critical points"))
 
-        d = self.pmap.degree
         if k == 1:
-            if sum(local_degree) != d:
-                raise _Failure("conservation",
-                               f"level-1 degrees sum to {sum(local_degree)}, want {d}")
+            if local_degree.sum() != self.pmap.degree:
+                raise _Failure("conservation", f"level-1 degrees sum to "
+                               f"{local_degree.sum()}, want {self.pmap.degree}")
         else:
-            parent = self.built[k - 1]
-            sums = {}
-            for idx in range(n_clusters):
-                key = (parent_of[idx], image_of[idx])
-                sums[key] = sums.get(key, 0) + local_degree[idx]
-            by_container = {}
-            for v, cont in enumerate(parent.parent_of):
-                by_container.setdefault(cont, []).append(v)
-            for p, p_img in enumerate(parent.image_of):
-                for v in by_container.get(p_img, []):
-                    if sums.get((p, v), 0) != parent.local_degree[p]:
-                        defects.add(
-                            "conservation",
-                            f"children of parent {p} over component {v} have degree "
-                            f"{sums.get((p, v), 0)}, want {parent.local_degree[p]}",
-                            [idx for idx in range(n_clusters) if parent_of[idx] == p])
-            defects.raise_any(labels)
+            p, v, got, want = _conservation(parent_of, image_of, local_degree, parent)
+            defects.flag(got != want, lambda i: (
+                "conservation", f"children of parent {p[i]} over component {v[i]} have "
+                                f"degree {got[i]}, want {want[i]}"),
+                lambda i: np.flatnonzero(parent_of == p[i]).tolist())
 
-        # one certified-member witness point per cluster, chosen canonically:
-        # each cluster tries its boxes in candidate order
-        witness_points = []
-        for idx in range(n_clusters):
-            chosen = None
-            for re_lo, re_hi, im_lo, im_hi in rects[cluster == idx].tolist():
-                c = (Fraction(0.5 * (re_lo + re_hi)), Fraction(0.5 * (im_lo + im_hi)))
-                # c lies in f^-k(U) when f^j(c), j = 1..k, stays strictly
-                # inside U: the orbit of f(c) through step k - 1
-                status, _, _ = _exact_orbit_status(
-                    self.pmap, self.disk, self.pmap.eval_exact(c), k - 1)
-                if status == "in_Uprime":
-                    chosen = c
-                    break
-            if chosen is None:
-                defects.add("witness-member",
-                            f"no witness midpoint of cluster {idx} certifies "
-                            f"membership in f^-{k}(U)", [idx])
-            witness_points.append(chosen)
-        if defects:
+        # witness membership: each cluster tries its boxes in candidate order
+        witness_points = [self._witness_point(k, rects[members])
+                          for members in _groups(cluster, n_clusters)]
+        missing = _Defects()
+        missing.flag([w is None for w in witness_points], lambda idx: (
+            "witness-member", f"no witness midpoint of cluster {idx} certifies "
+                              f"membership in f^-{k}(U)"))
+        if missing.counts:
             # the candidates are the midpoints of the witness enclosures,
             # solved once per level: no refinement changes a walk's answer
-            raise Undecided(f"level {k}: {defects}")
+            raise Undecided(f"level {k}: {missing}")
 
         return _Built(pavement, interior, labels, parent_of, image_of, local_degree,
-                      crits_in, witness_points)
+                      crit_cluster, witness_points)
 
     # -- per-level driver ----------------------------------------------------
 
@@ -709,8 +708,7 @@ class _TreeBuilder:
         for k in range(1, depth + 1):
             self._build_level(k)
             if k == 1:
-                self.restriction_crits = tuple(
-                    sorted(c for crits in self.built[1].crits_in for c in crits))
+                self.restriction_crits = np.flatnonzero(self.built[1].crit_cluster >= 0)
                 restriction = validate_restriction(
                     self.pmap, self.disk, self.levels[1],
                     horizon=self.policy.validation_horizon)
@@ -724,35 +722,35 @@ class _TreeBuilder:
         return tree
 
     def _accept(self, built):
-        """Record an accepted level and build its components, whose covers
-        are sliced from the level's pavement."""
+        """Record an accepted level and build its components, with Python int
+        fields and covers sliced from the level's pavement."""
         k = len(self.built)
         self.built.append(built)
-        order = np.argsort(built.labels, kind="stable")
-        ends = np.cumsum(np.bincount(built.labels, minlength=len(built.parent_of)))
+        parent_of, image_of, local_degree, crit_cluster = (a.tolist() for a in (
+            built.parent_of, built.image_of, built.local_degree, built.crit_cluster))
         comps = []
-        for idx, members in enumerate(np.split(order, ends[:-1])):
+        for idx, members in enumerate(_groups(built.labels, len(parent_of))):
             cover = built.pavement.subset(members)
             if k == 0:
                 diam = enclose_fraction(2 * self.disk.radius)[1]
-                cum = 1
+                cum, container, image = 1, None, None
             else:
                 rect = cover.bounding_rect()
                 w = rect[1] - rect[0]
                 h = rect[3] - rect[2]
                 diam = isqrt_hi(math.nextafter(w * w + h * h, math.inf))
-                cum = (built.local_degree[idx]
-                       * self.levels[k - 1][built.image_of[idx]].cumulative_degree)
+                cum = local_degree[idx] * self.levels[k - 1][image_of[idx]].cumulative_degree
+                container, image = parent_of[idx], image_of[idx]
             comps.append(Component(
                 level=k,
                 index=idx,
-                container=built.parent_of[idx],
-                image=built.image_of[idx],
-                local_degree=built.local_degree[idx],
+                container=container,
+                image=image,
+                local_degree=local_degree[idx],
                 cumulative_degree=cum,
                 cover=cover,
                 diameter_bound=diam,
-                contains_critical=built.crits_in[idx],
+                contains_critical=tuple(c for c, cl in enumerate(crit_cluster) if cl == idx),
             ))
         self.levels.append(comps)
 

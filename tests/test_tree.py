@@ -1,5 +1,7 @@
 """Component trees: structure, degrees, location, diagnostics."""
 
+import copy
+import dataclasses
 import re
 from fractions import Fraction
 from types import SimpleNamespace
@@ -274,7 +276,7 @@ def test_critical_point_on_a_corner_names_both_clusters(cubic_map, cubic_disk):
     labels = paved_clusters(frame, pavement)
     assert sorted(labels.tolist()) == [0, 1]
     defects = tree_mod._Defects()
-    assert builder._locate_criticals(1, pavement, labels, defects) == {}
+    assert builder._locate_criticals(1, pavement, labels, defects).tolist() == [-1, -1]
     assert defects.counts == {"critical-straddle": 1}
     assert defects.clusters == {0, 1}
 
@@ -296,6 +298,92 @@ def test_cluster_across_parent_clusters_fails(quadratic_map, quadratic_disk):
     assert str(info.value).endswith("(by kind: container-straddle=1)")
     assert "cluster spans 3 parent clusters" in str(info.value)
     assert info.value.refine.all()
+
+
+@pytest.mark.parametrize("case, depth, failures", [
+    ("quadratic", 6, [(5, 0, "witness-disagree=2"), (6, 2, "witness-disagree=22"),
+                      (6, 24, "witness-disagree=2")]),
+    ("cubic", 4, [(4, 0, "witness-disagree=3, no-witness=2"),
+                  (4, 0, "witness-disagree=1, no-witness=1")]),
+])
+def test_failure_texts_of_small_builds(request, case, depth, failures):
+    # every failing attempt: its level, first defect and histogram of kinds
+    _, attempts, _ = _walk_build(request.getfixturevalue(f"{case}_map"),
+                                 request.getfixturevalue(f"{case}_disk"), depth)
+    assert [(k, text) for k, _, text in attempts if text is not None] == [
+        (k, f"defects: witness-disagree: cluster {idx} holds preimages of 2 distinct "
+            f"parent witnesses (fused components) (by kind: {histogram})")
+        for k, idx, histogram in failures]
+    assert [k for k, _, text in attempts if text is None] == list(range(1, depth + 1))
+
+
+def _with_parent(builder, k, **fields):
+    """A copy of the builder whose level k - 1 record has ``fields`` replaced."""
+    doctored = copy.copy(builder)
+    doctored.built = list(builder.built)
+    doctored.built[k - 1] = dataclasses.replace(builder.built[k - 1], **fields)
+    return doctored
+
+
+def test_commuting_square_fails_on_a_wrong_parent_image(quadratic_map, quadratic_disk):
+    builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
+    builder.build(3)
+    image_of = builder.built[2].image_of.copy()
+    image_of[0] = 1 - image_of[0]
+    built = builder.built[3]
+    children = np.flatnonzero(built.parent_of == 0)
+    assert len(children) == 2
+    fail = _certify_failure(_with_parent(builder, 3, image_of=image_of), 3,
+                            builder._solve_witness_preimages(3))
+    assert str(fail) == (f"defects: commuting-square: container(image) != image(container) "
+                         f"at cluster {children[0]} (by kind: commuting-square=2)")
+    assert np.array_equal(fail.refine, np.isin(built.labels, children))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_branched_cluster_missing_a_witness_box(cubic_map, cubic_disk, k):
+    builder = tree_mod._TreeBuilder(cubic_map, cubic_disk, small_policy())
+    builder.build(2)
+    built = builder.built[k]
+    (idx,) = np.flatnonzero(built.local_degree == 2)
+    rects, mults, sources = builder._solve_witness_preimages(k)
+    box, cell = built.pavement.overlapping(rects.T)
+    inside = np.unique(box[built.labels[cell] == idx])
+    assert mults[inside].tolist() == [1, 1]
+    keep = np.arange(len(mults)) != inside[0]
+    fail = _certify_failure(builder, k, (rects[keep], mults[keep], sources[keep]))
+    assert str(fail) == (f"defects: degree-mismatch: cluster {idx}: 1 witness preimages vs "
+                         f"local degree 2 from critical points (by kind: degree-mismatch=1)")
+    assert np.array_equal(fail.refine, built.labels == idx)
+
+
+def test_children_of_a_parent_over_one_component_fail_conservation(
+        quadratic_map, quadratic_disk):
+    # the two children of parent 0 claim preimages of witness 0 alone: the
+    # sum over component 0 is 2 and the sum over component 1 is 0, want 1
+    builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
+    builder.build(2)
+    built = builder.built[2]
+    children = np.flatnonzero(built.parent_of == 0)
+    assert sorted(built.image_of[children].tolist()) == [0, 1]
+    (over_1,) = children[built.image_of[children] == 1]
+    rects, mults, sources = builder._solve_witness_preimages(2)
+    box, cell = built.pavement.overlapping(rects.T)
+    sources = sources.copy()
+    sources[np.unique(box[built.labels[cell] == over_1])] = 0
+    fail = _certify_failure(builder, 2, (rects, mults, sources))
+    assert str(fail) == ("defects: conservation: children of parent 0 over component 0 "
+                         "have degree 2, want 1 (by kind: conservation=2)")
+    assert np.array_equal(fail.refine, np.isin(built.labels, children))
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_validation_horizon_must_be_positive(horizon):
+    # a horizon below 1 walks no step, so every critical orbit would read
+    # as staying in U'
+    with pytest.raises(ValueError, match="validation horizon at least 1"):
+        ResolutionPolicy(validation_horizon=horizon)
+    assert ResolutionPolicy(validation_horizon=1).validation_horizon == 1
 
 
 def test_empty_level_fails_certification(quadratic_map, quadratic_disk):
