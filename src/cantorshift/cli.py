@@ -26,7 +26,7 @@ from .errors import (
 )
 from .maps import DomainDisk
 from .oracle import run_equivalence_cases
-from .render import render_svg
+from .render import svg_parts
 from .tree import ResolutionPolicy, build_tree, cantor_diagnostic
 
 EXIT_OK = 0
@@ -142,12 +142,12 @@ def cmd_render(args):
     _, _, tree = _build(args)
     assignment = assign_symbols(tree) if args.color_by == "symbols" else None
     level = args.level if args.level is not None else tree.depth
-    svg = render_svg(tree, level, color_by=args.color_by,
-                     assignment=assignment, size=args.size)
+    parts = svg_parts(tree, level, color_by=args.color_by,
+                      assignment=assignment, size=args.size)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"pieces-level{level}.svg")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        fh.writelines(parts)
     print(f"svg written to {path}")
     return EXIT_OK
 

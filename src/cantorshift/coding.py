@@ -269,7 +269,10 @@ def chi(pmap, z, tree, horizon: int = 24) -> ChiResult:
     Certification beyond the horizon uses the degree budget: once the
     accumulated product reaches 2^(d - N), any further hit would exceed the
     global bound, so the tail is hit-free under the standing hypotheses.
+    Raises ValueError for a horizon below 0.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is below 0")
     if isinstance(z, complex):
         z = (Fraction(z.real), Fraction(z.imag))
     else:

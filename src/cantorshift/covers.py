@@ -268,7 +268,7 @@ class PavedCover:
 _CHUNK = 1 << 12  # cells whose four neighbor slots one ``find`` call resolves
 
 
-def paved_clusters(frame: Frame, cells):
+def paved_clusters(frame: Frame, cells, settled=None):
     """Partition mixed-resolution cells into maximal edge-adjacent clusters.
 
     Two cells are adjacent when their boundaries share a segment of
@@ -282,6 +282,13 @@ def paved_clusters(frame: Frame, cells):
     cells, and only the edges found are kept, as int32 pairs (fewer than
     2^31 cells), so memory stays a few dozen bytes per cell.
 
+    ``settled``, aligned with the cover, names clusters known in advance:
+    cells with the same id >= 0 form one group, and -1 (every cell, when
+    None) marks a cell to be joined by its neighbor slots.  Each group must
+    be a whole cluster: edge-connected, and adjacent to no cell outside it.
+    A group is then joined without looking up any of its slots, so the
+    lookups scale with the unsettled cells alone.
+
     ``cells`` is a PavedCover or an iterable of (r, i, j).  Returns the
     cluster index of each cell as an int64 array aligned with the cover
     (with ``PavedCover(frame, cells)`` for an iterable), clusters numbered
@@ -289,9 +296,17 @@ def paved_clusters(frame: Frame, cells):
     """
     cover = cells if isinstance(cells, PavedCover) else PavedCover(frame, cells)
     n = len(cover)
+    if settled is None:
+        settled = np.full(n, -1)
+    # each settled group starts as one tree rooted at its least cell
+    grouped = np.flatnonzero(settled >= 0)
+    _, first, group = np.unique(settled[grouped], return_index=True, return_inverse=True)
+    root = np.arange(n, dtype=np.int32)
+    root[grouped] = grouped[first][group]
+    todo = np.flatnonzero(settled < 0).astype(np.int32)
     u, v = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-    for lo in range(0, n, _CHUNK):
-        src = np.tile(np.arange(lo, min(lo + _CHUNK, n)), 4)  # +i, +j, -i, -j
+    for lo in range(0, len(todo), _CHUNK):
+        src = np.tile(todo[lo:lo + _CHUNK], 4)  # +i, +j, -i, -j
         m = len(src) // 4
         r = cover.r[src]
         i = cover.i[src] + np.repeat((1, 0, -1, 0), m)
@@ -299,10 +314,9 @@ def paved_clusters(frame: Frame, cells):
         ok = np.flatnonzero((i >= 0) & (j >= 0) & (i < (1 << r)) & (j < (1 << r)))
         nbr = cover.find(r[ok], i[ok], j[ok])
         hit = (nbr >= 0) & ((ok < 2 * m) | (cover.r[nbr] < r[ok]))
-        u.append(src[ok[hit]].astype(np.int32))
+        u.append(src[ok[hit]])
         v.append(nbr[hit].astype(np.int32))
-    u, v = np.concatenate(u), np.concatenate(v)
-    root = _components(n, u, v)
+    root = _components(n, np.concatenate(u), np.concatenate(v), root)
     # number clusters by their least fine-grid lower-left corner; distinct
     # non-overlapping cells never share that corner
     d = cover.finest - cover.r
@@ -313,12 +327,14 @@ def paved_clusters(frame: Frame, cells):
     return rank[root]
 
 
-def _components(n, u, v):
+def _components(n, u, v, root=None):
     """The least node of each node's component in the graph on 0..n-1 with
-    edges (u, v): each round hooks every root onto the least root adjacent
-    to its tree, then jumps pointers until all point at roots (Shiloach and
-    Vishkin, J. Algorithms 3, 1982)."""
-    root = np.arange(n, dtype=np.int32)
+    edges (u, v), starting from the trees ``root`` gives (each node's root,
+    the least node of its tree; ``arange(n)`` when None): each round hooks
+    every root onto the least root adjacent to its tree, then jumps pointers
+    until all point at roots (Shiloach and Vishkin, J. Algorithms 3, 1982)."""
+    if root is None:
+        root = np.arange(n, dtype=np.int32)
     while (cross := (ru := root[u]) != (rv := root[v])).any():
         # an edge inside a tree hooks its root onto itself, a no-op
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv, out=rv))

@@ -8,6 +8,8 @@ iteration orders are canonical and coordinates use a fixed decimal format.
 
 from __future__ import annotations
 
+import numpy as np
+
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
     "#e377c2", "#17becf", "#bcbd22", "#7f7f7f", "#aec7e8", "#98df8a",
@@ -21,33 +23,68 @@ def _color_for(comp, color_by, assignment, symbol_index):
     return _PALETTE[comp.level % len(_PALETTE)]
 
 
-def render_svg(tree, level: int, color_by: str = "level", assignment=None,
-               size: int = 800) -> str:
-    """Draw the puzzle pieces of levels 1..level, plus the domain circle.
+def _formatted(values):
+    """Each float of ``values`` as ``f"{v:.8f}"``, formatting every distinct
+    bit pattern once (so -0.0 and 0.0 keep their own strings)."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([f"{v:.8f}" for v in bits.view(np.float64).tolist()],
+                    dtype=object)[inverse].tolist()
 
-    ``color_by`` is "level" (hue per level) or "symbols" (hue per distinct
-    symbol set, requires an assignment).
-    """
+
+_BATCH = 1 << 12  # cells whose distinct wall values one ``_formatted`` pass covers
+
+
+def _rects(frame, covers):
+    """Per cover, the <rect> lines of its cells.  Most components are a few
+    cells, so the wall values are formatted for whole covers together, about
+    _BATCH cells at a time."""
+    ends = np.cumsum([len(cover) for cover in covers])
+    lo = 0
+    while lo < len(covers):
+        # the covers lo..hi-1: at least _BATCH cells, or the rest
+        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + _BATCH)) + 1
+        batch = covers[lo:hi]
+        x_lo, x_hi, y_lo, y_hi = frame.cell_walls(
+            *(np.concatenate([getattr(c, a) for c in batch]) for a in "rij"))
+        columns = [_formatted(v) for v in (x_lo, -y_hi, x_hi - x_lo, y_hi - y_lo)]
+        end = 0
+        for c in batch:
+            start, end = end, end + len(c)
+            yield [f'<rect x="{x}" y="{y}" width="{w}" height="{h}"/>'
+                   for x, y, w, h in zip(*(column[start:end] for column in columns))]
+        lo = hi
+
+
+def svg_parts(tree, level: int, color_by: str = "level", assignment=None,
+              size: int = 800):
+    """The text of ``render_svg`` as an iterator of whole lines, one string
+    per component and one per other line; a caller that writes them as they
+    come holds one component at a time.  The arguments are checked before
+    the iterator is returned."""
     if not 0 <= level <= tree.depth:
         raise ValueError(f"level {level} outside 0..{tree.depth}, the tree's depth")
     if color_by not in ("level", "symbols"):
         raise ValueError("color_by must be 'level' or 'symbols'")
     if color_by == "symbols" and assignment is None:
         raise ValueError("symbol coloring needs an assignment")
+    if size < 1:
+        raise ValueError(f"size {size} is not a positive pixel count")
+    return _parts(tree, level, color_by, assignment, size)
+
+
+def _parts(tree, level, color_by, assignment, size):
     frame = tree.frame
     vb = f"{frame.x0:.8f} {-(frame.y0 + frame.side):.8f} {frame.side:.8f} {frame.side:.8f}"
     stroke = frame.side / 800.0
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="{vb}">',
-        f'<rect x="{frame.x0:.8f}" y="{-(frame.y0 + frame.side):.8f}" '
-        f'width="{frame.side:.8f}" height="{frame.side:.8f}" fill="#ffffff"/>',
-    ]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+           f'viewBox="{vb}">\n')
+    yield (f'<rect x="{frame.x0:.8f}" y="{-(frame.y0 + frame.side):.8f}" '
+           f'width="{frame.side:.8f}" height="{frame.side:.8f}" fill="#ffffff"/>\n')
     cx = 0.5 * (tree.disk.center_box[0] + tree.disk.center_box[1])
     cy = 0.5 * (tree.disk.center_box[2] + tree.disk.center_box[3])
     radius = float(tree.disk.radius)
-    out.append(f'<circle cx="{cx:.8f}" cy="{-cy:.8f}" r="{radius:.8f}" '
-               f'fill="none" stroke="#cccccc" stroke-width="{stroke:.8f}"/>')
+    yield (f'<circle cx="{cx:.8f}" cy="{-cy:.8f}" r="{radius:.8f}" '
+           f'fill="none" stroke="#cccccc" stroke-width="{stroke:.8f}"/>\n')
     for lvl in range(1, level + 1):
         symbol_index = {}
         if color_by == "symbols":
@@ -55,20 +92,25 @@ def render_svg(tree, level: int, color_by: str = "level", assignment=None,
                 key = assignment.of(lvl, comp.index)
                 if key not in symbol_index:
                     symbol_index[key] = len(symbol_index)
-        out.append(f'<g id="level-{lvl}" fill-opacity="0.35" '
-                   f'stroke-width="{stroke:.8f}">')
-        for comp in tree.levels[lvl]:
-            # one string per component: the list of its lines lives briefly
+        yield (f'<g id="level-{lvl}" fill-opacity="0.35" '
+               f'stroke-width="{stroke:.8f}">\n')
+        comps = tree.levels[lvl]
+        for comp, rects in zip(comps, _rects(frame, [comp.cover for comp in comps])):
             color = _color_for(comp, color_by, assignment, symbol_index)
-            cover = comp.cover
-            walls = (w.tolist() for w in frame.cell_walls(cover.r, cover.i, cover.j))
-            out.append("\n".join([
+            yield "\n".join([
                 f'<g fill="{color}" stroke="{color}"><title>component '
                 f'{lvl}:{comp.index} degree {comp.local_degree}</title>',
-                *(f'<rect x="{x_lo:.8f}" y="{-y_hi:.8f}" '
-                  f'width="{x_hi - x_lo:.8f}" height="{y_hi - y_lo:.8f}"/>'
-                  for x_lo, x_hi, y_lo, y_hi in zip(*walls)),
-                '</g>']))
-        out.append('</g>')
-    out.append('</svg>\n')
-    return "\n".join(out)
+                *rects, '</g>', ''])
+        yield '</g>\n'
+    yield '</svg>\n'
+
+
+def render_svg(tree, level: int, color_by: str = "level", assignment=None,
+               size: int = 800) -> str:
+    """Draw the puzzle pieces of levels 1..level, plus the domain circle.
+
+    ``color_by`` is "level" (hue per level) or "symbols" (hue per distinct
+    symbol set, requires an assignment); ``size`` is the width and height in
+    pixels, at least 1.
+    """
+    return "".join(svg_parts(tree, level, color_by, assignment, size))

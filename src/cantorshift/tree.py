@@ -51,6 +51,14 @@ Each certificate is an array stage over the attempt's cluster table and
 flags the clusters (or parent pairs) where it fails.  A cluster without a
 witness cannot be accepted, so spurious clusters block certification until
 refinement kills them; they are never counted.
+
+A failed attempt splits only refinable band cells, mostly those of the
+flagged clusters, so within a level the cover only shrinks and its clusters
+can split but never merge: the decremental case of dynamic connectivity
+(Even and Shiloach, J. ACM 28, 1981).  A cluster with no split cell is
+*settled*: it stays a whole cluster of the next attempt's pavement, so that
+attempt clusters by neighbor lookups, and locates in the parent pavement,
+only the other cells (``_build_level`` gives the argument).
 """
 
 from __future__ import annotations
@@ -154,6 +162,7 @@ class _Built:
 
 
 _NO_CELLS = np.empty((0, 3), dtype=np.int64)
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 def _cell_array(pavement):
@@ -174,13 +183,50 @@ def _children(cells):
             + ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))).reshape(-1, 3)
 
 
-def _pave(frame, interior, band):
+def _pave(frame, interior, band, kept=None):
     """The pavement of interior and band cells, (n, 3) arrays of (r, i, j),
-    and the mask of its interior cells."""
-    pavement = PavedCover(frame, np.concatenate((interior, band)))
-    is_inner = np.zeros(len(pavement), dtype=bool)
-    is_inner[pavement.find(*interior.T)] = True
-    return pavement, is_inner
+    and of the cells carried over from a previous pavement: ``kept`` is its
+    (pavement, interior mask, keep mask), or None.  Returns the pavement,
+    the mask of its interior cells and, per cell, its index in the previous
+    pavement, -1 for the cells given here.  Both pavements are sorted by
+    (r, i, j), so the kept cells take their positions in their previous
+    order.  One ``find`` places the two smaller of the three groups (kept,
+    interior, band); the largest fills the positions left."""
+    old, old_inner, keep = kept if kept is not None else (None, np.zeros(0, dtype=bool), [])
+    old_idx = np.flatnonzero(keep)
+    cells = np.concatenate((_NO_CELLS if old is None else _cell_array(old)[old_idx],
+                            interior, band))
+    pavement = PavedCover(frame, cells)
+    sizes = (len(old_idx), len(interior), len(band))
+    group, largest = np.repeat(np.arange(3), sizes), np.argmax(sizes)
+    placed = group != largest
+    kind = np.full(len(pavement), largest)
+    kind[pavement.find(*cells[placed].T)] = group[placed]
+    prev = np.full(len(pavement), -1, dtype=np.int64)
+    prev[kind == 0] = old_idx
+    is_inner = kind == 1
+    is_inner[kind == 0] = old_inner[old_idx]
+    return pavement, is_inner, prev
+
+
+def _from_prev(values, prev, fill):
+    """Per cell of a pavement: ``values`` at its index ``prev`` in the
+    previous pavement, or ``fill`` where it has none."""
+    out = np.full(len(prev), fill, dtype=np.int64)
+    known = prev >= 0
+    out[known] = values[prev[known]]
+    return out
+
+
+def _settled(table, chosen):
+    """The (settled, up) arrays a failed attempt hands over, from its
+    cluster ``table`` of (labels, up) and the mask of the cells chosen for
+    splitting: a settled cluster, one with no chosen cell, keeps its label
+    and any other cell gets -1."""
+    labels, up = table
+    touched = np.zeros(int(labels.max(initial=-1)) + 1, dtype=bool)
+    touched[labels[chosen]] = True
+    return np.where(touched[labels], -1, labels), up
 
 
 def _distinct(groups, values, n_groups):
@@ -226,10 +272,12 @@ class _Failure(Exception):
     when set, only those cells (intersected with the refinable band) need
     splitting, which keeps a small defect (a spurious island, one
     unresolved critical enclosure) from forcing a refinement of the whole
-    level."""
+    level.  ``table`` is the attempt's cluster table per cell: its labels
+    and its parent clusters."""
 
-    def __init__(self, kind, detail="", refine=None):
-        super().__init__(f"{kind}: {detail}" if detail else kind)
+    def __init__(self, kind, detail, table, refine=None):
+        super().__init__(f"{kind}: {detail}")
+        self.table = table
         self.refine = refine
 
 
@@ -237,11 +285,13 @@ class _Defects:
     """Collector for the certification defects of one stage, so a single
     refinement pass can address all of them at once: a count per defect
     kind, the first defect's text, and the clusters to refine.  Given the
-    ``labels`` that map pavement cells to clusters, a stage that flags any
-    defect ends the attempt in a _Failure."""
+    ``labels`` that map pavement cells to clusters and the parent cluster
+    ``up`` of each cell, a stage that flags any defect ends the attempt in
+    a _Failure that carries both."""
 
-    def __init__(self, labels=None):
+    def __init__(self, labels=None, up=None):
         self.labels = labels
+        self.up = up
         self.counts = {}
         self.first = None
         self.clusters = set()
@@ -259,7 +309,7 @@ class _Defects:
             self.clusters.update([i] if clusters is None else clusters(i))
         if self.counts and self.labels is not None:
             refine = np.isin(self.labels, list(self.clusters)) if self.clusters else None
-            raise _Failure("defects", str(self), refine=refine)
+            raise _Failure("defects", str(self), (self.labels, self.up), refine=refine)
 
     def __str__(self):
         histogram = ", ".join(f"{kind}={n}" for kind, n in self.counts.items())
@@ -365,7 +415,7 @@ class _TreeBuilder:
                 break
             cells = _children(cells)
             r += 1
-        pavement, inner = _pave(self.frame, np.concatenate(interior), cells)
+        pavement, inner, _ = _pave(self.frame, np.concatenate(interior), cells)
         self._accept(_Built(pavement, inner, np.zeros(len(pavement), dtype=np.int64),
                             np.array([-1]), np.array([-1]), np.array([1]),
                             np.full(len(self.pmap.critical_points), -1), [self.disk.center]))
@@ -539,19 +589,31 @@ class _TreeBuilder:
                 return c
         return None
 
-    def _certify(self, k, pavement, interior, witness_boxes):
+    def _certify(self, k, pavement, interior, witness_boxes, carried=None):
         """Run the certificates of level k on one attempt's pavement, in the
         order of the module docstring.  Returns the level's cluster table, or
-        raises _Failure with the defects of the first stage that has any."""
-        labels = paved_clusters(self.frame, pavement)
+        raises _Failure with the defects of the first stage that has any.
+
+        ``carried`` = (prev, settled, up) is what the level's last failed
+        attempt hands over: per cell of this pavement, its index in that
+        attempt's pavement or -1 (see ``_pave``); per cell of that pavement,
+        its cluster where settled, else -1, and its parent cluster.  Only
+        the unsettled cells are joined by neighbor lookups, and only the
+        cells without a previous index are located in the parent pavement;
+        None carries nothing."""
+        prev, settled, up = carried if carried is not None else (
+            np.full(len(pavement), -1), _NO_IDS, _NO_IDS)
+        labels = paved_clusters(self.frame, pavement, _from_prev(settled, prev, -1))
         n_clusters = int(labels.max(initial=-1)) + 1
         parent = self.built[k - 1]
-        defects = _Defects(labels)
 
-        # container, from exact dyadic ancestry
-        anc = parent.pavement.find(pavement.r, pavement.i, pavement.j)
-        spans, parent_of = _distinct(labels, np.where(anc >= 0, parent.labels[anc], -1),
-                                     n_clusters)
+        # container, from exact dyadic ancestry, which a kept cell keeps
+        up = _from_prev(up, prev, -1)
+        new = np.flatnonzero(prev < 0)
+        anc = parent.pavement.find(pavement.r[new], pavement.i[new], pavement.j[new])
+        up[new] = np.where(anc >= 0, parent.labels[anc], -1)
+        defects = _Defects(labels, up)
+        spans, parent_of = _distinct(labels, up, n_clusters)
         defects.flag(parent_of < 0, lambda idx: (
             "container-straddle", f"cluster spans {spans[idx]} parent clusters"))
 
@@ -599,7 +661,8 @@ class _TreeBuilder:
         if k == 1:
             if local_degree.sum() != self.pmap.degree:
                 raise _Failure("conservation", f"level-1 degrees sum to "
-                               f"{local_degree.sum()}, want {self.pmap.degree}")
+                               f"{local_degree.sum()}, want {self.pmap.degree}",
+                               (labels, up))
         else:
             p, v, got, want = _conservation(parent_of, image_of, local_degree, parent)
             defects.flag(got != want, lambda i: (
@@ -628,8 +691,20 @@ class _TreeBuilder:
         """Classify the parent pavement's cells and their refinements until
         the level certifies.  Cells travel as (n, 3) int64 arrays of
         (r, i, j): ``buckets`` maps a resolution to the arrays awaiting
-        classification, and the kept cells are lists of arrays, interior
-        and band apart."""
+        classification, and the cells classified since the last attempt are
+        lists of arrays, interior and band apart.
+
+        A failed attempt hands the next one the cells that its refinement
+        did not choose, each with its interior flag and parent cluster, and
+        its settled clusters: those with no chosen cell.  Within a level the
+        cover only shrinks, so clusters can split but never merge, and a
+        settled cluster is a whole cluster of the next pavement too.  Its
+        cells all survive, and no cell of the next pavement outside it is
+        edge-adjacent to it: a kept cell of a touched cluster was not
+        adjacent to it before, and a new cell lies inside a chosen cell p,
+        so an edge it shared with a settled cell u would lie on p's
+        boundary, making p and u adjacent and so one cluster.  Only the
+        other cells need neighbor and container lookups."""
         policy = self.policy
         witness_boxes = self._solve_witness_preimages(k)
         self._stop_width = BAND_SCALE * 2.0 * float(self.disk.radius)
@@ -637,13 +712,17 @@ class _TreeBuilder:
         buckets = {}
         _enqueue(buckets, _cell_array(self.built[k - 1].pavement))
         interior, band = [_NO_CELLS], [_NO_CELLS]
+        # from the last failed attempt: (pavement, interior mask, keep
+        # mask), and its (settled, up) per cell where it had a cluster table
+        kept = table = None
         uncontained_accepts = 0
         uncontained_build = None
         while True:
+            n_kept = 0 if kept is None else int(np.count_nonzero(kept[2]))
             while buckets:
                 r = min(buckets)
                 cells = np.concatenate(buckets.pop(r))
-                total = (sum(map(len, interior)) + sum(map(len, band)) + len(cells)
+                total = (n_kept + sum(map(len, interior)) + sum(map(len, band)) + len(cells)
                          + sum(len(c) for parts in buckets.values() for c in parts))
                 if total > policy.max_boxes:
                     raise ResolutionExceeded(
@@ -652,21 +731,26 @@ class _TreeBuilder:
                 interior.append(cells[status == 1])
                 band.append(cells[status == 2])
                 _enqueue(buckets, _children(cells[status == 3]))
-            pavement, is_inner = _pave(self.frame, np.concatenate(interior),
-                                       np.concatenate(band))
+            pavement, is_inner, prev = _pave(self.frame, np.concatenate(interior),
+                                             np.concatenate(band), kept)
+            carried = None if table is None else (prev, *table)
+            # what a failed attempt carries lives for one attempt only
+            interior, band, kept, table, prev = [_NO_CELLS], [_NO_CELLS], None, None, None
             try:
-                built = self._certify(k, pavement, is_inner, witness_boxes)
+                built = self._certify(k, pavement, is_inner, witness_boxes, carried)
             except _Failure as fail:
-                kept = self._subdivide_band(pavement, is_inner, buckets, fail.refine)
-                if kept is None:
+                chosen = self._subdivide_band(pavement, is_inner, buckets, fail.refine)
+                if chosen is None:
                     if uncontained_build is not None:
                         self._accept(uncontained_build)
                         return
                     raise ResolutionExceeded(
                         f"level {k}: certification stalled at the resolution cap "
                         f"(last failure: {fail})")
-                interior, band = [kept[0]], [kept[1]]
+                kept, table = (pavement, is_inner, ~chosen), _settled(fail.table, chosen)
                 continue
+            finally:
+                carried = None
             if k == 1 and not self.disk.contains_cover(built.pavement):
                 # everything else certifies; if separation from the circle
                 # keeps failing the preimage plausibly touches it, so accept
@@ -674,9 +758,9 @@ class _TreeBuilder:
                 uncontained_build = built
                 uncontained_accepts += 1
                 if uncontained_accepts < 4:
-                    kept = self._subdivide_band(pavement, is_inner, buckets, None)
-                    if kept is not None:
-                        interior, band = [kept[0]], [kept[1]]
+                    chosen = self._subdivide_band(pavement, is_inner, buckets, None)
+                    if chosen is not None:
+                        kept, table = (pavement, is_inner, ~chosen), None
                         continue
             self._accept(built)
             return
@@ -686,9 +770,8 @@ class _TreeBuilder:
 
         ``interior`` and ``targets`` are masks over the pavement; ``targets``
         localizes the split to the cells named by a failure (falling back to
-        the whole band when none of them can refine).  Returns the cells
-        that stay, as (n, 3) arrays of the interior and of the remaining
-        band, or None when nothing can refine further.
+        the whole band when none of them can refine).  Returns the mask of
+        the cells split, or None when nothing can refine further.
         """
         band = ~interior & (pavement.r < self.policy.max_resolution)
         chosen = band & targets if targets is not None else band
@@ -696,9 +779,8 @@ class _TreeBuilder:
             chosen = band
             if not chosen.any():
                 return None
-        cells = _cell_array(pavement)
-        _enqueue(buckets, _children(cells[chosen]))
-        return cells[interior], cells[~interior & ~chosen]
+        _enqueue(buckets, _children(_cell_array(pavement)[chosen]))
+        return chosen
 
     # -- public driver -------------------------------------------------------
 

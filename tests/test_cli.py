@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cantorshift
 from cantorshift.cli import main
+from cantorshift import render
 from cantorshift.render import render_svg
 from cantorshift.coding import assign_symbols
 
@@ -137,6 +139,84 @@ def test_render_by_symbols(quadratic_tree, quadratic_assignment):
     with pytest.raises(ValueError, match="level -3 outside 0..10"):
         render_svg(quadratic_tree, -3)
     assert "level-1" not in render_svg(quadratic_tree, 0)  # the circle alone
+
+
+def _reference_svg(tree, level, color_by="level", assignment=None, size=800):
+    """The renderer as one f-string per cell, formatting every coordinate:
+    the reference that ``render_svg`` must match byte for byte."""
+    frame = tree.frame
+    vb = f"{frame.x0:.8f} {-(frame.y0 + frame.side):.8f} {frame.side:.8f} {frame.side:.8f}"
+    stroke = frame.side / 800.0
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="{vb}">',
+        f'<rect x="{frame.x0:.8f}" y="{-(frame.y0 + frame.side):.8f}" '
+        f'width="{frame.side:.8f}" height="{frame.side:.8f}" fill="#ffffff"/>',
+    ]
+    cx = 0.5 * (tree.disk.center_box[0] + tree.disk.center_box[1])
+    cy = 0.5 * (tree.disk.center_box[2] + tree.disk.center_box[3])
+    out.append(f'<circle cx="{cx:.8f}" cy="{-cy:.8f}" r="{float(tree.disk.radius):.8f}" '
+               f'fill="none" stroke="#cccccc" stroke-width="{stroke:.8f}"/>')
+    for lvl in range(1, level + 1):
+        symbol_index = {}
+        if color_by == "symbols":
+            for comp in tree.levels[lvl]:
+                symbol_index.setdefault(assignment.of(lvl, comp.index), len(symbol_index))
+        out.append(f'<g id="level-{lvl}" fill-opacity="0.35" '
+                   f'stroke-width="{stroke:.8f}">')
+        for comp in tree.levels[lvl]:
+            color = render._color_for(comp, color_by, assignment, symbol_index)
+            cover = comp.cover
+            walls = (w.tolist() for w in frame.cell_walls(cover.r, cover.i, cover.j))
+            out.append("\n".join([
+                f'<g fill="{color}" stroke="{color}"><title>component '
+                f'{lvl}:{comp.index} degree {comp.local_degree}</title>',
+                *(f'<rect x="{x_lo:.8f}" y="{-y_hi:.8f}" '
+                  f'width="{x_hi - x_lo:.8f}" height="{y_hi - y_lo:.8f}"/>'
+                  for x_lo, x_hi, y_lo, y_hi in zip(*walls)),
+                '</g>']))
+        out.append('</g>')
+    out.append('</svg>\n')
+    return "\n".join(out)
+
+
+@pytest.mark.parametrize("case, levels", [("quadratic", (0, 1, 5, 10)), ("cubic", (2, 4))])
+def test_render_matches_the_per_cell_reference(request, case, levels):
+    tree = request.getfixturevalue(f"{case}_tree")
+    assignment = request.getfixturevalue(f"{case}_assignment")
+    for level in levels:
+        for color_by in ("level", "symbols"):
+            svg = render_svg(tree, level, color_by=color_by, assignment=assignment, size=321)
+            assert svg == _reference_svg(tree, level, color_by, assignment, size=321)
+            assert svg == "".join(render.svg_parts(tree, level, color_by, assignment, 321))
+
+
+
+def test_render_formats_zeros_by_sign():
+    # values are deduplicated by bit pattern, not by ==, which merges -0.0
+    # and 0.0; a cell whose top wall is 0.0 draws at y = -0.0
+    values = np.array([0.0, -0.0, 1 / 3, 0.0, -0.0])
+    assert render._formatted(values) == ["0.00000000", "-0.00000000", "0.33333333",
+                                         "0.00000000", "-0.00000000"]
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_render_size_below_one_is_rejected(quad_config, tmp_path, capsys, quadratic_tree, size):
+    with pytest.raises(ValueError, match=f"size {size} is not a positive pixel count"):
+        render_svg(quadratic_tree, 1, size=size)
+    out_dir = tmp_path / "o"
+    code, _, err = run(["render", "--config", quad_config, "--depth", "1", "--size", str(size),
+                        "--out", str(out_dir), "--max-resolution", "24"], capsys)
+    assert code == 2
+    assert f"size {size} is not a positive pixel count" in err
+    assert not (out_dir / "pieces-level1.svg").exists()
+
+
+def test_chi_horizon_below_zero_is_usage_error(quad_config, tmp_path, capsys):
+    code, _, err = run(["chi", "--config", quad_config, "--point", "0.5,0", "--horizon", "-1",
+                        "--out", str(tmp_path / "o"), "--max-resolution", "24"], capsys)
+    assert code == 2
+    assert "horizon -1 is below 0" in err
 
 
 def test_run_config_validation(quad_config, tmp_path, capsys, monkeypatch):

@@ -130,6 +130,16 @@ def test_chi_cubic_critical_point(cubic_map, cubic_tree):
     assert res.value == 2 * res2.value
 
 
+def test_chi_horizon_below_zero_is_rejected(cubic_map, cubic_tree, quadratic_map,
+                                            quadratic_tree):
+    # before, -1 read as an empty walk (value 1, lower_bound) where 0
+    # certifies 2, and the critical-point-free quadratic certified anything
+    assert chi(cubic_map, ("1", "0"), cubic_tree, horizon=0).value == 2
+    for pmap, tree, horizon in ((cubic_map, cubic_tree, -1), (quadratic_map, quadratic_tree, -3)):
+        with pytest.raises(ValueError, match=f"horizon {horizon} is below 0"):
+            chi(pmap, ("1", "0"), tree, horizon=horizon)
+
+
 def test_chi_respects_bound(cubic_map, cubic_tree):
     d_prime = cubic_tree.degree - cubic_tree.n_level1
     bound = 2 ** d_prime

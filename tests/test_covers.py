@@ -253,12 +253,13 @@ def _naive_clusters(fr, cells):
 def test_paved_clusters_match_naive():
     import random
     fr = frame16()
-    rng = random.Random(404)
+    rng, settle = random.Random(404), random.Random(405)
     for _ in range(60):
         cells = _random_pavement(rng)
         if not cells:
             continue
         assert _clusters(fr, cells) == _naive_clusters(fr, cells)
+        _check_settled_groups(fr, cells, settle)
         # a PavedCover input gives the labels of the list it was built from
         assert np.array_equal(paved_clusters(fr, PavedCover(fr, cells)),
                               paved_clusters(fr, cells))
@@ -295,6 +296,27 @@ def test_paved_clusters_of_hard_shapes(cells, n_clusters):
     clusters = _clusters(fr, cells)
     assert clusters == _naive_clusters(fr, cells)
     assert len(clusters) == n_clusters
+    _check_settled_groups(fr, cells, random.Random(n_clusters))
+
+
+def _check_settled_groups(fr, cells, rng):
+    """Mark whole clusters as settled, none, a random half (twice) or all,
+    under permuted ids: the labels must equal the reference clustering and
+    the call with none settled."""
+    cover = PavedCover(fr, cells)
+    clusters = _naive_clusters(fr, cells)
+    plain = paved_clusters(fr, cover)
+    assert np.array_equal(plain, paved_clusters(fr, cover, np.full(len(cover), -1)))
+    for share in (0.0, 0.5, 0.5, 1.0):
+        ids = rng.sample(range(3 * len(clusters)), len(clusters))
+        settled = np.full(len(cover), -1)
+        for cluster, cid in zip(clusters, ids):
+            if rng.random() < share:
+                settled[cover.find(*np.array(cluster).T)] = cid
+        labels = paved_clusters(fr, cover, settled)
+        assert np.array_equal(labels, plain)
+        assert [cover.cells_at(np.flatnonzero(labels == c))
+                for c in range(len(clusters))] == clusters
 
 
 def _least_members(n, edges):

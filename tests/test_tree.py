@@ -317,6 +317,65 @@ def test_failure_texts_of_small_builds(request, case, depth, failures):
     assert [k for k, _, text in attempts if text is None] == list(range(1, depth + 1))
 
 
+@pytest.mark.parametrize("case, depth", [("quadratic", 6), ("cubic", 4), ("cubic", 5)])
+def test_carried_attempts_match_fresh_lookups(request, case, depth):
+    # a failed attempt hands the next one its settled clusters, and the
+    # interior flag and parent cluster of every kept cell; on every attempt
+    # the labels, container edges and interior mask must equal those that a
+    # from-scratch clustering and lookups give its pavement
+    classified, settled, tables, attempts = {}, [], [], []
+    classify = tree_mod._TreeBuilder._classify_batch
+    certify = tree_mod._TreeBuilder._certify
+    defects = tree_mod._Defects.__init__
+    cluster = tree_mod.paved_clusters
+
+    def traced_clusters(frame, pavement, groups=None):
+        settled.append(groups)
+        return cluster(frame, pavement, groups)
+
+    def traced_classify(self, k, r, i, j):
+        status = classify(self, k, r, i, j)
+        inner = status == 1
+        classified.setdefault(k, []).append(
+            np.stack((np.full(inner.sum(), r), i[inner], j[inner]), axis=1))
+        return status
+
+    def traced_defects(self, labels=None, up=None):
+        defects(self, labels, up)
+        if labels is not None:
+            tables.append((labels, up))
+
+    def traced_certify(self, k, pavement, interior, *args):
+        attempts.append((k, pavement, interior, np.concatenate(classified[k])))
+        return certify(self, k, pavement, interior, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_mod._TreeBuilder, "_classify_batch", traced_classify)
+        mp.setattr(tree_mod._Defects, "__init__", traced_defects)
+        mp.setattr(tree_mod._TreeBuilder, "_certify", traced_certify)
+        mp.setattr(tree_mod, "paved_clusters", traced_clusters)
+        tree = build_tree(request.getfixturevalue(f"{case}_map"),
+                          request.getfixturevalue(f"{case}_disk"), depth, policy=small_policy())
+    assert len(tables) == len(settled) == len(attempts) > depth
+    for (k, pavement, interior, inner_cells), (labels, up), groups in zip(
+            attempts, tables, settled):
+        fresh = paved_clusters(tree.frame, pavement)
+        assert np.array_equal(labels, fresh)
+        # each settled group is one whole cluster of the pavement
+        held = groups >= 0
+        pairs = np.unique(np.stack((groups[held], fresh[held])), axis=1)
+        assert len(set(pairs[0])) == len(set(pairs[1])) == pairs.shape[1]
+        assert np.array_equal(held, np.isin(fresh, fresh[held]))
+        parent = tree._built[k - 1]
+        anc = parent.pavement.find(pavement.r, pavement.i, pavement.j)
+        assert np.array_equal(up, np.where(anc >= 0, parent.labels[anc], -1))
+        at = pavement.find(*inner_cells.T)
+        assert (at >= 0).all()
+        assert np.array_equal(interior, np.isin(np.arange(len(pavement)), at))
+    # the re-attempts carried settled clusters
+    assert any((groups >= 0).any() for groups in settled)
+
+
 def _with_parent(builder, k, **fields):
     """A copy of the builder whose level k - 1 record has ``fields`` replaced."""
     doctored = copy.copy(builder)
