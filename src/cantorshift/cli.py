@@ -122,12 +122,14 @@ def cmd_verify(args):
 
 
 def cmd_chi(args):
-    pmap, _, tree = _build(args)
     try:
         re_s, im_s = args.point.split(",")
     except ValueError:
         print("error: --point must be RE,IM", file=sys.stderr)
         return EXIT_USAGE
+    if args.horizon < 0:  # the check of coding.chi, made before the build
+        raise ValueError(f"horizon {args.horizon} is below 0")
+    pmap, _, tree = _build(args)
     result = chi(pmap, (re_s.strip(), im_s.strip()), tree, horizon=args.horizon)
     _write_json(args.out, "chi.json", result.to_json_dict())
     print(f"chi value: {result.value} ({result.status})")
@@ -139,6 +141,10 @@ def cmd_chi(args):
 
 
 def cmd_render(args):
+    if args.size < 1:  # the checks of svg_parts, made before the build
+        raise ValueError(f"size {args.size} is not a positive pixel count")
+    if args.level is not None and not 0 <= args.level <= args.depth:
+        raise ValueError(f"level {args.level} outside 0..{args.depth}, the tree's depth")
     _, _, tree = _build(args)
     assignment = assign_symbols(tree) if args.color_by == "symbols" else None
     level = args.level if args.level is not None else tree.depth

@@ -142,7 +142,8 @@ class PavedCover:
     fit in int64, and its size is bounded by the square of the cell count.
     ``find`` answers which present cell contains given grid cells, and
     ``overlapping`` which present cells arrays of rectangles possibly meet;
-    both read the same sorted runs.
+    both read the same sorted runs.  ``tiled`` turns the pairs that
+    ``overlapping`` returns into certified containment.
     """
 
     __slots__ = ("frame", "r", "i", "j", "_layers")
@@ -169,10 +170,6 @@ class PavedCover:
     def cells_at(self, idx):
         """The cells at the given indices, as (r, i, j) tuples."""
         return list(zip(self.r[idx].tolist(), self.i[idx].tolist(), self.j[idx].tolist()))
-
-    def subset(self, idx) -> "PavedCover":
-        """The pavement of the cells at the given indices."""
-        return PavedCover(self.frame, np.stack((self.r[idx], self.i[idx], self.j[idx]), axis=1))
 
     @property
     def finest(self) -> int:
@@ -204,23 +201,6 @@ class PavedCover:
         idx = self.find(r, [i], [j])
         return self.cells_at(idx)[0] if idx[0] >= 0 else None
 
-    def bounding_rect(self):
-        if not len(self):
-            return None
-        b = self.frame.cell_bounds
-        lo_x = lo_y = math.inf
-        hi_x = hi_y = -math.inf
-        # cell walls grow with the index, so each run's extreme walls lie on
-        # its least and greatest distinct i and j
-        for r, (_, _, xs, ys, _) in self._layers.items():
-            lo = b(int(xs[0]), int(ys[0]), r)
-            hi = b(int(xs[-1]), int(ys[-1]), r)
-            lo_x = min(lo_x, lo[0])
-            hi_x = max(hi_x, hi[1])
-            lo_y = min(lo_y, lo[2])
-            hi_y = max(hi_y, hi[3])
-        return (lo_x, hi_x, lo_y, hi_y)
-
     def overlapping(self, rects):
         """Every (rectangle, cell) pair in which the rectangle possibly
         overlaps the present cell (sound: any pair not returned is certified
@@ -248,21 +228,27 @@ class PavedCover:
         """All present cells one rectangle possibly overlaps, sorted."""
         return self.cells_at(self.overlapping(_one_box(rect))[1])
 
-    def covers_rect(self, rect) -> bool:
-        """True certifies rect is inside the union of present cells: the
-        present cells it overlaps tile its whole block of finest grid cells."""
+    def tiled(self, rects, box, cell):
+        """The mask of the rectangles of ``rects`` certified inside the union
+        of present cells, given the (rectangle, cell) pairs that
+        ``overlapping(rects)`` returned: the cells a rectangle hits tile its
+        whole block of finest grid cells, and it stays inside the frame.
+        Areas are Python ints: a block at resolution 40 holds 2^80 cells."""
         root = self.frame.cell_bounds(0, 0, 0)
-        if not (root[0] <= rect[0] and rect[1] <= root[1]
-                and root[2] <= rect[2] and rect[3] <= root[3]):
-            return False  # anything poking out of the frame is uncovered
+        inside = ((root[0] <= rects[0]) & (rects[1] <= root[1])
+                  & (root[2] <= rects[2]) & (rects[3] <= root[3]))[box]
+        box, cell = box[inside], cell[inside]
         top = self.finest
-        a, b, c, e = (int(v[0]) for v in self.frame.grid_span(_one_box(rect), top))
-        area = 0
-        for r, i, j in self.overlapping_cells(rect):
-            d = top - r
-            area += ((min(b, ((i + 1) << d) - 1) - max(a, i << d) + 1)
-                     * (min(e, ((j + 1) << d) - 1) - max(c, j << d) + 1))
-        return area == (b - a + 1) * (e - c + 1)
+        a, b, c, e = self.frame.grid_span([v[box] for v in rects], top)  # per pair
+        d = top - self.r[cell]
+        i, j = self.i[cell], self.j[cell]
+        w = np.minimum(b, ((i + 1) << d) - 1) - np.maximum(a, i << d) + 1
+        h = np.minimum(e, ((j + 1) << d) - 1) - np.maximum(c, j << d) + 1
+        area = np.zeros(len(rects[0]), dtype=object)
+        np.add.at(area, box, w.astype(object) * h.astype(object))
+        out = np.zeros(len(rects[0]), dtype=bool)
+        out[box] = area[box] == (b - a + 1).astype(object) * (e - c + 1).astype(object)
+        return out
 
 
 _CHUNK = 1 << 12  # cells whose four neighbor slots one ``find`` call resolves

@@ -979,12 +979,14 @@ def _ball_orbit_status(pmap, disk, z, first_step, horizon):
     return "in_Uprime", None, False
 
 
-def validate_restriction(pmap: PolynomialMap, disk: DomainDisk, level1, horizon: int = 20) -> RestrictionReport:
+def validate_restriction(pmap: PolynomialMap, disk: DomainDisk, level1, pavement,
+                         horizon: int = 20) -> RestrictionReport:
     """Check the generalized polynomial-like hypotheses against computed
     level-1 data.
 
-    ``level1`` is the list of level-1 components (each with a ``cover``,
-    ``local_degree`` and ``contains_critical``).  Checks: N >= 2; certified
+    ``level1`` is the list of level-1 components (each with a
+    ``local_degree`` and ``contains_critical``), and ``pavement`` the
+    PavedCover of all their cells.  Checks: N >= 2; certified
     separation of the level-1 cover from the boundary circle of U; branch
     degrees summing to the map degree; and per-critical-point orbit status.
     An orbit that can be neither certified to escape nor certified
@@ -995,23 +997,16 @@ def validate_restriction(pmap: PolynomialMap, disk: DomainDisk, level1, horizon:
     degrees = tuple(c.local_degree for c in level1)
     warnings = []
 
-    compact = all(disk.contains_cover(comp.cover) for comp in level1)
-
-    in_restriction_by_crit = {}
-    for idx, comp in enumerate(level1):
-        for cidx in comp.contains_critical:
-            in_restriction_by_crit[cidx] = idx
+    compact = disk.contains_cover(pavement)
+    placed = {cidx for comp in level1 for cidx in comp.contains_critical}
+    rects = np.array([c.enclosure.as_tuple() for c in pmap.critical_points]).reshape(-1, 4)
+    overlaps = np.isin(np.arange(len(rects)), pavement.overlapping(rects.T)[0])
 
     crit_status = []
     periodic_flag = False
     violation = False
     for cidx, crit in enumerate(pmap.critical_points):
-        if cidx in in_restriction_by_crit:
-            in_restr = True
-        else:
-            overlaps = any(comp.cover.overlapping_cells(crit.enclosure.as_tuple())
-                           for comp in level1)
-            in_restr = False if not overlaps else None
+        in_restr = True if cidx in placed else (None if overlaps[cidx] else False)
         if crit.exact is not None:
             status, esc_step, periodic = _exact_orbit_status(pmap, disk, crit.exact, horizon)
         else:

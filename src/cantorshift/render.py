@@ -34,18 +34,19 @@ def _formatted(values):
 _BATCH = 1 << 12  # cells whose distinct wall values one ``_formatted`` pass covers
 
 
-def _rects(frame, covers):
-    """Per cover, the <rect> lines of its cells.  Most components are a few
-    cells, so the wall values are formatted for whole covers together, about
-    _BATCH cells at a time."""
+def _rects(pavement, covers):
+    """Per cover, an index array into the pavement, the <rect> lines of its
+    cells.  Most components are a few cells, so the wall values are
+    formatted for whole covers together, about _BATCH cells at a time."""
     ends = np.cumsum([len(cover) for cover in covers])
     lo = 0
     while lo < len(covers):
         # the covers lo..hi-1: at least _BATCH cells, or the rest
         hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + _BATCH)) + 1
         batch = covers[lo:hi]
-        x_lo, x_hi, y_lo, y_hi = frame.cell_walls(
-            *(np.concatenate([getattr(c, a) for c in batch]) for a in "rij"))
+        cells = np.concatenate(batch)
+        x_lo, x_hi, y_lo, y_hi = pavement.frame.cell_walls(
+            pavement.r[cells], pavement.i[cells], pavement.j[cells])
         columns = [_formatted(v) for v in (x_lo, -y_hi, x_hi - x_lo, y_hi - y_lo)]
         end = 0
         for c in batch:
@@ -95,7 +96,7 @@ def _parts(tree, level, color_by, assignment, size):
         yield (f'<g id="level-{lvl}" fill-opacity="0.35" '
                f'stroke-width="{stroke:.8f}">\n')
         comps = tree.levels[lvl]
-        for comp, rects in zip(comps, _rects(frame, [comp.cover for comp in comps])):
+        for comp, rects in zip(comps, _rects(tree.pavement(lvl), [c.cover for c in comps])):
             color = _color_for(comp, color_by, assignment, symbol_index)
             yield "\n".join([
                 f'<g fill="{color}" stroke="{color}"><title>component '

@@ -64,7 +64,7 @@ only the other cells (``_build_level`` gives the argument).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -122,7 +122,10 @@ class Component:
     ``container`` and ``image`` are indices into the previous level's
     component list (None at level 0).  ``cumulative_degree`` is the degree
     of f^level restricted to W, the product of local degrees along the
-    image chain.
+    image chain.  ``cover`` holds the ascending int64 indices of W's cells
+    in the level's pavement (``PuzzleTree.pavement``), so ``len(cover)``
+    counts them; ``bbox`` is their (re_lo, re_hi, im_lo, im_hi) hull, and
+    ``diameter_bound`` an upper bound on W's diameter.
     """
 
     level: int
@@ -131,7 +134,8 @@ class Component:
     image: int
     local_degree: int
     cumulative_degree: int
-    cover: PavedCover
+    cover: np.ndarray = field(compare=False)  # an array has no truth value
+    bbox: tuple
     diameter_bound: float
     contains_critical: tuple
 
@@ -341,15 +345,18 @@ class PuzzleTree:
     def n_level1(self) -> int:
         return len(self.levels[1]) if self.depth >= 1 else 0
 
+    def pavement(self, level: int) -> PavedCover:
+        """The pavement of a level, whose cells its components' covers index."""
+        return self._built[level].pavement
+
     def level_resolution(self, level: int) -> int:
-        return self._built[level].pavement.finest
+        return self.pavement(level).finest
 
     def to_json_dict(self) -> dict:
         levels_out = []
         for comps in self.levels:
             row = []
             for c in comps:
-                rect = c.cover.bounding_rect()
                 row.append({
                     "id": [c.level, c.index],
                     "level": c.level,
@@ -358,7 +365,7 @@ class PuzzleTree:
                     "local_degree": c.local_degree,
                     "cumulative_degree": c.cumulative_degree,
                     "diameter": repr(c.diameter_bound),
-                    "bbox": [repr(x) for x in rect] if rect else None,
+                    "bbox": [repr(x) for x in c.bbox],
                 })
             levels_out.append(row)
         meta = {
@@ -568,8 +575,7 @@ class _TreeBuilder:
             raise HypothesisViolation(
                 f"critical point {crits[lost[0]].point_str()} certified outside "
                 f"f^-{k}(U): its orbit escapes U'")
-        inside = np.array([n == 1 and pavement.covers_rect(rect)
-                           for n, rect in zip(touched.tolist(), rects.tolist())], dtype=bool)
+        inside = (touched == 1) & pavement.tiled(rects.T, box, cell)
         defects.flag((touched > 0) & ~inside, lambda b: (
             "critical-straddle", f"critical {crits[b].point_str()} not resolved yet"),
             lambda b: labels[cell[box == b]].tolist())
@@ -792,7 +798,7 @@ class _TreeBuilder:
             if k == 1:
                 self.restriction_crits = np.flatnonzero(self.built[1].crit_cluster >= 0)
                 restriction = validate_restriction(
-                    self.pmap, self.disk, self.levels[1],
+                    self.pmap, self.disk, self.levels[1], self.built[1].pavement,
                     horizon=self.policy.validation_horizon)
                 if validate and not restriction.hypothesis_ok:
                     raise HypothesisViolation(
@@ -805,19 +811,23 @@ class _TreeBuilder:
 
     def _accept(self, built):
         """Record an accepted level and build its components, with Python int
-        fields and covers sliced from the level's pavement."""
+        and float fields: each cover is its cluster's group of the level's
+        cells, and each bbox one grouped min/max of their walls."""
         k = len(self.built)
         self.built.append(built)
         parent_of, image_of, local_degree, crit_cluster = (a.tolist() for a in (
             built.parent_of, built.image_of, built.local_degree, built.crit_cluster))
+        groups = _groups(built.labels, len(parent_of))
+        walls = self.frame.cell_walls(*_cell_array(built.pavement)[np.concatenate(groups)].T)
+        starts = np.cumsum([0, *map(len, groups[:-1])])
+        bboxes = zip(*(f.reduceat(v, starts).tolist()
+                       for f, v in zip((np.minimum, np.maximum) * 2, walls)))
         comps = []
-        for idx, members in enumerate(_groups(built.labels, len(parent_of))):
-            cover = built.pavement.subset(members)
+        for idx, (members, rect) in enumerate(zip(groups, bboxes)):
             if k == 0:
                 diam = enclose_fraction(2 * self.disk.radius)[1]
                 cum, container, image = 1, None, None
             else:
-                rect = cover.bounding_rect()
                 w = rect[1] - rect[0]
                 h = rect[3] - rect[2]
                 diam = isqrt_hi(math.nextafter(w * w + h * h, math.inf))
@@ -830,7 +840,8 @@ class _TreeBuilder:
                 image=image,
                 local_degree=local_degree[idx],
                 cumulative_degree=cum,
-                cover=cover,
+                cover=members,
+                bbox=rect,
                 diameter_bound=diam,
                 contains_critical=tuple(c for c, cl in enumerate(crit_cluster) if cl == idx),
             ))
@@ -906,15 +917,15 @@ def locate(tree: PuzzleTree, z, k: int):
         raise NotInCover("z is certified outside U")
     if side == "boundary":
         raise Undecided("z lies exactly on the boundary circle of U")
-    box = IntervalBox.point(z[0], z[1]).as_tuple()
+    box = _one_box(IntervalBox.point(z[0], z[1]).as_tuple())
     chain = [tree.levels[0][0]]
     for lvl in range(1, k + 1):
         built = tree._built[lvl]
-        _, hits = built.pavement.overlapping(_one_box(box))
-        touched, cluster = _distinct(np.zeros_like(hits), built.labels[hits], 1)
+        owners, hits = built.pavement.overlapping(box)
+        touched, cluster = _distinct(owners, built.labels[hits], 1)
         if not touched[0]:
             raise NotInCover(f"z is certified outside the level-{lvl} cover")
-        if touched[0] > 1 or not built.pavement.covers_rect(box):
+        if touched[0] > 1 or not built.pavement.tiled(box, owners, hits)[0]:
             raise Undecided(f"membership of z at level {lvl} is not certified "
                             f"at the built resolution")
         comp = tree.levels[lvl][cluster[0]]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cantorshift
+from cantorshift import cli
 from cantorshift.cli import main
 from cantorshift import render
 from cantorshift.render import render_svg
@@ -33,6 +34,13 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _no_build(monkeypatch):
+    """Make any tree build fail the test: usage errors come before it."""
+    def build_tree(*args, **kwargs):
+        raise AssertionError("the tree was built before a usage error")
+    monkeypatch.setattr(cli, "build_tree", build_tree)
 
 
 def test_analyze(quad_config, tmp_path, capsys, monkeypatch):
@@ -164,10 +172,12 @@ def _reference_svg(tree, level, color_by="level", assignment=None, size=800):
                 symbol_index.setdefault(assignment.of(lvl, comp.index), len(symbol_index))
         out.append(f'<g id="level-{lvl}" fill-opacity="0.35" '
                    f'stroke-width="{stroke:.8f}">')
+        pavement = tree.pavement(lvl)
         for comp in tree.levels[lvl]:
             color = render._color_for(comp, color_by, assignment, symbol_index)
-            cover = comp.cover
-            walls = (w.tolist() for w in frame.cell_walls(cover.r, cover.i, cover.j))
+            cells = comp.cover
+            walls = (w.tolist() for w in frame.cell_walls(
+                pavement.r[cells], pavement.i[cells], pavement.j[cells]))
             out.append("\n".join([
                 f'<g fill="{color}" stroke="{color}"><title>component '
                 f'{lvl}:{comp.index} degree {comp.local_degree}</title>',
@@ -201,22 +211,36 @@ def test_render_formats_zeros_by_sign():
 
 
 @pytest.mark.parametrize("size", [0, -5])
-def test_render_size_below_one_is_rejected(quad_config, tmp_path, capsys, quadratic_tree, size):
+def test_render_size_below_one_is_rejected(quad_config, tmp_path, capsys, quadratic_tree, size,
+                                           monkeypatch):
     with pytest.raises(ValueError, match=f"size {size} is not a positive pixel count"):
         render_svg(quadratic_tree, 1, size=size)
+    _no_build(monkeypatch)
     out_dir = tmp_path / "o"
     code, _, err = run(["render", "--config", quad_config, "--depth", "1", "--size", str(size),
                         "--out", str(out_dir), "--max-resolution", "24"], capsys)
     assert code == 2
     assert f"size {size} is not a positive pixel count" in err
     assert not (out_dir / "pieces-level1.svg").exists()
+    for level in ("-1", "2"):
+        code, _, err = run(["render", "--config", quad_config, "--depth", "1", "--level", level,
+                            "--out", str(out_dir), "--max-resolution", "24"], capsys)
+        assert code == 2
+        assert f"level {level} outside 0..1, the tree's depth" in err
+    assert not out_dir.exists()
 
 
-def test_chi_horizon_below_zero_is_usage_error(quad_config, tmp_path, capsys):
+def test_chi_horizon_below_zero_is_usage_error(quad_config, tmp_path, capsys, monkeypatch):
+    _no_build(monkeypatch)
     code, _, err = run(["chi", "--config", quad_config, "--point", "0.5,0", "--horizon", "-1",
                         "--out", str(tmp_path / "o"), "--max-resolution", "24"], capsys)
     assert code == 2
     assert "horizon -1 is below 0" in err
+    code, _, err = run(["chi", "--config", quad_config, "--point", "0.5", "--horizon", "3",
+                        "--out", str(tmp_path / "o"), "--max-resolution", "24"], capsys)
+    assert code == 2
+    assert "--point must be RE,IM" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_config_validation(quad_config, tmp_path, capsys, monkeypatch):

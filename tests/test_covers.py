@@ -25,6 +25,12 @@ def _clusters(fr, cells):
             for c in range(labels.max(initial=-1) + 1)]
 
 
+def _tiled(pc, rect):
+    """``PavedCover.tiled`` of one rectangle."""
+    rects = [np.array([v]) for v in rect]
+    return bool(pc.tiled(rects, *pc.overlapping(rects))[0])
+
+
 # pairs of cells past resolution 32 that are not adjacent: 2^32 rows apart,
 # and 256 columns apart with j past 2^32
 DEEP_PAIRS = [
@@ -129,16 +135,31 @@ def test_paved_cover_queries():
     # strictly inside for containment queries
     x0, x1, y0, y1 = fr.cell_bounds(1, 1, 3)
     rect = (x0 + 0.01, x1 - 0.01, y0 + 0.01, y1 - 0.01)
-    assert pc.covers_rect(rect)
+    assert _tiled(pc, rect)
     x0, x1, y0, y1 = fr.cell_bounds(20, 20, 5)
     inner = (x0 + 0.001, x1 - 0.001, y0 + 0.001, y1 - 0.001)
-    assert pc.covers_rect(inner)
+    assert _tiled(pc, inner)
     outside = fr.cell_bounds(7, 7, 3)
-    assert not pc.covers_rect(outside)
+    assert not _tiled(pc, outside)
     assert pc.overlapping_cells(outside) == []
     assert pc.overlapping_cells(rect) == [(3, 1, 1)]
     full = fr.cell_bounds(1, 1, 3)
     assert set(pc.overlapping_cells(full)) >= {(3, 1, 1), (4, 4, 2)}
+
+
+def test_tiling_is_exact_beyond_int64():
+    # at finest resolution 40 the frame's block holds 2^80 grid cells: a
+    # float64 area cannot tell 2^80 - 1 from 2^80, and an int64 one, exact
+    # only modulo 2^64, misses a hole of 2^64 grid cells
+    fr = Frame(0.0, 0.0, 1.0)
+    rings = [(r, a, b) for r in range(1, 41) for a, b in ((1, 0), (0, 1), (1, 1))]
+    pc = PavedCover(fr, [(40, 0, 0)] + rings)
+    assert len(pc) == 121
+    assert _tiled(pc, fr.cell_bounds(0, 0, 0))
+    assert _tiled(pc, fr.cell_bounds(0, 0, 1))
+    assert not _tiled(PavedCover(fr, rings), fr.cell_bounds(0, 0, 0))
+    holed = [(40, 0, 0)] + [c for c in rings if c != (8, 1, 1)]
+    assert not _tiled(PavedCover(fr, holed), fr.cell_bounds(0, 0, 0))
 
 
 @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=30))
@@ -402,7 +423,7 @@ def test_pavement_queries_match_naive():
             rects.append(rect)
             naive = _naive_overlaps(fr, cells, rect)
             assert pc.overlapping_cells(rect) == naive
-            if pc.covers_rect(rect):
+            if _tiled(pc, rect):
                 # certified containment implies every sampled point is inside
                 assert _naive_covers(fr, cells, rect)
         # on cell walls, of zero width, unbounded, outside and across the frame
@@ -411,23 +432,26 @@ def test_pavement_queries_match_naive():
         rects += [(x0, x1, y0, y1), (x1, x1, y0, y1), (x0, x0, y1, y1),
                   (-np.inf, x0, y0, y0), (x1, np.inf, -np.inf, np.inf),
                   (-20.0, -9.0, 0.0, 1.0), (9.0, 9.5, -1.0, 1.0), (-9.0, 0.0, 7.0, 9.0)]
-        box, cell = pc.overlapping([np.array(v) for v in zip(*rects)])
+        batch = [np.array(v) for v in zip(*rects)]
+        box, cell = pc.overlapping(batch)
         for q, rect in enumerate(rects):
             assert pc.cells_at(cell[box == q]) == _naive_overlaps(fr, cells, rect)
+        # the batch answers each rectangle as a query of its own does
+        assert pc.tiled(batch, box, cell).tolist() == [_tiled(pc, rect) for rect in rects]
     for cells in DEEP_PAIRS:
         pc = PavedCover(fr, cells)
         (ra, ia, ja), (rb, ib, jb) = cells
         a, b = fr.cell_bounds(ia, ja, ra), fr.cell_bounds(ib, jb, rb)
         span = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
         assert pc.overlapping_cells(span) == _naive_overlaps(fr, cells, span) == cells
-        assert not pc.covers_rect(span)
+        assert not _tiled(pc, span)
         for r, i, j in cells:
             x0, x1, y0, y1 = fr.cell_bounds(i, j, r)
             q = (x1 - x0) / 4
             inner = (x0 + q, x1 - q, y0 + q, y1 - q)
             assert pc.overlapping_cells(inner) == _naive_overlaps(fr, cells, inner)
-            assert pc.covers_rect(inner) and _naive_covers(fr, cells, inner)
-            assert not pc.covers_rect((x0, x1, y0, y1))  # walls touch absent cells
+            assert _tiled(pc, inner) and _naive_covers(fr, cells, inner)
+            assert not _tiled(pc, (x0, x1, y0, y1))  # walls touch absent cells
             for qr, qi, qj in ((r + 6, (i << 6) + 5, (j << 6) + 63), (r, i + 1, j),
                                (r, i, j + 1), (r - 1, i >> 1, j >> 1)):
                 assert pc.ancestor_of(qr, qi, qj) == _naive_ancestor(cells, qr, qi, qj)

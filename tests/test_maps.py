@@ -1,5 +1,6 @@
 """Map model: exact parsing, critical points, escape radius, validation."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -299,15 +300,16 @@ def test_squarefree_decomposition_multiplicity():
 
 
 def _level1(pmap, disk, depth=1):
+    """The level-1 components and the level-1 pavement."""
     policy = ResolutionPolicy(max_resolution=24, max_boxes=2_000_000)
     tree = build_tree(pmap, disk, depth, policy=policy, validate=False)
-    return tree.levels[1]
+    return tree.levels[1], tree.pavement(1)
 
 
 def test_validate_quadratic_hypothesis_ok():
     pmap = PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])
     disk = DomainDisk(("0", "0"), "4")
-    report = validate_restriction(pmap, disk, _level1(pmap, disk), horizon=20)
+    report = validate_restriction(pmap, disk, *_level1(pmap, disk), horizon=20)
     assert report.n_components == 2
     assert sorted(report.branch_degrees) == [1, 1]
     assert report.compactly_contained
@@ -321,7 +323,7 @@ def test_validate_fixed_critical_point_fails():
     # z^2 on the disk of radius 2: the critical point 0 is a fixed point
     pmap = PolynomialMap([("0", "0"), ("0", "0"), ("1", "0")])
     disk = DomainDisk(("0", "0"), "2")
-    report = validate_restriction(pmap, disk, _level1(pmap, disk), horizon=20)
+    report = validate_restriction(pmap, disk, *_level1(pmap, disk), horizon=20)
     assert report.periodic_critical_flag
     assert not report.hypothesis_ok
     assert report.n_components == 1
@@ -331,7 +333,7 @@ def test_validate_boundary_contact_fails_containment():
     # z^2 - 6 on the disk of radius 3: the preimage touches |z| = 3 at +-3
     pmap = PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])
     disk = DomainDisk(("0", "0"), "3")
-    report = validate_restriction(pmap, disk, _level1(pmap, disk), horizon=20)
+    report = validate_restriction(pmap, disk, *_level1(pmap, disk), horizon=20)
     assert not report.compactly_contained
     assert not report.hypothesis_ok
 
@@ -345,7 +347,7 @@ def _enclosure_only_cubic():
 
 def test_validate_walks_enclosure_only_critical_points():
     pmap, disk = _enclosure_only_cubic()
-    report = validate_restriction(pmap, disk, _level1(pmap, disk), horizon=20)
+    report = validate_restriction(pmap, disk, *_level1(pmap, disk), horizon=20)
     assert [c.exact for c in pmap.critical_points] == [None, None]
     minus, plus = report.critical_escape_flags  # canonical order: -sqrt(2/3) first
     assert (minus["status"], minus["escape_step"]) == ("escapes", 2)
@@ -446,7 +448,7 @@ def test_validate_cubic_instance():
     pmap = PolynomialMap([(CUBIC_B_RE, CUBIC_B_IM), ("-3", "0"),
                           ("0", "0"), ("1", "0")])
     disk = DomainDisk(("0", "0"), "3")
-    report = validate_restriction(pmap, disk, _level1(pmap, disk), horizon=20)
+    report = validate_restriction(pmap, disk, *_level1(pmap, disk), horizon=20)
     assert report.n_components == 2
     assert sorted(report.branch_degrees) == [1, 2]
     assert report.compactly_contained
@@ -456,6 +458,21 @@ def test_validate_cubic_instance():
     assert by_point["-1+0i"]["status"] == "escapes"
     assert by_point["1+0i"]["in_restriction"] is True
     assert by_point["1+0i"]["status"] == "in_Uprime"
+
+
+def test_validate_critical_point_outside_every_component(cubic_map, cubic_disk):
+    # +1 overlaps the level-1 cover, but no component is said to contain it:
+    # its membership in U' is open, and the hypotheses are not established
+    comps, pavement = _level1(cubic_map, cubic_disk)
+    comps = [dataclasses.replace(c, contains_critical=()) for c in comps]
+    report = validate_restriction(cubic_map, cubic_disk, comps, pavement, horizon=20)
+    by_point = {st["point"]: st for st in report.critical_escape_flags}
+    assert by_point["1+0i"]["in_restriction"] is None
+    assert by_point["-1+0i"]["in_restriction"] is False
+    assert "critical point 1+0i: membership in U' undecided at this resolution" \
+        in report.warnings
+    assert report.compactly_contained
+    assert not report.hypothesis_ok
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import re
 from fractions import Fraction
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from cantorshift import (
     paved_clusters,
 )
 from cantorshift import tree as tree_mod
-from cantorshift.intervals import boverlap
+from cantorshift.intervals import boverlap, enclose_fraction, isqrt_hi
 from cantorshift.maps import certified_roots
 
 from conftest import shifted_coefficients
@@ -46,7 +47,7 @@ def test_quadratic_shallow_counts_and_degrees(quadratic_map, quadratic_disk):
 
 def test_quadratic_level1_components_straddle_sqrt6(quadratic_map, quadratic_disk):
     tree = build_tree(quadratic_map, quadratic_disk, 1, policy=small_policy())
-    rects = [c.cover.bounding_rect() for c in tree.levels[1]]
+    rects = [c.bbox for c in tree.levels[1]]
     s6 = 6 ** 0.5
     assert rects[0][0] < -s6 < rects[0][1]   # canonical order: leftmost first
     assert rects[1][0] < s6 < rects[1][1]
@@ -79,10 +80,35 @@ def test_nesting_of_covers(quadratic_tree):
     for k in range(2, 5):
         parents = quadratic_tree._built[k - 1]
         for c in quadratic_tree.levels[k]:
-            for (r, i, j) in c.cover.cells_at(slice(None)):
+            for (r, i, j) in quadratic_tree.pavement(k).cells_at(c.cover):
                 anc = parents.pavement.find(r, [i], [j])[0]
                 assert anc >= 0
                 assert parents.labels[anc] == c.container
+
+
+@pytest.mark.parametrize("case", ["quadratic", "cubic"])
+def test_bboxes_match_cellwise_bounds(request, case):
+    # each cover indexes its own cells of the level's pavement, and its bbox,
+    # one grouped min/max of the walls, is the cell-by-cell hull bit for bit
+    tree = request.getfixturevalue(f"{case}_tree")
+    bits = lambda rect: np.array(rect, dtype=np.float64).view(np.int64).tolist()
+    for k, comps in enumerate(tree.levels):
+        assert copy.deepcopy(comps) == comps  # compared without their index arrays
+        pavement = tree.pavement(k)
+        every = np.concatenate([c.cover for c in comps])
+        assert np.array_equal(np.sort(every), np.arange(len(pavement)))
+        for c in comps:
+            assert c.cover.dtype == np.int64 and (np.diff(c.cover) > 0).all()
+            walls = [tree.frame.cell_bounds(i, j, r) for r, i, j in pavement.cells_at(c.cover)]
+            hull = (min(w[0] for w in walls), max(w[1] for w in walls),
+                    min(w[2] for w in walls), max(w[3] for w in walls))
+            assert all(type(x) is float for x in c.bbox)
+            assert bits(c.bbox) == bits(hull)
+            if k == 0:
+                assert c.diameter_bound == enclose_fraction(2 * tree.disk.radius)[1]
+                continue
+            w, h = hull[1] - hull[0], hull[3] - hull[2]
+            assert c.diameter_bound == isqrt_hi(math.nextafter(w * w + h * h, math.inf))
 
 
 def test_batched_witness_roots_match_exact_path(quadratic_map, quadratic_disk):
@@ -237,7 +263,7 @@ def _certify_failure(builder, k, boxes):
 def test_witness_box_across_two_clusters_refines_both(quadratic_map, quadratic_disk, k):
     builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
     tree = builder.build(2)
-    a, b = (c.cover.bounding_rect() for c in tree.levels[k][:2])
+    a, b = (c.bbox for c in tree.levels[k][:2])
     rect = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
     built = builder.built[k]
     touched = {int(built.labels[built.pavement.find(r, [i], [j])[0]])
@@ -519,7 +545,7 @@ def test_cubic_level1_degrees(cubic_tree):
     assert sorted(c.local_degree for c in cubic_tree.levels[1]) == [1, 2]
     deg2 = [c for c in cubic_tree.levels[1] if c.local_degree == 2][0]
     # the branched component is the one around the critical point +1
-    rect = deg2.cover.bounding_rect()
+    rect = deg2.bbox
     assert rect[0] < 1.0 < rect[1]
 
 
@@ -530,7 +556,7 @@ def test_locate_fixed_point(quadratic_tree):
     for deeper, outer in zip(chain[2:], chain[1:]):
         assert deeper.container == outer.index
     for c in chain[1:]:
-        rect = c.cover.bounding_rect()
+        rect = c.bbox
         assert rect[0] <= -2.0 <= rect[1]
 
 
