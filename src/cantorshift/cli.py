@@ -23,6 +23,7 @@ from .errors import (
     PrecisionExceeded,
     ResolutionExceeded,
     Undecided,
+    check_level,
 )
 from .maps import DomainDisk
 from .oracle import run_equivalence_cases
@@ -127,8 +128,10 @@ def cmd_chi(args):
     except ValueError:
         print("error: --point must be RE,IM", file=sys.stderr)
         return EXIT_USAGE
-    if args.horizon < 0:  # the check of coding.chi, made before the build
+    if args.horizon < 0:  # the checks of coding.chi, made before the build
         raise ValueError(f"horizon {args.horizon} is below 0")
+    if args.depth < 1:
+        raise ValueError(f"chi needs a tree of depth at least 1, not {args.depth}")
     pmap, _, tree = _build(args)
     result = chi(pmap, (re_s.strip(), im_s.strip()), tree, horizon=args.horizon)
     _write_json(args.out, "chi.json", result.to_json_dict())
@@ -143,8 +146,8 @@ def cmd_chi(args):
 def cmd_render(args):
     if args.size < 1:  # the checks of svg_parts, made before the build
         raise ValueError(f"size {args.size} is not a positive pixel count")
-    if args.level is not None and not 0 <= args.level <= args.depth:
-        raise ValueError(f"level {args.level} outside 0..{args.depth}, the tree's depth")
+    if args.level is not None:
+        check_level(args.level, args.depth)
     _, _, tree = _build(args)
     assignment = assign_symbols(tree) if args.color_by == "symbols" else None
     level = args.level if args.level is not None else tree.depth

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, HypothesisViolation, InconsistentTree
+from .errors import BudgetExceeded, HypothesisViolation, InconsistentTree, check_level
 from .maps import DyadicOrbit, parse_exact
 
 
@@ -187,8 +187,7 @@ def fibers(assignment: SymbolAssignment, tree, k: int, max_words: int = 10_000_0
     component receives at least one word; both facts are consequences of
     the partition property and are re-asserted here.
     """
-    if not 0 <= k <= tree.depth:
-        raise ValueError(f"level {k} outside 0..{tree.depth}, the tree's depth")
+    check_level(k, tree.depth)
     d = tree.degree
     if d ** k > max_words:
         raise BudgetExceeded(f"{d}^{k} words exceed the enumeration budget")
@@ -269,10 +268,13 @@ def chi(pmap, z, tree, horizon: int = 24) -> ChiResult:
     Certification beyond the horizon uses the degree budget: once the
     accumulated product reaches 2^(d - N), any further hit would exceed the
     global bound, so the tail is hit-free under the standing hypotheses.
-    Raises ValueError for a horizon below 0.
+    Raises ValueError for a horizon below 0 or a tree of depth 0, which has
+    no level 1 to place the critical points in.
     """
     if horizon < 0:
         raise ValueError(f"horizon {horizon} is below 0")
+    if tree.depth < 1:
+        raise ValueError(f"chi needs a tree of depth at least 1, not {tree.depth}")
     if isinstance(z, complex):
         z = (Fraction(z.real), Fraction(z.imag))
     else:
@@ -280,9 +282,7 @@ def chi(pmap, z, tree, horizon: int = 24) -> ChiResult:
     d_prime = tree.degree - tree.n_level1
     budget = 2 ** d_prime
 
-    restriction_has_criticals = any(
-        comp.contains_critical for comp in tree.levels[1]) if tree.depth >= 1 else False
-    if not restriction_has_criticals:
+    if not any(comp.contains_critical for comp in tree.levels[1]):
         return ChiResult(value=1, status="certified", horizon=horizon, hits=())
 
     critical_rects = [crit.enclosure.as_tuple() if crit.exact is None
@@ -465,6 +465,7 @@ def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> Verifica
 
 def coding_to_json_dict(assignment: SymbolAssignment, tree, k: int) -> dict:
     """Coding export: per level, symbols and fibers per component."""
+    check_level(k, tree.depth)
     out = {"degree": tree.degree, "depth": k, "levels": {}}
     for lvl in range(1, k + 1):
         table = fibers(assignment, tree, lvl)

@@ -43,3 +43,9 @@ class NotInCover(CantorshiftError):
 
 class InconsistentTree(CantorshiftError):
     """Component-tree bookkeeping violates a structural invariant."""
+
+
+def check_level(k, depth):
+    """Raise ValueError unless 0 <= k <= depth, a tree's depth."""
+    if not 0 <= k <= depth:
+        raise ValueError(f"level {k} outside 0..{depth}, the tree's depth")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_level
+
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
     "#e377c2", "#17becf", "#bcbd22", "#7f7f7f", "#aec7e8", "#98df8a",
@@ -62,8 +64,7 @@ def svg_parts(tree, level: int, color_by: str = "level", assignment=None,
     per component and one per other line; a caller that writes them as they
     come holds one component at a time.  The arguments are checked before
     the iterator is returned."""
-    if not 0 <= level <= tree.depth:
-        raise ValueError(f"level {level} outside 0..{tree.depth}, the tree's depth")
+    check_level(level, tree.depth)
     if color_by not in ("level", "symbols"):
         raise ValueError("color_by must be 'level' or 'symbols'")
     if color_by == "symbols" and assignment is None:

@@ -45,7 +45,9 @@ this order:
   * conservation: per parent cluster P and component V over image(P),
     child degrees sum to local_degree(P);
   * witness membership: some witness midpoint of each cluster is certified
-    inside f^-k(U) by an exact orbit walk; it becomes the cluster's w_V.
+    inside f^-k(U), by the float orbit chain of all candidates of the level
+    or, for a candidate that chain leaves open, by an exact orbit walk; it
+    becomes the cluster's w_V.
 
 Each certificate is an array stage over the attempt's cluster table and
 flags the clusters (or parent pairs) where it fails.  A cluster without a
@@ -76,6 +78,7 @@ from .errors import (
     NotInCover,
     ResolutionExceeded,
     Undecided,
+    check_level,
 )
 from .intervals import IntervalBox, _one_box, enclose_fraction, isqrt_hi, vbabs2
 from .maps import (
@@ -167,18 +170,13 @@ class _Built:
 
 _NO_CELLS = np.empty((0, 3), dtype=np.int64)
 _NO_IDS = np.empty(0, dtype=np.int64)
+# cells per _classify_batch call: large waves go in slices of this size
+_WAVE_SLICE = 1 << 16
 
 
 def _cell_array(pavement):
     """The pavement's cells as an (n, 3) array of (r, i, j)."""
     return np.stack((pavement.r, pavement.i, pavement.j), axis=1)
-
-
-def _enqueue(buckets, cells):
-    """Queue an (n, 3) array of (r, i, j) cells for classification, by
-    resolution."""
-    for r in np.unique(cells[:, 0]).tolist():
-        buckets.setdefault(r, []).append(cells[cells[:, 0] == r])
 
 
 def _children(cells):
@@ -188,20 +186,20 @@ def _children(cells):
 
 
 def _pave(frame, interior, band, kept=None):
-    """The pavement of interior and band cells, (n, 3) arrays of (r, i, j),
-    and of the cells carried over from a previous pavement: ``kept`` is its
-    (pavement, interior mask, keep mask), or None.  Returns the pavement,
-    the mask of its interior cells and, per cell, its index in the previous
-    pavement, -1 for the cells given here.  Both pavements are sorted by
+    """The pavement of interior and band cells, lists of (n, 3) arrays of
+    (r, i, j) joined here in one copy, and of the cells carried over from a
+    previous pavement: ``kept`` is its (pavement, interior mask, keep mask),
+    or None.  Returns the pavement, the mask of its interior cells and, per
+    cell, its index in the previous pavement, -1 for the cells given here.  Both pavements are sorted by
     (r, i, j), so the kept cells take their positions in their previous
     order.  One ``find`` places the two smaller of the three groups (kept,
     interior, band); the largest fills the positions left."""
     old, old_inner, keep = kept if kept is not None else (None, np.zeros(0, dtype=bool), [])
     old_idx = np.flatnonzero(keep)
     cells = np.concatenate((_NO_CELLS if old is None else _cell_array(old)[old_idx],
-                            interior, band))
+                            *interior, *band))
     pavement = PavedCover(frame, cells)
-    sizes = (len(old_idx), len(interior), len(band))
+    sizes = (len(old_idx), sum(map(len, interior)), sum(map(len, band)))
     group, largest = np.repeat(np.arange(3), sizes), np.argmax(sizes)
     placed = group != largest
     kind = np.full(len(pavement), largest)
@@ -347,6 +345,7 @@ class PuzzleTree:
 
     def pavement(self, level: int) -> PavedCover:
         """The pavement of a level, whose cells its components' covers index."""
+        check_level(level, self.depth)
         return self._built[level].pavement
 
     def level_resolution(self, level: int) -> int:
@@ -422,7 +421,7 @@ class _TreeBuilder:
                 break
             cells = _children(cells)
             r += 1
-        pavement, inner, _ = _pave(self.frame, np.concatenate(interior), cells)
+        pavement, inner, _ = _pave(self.frame, interior, [cells])
         self._accept(_Built(pavement, inner, np.zeros(len(pavement), dtype=np.int64),
                             np.array([-1]), np.array([-1]), np.array([1]),
                             np.full(len(self.pmap.critical_points), -1), [self.disk.center]))
@@ -456,8 +455,36 @@ class _TreeBuilder:
 
     # -- classification ----------------------------------------------------
 
+    def _orbit_chain(self, k, boxes):
+        """The orbit-chain test of ``boxes`` (four arrays of walls): k sharp
+        steps of f, each image enclosure tested against the exact circle of
+        U.  Returns the indices of the boxes with no iterate certified
+        outside the closed disk, the mask of those whose iterates all lie
+        strictly inside U, the first image enclosures of every box and the
+        k-th image enclosures of the indexed ones.  Every box is evaluated
+        on its own, so a box's answer does not depend on the others."""
+        center = self.disk.center_box
+        alive = np.arange(len(boxes[0]))
+        strict = np.ones(len(alive), dtype=bool)
+        first_image = None
+        for step in range(k):
+            boxes = self.pmap.eval_boxes_sharp(boxes)
+            if step == 0:
+                first_image = boxes
+            d2_lo, d2_hi = vbabs2(boxes, center)
+            keep = ~(d2_lo > self.disk.r2_hi)
+            strict = strict & (d2_hi < self.disk.r2_lo)
+            if not keep.all():
+                alive = alive[keep]
+                strict = strict[keep]
+                boxes = tuple(a[keep] for a in boxes)
+                if alive.size == 0:
+                    break
+        return alive, strict, first_image, boxes
+
     def _classify_batch(self, k, r, i, j):
-        """Orbit-chain classification of same-resolution cells.
+        """Orbit-chain classification of one wave of cells, (r, i, j) arrays
+        of mixed resolutions.
 
         z lies in f^{-k}(U) exactly when f^j(z) stays in U for j = 1..k, so
         a cell whose iterated sharp enclosures are all strictly inside U is
@@ -466,54 +493,34 @@ class _TreeBuilder:
         undecided boundary cells.  Anchoring the test to the exact circle
         keeps the undecided band at interval-sharpness width.
 
-        An undecided cell stops refining (status 2 rather than 3) once its
-        first image enclosure is no wider than the parent-pavement cell it
-        lands on: its scale has reached the local structure scale one level
-        up, which is the scale the certificates need.  The parent lookup is
-        a heuristic only; soundness rests on the chain alone.
+        An undecided cell stops refining (status 2 rather than 3) at the
+        resolution cap, or once its first image enclosure is no wider than
+        the parent-pavement cell it lands on: its scale has reached the
+        local structure scale one level up, which is the scale the
+        certificates need.  The parent lookup is a heuristic only; soundness
+        rests on the chain alone.  A cell's status depends on the cell and
+        on data fixed for the level, not on the rest of its wave.
         """
-        n = len(i)
-        boxes = self.frame.cell_walls(r, i, j)
-        center = self.disk.center_box
-        r2_hi = self.disk.r2_hi
-        r2_lo = self.disk.r2_lo
-        status = np.zeros(n, dtype=np.int8)
-        alive = np.arange(n)
-        strict = np.ones(n, dtype=bool)
-        first_image = None
-        for step in range(k):
-            boxes = self.pmap.eval_boxes_sharp(boxes)
-            if step == 0:
-                first_image = boxes
-            d2_lo, d2_hi = vbabs2(boxes, center)
-            keep = ~(d2_lo > r2_hi)
-            strict = strict & (d2_hi < r2_lo)
-            if not keep.all():
-                alive = alive[keep]
-                strict = strict[keep]
-                boxes = tuple(a[keep] for a in boxes)
-                if alive.size == 0:
-                    return status
+        status = np.zeros(len(i), dtype=np.int8)
+        alive, strict, e1, boxes = self._orbit_chain(k, self.frame.cell_walls(r, i, j))
         status[alive[strict]] = 1
         mask = ~strict
         undecided = alive[mask]
         if undecided.size == 0:
             return status
-        if r >= self.policy.max_resolution:
-            status[undecided] = 2
-            return status
-        # two independent reasons to stop refining an undecided cell: its
-        # first image enclosure is down to the parent-level structure scale
-        # where it lands (raster lookup), or its k-th image enclosure is
-        # small relative to U itself; either way its size matches the local
-        # geometry, and the certificates split it further if they must
-        e1 = first_image
+        # two independent reasons to stop refining an undecided cell below
+        # the cap: its first image enclosure is down to the parent-level
+        # structure scale where it lands (raster lookup), or its k-th image
+        # enclosure is small relative to U itself; either way its size
+        # matches the local geometry, and the certificates split it further
+        # if they must
         w1 = np.maximum(e1[1] - e1[0], e1[3] - e1[2])[undecided]
         mx = 0.5 * (e1[0][undecided] + e1[1][undecided])
         my = 0.5 * (e1[2][undecided] + e1[3][undecided])
         local = self._scale_lookup(mx, my)
         wk = np.maximum(boxes[1] - boxes[0], boxes[3] - boxes[2])[mask]
-        stop = (w1 <= BAND_RATIO * local) | (wk <= self._stop_width)
+        stop = ((r[undecided] >= self.policy.max_resolution)
+                | (w1 <= BAND_RATIO * local) | (wk <= self._stop_width))
         status[undecided[stop]] = 2
         status[undecided[~stop]] = 3
         return status
@@ -583,15 +590,28 @@ class _TreeBuilder:
         crit_cluster[self.restriction_crits[inside]] = cluster[inside]
         return crit_cluster
 
-    def _witness_point(self, k, rects):
+    def _chain_inside(self, k, rects):
+        """Per witness enclosure of ``rects``: whether the orbit chain of its
+        midpoint c certifies c in f^-k(U), every enclosure of f^j(c),
+        j = 1..k, strictly inside U.  The midpoints are floats, so their
+        point boxes hold c exactly."""
+        mx = 0.5 * (rects[:, 0] + rects[:, 1])
+        my = 0.5 * (rects[:, 2] + rects[:, 3])
+        alive, strict, _, _ = self._orbit_chain(k, (mx, mx, my, my))
+        inside = np.zeros(len(rects), dtype=bool)
+        inside[alive[strict]] = True
+        return inside
+
+    def _witness_point(self, k, rects, inside):
         """The first midpoint c of the witness enclosures ``rects`` certified
         to lie in f^-k(U), or None.  It does when f^j(c), j = 1..k, stays
-        strictly inside U: the orbit of f(c) through step k - 1."""
-        for re_lo, re_hi, im_lo, im_hi in rects.tolist():
+        strictly inside U: at once where ``inside`` (``_chain_inside``) says
+        so, else when the exact orbit walk of f(c) through step k - 1 says
+        so."""
+        for (re_lo, re_hi, im_lo, im_hi), sure in zip(rects.tolist(), inside.tolist()):
             c = (Fraction(0.5 * (re_lo + re_hi)), Fraction(0.5 * (im_lo + im_hi)))
-            status, _, _ = _exact_orbit_status(
-                self.pmap, self.disk, self.pmap.eval_exact(c), k - 1)
-            if status == "in_Uprime":
+            if sure or _exact_orbit_status(
+                    self.pmap, self.disk, self.pmap.eval_exact(c), k - 1)[0] == "in_Uprime":
                 return c
         return None
 
@@ -676,8 +696,10 @@ class _TreeBuilder:
                                 f"degree {got[i]}, want {want[i]}"),
                 lambda i: np.flatnonzero(parent_of == p[i]).tolist())
 
-        # witness membership: each cluster tries its boxes in candidate order
-        witness_points = [self._witness_point(k, rects[members])
+        # witness membership: each cluster tries its boxes in candidate order,
+        # the exact walk only for a midpoint the float chain leaves open
+        inside = self._chain_inside(k, rects)
+        witness_points = [self._witness_point(k, rects[members], inside[members])
                           for members in _groups(cluster, n_clusters)]
         missing = _Defects()
         missing.flag([w is None for w in witness_points], lambda idx: (
@@ -696,9 +718,10 @@ class _TreeBuilder:
     def _build_level(self, k):
         """Classify the parent pavement's cells and their refinements until
         the level certifies.  Cells travel as (n, 3) int64 arrays of
-        (r, i, j): ``buckets`` maps a resolution to the arrays awaiting
-        classification, and the cells classified since the last attempt are
-        lists of arrays, interior and band apart.
+        (r, i, j).  Each attempt classifies the cells ``pending`` and
+        their refinements in waves (``_classify_waves``).  The cells
+        classified since the last attempt are lists of arrays, interior and
+        band apart.
 
         A failed attempt hands the next one the cells that its refinement
         did not choose, each with its interior flag and parent cluster, and
@@ -711,12 +734,10 @@ class _TreeBuilder:
         so an edge it shared with a settled cell u would lie on p's
         boundary, making p and u adjacent and so one cluster.  Only the
         other cells need neighbor and container lookups."""
-        policy = self.policy
         witness_boxes = self._solve_witness_preimages(k)
         self._stop_width = BAND_SCALE * 2.0 * float(self.disk.radius)
         self._build_scale_raster(self.built[k - 1])
-        buckets = {}
-        _enqueue(buckets, _cell_array(self.built[k - 1].pavement))
+        pending = [_cell_array(self.built[k - 1].pavement)]
         interior, band = [_NO_CELLS], [_NO_CELLS]
         # from the last failed attempt: (pavement, interior mask, keep
         # mask), and its (settled, up) per cell where it had a cluster table
@@ -725,27 +746,15 @@ class _TreeBuilder:
         uncontained_build = None
         while True:
             n_kept = 0 if kept is None else int(np.count_nonzero(kept[2]))
-            while buckets:
-                r = min(buckets)
-                cells = np.concatenate(buckets.pop(r))
-                total = (n_kept + sum(map(len, interior)) + sum(map(len, band)) + len(cells)
-                         + sum(len(c) for parts in buckets.values() for c in parts))
-                if total > policy.max_boxes:
-                    raise ResolutionExceeded(
-                        f"level {k}: {total} boxes exceed cap {policy.max_boxes}")
-                status = self._classify_batch(k, r, cells[:, 1], cells[:, 2])
-                interior.append(cells[status == 1])
-                band.append(cells[status == 2])
-                _enqueue(buckets, _children(cells[status == 3]))
-            pavement, is_inner, prev = _pave(self.frame, np.concatenate(interior),
-                                             np.concatenate(band), kept)
+            self._classify_waves(k, pending, interior, band, n_kept)
+            pavement, is_inner, prev = _pave(self.frame, interior, band, kept)
             carried = None if table is None else (prev, *table)
             # what a failed attempt carries lives for one attempt only
             interior, band, kept, table, prev = [_NO_CELLS], [_NO_CELLS], None, None, None
             try:
                 built = self._certify(k, pavement, is_inner, witness_boxes, carried)
             except _Failure as fail:
-                chosen = self._subdivide_band(pavement, is_inner, buckets, fail.refine)
+                chosen = self._subdivide_band(pavement, is_inner, pending, fail.refine)
                 if chosen is None:
                     if uncontained_build is not None:
                         self._accept(uncontained_build)
@@ -764,15 +773,47 @@ class _TreeBuilder:
                 uncontained_build = built
                 uncontained_accepts += 1
                 if uncontained_accepts < 4:
-                    chosen = self._subdivide_band(pavement, is_inner, buckets, None)
+                    chosen = self._subdivide_band(pavement, is_inner, pending, None)
                     if chosen is not None:
                         kept, table = (pavement, is_inner, ~chosen), None
                         continue
             self._accept(built)
             return
 
-    def _subdivide_band(self, pavement, interior, buckets, targets):
-        """Split refinable band cells once and re-enqueue their children.
+    def _classify_waves(self, k, pending, interior, band, n_kept):
+        """Classify the cells of the ``pending`` list of cell arrays and
+        their refinements, appending the interior and band cells to those
+        lists and leaving ``pending`` empty.
+
+        The pending cells form one wave of mixed resolutions, and the
+        children of its cells that must refine form the next.  A wave goes
+        to ``_classify_batch`` in slices of at most ``_WAVE_SLICE`` cells,
+        which bounds the orbit chain's arrays; the last wave is released on
+        return, before the caller paves.  A cell's status depends only on
+        the cell, so waves and slices give each attempt the cells that one
+        batch per resolution would.  Before each slice, the live cells
+        (``n_kept`` carried ones, the classified ones and the waiting ones)
+        must fit the box budget."""
+        cap = self.policy.max_boxes
+        while pending:
+            wave = np.concatenate(pending)
+            pending.clear()
+            for start in range(0, len(wave), _WAVE_SLICE):
+                cells = wave[start:start + _WAVE_SLICE]
+                total = (n_kept + sum(map(len, interior)) + sum(map(len, band))
+                         + len(wave) - start + sum(map(len, pending)))
+                if total > cap:
+                    raise ResolutionExceeded(f"level {k}: {total} boxes exceed cap {cap}")
+                status = self._classify_batch(k, *cells.T)
+                interior.append(cells[status == 1])
+                band.append(cells[status == 2])
+                refine = cells[status == 3]
+                if len(refine):
+                    pending.append(_children(refine))
+
+    def _subdivide_band(self, pavement, interior, pending, targets):
+        """Split refinable band cells once and add their children to the
+        ``pending`` list of cell arrays.
 
         ``interior`` and ``targets`` are masks over the pavement; ``targets``
         localizes the split to the cells named by a failure (falling back to
@@ -785,7 +826,7 @@ class _TreeBuilder:
             chosen = band
             if not chosen.any():
                 return None
-        _enqueue(buckets, _children(_cell_array(pavement)[chosen]))
+        pending.append(_children(_cell_array(pavement)[chosen]))
         return chosen
 
     # -- public driver -------------------------------------------------------
@@ -906,8 +947,7 @@ def locate(tree: PuzzleTree, z, k: int):
     Raises NotInCover when z is certified outside the level-k cover and
     Undecided when membership cannot be certified at the built resolution.
     """
-    if not 0 <= k <= tree.depth:
-        raise ValueError(f"level {k} outside 0..{tree.depth}, the tree's depth")
+    check_level(k, tree.depth)
     if isinstance(z, complex):
         z = (Fraction(z.real), Fraction(z.imag))
     else:

@@ -243,6 +243,16 @@ def test_chi_horizon_below_zero_is_usage_error(quad_config, tmp_path, capsys, mo
     assert not (tmp_path / "o").exists()
 
 
+def test_chi_depth_below_one_is_usage_error(quad_config, tmp_path, capsys, monkeypatch):
+    _no_build(monkeypatch)
+    for depth in ("0", "-2"):
+        code, _, err = run(["chi", "--config", quad_config, "--point", "0.5,0",
+                            "--depth", depth, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert f"chi needs a tree of depth at least 1, not {depth}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_config_validation(quad_config, tmp_path, capsys, monkeypatch):
     # a run's budgets are one ResolutionPolicy: the environment overrides the
     # flag, an unset budget takes the default, and zero is rejected; the

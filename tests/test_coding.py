@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cantorshift import InconsistentTree
+from cantorshift import InconsistentTree, ResolutionPolicy, build_tree
 from cantorshift.coding import (
     assign_symbols,
     chi,
@@ -138,6 +138,17 @@ def test_chi_horizon_below_zero_is_rejected(cubic_map, cubic_tree, quadratic_map
     for pmap, tree, horizon in ((cubic_map, cubic_tree, -1), (quadratic_map, quadratic_tree, -3)):
         with pytest.raises(ValueError, match=f"horizon {horizon} is below 0"):
             chi(pmap, ("1", "0"), tree, horizon=horizon)
+
+
+def test_chi_needs_a_tree_of_depth_one(cubic_map, cubic_disk):
+    # a depth-0 tree has no level 1 to place the critical points in: it read
+    # chi(+1) as a certified 1, where depth 1 certifies 2
+    policy = ResolutionPolicy(max_resolution=30, max_boxes=2_000_000)
+    shallow = build_tree(cubic_map, cubic_disk, 0, policy=policy)
+    with pytest.raises(ValueError, match="chi needs a tree of depth at least 1, not 0"):
+        chi(cubic_map, ("1", "0"), shallow)
+    res = chi(cubic_map, ("1", "0"), build_tree(cubic_map, cubic_disk, 1, policy=policy))
+    assert (res.value, res.status) == (2, "certified")
 
 
 def test_chi_respects_bound(cubic_map, cubic_tree):

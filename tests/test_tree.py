@@ -25,8 +25,9 @@ from cantorshift import (
     paved_clusters,
 )
 from cantorshift import tree as tree_mod
+from cantorshift.coding import coding_to_json_dict
 from cantorshift.intervals import boverlap, enclose_fraction, isqrt_hi
-from cantorshift.maps import certified_roots
+from cantorshift.maps import _exact_orbit_status, certified_roots
 
 from conftest import shifted_coefficients
 
@@ -141,17 +142,21 @@ def test_witness_points_lie_in_their_level(quadratic_tree, cubic_tree):
                     assert tree.disk.classify_exact(z) == "in"
 
 
-def _walk_build(pmap, disk, depth, force=None, attempts=None):
+def _walk_build(pmap, disk, depth, force=None, attempts=None, chain=True):
     """Build while recording each certification attempt as [level, walks,
     failure text or None] in ``attempts``, a walk being the (start,
     horizon) of one witness-membership orbit walk, and each level's witness
-    enclosures.  ``force`` = (k, z) makes the first walk from z at level k
-    report an escape."""
+    enclosures.  With ``chain`` false, the float orbit chain leaves every
+    witness candidate open, so each candidate tried goes to the walk.
+    ``force`` = (k, z) makes the first walk from z at level k report an
+    escape."""
     attempts = [] if attempts is None else attempts
     boxes = {}
     solve = tree_mod._TreeBuilder._solve_witness_preimages
     certify = tree_mod._TreeBuilder._certify
     walk = tree_mod._exact_orbit_status
+    chain_inside = tree_mod._TreeBuilder._chain_inside if chain else (
+        lambda self, k, rects: np.zeros(len(rects), dtype=bool))
 
     def traced_solve(self, k):
         boxes[k] = solve(self, k)
@@ -177,6 +182,7 @@ def _walk_build(pmap, disk, depth, force=None, attempts=None):
         mp.setattr(tree_mod._TreeBuilder, "_solve_witness_preimages", traced_solve)
         mp.setattr(tree_mod._TreeBuilder, "_certify", traced_certify)
         mp.setattr(tree_mod, "_exact_orbit_status", traced_walk)
+        mp.setattr(tree_mod._TreeBuilder, "_chain_inside", chain_inside)
         tree = build_tree(pmap, disk, depth, policy=small_policy())
     return tree, attempts, boxes
 
@@ -196,12 +202,12 @@ def _candidates(built, boxes):
 
 @pytest.mark.parametrize("case, depth", [("quadratic", 3), ("cubic", 2)])
 def test_witness_walk_starts_at_image_of_candidate(request, case, depth):
-    # c lies in f^-k(U) when f(c) stays in U for k - 1 more steps: every walk
-    # of the accepted attempt starts at f(c) for the first candidate c of
-    # its cluster, with horizon k - 1
+    # c lies in f^-k(U) when f(c) stays in U for k - 1 more steps: with the
+    # float chain undecided, every walk of the accepted attempt starts at
+    # f(c) for the first candidate c of its cluster, with horizon k - 1
     pmap = request.getfixturevalue(f"{case}_map")
     tree, attempts, boxes = _walk_build(
-        pmap, request.getfixturevalue(f"{case}_disk"), depth)
+        pmap, request.getfixturevalue(f"{case}_disk"), depth, chain=False)
     for k in range(1, depth + 1):
         cands = _candidates(tree._built[k], boxes[k])
         _, walks, failure = [a for a in attempts if a[0] == k][-1]
@@ -211,11 +217,12 @@ def test_witness_walk_starts_at_image_of_candidate(request, case, depth):
 
 
 def test_witness_walk_tries_next_candidate(cubic_map, cubic_disk):
-    tree, _, boxes = _walk_build(cubic_map, cubic_disk, 2)
+    # the float chain undecided, the walk of the first candidate escapes
+    tree, _, boxes = _walk_build(cubic_map, cubic_disk, 2, chain=False)
     cands = _candidates(tree._built[1], boxes[1])
     idx = [len(c) for c in cands].index(2)  # the branched cluster around +1
     first, second = cands[idx]
-    tree, attempts, _ = _walk_build(cubic_map, cubic_disk, 2,
+    tree, attempts, _ = _walk_build(cubic_map, cubic_disk, 2, chain=False,
                                     force=(1, cubic_map.eval_exact(first)))
     _, walks, failure = [a for a in attempts if a[0] == 1][-1]
     assert failure is None
@@ -226,13 +233,15 @@ def test_witness_walk_tries_next_candidate(cubic_map, cubic_disk):
 
 
 def test_witness_walk_without_candidate_left_fails(quadratic_map, quadratic_disk):
-    tree, _, boxes = _walk_build(quadratic_map, quadratic_disk, 3)
+    # the float chain undecided, the walk of the only candidate escapes
+    tree, _, boxes = _walk_build(quadratic_map, quadratic_disk, 3, chain=False)
     cands = _candidates(tree._built[2], boxes[2])
     assert all(len(c) == 1 for c in cands)
     forced = quadratic_map.eval_exact(cands[0][0])
     attempts = []
     with pytest.raises(Undecided) as info:
-        _walk_build(quadratic_map, quadratic_disk, 3, force=(2, forced), attempts=attempts)
+        _walk_build(quadratic_map, quadratic_disk, 3, chain=False, force=(2, forced),
+                    attempts=attempts)
     # the candidates are fixed for the level, so no refinement can help: the
     # first level-2 attempt that walks is the last attempt of the build
     walked = [a for a in attempts if a[0] == 2 and a[1]]
@@ -243,6 +252,112 @@ def test_witness_walk_without_candidate_left_fails(quadratic_map, quadratic_disk
     assert failure == str(info.value)
     assert failure.startswith("level 2: witness-member: no witness midpoint of cluster 0 ")
     assert failure.endswith("(by kind: witness-member=1)")
+
+
+@pytest.mark.parametrize("case, depth", [("quadratic", 4), ("cubic", 3)])
+def test_walk_alone_gives_the_chain_witness_points(request, case, depth):
+    # the float chain certifies every witness of these builds, so they walk
+    # no orbit; the walk alone must choose the same points
+    pmap = request.getfixturevalue(f"{case}_map")
+    disk = request.getfixturevalue(f"{case}_disk")
+    chained, chain_attempts, _ = _walk_build(pmap, disk, depth)
+    walked, walk_attempts, _ = _walk_build(pmap, disk, depth, chain=False)
+    assert all(not walks for _, walks, _ in chain_attempts)
+    assert all(walks for _, walks, text in walk_attempts if text is None)
+    for k in range(depth + 1):
+        assert walked._built[k].witness_points == chained._built[k].witness_points
+
+
+@pytest.mark.parametrize("case", ["quadratic", "cubic"])
+def test_chain_certified_witness_candidates_pass_the_exact_walk(request, case):
+    # the chain is sound: each candidate midpoint it certifies in f^-k(U)
+    # has an exact orbit f(c), ..., f^k(c) strictly inside U
+    tree = request.getfixturevalue(f"{case}_tree")
+    builder = tree_mod._TreeBuilder(tree.map, tree.disk, tree.policy)
+    builder.built = tree._built
+    # the candidates all lie in their levels; the points of a grid inside U,
+    # some of which escape, show that the chain also says no
+    r = float(tree.disk.radius)
+    ticks = np.linspace(-r, r, 9)[1:-1]
+    grid = np.array([(x, x, y, y) for x in ticks for y in ticks])
+    for k in range(1, 5):
+        rects, _, _ = builder._solve_witness_preimages(k)
+        inside = builder._chain_inside(k, rects)
+        assert inside.any()
+        grid_inside = builder._chain_inside(k, grid)
+        statuses = []
+        for (re_lo, re_hi, im_lo, im_hi), sure in zip(np.vstack((rects, grid)).tolist(),
+                                                      np.append(inside, grid_inside).tolist()):
+            c = (Fraction(0.5 * (re_lo + re_hi)), Fraction(0.5 * (im_lo + im_hi)))
+            if tree.disk.classify_exact(c) != "in":
+                continue
+            status, _, _ = _exact_orbit_status(tree.map, tree.disk, tree.map.eval_exact(c), k - 1)
+            assert status == "in_Uprime" or not sure
+            statuses.append(status)
+        assert "escapes" in statuses
+
+
+def test_wave_status_matches_per_resolution_batches(cubic_map, cubic_disk):
+    # a cell's status depends on the cell alone: one wave of every cell that
+    # level 3 classified, of resolutions 8..16, gets the statuses that one
+    # batch per resolution gets
+    k, cap = 3, 16
+    builder = tree_mod._TreeBuilder(
+        cubic_map, cubic_disk, ResolutionPolicy(max_resolution=cap, max_boxes=2_000_000))
+    waves = []
+    classify = tree_mod._TreeBuilder._classify_batch
+
+    def traced_classify(self, k_, r, i, j):
+        if k_ == k:
+            waves.append(np.stack((r, i, j), axis=1))
+        return classify(self, k_, r, i, j)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_mod._TreeBuilder, "_classify_batch", traced_classify)
+        builder.build(k)
+    cells = np.concatenate(waves)
+    status = builder._classify_batch(k, *cells.T)
+    per_resolution = np.full(len(cells), -1, dtype=np.int8)
+    for r in np.unique(cells[:, 0]).tolist():
+        at = cells[:, 0] == r
+        per_resolution[at] = builder._classify_batch(k, *cells[at].T)
+    assert np.array_equal(status, per_resolution)
+
+    # the wave holds every kind of cell: band cells at the cap, ...
+    at_cap = cells[:, 0] == cap
+    assert len(np.unique(cells[:, 0])) > 2 and (status[at_cap] == 2).any()
+    # ... cells discarded at two different steps of the chain, ...
+    out = [builder._classify_batch(j, *cells.T) == 0 for j in range(1, k + 1)]
+    first = [out[j] & ~out[j - 1] for j in range(1, k)]
+    assert sum(map(np.any, first)) >= 2
+    # ... and band cells below the cap that stop by one rule alone
+    stop_width, raster = builder._stop_width, builder._scale_raster
+    builder._stop_width = 0.0
+    by_raster = builder._classify_batch(k, *cells.T) == 2
+    builder._stop_width, builder._scale_raster = stop_width, np.zeros_like(raster)
+    by_width = builder._classify_batch(k, *cells.T) == 2
+    assert (by_raster & ~by_width & ~at_cap).any()
+    assert (by_width & ~by_raster & ~at_cap).any()
+
+
+def test_sliced_waves_build_the_same_tree(cubic_map, cubic_disk):
+    # waves classified in slices of a few cells give the tree of whole waves
+    whole = build_tree(cubic_map, cubic_disk, 3, policy=small_policy())
+    sizes = []
+    classify = tree_mod._TreeBuilder._classify_batch
+
+    def traced_classify(self, k, r, i, j):
+        sizes.append(len(r))
+        return classify(self, k, r, i, j)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_mod, "_WAVE_SLICE", 97)
+        mp.setattr(tree_mod._TreeBuilder, "_classify_batch", traced_classify)
+        sliced = build_tree(cubic_map, cubic_disk, 3, policy=small_policy())
+    assert max(sizes) == 97
+    assert sliced.to_json_dict() == whole.to_json_dict()
+    for k in range(4):
+        assert sliced._built[k].witness_points == whole._built[k].witness_points
 
 
 def _with_box(boxes, rect):
@@ -363,7 +478,7 @@ def test_carried_attempts_match_fresh_lookups(request, case, depth):
         status = classify(self, k, r, i, j)
         inner = status == 1
         classified.setdefault(k, []).append(
-            np.stack((np.full(inner.sum(), r), i[inner], j[inner]), axis=1))
+            np.stack((r[inner], i[inner], j[inner]), axis=1))
         return status
 
     def traced_defects(self, labels=None, up=None):
@@ -573,6 +688,18 @@ def test_locate_level_outside_the_tree(quadratic_tree):
         with pytest.raises(ValueError, match=f"level {k} outside 0..10"):
             locate(quadratic_tree, ("-2", "0"), k)
     assert locate(quadratic_tree, ("-2", "0"), 0) == [quadratic_tree.levels[0][0]]
+
+
+@pytest.mark.parametrize("k", [-1, 11])
+@pytest.mark.parametrize("query", [
+    lambda tree, assignment, k: tree.pavement(k),
+    lambda tree, assignment, k: tree.level_resolution(k),
+    lambda tree, assignment, k: coding_to_json_dict(assignment, tree, k),
+], ids=["pavement", "level_resolution", "coding_to_json_dict"])
+def test_level_queries_outside_the_tree(quadratic_tree, quadratic_assignment, query, k):
+    # -1 used to read the deepest level and 11 to raise IndexError
+    with pytest.raises(ValueError, match=f"level {k} outside 0..10, the tree's depth"):
+        query(quadratic_tree, quadratic_assignment, k)
 
 
 def test_locate_boundary_point_undecided(quadratic_tree):
