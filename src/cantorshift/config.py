@@ -33,6 +33,10 @@ def env_budget_overrides():
     return (int(boxes) if boxes else None, int(res) if res else None)
 
 
+def _is_pair(value):
+    return isinstance(value, list) and len(value) == 2
+
+
 def load_map_config(path: str):
     """Read a map configuration file.
 
@@ -42,18 +46,26 @@ def load_map_config(path: str):
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a map config must be a JSON object")
     try:
         coeffs = data["coefficients"]
     except KeyError as exc:
         raise ValueError(f"{path}: missing 'coefficients'") from exc
+    if not isinstance(coeffs, list) or not all(map(_is_pair, coeffs)):
+        raise ValueError(f"{path}: 'coefficients' must be a list of [re, im] pairs")
     pmap = PolynomialMap(coeffs)
     center = data.get("disk_center", ["0", "0"])
+    if not _is_pair(center):
+        raise ValueError(f"{path}: 'disk_center' must be an [re, im] pair")
     radius = data.get("disk_radius", "auto")
     if radius == "auto":
         disk = DomainDisk(center, escape_radius(pmap))
     else:
         disk = DomainDisk(center, radius)
-    horizon = int(data.get("horizon", 20))
+    horizon = data.get("horizon", 20)
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise ValueError(f"{path}: 'horizon' must be an integer")
     if horizon <= 0:
         raise ValueError(f"{path}: horizon must be positive")
     shrink = data.get("shrink_on_contact")

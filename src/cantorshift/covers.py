@@ -24,6 +24,9 @@ import numpy as np
 
 from .intervals import _one_box, boverlap
 
+# the finest cell resolution r: i, j and the grid size 2^r stay exact in int64
+MAX_RESOLUTION = 62
+
 
 class Frame:
     """Square dyadic window; all covers of one analysis share one frame."""
@@ -138,31 +141,40 @@ class PavedCover:
     (r, i, j); a cell's index is its position there.  Each resolution is a
     contiguous run keyed by a sorted int64 array: the rank of i among the
     run's distinct i times the number of its distinct j, plus the rank of
-    j.  The key is exact at every resolution up to 62, where i and j still
-    fit in int64, and its size is bounded by the square of the cell count.
-    ``find`` answers which present cell contains given grid cells, and
-    ``overlapping`` which present cells arrays of rectangles possibly meet;
-    both read the same sorted runs.  ``tiled`` turns the pairs that
-    ``overlapping`` returns into certified containment.
+    j.  The key is exact at every resolution up to ``MAX_RESOLUTION``,
+    where i and j still fit in int64, and its size is bounded by the
+    square of the cell count.  ``find`` answers which present cell contains
+    given grid cells, and ``overlapping`` which present cells arrays of
+    rectangles possibly meet; both read the same sorted runs.  ``tiled``
+    turns the pairs that ``overlapping`` returns into certified containment.
     """
 
     __slots__ = ("frame", "r", "i", "j", "_layers")
 
-    def __init__(self, frame: Frame, cells):
-        """``cells`` is an iterable of (r, i, j) or an (n, 3) integer array."""
+    def __init__(self, frame: Frame, r, i, j):
+        """The cover of cells (r[n], i[n], j[n]), in any order and possibly
+        repeated: one lexsort orders them, and repeats are dropped.  Raises
+        ValueError for a resolution outside 0..MAX_RESOLUTION or a cell
+        outside its grid."""
         self.frame = frame
-        if not isinstance(cells, np.ndarray):
-            cells = list(cells)
-        a = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-        a = a[np.lexsort(a.T[::-1])]
-        a = a[np.diff(a, axis=0, prepend=-1).any(axis=1)]
-        self.r, self.i, self.j = (np.ascontiguousarray(a[:, c]) for c in range(3))
+        order = np.lexsort((j, i, r))
+        r, i, j = (np.asarray(v, dtype=np.int64)[order] for v in (r, i, j))
+        del order
+        repeat = np.append(False, (r[1:] == r[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1]))
+        if repeat.any():
+            r, i, j = r[~repeat], i[~repeat], j[~repeat]
+        if len(r) and not 0 <= r[0] <= r[-1] <= MAX_RESOLUTION:
+            raise ValueError(f"a cell resolution lies outside 0..{MAX_RESOLUTION}")
+        self.r, self.i, self.j = r, i, j
         self._layers = {}  # r -> (start, stop, distinct i, distinct j, keys)
-        cuts = np.flatnonzero(np.diff(self.r, prepend=-1, append=-1)).tolist()
+        cuts = np.flatnonzero(np.diff(r, prepend=-1, append=-1)).tolist()
         for start, stop in zip(cuts, cuts[1:]):
-            xs, ri = np.unique(self.i[start:stop], return_inverse=True)
-            ys, rj = np.unique(self.j[start:stop], return_inverse=True)
-            self._layers[int(self.r[start])] = (start, stop, xs, ys, ri * len(ys) + rj)
+            res = int(r[start])
+            xs, ri = np.unique(i[start:stop], return_inverse=True)
+            ys, rj = np.unique(j[start:stop], return_inverse=True)
+            if min(xs[0], ys[0]) < 0 or max(xs[-1], ys[-1]) >> res:
+                raise ValueError(f"a cell at resolution {res} lies outside the grid")
+            self._layers[res] = (start, stop, xs, ys, ri * len(ys) + rj)
 
     def __len__(self):
         return len(self.r)
@@ -277,10 +289,11 @@ def paved_clusters(frame: Frame, cells, settled=None):
 
     ``cells`` is a PavedCover or an iterable of (r, i, j).  Returns the
     cluster index of each cell as an int64 array aligned with the cover
-    (with ``PavedCover(frame, cells)`` for an iterable), clusters numbered
-    in canonical order by their least fine-grid lower-left corner.
+    (the PavedCover of its columns, for an iterable), clusters numbered in
+    canonical order by their least fine-grid lower-left corner.
     """
-    cover = cells if isinstance(cells, PavedCover) else PavedCover(frame, cells)
+    cover = (cells if isinstance(cells, PavedCover)
+             else PavedCover(frame, *(list(zip(*cells)) or [()] * 3)))
     n = len(cover)
     if settled is None:
         settled = np.full(n, -1)

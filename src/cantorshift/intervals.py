@@ -52,6 +52,14 @@ def enclose_fraction(q) -> tuple:
     return (_nextafter(f, -_INF), f)
 
 
+def enclose_point(z) -> tuple:
+    """(re_lo, re_hi, im_lo, im_hi): the smallest float box containing the
+    exact point z = (re, im)."""
+    r = enclose_fraction(z[0])
+    i = enclose_fraction(z[1])
+    return (r[0], r[1], i[0], i[1])
+
+
 def boverlap(u, v):
     """Closed-rectangle overlap test (False certifies disjointness), of
     float walls or, elementwise, of arrays of walls."""
@@ -192,9 +200,7 @@ class IntervalBox:
     @classmethod
     def point(cls, re, im) -> "IntervalBox":
         """Tight enclosure of an exact point given as rationals/floats."""
-        r = enclose_fraction(re)
-        i = enclose_fraction(im)
-        return cls(r[0], r[1], i[0], i[1])
+        return cls(*enclose_point((re, im)))
 
     def as_tuple(self):
         return (self.re_lo, self.re_hi, self.im_lo, self.im_hi)

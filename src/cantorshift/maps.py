@@ -41,6 +41,7 @@ from .intervals import (
     _one_box,
     boverlap,
     enclose_fraction,
+    enclose_point,
     vbabs2,
     vbadd,
     vbmul,
@@ -276,16 +277,10 @@ def _complex(c):
     return complex(float(c[0]), float(c[1]))
 
 
-def _exact_point_box(z):
-    r = enclose_fraction(z[0])
-    i = enclose_fraction(z[1])
-    return (r[0], r[1], i[0], i[1])
-
-
 def _enclosures(p):
     """Outward enclosures of exact coefficients, in their order, with None
     for an exact zero (the kernels skip its addition)."""
-    return [None if qc_is_zero(c) else _exact_point_box(c) for c in p]
+    return [None if qc_is_zero(c) else enclose_point(c) for c in p]
 
 
 def _companion_roots(lower):
@@ -484,7 +479,7 @@ def witness_preimages(pmap: "PolynomialMap", points):
     lower[:, 0] = [_complex(c) for c in consts]
     lower[:, 1:] = [_complex(c) for c in pmap.exact_coefficients[1:d]]
     seeds = _companion_roots(lower)
-    cb = np.repeat(np.array([_exact_point_box(c) for c in consts]), d, axis=0)
+    cb = np.repeat(np.array([enclose_point(c) for c in consts]), d, axis=0)
     X, answered = _krawczyk(pmap, seeds, cb)
 
     out = []
@@ -660,9 +655,7 @@ class DomainDisk:
         self.radius = parse_exact(radius)
         if self.radius <= 0:
             raise ValueError("disk radius must be positive")
-        cr = enclose_fraction(self.center[0])
-        ci = enclose_fraction(self.center[1])
-        self.center_box = (cr[0], cr[1], ci[0], ci[1])
+        self.center_box = enclose_point(self.center)
         r2 = self.radius * self.radius
         self.r2 = r2
         lo, hi = enclose_fraction(r2)

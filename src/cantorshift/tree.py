@@ -71,7 +71,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covers import Frame, PavedCover, paved_clusters
+from .covers import MAX_RESOLUTION, Frame, PavedCover, paved_clusters
 from .errors import (
     HypothesisViolation,
     InconsistentTree,
@@ -80,7 +80,7 @@ from .errors import (
     Undecided,
     check_level,
 )
-from .intervals import IntervalBox, _one_box, enclose_fraction, isqrt_hi, vbabs2
+from .intervals import _one_box, enclose_fraction, enclose_point, isqrt_hi, vbabs2
 from .maps import (
     DomainDisk,
     PolynomialMap,
@@ -116,6 +116,8 @@ class ResolutionPolicy:
     def __post_init__(self):
         if min(self.max_boxes, self.max_resolution, self.validation_horizon) <= 0:
             raise ValueError("budgets must be positive and the validation horizon at least 1")
+        if self.max_resolution > MAX_RESOLUTION:
+            raise ValueError(f"max_resolution must be at most {MAX_RESOLUTION}")
 
 
 @dataclass
@@ -168,67 +170,55 @@ class _Built:
     witness_points: list
 
 
-_NO_CELLS = np.empty((0, 3), dtype=np.int64)
 _NO_IDS = np.empty(0, dtype=np.int64)
 # cells per _classify_batch call: large waves go in slices of this size
 _WAVE_SLICE = 1 << 16
 
 
-def _cell_array(pavement):
-    """The pavement's cells as an (n, 3) array of (r, i, j)."""
-    return np.stack((pavement.r, pavement.i, pavement.j), axis=1)
+def _select(columns, mask):
+    """The entries of each of the aligned ``columns`` where ``mask`` is set."""
+    return tuple(c[mask] for c in columns)
 
 
-def _children(cells):
-    """The four children of each (r, i, j) cell, one resolution finer."""
-    return (cells[:, None, :] * (1, 2, 2)
-            + ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))).reshape(-1, 3)
+def _count(parts):
+    """The number of cells in a list of (r, i, j) column triples."""
+    return sum(len(part[0]) for part in parts)
+
+
+def _children(r, i, j):
+    """The four children of each cell, one resolution finer, as (r, i, j)
+    columns: per cell, (2i, 2j), (2i + 1, 2j), (2i, 2j + 1), (2i + 1, 2j + 1)."""
+    return (np.repeat(r + 1, 4), (2 * i[:, None] + (0, 1, 0, 1)).ravel(),
+            (2 * j[:, None] + (0, 0, 1, 1)).ravel())
 
 
 def _pave(frame, interior, band, kept=None):
-    """The pavement of interior and band cells, lists of (n, 3) arrays of
-    (r, i, j) joined here in one copy, and of the cells carried over from a
-    previous pavement: ``kept`` is its (pavement, interior mask, keep mask),
-    or None.  Returns the pavement, the mask of its interior cells and, per
-    cell, its index in the previous pavement, -1 for the cells given here.  Both pavements are sorted by
+    """The pavement of the interior and band cells, lists of (r, i, j)
+    column triples emptied here before the sort, and of the cells a failed
+    attempt keeps: ``kept`` is its (pavement, keep mask, interior mask,
+    settled clusters, parent clusters), or None.  Returns the pavement, the
+    mask of its interior cells and each cell's settled and parent cluster:
+    a kept cell's own, -1 for the others.  Both pavements are sorted by
     (r, i, j), so the kept cells take their positions in their previous
     order.  One ``find`` places the two smaller of the three groups (kept,
     interior, band); the largest fills the positions left."""
-    old, old_inner, keep = kept if kept is not None else (None, np.zeros(0, dtype=bool), [])
-    old_idx = np.flatnonzero(keep)
-    cells = np.concatenate((_NO_CELLS if old is None else _cell_array(old)[old_idx],
-                            *interior, *band))
-    pavement = PavedCover(frame, cells)
-    sizes = (len(old_idx), sum(map(len, interior)), sum(map(len, band)))
+    old_cells, flags = (_NO_IDS,) * 3, (np.zeros(0, dtype=bool), _NO_IDS, _NO_IDS)
+    if kept is not None:
+        old, keep, *flags = kept
+        old_cells, flags = _select((old.r, old.i, old.j), keep), _select(flags, keep)
+    sizes = (len(old_cells[0]), _count(interior), _count(band))
+    cells = [np.concatenate(c) for c in zip(old_cells, *interior, *band)]
+    del interior[:], band[:]
+    pavement = PavedCover(frame, *cells)
     group, largest = np.repeat(np.arange(3), sizes), np.argmax(sizes)
     placed = group != largest
-    kind = np.full(len(pavement), largest)
-    kind[pavement.find(*cells[placed].T)] = group[placed]
-    prev = np.full(len(pavement), -1, dtype=np.int64)
-    prev[kind == 0] = old_idx
-    is_inner = kind == 1
-    is_inner[kind == 0] = old_inner[old_idx]
-    return pavement, is_inner, prev
-
-
-def _from_prev(values, prev, fill):
-    """Per cell of a pavement: ``values`` at its index ``prev`` in the
-    previous pavement, or ``fill`` where it has none."""
-    out = np.full(len(prev), fill, dtype=np.int64)
-    known = prev >= 0
-    out[known] = values[prev[known]]
-    return out
-
-
-def _settled(table, chosen):
-    """The (settled, up) arrays a failed attempt hands over, from its
-    cluster ``table`` of (labels, up) and the mask of the cells chosen for
-    splitting: a settled cluster, one with no chosen cell, keeps its label
-    and any other cell gets -1."""
-    labels, up = table
-    touched = np.zeros(int(labels.max(initial=-1)) + 1, dtype=bool)
-    touched[labels[chosen]] = True
-    return np.where(touched[labels], -1, labels), up
+    kind = np.full(len(pavement), largest, dtype=np.int8)
+    kind[pavement.find(*_select(cells, placed))] = group[placed]
+    del cells
+    inner, settled, up = kind == 1, np.full(len(pavement), -1), np.full(len(pavement), -1)
+    for column, values in zip((inner, settled, up), flags):
+        column[kind == 0] = values
+    return pavement, inner, settled, up
 
 
 def _distinct(groups, values, n_groups):
@@ -274,13 +264,12 @@ class _Failure(Exception):
     when set, only those cells (intersected with the refinable band) need
     splitting, which keeps a small defect (a spurious island, one
     unresolved critical enclosure) from forcing a refinement of the whole
-    level.  ``table`` is the attempt's cluster table per cell: its labels
-    and its parent clusters."""
+    level.  ``labels`` and ``up`` are the attempt's cluster and parent
+    cluster per cell."""
 
-    def __init__(self, kind, detail, table, refine=None):
+    def __init__(self, kind, detail, labels, up, refine=None):
         super().__init__(f"{kind}: {detail}")
-        self.table = table
-        self.refine = refine
+        self.labels, self.up, self.refine = labels, up, refine
 
 
 class _Defects:
@@ -311,7 +300,7 @@ class _Defects:
             self.clusters.update([i] if clusters is None else clusters(i))
         if self.counts and self.labels is not None:
             refine = np.isin(self.labels, list(self.clusters)) if self.clusters else None
-            raise _Failure("defects", str(self), (self.labels, self.up), refine=refine)
+            raise _Failure("defects", str(self), self.labels, self.up, refine=refine)
 
     def __str__(self):
         histogram = ", ".join(f"{kind}={n}" for kind, n in self.counts.items())
@@ -409,19 +398,18 @@ class _TreeBuilder:
                               / self.frame.side))))
         band_target = min(band_target, self.policy.max_resolution)
         n = 1 << BASE_RESOLUTION
-        i, j = np.divmod(np.arange(n * n), n)
-        cells = np.stack((np.full(n * n, BASE_RESOLUTION), i, j), axis=1)
+        cells = (np.full(n * n, BASE_RESOLUTION), *np.divmod(np.arange(n * n), n))
         interior = []
         r = BASE_RESOLUTION
         while True:
-            inside, outside = self.disk.sides(self.frame.cell_walls(r, cells[:, 1], cells[:, 2]))
-            interior.append(cells[inside])
-            cells = cells[~inside & ~outside]
+            inside, outside = self.disk.sides(self.frame.cell_walls(*cells))
+            interior.append(_select(cells, inside))
+            cells = _select(cells, ~inside & ~outside)
             if r >= band_target:
                 break
-            cells = _children(cells)
+            cells = _children(*cells)
             r += 1
-        pavement, inner, _ = _pave(self.frame, interior, [cells])
+        pavement, inner, _, _ = _pave(self.frame, interior, [cells])
         self._accept(_Built(pavement, inner, np.zeros(len(pavement), dtype=np.int64),
                             np.array([-1]), np.array([-1]), np.array([1]),
                             np.full(len(self.pmap.critical_points), -1), [self.disk.center]))
@@ -615,27 +603,24 @@ class _TreeBuilder:
                 return c
         return None
 
-    def _certify(self, k, pavement, interior, witness_boxes, carried=None):
+    def _certify(self, k, pavement, interior, witness_boxes, settled=None, up=None):
         """Run the certificates of level k on one attempt's pavement, in the
         order of the module docstring.  Returns the level's cluster table, or
         raises _Failure with the defects of the first stage that has any.
 
-        ``carried`` = (prev, settled, up) is what the level's last failed
-        attempt hands over: per cell of this pavement, its index in that
-        attempt's pavement or -1 (see ``_pave``); per cell of that pavement,
-        its cluster where settled, else -1, and its parent cluster.  Only
-        the unsettled cells are joined by neighbor lookups, and only the
-        cells without a previous index are located in the parent pavement;
-        None carries nothing."""
-        prev, settled, up = carried if carried is not None else (
-            np.full(len(pavement), -1), _NO_IDS, _NO_IDS)
-        labels = paved_clusters(self.frame, pavement, _from_prev(settled, prev, -1))
+        ``settled`` and ``up``, aligned with the pavement, are the hand-off
+        of the level's last failed attempt (see ``_pave``): each cell's
+        cluster where settled and its parent cluster where known, else -1
+        (every cell, when None).  Only the other cells are joined by
+        neighbor lookups or located in the parent pavement, which fills
+        ``up`` in place."""
+        labels = paved_clusters(self.frame, pavement, settled)
         n_clusters = int(labels.max(initial=-1)) + 1
         parent = self.built[k - 1]
 
         # container, from exact dyadic ancestry, which a kept cell keeps
-        up = _from_prev(up, prev, -1)
-        new = np.flatnonzero(prev < 0)
+        up = np.full(len(pavement), -1) if up is None else up
+        new = np.flatnonzero(up < 0)
         anc = parent.pavement.find(pavement.r[new], pavement.i[new], pavement.j[new])
         up[new] = np.where(anc >= 0, parent.labels[anc], -1)
         defects = _Defects(labels, up)
@@ -688,7 +673,7 @@ class _TreeBuilder:
             if local_degree.sum() != self.pmap.degree:
                 raise _Failure("conservation", f"level-1 degrees sum to "
                                f"{local_degree.sum()}, want {self.pmap.degree}",
-                               (labels, up))
+                               labels, up)
         else:
             p, v, got, want = _conservation(parent_of, image_of, local_degree, parent)
             defects.flag(got != want, lambda i: (
@@ -717,15 +702,14 @@ class _TreeBuilder:
 
     def _build_level(self, k):
         """Classify the parent pavement's cells and their refinements until
-        the level certifies.  Cells travel as (n, 3) int64 arrays of
-        (r, i, j).  Each attempt classifies the cells ``pending`` and
-        their refinements in waves (``_classify_waves``).  The cells
-        classified since the last attempt are lists of arrays, interior and
-        band apart.
+        the level certifies.  Cells travel as (r, i, j) triples of int64
+        columns: each attempt classifies ``pending`` in waves
+        (``_classify_waves``) and paves the result with the cells the last
+        failed attempt keeps (``_pave``).
 
-        A failed attempt hands the next one the cells that its refinement
-        did not choose, each with its interior flag and parent cluster, and
-        its settled clusters: those with no chosen cell.  Within a level the
+        A failed attempt keeps the cells that its refinement did not choose,
+        each with its interior flag, parent cluster and settled cluster: its
+        own where that has no chosen cell, else -1.  Within a level the
         cover only shrinks, so clusters can split but never merge, and a
         settled cluster is a whole cluster of the next pavement too.  Its
         cells all survive, and no cell of the next pavement outside it is
@@ -733,26 +717,23 @@ class _TreeBuilder:
         adjacent to it before, and a new cell lies inside a chosen cell p,
         so an edge it shared with a settled cell u would lie on p's
         boundary, making p and u adjacent and so one cluster.  Only the
-        other cells need neighbor and container lookups."""
+        other cells need neighbor lookups, and only the new ones container
+        lookups."""
         witness_boxes = self._solve_witness_preimages(k)
         self._stop_width = BAND_SCALE * 2.0 * float(self.disk.radius)
         self._build_scale_raster(self.built[k - 1])
-        pending = [_cell_array(self.built[k - 1].pavement)]
-        interior, band = [_NO_CELLS], [_NO_CELLS]
-        # from the last failed attempt: (pavement, interior mask, keep
-        # mask), and its (settled, up) per cell where it had a cluster table
-        kept = table = None
+        parent = self.built[k - 1].pavement
+        pending = [(parent.r, parent.i, parent.j)]
+        interior, band, kept = [], [], None
         uncontained_accepts = 0
         uncontained_build = None
         while True:
-            n_kept = 0 if kept is None else int(np.count_nonzero(kept[2]))
+            n_kept = 0 if kept is None else int(np.count_nonzero(kept[1]))
             self._classify_waves(k, pending, interior, band, n_kept)
-            pavement, is_inner, prev = _pave(self.frame, interior, band, kept)
-            carried = None if table is None else (prev, *table)
-            # what a failed attempt carries lives for one attempt only
-            interior, band, kept, table, prev = [_NO_CELLS], [_NO_CELLS], None, None, None
+            pavement, is_inner, settled, up = _pave(self.frame, interior, band, kept)
+            kept = None
             try:
-                built = self._certify(k, pavement, is_inner, witness_boxes, carried)
+                built = self._certify(k, pavement, is_inner, witness_boxes, settled, up)
             except _Failure as fail:
                 chosen = self._subdivide_band(pavement, is_inner, pending, fail.refine)
                 if chosen is None:
@@ -762,10 +743,13 @@ class _TreeBuilder:
                     raise ResolutionExceeded(
                         f"level {k}: certification stalled at the resolution cap "
                         f"(last failure: {fail})")
-                kept, table = (pavement, is_inner, ~chosen), _settled(fail.table, chosen)
+                # a settled cluster, one with no chosen cell, keeps its label
+                touched = np.zeros(int(fail.labels.max(initial=-1)) + 1, dtype=bool)
+                touched[fail.labels[chosen]] = True
+                settled = np.where(touched[fail.labels], -1, fail.labels)
+                kept = (pavement, ~chosen, is_inner, settled, fail.up)
                 continue
-            finally:
-                carried = None
+            settled = up = None  # a hand-off serves one attempt
             if k == 1 and not self.disk.contains_cover(built.pavement):
                 # everything else certifies; if separation from the circle
                 # keeps failing the preimage plausibly touches it, so accept
@@ -775,15 +759,15 @@ class _TreeBuilder:
                 if uncontained_accepts < 4:
                     chosen = self._subdivide_band(pavement, is_inner, pending, None)
                     if chosen is not None:
-                        kept, table = (pavement, is_inner, ~chosen), None
+                        kept = (pavement, ~chosen, is_inner, *[np.full(len(pavement), -1)] * 2)
                         continue
             self._accept(built)
             return
 
     def _classify_waves(self, k, pending, interior, band, n_kept):
-        """Classify the cells of the ``pending`` list of cell arrays and
-        their refinements, appending the interior and band cells to those
-        lists and leaving ``pending`` empty.
+        """Classify the cells of the ``pending`` list of (r, i, j) column
+        triples and their refinements, appending the interior and band
+        cells to those lists and leaving ``pending`` empty.
 
         The pending cells form one wave of mixed resolutions, and the
         children of its cells that must refine form the next.  A wave goes
@@ -792,28 +776,28 @@ class _TreeBuilder:
         return, before the caller paves.  A cell's status depends only on
         the cell, so waves and slices give each attempt the cells that one
         batch per resolution would.  Before each slice, the live cells
-        (``n_kept`` carried ones, the classified ones and the waiting ones)
+        (``n_kept`` kept ones, the classified ones and the waiting ones)
         must fit the box budget."""
         cap = self.policy.max_boxes
         while pending:
-            wave = np.concatenate(pending)
+            wave = [np.concatenate(c) for c in zip(*pending)]
             pending.clear()
-            for start in range(0, len(wave), _WAVE_SLICE):
-                cells = wave[start:start + _WAVE_SLICE]
-                total = (n_kept + sum(map(len, interior)) + sum(map(len, band))
-                         + len(wave) - start + sum(map(len, pending)))
+            for start in range(0, len(wave[0]), _WAVE_SLICE):
+                cells = [c[start:start + _WAVE_SLICE] for c in wave]
+                total = (n_kept + _count(interior) + _count(band)
+                         + len(wave[0]) - start + _count(pending))
                 if total > cap:
                     raise ResolutionExceeded(f"level {k}: {total} boxes exceed cap {cap}")
-                status = self._classify_batch(k, *cells.T)
-                interior.append(cells[status == 1])
-                band.append(cells[status == 2])
-                refine = cells[status == 3]
-                if len(refine):
-                    pending.append(_children(refine))
+                status = self._classify_batch(k, *cells)
+                interior.append(_select(cells, status == 1))
+                band.append(_select(cells, status == 2))
+                refine = status == 3
+                if refine.any():
+                    pending.append(_children(*_select(cells, refine)))
 
     def _subdivide_band(self, pavement, interior, pending, targets):
         """Split refinable band cells once and add their children to the
-        ``pending`` list of cell arrays.
+        ``pending`` list of (r, i, j) column triples.
 
         ``interior`` and ``targets`` are masks over the pavement; ``targets``
         localizes the split to the cells named by a failure (falling back to
@@ -826,7 +810,7 @@ class _TreeBuilder:
             chosen = band
             if not chosen.any():
                 return None
-        pending.append(_children(_cell_array(pavement)[chosen]))
+        pending.append(_children(*_select((pavement.r, pavement.i, pavement.j), chosen)))
         return chosen
 
     # -- public driver -------------------------------------------------------
@@ -859,7 +843,8 @@ class _TreeBuilder:
         parent_of, image_of, local_degree, crit_cluster = (a.tolist() for a in (
             built.parent_of, built.image_of, built.local_degree, built.crit_cluster))
         groups = _groups(built.labels, len(parent_of))
-        walls = self.frame.cell_walls(*_cell_array(built.pavement)[np.concatenate(groups)].T)
+        order, pav = np.concatenate(groups), built.pavement
+        walls = self.frame.cell_walls(pav.r[order], pav.i[order], pav.j[order])
         starts = np.cumsum([0, *map(len, groups[:-1])])
         bboxes = zip(*(f.reduceat(v, starts).tolist()
                        for f, v in zip((np.minimum, np.maximum) * 2, walls)))
@@ -912,9 +897,9 @@ def check_structure(tree):
                     f"level {k}: degrees over image component {v} sum to "
                     f"{per_image.get(v, 0)}, want {d}")
         if k >= 2:
-            prev = tree.levels[k - 1]
+            above = tree.levels[k - 1]
             for c in comps:
-                if prev[c.image].container != prev[c.container].image:
+                if above[c.image].container != above[c.container].image:
                     raise InconsistentTree(f"commuting square fails at {c.id}")
         for c in comps:
             if (c.local_degree >= 2) != bool(c.contains_critical):
@@ -957,7 +942,7 @@ def locate(tree: PuzzleTree, z, k: int):
         raise NotInCover("z is certified outside U")
     if side == "boundary":
         raise Undecided("z lies exactly on the boundary circle of U")
-    box = _one_box(IntervalBox.point(z[0], z[1]).as_tuple())
+    box = _one_box(enclose_point(z))
     chain = [tree.levels[0][0]]
     for lvl in range(1, k + 1):
         built = tree._built[lvl]

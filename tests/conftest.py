@@ -15,10 +15,12 @@ tail factor trivial.
 import os
 import time
 
+import numpy as np
 import pytest
 
 from cantorshift import (
     DomainDisk,
+    PavedCover,
     PolynomialMap,
     ResolutionPolicy,
     build_tree,
@@ -42,6 +44,11 @@ def shifted_coefficients(pmap, w):
     c = list(pmap.exact_coefficients)
     c[0] = (c[0][0] - w[0], c[0][1] - w[1])
     return tuple(c)
+
+
+def paved(frame, cells):
+    """The PavedCover of a list of (r, i, j) cells."""
+    return PavedCover(frame, *np.array(cells, dtype=np.int64).reshape(-1, 3).T)
 
 
 @pytest.fixture(scope="session")

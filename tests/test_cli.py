@@ -296,6 +296,36 @@ def test_zero_budget_is_usage_error(quad_config, tmp_path, capsys, monkeypatch,
     assert "budgets must be positive" in err
 
 
+def test_resolution_past_the_exact_key_limit_is_usage_error(quad_config, tmp_path, capsys,
+                                                            monkeypatch):
+    _no_build(monkeypatch)
+    monkeypatch.delenv("CANTORSHIFT_MAX_RESOLUTION", raising=False)
+    code, _, err = run(["analyze", "--config", quad_config, "--depth", "1",
+                        "--out", str(tmp_path / "o"), "--max-resolution", "63"], capsys)
+    assert code == 2
+    assert "max_resolution must be at most 62" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("document, named", [
+    ([QUAD_CONFIG], "JSON object"),
+    (dict(QUAD_CONFIG, coefficients=[1, 0, 1]), "'coefficients'"),
+    (dict(QUAD_CONFIG, coefficients=[["-6", "0", "1"]]), "'coefficients'"),
+    (dict(QUAD_CONFIG, disk_center="0"), "'disk_center'"),
+    (dict(QUAD_CONFIG, horizon=20.7), "'horizon'"),
+    (dict(QUAD_CONFIG, horizon=True), "'horizon'"),
+], ids=["list", "flat-coefficients", "triple", "center-string", "float-horizon",
+        "bool-horizon"])
+def test_malformed_map_config_is_usage_error(tmp_path, capsys, monkeypatch, document, named):
+    _no_build(monkeypatch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code, _, err = run(["analyze", "--config", str(path), "--depth", "1",
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and named in err
+
+
 def test_map_config_auto_radius(tmp_path):
     from cantorshift.config import load_map_config
     cfg = dict(QUAD_CONFIG, disk_radius="auto")

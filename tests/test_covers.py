@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from cantorshift import Frame, PavedCover, paved_clusters
 from cantorshift.covers import _components
 
+from conftest import paved
+
 
 def frame16():
     return Frame(-8.0, -8.0, 16.0)
@@ -18,7 +20,7 @@ def frame16():
 def _clusters(fr, cells):
     """``paved_clusters`` read back as the sorted cell list of each
     cluster, in label order."""
-    cover = PavedCover(fr, cells)
+    cover = paved(fr, cells)
     labels = paved_clusters(fr, cells)
     assert labels.dtype == np.int64 and labels.shape == (len(cover),)
     return [cover.cells_at(np.flatnonzero(labels == c))
@@ -125,7 +127,7 @@ def test_paved_fine_coarse_corner_only():
 
 def test_paved_cover_queries():
     fr = frame16()
-    pc = PavedCover(fr, [(3, 1, 1), (4, 4, 2), (5, 20, 20)])
+    pc = paved(fr, [(3, 1, 1), (4, 4, 2), (5, 20, 20)])
     assert len(pc) == 3
     assert pc.finest == 5
     assert pc.ancestor_of(5, 5, 5) == (3, 1, 1)      # (5,5,5) descends from (3,1,1)
@@ -153,13 +155,13 @@ def test_tiling_is_exact_beyond_int64():
     # only modulo 2^64, misses a hole of 2^64 grid cells
     fr = Frame(0.0, 0.0, 1.0)
     rings = [(r, a, b) for r in range(1, 41) for a, b in ((1, 0), (0, 1), (1, 1))]
-    pc = PavedCover(fr, [(40, 0, 0)] + rings)
+    pc = paved(fr, [(40, 0, 0)] + rings)
     assert len(pc) == 121
     assert _tiled(pc, fr.cell_bounds(0, 0, 0))
     assert _tiled(pc, fr.cell_bounds(0, 0, 1))
-    assert not _tiled(PavedCover(fr, rings), fr.cell_bounds(0, 0, 0))
+    assert not _tiled(paved(fr, rings), fr.cell_bounds(0, 0, 0))
     holed = [(40, 0, 0)] + [c for c in rings if c != (8, 1, 1)]
-    assert not _tiled(PavedCover(fr, holed), fr.cell_bounds(0, 0, 0))
+    assert not _tiled(paved(fr, holed), fr.cell_bounds(0, 0, 0))
 
 
 @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=30))
@@ -282,7 +284,7 @@ def test_paved_clusters_match_naive():
         assert _clusters(fr, cells) == _naive_clusters(fr, cells)
         _check_settled_groups(fr, cells, settle)
         # a PavedCover input gives the labels of the list it was built from
-        assert np.array_equal(paved_clusters(fr, PavedCover(fr, cells)),
+        assert np.array_equal(paved_clusters(fr, paved(fr, cells)),
                               paved_clusters(fr, cells))
     for cells in DEEP_PAIRS + DEEP_ADJACENT:
         clusters = _clusters(fr, cells)
@@ -324,7 +326,7 @@ def _check_settled_groups(fr, cells, rng):
     """Mark whole clusters as settled, none, a random half (twice) or all,
     under permuted ids: the labels must equal the reference clustering and
     the call with none settled."""
-    cover = PavedCover(fr, cells)
+    cover = paved(fr, cells)
     clusters = _naive_clusters(fr, cells)
     plain = paved_clusters(fr, cover)
     assert np.array_equal(plain, paved_clusters(fr, cover, np.full(len(cover), -1)))
@@ -387,7 +389,7 @@ def test_paved_clusters_memory_is_bounded():
         [(7, a, b) for a in range(32) for b in range(32)],
         np.stack((np.full(len(fine), 10), 512 + fine // 128, fine % 128), axis=1),
     ])
-    cover = PavedCover(frame16(), cells)
+    cover = paved(frame16(), cells)
     assert len(cover) >= 100_000
     tracemalloc.start()
     try:
@@ -400,9 +402,23 @@ def test_paved_clusters_memory_is_bounded():
 
 
 def test_paved_clusters_of_no_cells():
-    for cells in ([], PavedCover(frame16(), [])):
+    for cells in ([], paved(frame16(), [])):
         labels = paved_clusters(frame16(), cells)
         assert labels.dtype == np.int64 and labels.shape == (0,)
+
+
+def test_cells_past_the_exact_key_limit_are_rejected():
+    # at resolution 63, 1 << r wraps in int64: two edge-adjacent cells would
+    # be labeled apart, so such covers are refused
+    fr = Frame(0.0, 0.0, 1.0)
+    assert paved_clusters(fr, [(62, 5, 5), (62, 6, 5)]).tolist() == [0, 0]
+    for cells in ([(63, 5, 5), (63, 6, 5)], [(-1, 0, 0)]):
+        with pytest.raises(ValueError, match="outside 0..62"):
+            paved_clusters(fr, cells)
+    for cell in ((3, 8, 0), (3, 0, 8), (3, -1, 2), (62, 2**62, 0), (0, 0, 1)):
+        with pytest.raises(ValueError, match="outside the"):
+            paved(fr, [(3, 1, 1), cell])
+    assert len(paved(fr, [(62, 2**62 - 1, 0), (0, 0, 0)])) == 2
 
 
 def test_pavement_queries_match_naive():
@@ -413,7 +429,22 @@ def test_pavement_queries_match_naive():
         cells = _random_pavement(rng)
         if not cells:
             continue
-        pc = PavedCover(fr, cells)
+        # the cover of shuffled columns with repeated cells equals the cover
+        # of the sorted unique cells
+        rows = cells + [rng.choice(cells) for _ in range(rng.randint(1, len(cells)))]
+        rng.shuffle(rows)
+        pc = PavedCover(fr, *(np.array(column) for column in zip(*rows)))
+        ref = paved(fr, sorted(cells))
+        for column in ("r", "i", "j"):
+            assert np.array_equal(getattr(pc, column), getattr(ref, column))
+        assert pc.cells_at(np.arange(len(pc))) == sorted(cells)
+        # containing cells of finer, same-size, neighbor and coarser queries
+        queries = [q for r, i, j in cells for q in (
+            (r + 2, 4 * i + 1, 4 * j + 3), (r, i, j), (r, i + 1, j), (r, i, j - 1),
+            (r - 1, i >> 1, j >> 1))]
+        found = pc.find(*np.array(queries).T)
+        assert [pc.cells_at([f])[0] if f >= 0 else None for f in found.tolist()] == [
+            _naive_ancestor(cells, *q) for q in queries]
         rects = []
         for _ in range(12):
             cx = rng.uniform(-9, 9)
@@ -439,7 +470,7 @@ def test_pavement_queries_match_naive():
         # the batch answers each rectangle as a query of its own does
         assert pc.tiled(batch, box, cell).tolist() == [_tiled(pc, rect) for rect in rects]
     for cells in DEEP_PAIRS:
-        pc = PavedCover(fr, cells)
+        pc = paved(fr, cells)
         (ra, ia, ja), (rb, ib, jb) = cells
         a, b = fr.cell_bounds(ia, ja, ra), fr.cell_bounds(ib, jb, rb)
         span = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))

@@ -18,7 +18,7 @@ from cantorshift import (
     escape_radius,
     validate_restriction,
 )
-from cantorshift.covers import Frame, PavedCover
+from cantorshift.covers import Frame
 from cantorshift.intervals import boverlap
 from cantorshift.maps import (
     _SHARP_CHUNK,
@@ -33,7 +33,7 @@ from cantorshift.maps import (
     witness_preimages,
 )
 
-from conftest import CUBIC_B_IM, CUBIC_B_RE, shifted_coefficients
+from conftest import CUBIC_B_IM, CUBIC_B_RE, paved, shifted_coefficients
 
 
 def test_map_requires_monic_and_degree_two():
@@ -401,7 +401,7 @@ def test_contains_cover_matches_cellwise_side():
     frame = Frame(-4.0, -4.0, 8.0)
     cells = [(r, i, j) for r, step in ((3, 1), (5, 1), (9, 13))
              for i in range(0, 1 << r, step) for j in range(0, 1 << r, step)]
-    want = [disk.contains_cover(PavedCover(frame, [cell])) for cell in cells]
+    want = [disk.contains_cover(paved(frame, [cell])) for cell in cells]
     assert 0 < sum(want) < len(cells)
     for (r, i, j), inside in zip(cells, want):
         walls = frame.cell_bounds(i, j, r)
@@ -413,8 +413,8 @@ def test_contains_cover_matches_cellwise_side():
             assert far > disk.r2 * (1 - Fraction(1, 10 ** 12))
         assert disk.sides([[v] for v in walls])[0][0] == inside
     inner = [c for c, w in zip(cells, want) if w and c[0] == 9]
-    assert disk.contains_cover(PavedCover(frame, inner))
-    assert not disk.contains_cover(PavedCover(frame, cells[:1] + inner))
+    assert disk.contains_cover(paved(frame, inner))
+    assert not disk.contains_cover(paved(frame, cells[:1] + inner))
 
 
 def test_sharp_chunks_match_single_boxes():

@@ -15,7 +15,6 @@ from cantorshift import (
     Frame,
     HypothesisViolation,
     NotInCover,
-    PavedCover,
     PolynomialMap,
     ResolutionPolicy,
     Undecided,
@@ -29,7 +28,7 @@ from cantorshift.coding import coding_to_json_dict
 from cantorshift.intervals import boverlap, enclose_fraction, isqrt_hi
 from cantorshift.maps import _exact_orbit_status, certified_roots
 
-from conftest import shifted_coefficients
+from conftest import paved, shifted_coefficients
 
 
 def small_policy():
@@ -411,7 +410,7 @@ def test_critical_point_on_a_corner_names_both_clusters(cubic_map, cubic_disk):
     # connect, so the enclosure touches two clusters; -1 is off the cover
     builder = tree_mod._TreeBuilder(cubic_map, cubic_disk, small_policy())
     frame = Frame(-4.0, -4.0, 8.0)
-    pavement = PavedCover(frame, [(3, 4, 4), (3, 5, 3)])
+    pavement = paved(frame, [(3, 4, 4), (3, 5, 3)])
     assert frame.cell_bounds(4, 4, 3)[1::2] == (1.0, 1.0)
     assert frame.cell_bounds(5, 3, 3)[::3] == (1.0, 0.0)
     labels = paved_clusters(frame, pavement)
@@ -431,7 +430,7 @@ def test_cluster_across_parent_clusters_fails(quadratic_map, quadratic_disk):
     s = frame.cell_size(6)
     row = [(6, i, int(-frame.y0 / s)) for i in range(int((-3 - frame.x0) / s),
                                                      int((3 - frame.x0) / s))]
-    pavement = PavedCover(frame, row)
+    pavement = paved(frame, row)
     assert len(set(paved_clusters(frame, pavement).tolist())) == 1
     with pytest.raises(tree_mod._Failure) as info:
         builder._certify(2, pavement, np.zeros(len(pavement), dtype=bool),
@@ -586,11 +585,18 @@ def test_validation_horizon_must_be_positive(horizon):
     assert ResolutionPolicy(validation_horizon=1).validation_horizon == 1
 
 
+def test_resolution_cap_stays_within_exact_cell_keys():
+    # cell keys and neighbor slots are exact in int64 up to resolution 62
+    assert ResolutionPolicy(max_resolution=62).max_resolution == 62
+    with pytest.raises(ValueError, match="max_resolution must be at most 62"):
+        ResolutionPolicy(max_resolution=63)
+
+
 def test_empty_level_fails_certification(quadratic_map, quadratic_disk):
     builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
     builder._build_level0()
     builder._build_level(1)
-    empty = PavedCover(builder.frame, [])
+    empty = paved(builder.frame, [])
     no_cells = np.zeros(0, dtype=bool)
     for k in (1, 2):
         boxes = builder._solve_witness_preimages(k)
