@@ -29,7 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, HypothesisViolation, InconsistentTree, check_level
-from .maps import DyadicOrbit, parse_exact
+from .maps import DyadicOrbit, p_derivative, p_eval, parse_exact, qc_is_zero
+
+# most words ``fibers`` enumerates
+_MAX_WORDS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,13 @@ def _first_symbol_lookup(assignment: SymbolAssignment, tree, level: int,
     return table
 
 
+def _first_symbol_lookups(assignment: SymbolAssignment, tree, k: int, defects=None) -> list:
+    """The ``_first_symbol_lookup`` tables of levels 1..k, at their level's
+    index (index 0 is None)."""
+    return [None] + [_first_symbol_lookup(assignment, tree, lvl, defects)
+                     for lvl in range(1, k + 1)]
+
+
 def _resolve_word(word, lookup, memo, defects=None):
     """The cylinder map on component indices: c(w) is the level-|w|
     component over c(shift(w)) that carries w[0].
@@ -146,11 +156,11 @@ def _resolve_word(word, lookup, memo, defects=None):
 def cylinder_component(assignment: SymbolAssignment, tree, word):
     """The component id c(word) coded by a finite word.
 
-    Recursive in the word suffix: c(()) is the root, and c(w) is the unique
-    level-|w| component whose image is c(shift(w)) and whose symbol set
-    contains the first letter.  Total and single-valued whenever the
-    assignment satisfies the partition property; raises InconsistentTree
-    otherwise.
+    c(()) is the root, and c(w) is the unique level-|w| component whose
+    image is c(shift(w)) and whose symbol set contains the first letter;
+    ``_resolve_word`` walks the suffixes on the carrier tables of levels
+    1..|w|.  Total and single-valued whenever the assignment satisfies the
+    partition property; raises InconsistentTree otherwise.
     """
     word = tuple(word)
     k = len(word)
@@ -160,11 +170,7 @@ def cylinder_component(assignment: SymbolAssignment, tree, word):
     for s in word:
         if not 0 <= s < d:
             raise ValueError(f"symbol {s} outside alphabet of size {d}")
-    if k == 0:
-        return (0, 0)
-    _, image_idx = cylinder_component(assignment, tree, word[1:])
-    lookup = {k: _first_symbol_lookup(assignment, tree, k)}
-    return (k, _resolve_word(word, lookup, {word[1:]: image_idx}))
+    return (k, _resolve_word(word, _first_symbol_lookups(assignment, tree, k), {(): 0}))
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ class FiberTable:
         return len(self.words_by_component.get((level, index), ()))
 
 
-def fibers(assignment: SymbolAssignment, tree, k: int, max_words: int = 10_000_000) -> FiberTable:
+def fibers(assignment: SymbolAssignment, tree, k: int) -> FiberTable:
     """Group all d^k words by coded component, resolving each word through
     the suffix recursion of the cylinder map.
 
@@ -189,10 +195,9 @@ def fibers(assignment: SymbolAssignment, tree, k: int, max_words: int = 10_000_0
     """
     check_level(k, tree.depth)
     d = tree.degree
-    if d ** k > max_words:
+    if d ** k > _MAX_WORDS:
         raise BudgetExceeded(f"{d}^{k} words exceed the enumeration budget")
-    lookup = [None] + [_first_symbol_lookup(assignment, tree, lvl)
-                       for lvl in range(1, k + 1)]
+    lookup = _first_symbol_lookups(assignment, tree, k)
     memo = {(): 0}
     by_comp = {}
     for word in itertools.product(range(d), repeat=k):
@@ -241,8 +246,6 @@ class ChiResult:
 def _exact_local_degree(pmap, z):
     """Local degree of the map at an exact point: 1 + order of z as a root
     of f', decided by exact evaluation of successive derivatives."""
-    from .maps import p_derivative, p_eval, qc_is_zero
-
     deg = 1
     deriv = p_derivative(pmap.exact_coefficients)
     while deg < pmap.degree:
@@ -379,8 +382,7 @@ def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> Verifica
     # resolve every word of length <= k, tolerating a broken assignment so
     # that each defect still surfaces as a counterexample below
     defects = []
-    lookup = [None] + [_first_symbol_lookup(assignment, tree, lvl, defects)
-                       for lvl in range(1, k + 1)]
+    lookup = _first_symbol_lookups(assignment, tree, k, defects)
     code = {(): 0}
     words = [()]
     for _ in range(k):

@@ -16,9 +16,10 @@ companion-matrix eigenvalues seed a numpy Krawczyk test on any monic exact
 polynomial, with every enclosure outward-rounded.  It has two callers.
 
 * ``certified_roots``, which derives the critical points: exact square-free
-  decomposition over the rationals fixes every multiplicity, exact
-  rational roots are divided out where they exist, and the simple roots of
-  each remaining factor are certified in one batch.
+  decomposition over the Gaussian rationals fixes every multiplicity, the
+  simple roots of each factor are certified in one batch, and each
+  certified box's root is decided exact by one evaluation at the one
+  Gaussian-rational point it can be.
 * ``witness_preimages``: the preimages f^{-1}(w) of many exact points w,
   one tree level's witness points, in one batch.  d pairwise-disjoint
   certified boxes prove d simple roots, so no square-free decomposition is
@@ -203,76 +204,6 @@ def squarefree_decomposition(p):
     return out
 
 
-def _synthetic_divide(p, root):
-    """Divide p by (z - root); remainder must be exactly zero."""
-    out = [QC_ZERO] * (len(p) - 1)
-    carry = QC_ZERO
-    for k in range(len(p) - 1, 0, -1):
-        carry = qc_add(p[k], qc_mul(carry, root))
-        out[k - 1] = carry
-    rem = qc_add(p[0], qc_mul(carry, root))
-    if not qc_is_zero(rem):
-        raise ArithmeticError("synthetic division left a nonzero remainder")
-    return tuple(out)
-
-
-def _small_divisors(n, cap=4000):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n and len(out) < cap:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    if d * d <= n:
-        return None  # too many divisors to enumerate; caller falls back
-    return sorted(out)
-
-
-def _rational_roots(p):
-    """Exact rational roots of a real-rational square-free polynomial.
-
-    Returns (roots, quotient).  Gives up (empty extraction) whenever the
-    integerized coefficients are too large to enumerate divisors for; the
-    numeric path then handles every root.
-    """
-    if any(c[1] != 0 for c in p):
-        return [], p
-    roots = []
-    # peel off zero roots first
-    while len(p) > 1 and qc_is_zero(p[0]):
-        roots.append(Fraction(0))
-        p = p[1:]
-    if p_degree(p) < 1:
-        return roots, p
-    denoms = 1
-    for c in p:
-        denoms = denoms * c[0].denominator // math.gcd(denoms, c[0].denominator)
-    ints = [int(c[0] * denoms) for c in p]
-    if abs(ints[0]) > 10**12 or abs(ints[-1]) > 10**12:
-        return roots, p
-    num_divs = _small_divisors(ints[0])
-    den_divs = _small_divisors(ints[-1])
-    if num_divs is None or den_divs is None:
-        return roots, p
-    candidates = set()
-    for a in num_divs:
-        for b in den_divs:
-            candidates.add(Fraction(a, b))
-            candidates.add(Fraction(-a, b))
-    for cand in sorted(candidates):
-        while qc_is_zero(p_eval(p, (cand, Fraction(0)))):
-            roots.append(cand)
-            p = _synthetic_divide(p, (cand, Fraction(0)))
-            if p_degree(p) < 1:
-                return roots, p
-    return roots, p
-
-
 def _complex(c):
     return complex(float(c[0]), float(c[1]))
 
@@ -298,7 +229,8 @@ def _companion_roots(lower):
 @dataclass(frozen=True)
 class CriticalPoint:
     """A certified critical point: enclosure, multiplicity in f', and the
-    exact rational value when one exists (used for exact orbit walks)."""
+    exact Gaussian-rational value when ``certified_roots`` finds one (used
+    for exact orbit walks)."""
 
     enclosure: IntervalBox
     multiplicity: int
@@ -316,25 +248,41 @@ def certified_roots(poly):
 
     Returns (enclosure, multiplicity, exact-or-None) triples covering every
     root: multiplicities come from exact square-free decomposition (so they
-    sum to the degree by construction), exact rational roots are divided
-    out where enumerable, and the remaining simple roots of each
+    sum to the degree by construction), and the simple roots of each
     square-free factor are certified in one Krawczyk batch (``_krawczyk``)
     seeded by its companion eigenvalues.  Enclosures are checked pairwise
     disjoint; results are in canonical (re, im) order.
+
+    Each certified box holds exactly one root r, and ``exact`` is r itself
+    when r is a Gaussian rational found as follows.  With D the lcm of the
+    factor's coefficient denominators, D * factor has coefficients in Z[i]
+    and leading coefficient D, so q | D for r = p/q in lowest terms over the
+    UFD Z[i] (rational root theorem), that is D * r lies in Z[i].  Only the
+    Gaussian integer n nearest D times the box midpoint is tested: if n / D
+    lies in the box and the factor vanishes there exactly, the root gets
+    that value and the tight enclosure of the exact point.  The test finds
+    every Gaussian-rational root whose box is narrower than 1/D, which holds
+    unless |r| is above about 2^50 / D; any other root keeps its Krawczyk
+    box with ``exact`` None.
     """
     poly = p_monic(poly)
     found = []
     for factor, mult in squarefree_decomposition(poly):
-        rational, rest = _rational_roots(factor)
-        for r in rational:
-            found.append((IntervalBox.point(r, Fraction(0)), mult, (r, Fraction(0))))
-        if p_degree(rest) >= 1:
-            seeds = _companion_roots(np.array([[_complex(c) for c in rest[:-1]]]))
-            X, answered = _krawczyk(_Monic(rest), seeds)
-            if not answered.all():
-                raise PrecisionExceeded(
-                    f"could not certify the simple roots near {seeds[~answered]}")
-            found.extend((IntervalBox.from_tuple(b), mult, None) for b in X.T.tolist())
+        seeds = _companion_roots(np.array([[_complex(c) for c in factor[:-1]]]))
+        X, answered = _krawczyk(_Monic(factor), seeds)
+        if not answered.all():
+            raise PrecisionExceeded(
+                f"could not certify the simple roots near {seeds[~answered]}")
+        den = math.lcm(*(part.denominator for c in factor for part in c))
+        for box in X.T.tolist():
+            # the one point of (1/den)Z[i] that can be the box's root
+            z = tuple(Fraction(round(den * Fraction(0.5 * (lo + hi))), den)
+                      for lo, hi in (box[:2], box[2:]))
+            if (box[0] <= z[0] <= box[1] and box[2] <= z[1] <= box[3]
+                    and qc_is_zero(p_eval(factor, z))):
+                found.append((IntervalBox.point(*z), mult, z))
+            else:
+                found.append((IntervalBox.from_tuple(box), mult, None))
     total = sum(m for _, m, _ in found)
     if total != p_degree(poly):
         raise PrecisionExceeded(

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, InconsistentTree
 from .tree import check_structure
 
+# most words ``brute_force_fibers`` enumerates
+_MAX_WORDS = 10_000_000
+
 
 @dataclass(frozen=True)
 class AbstractComponent:
@@ -110,7 +113,7 @@ def generate(seed: int, d: int, depth: int, bias: float = 0.5) -> AbstractTree:
     return tree
 
 
-def brute_force_fibers(tree, assignment, k: int, max_words: int = 10_000_000):
+def brute_force_fibers(tree, assignment, k: int):
     """Fiber counts per component id by iterative table-filling.
 
     Maintains the full list of words per component, extending one letter at
@@ -120,7 +123,7 @@ def brute_force_fibers(tree, assignment, k: int, max_words: int = 10_000_000):
     coding.fibers.
     """
     d = tree.degree
-    if d ** k > max_words:
+    if d ** k > _MAX_WORDS:
         raise BudgetExceeded(f"{d}^{k} words exceed the enumeration budget")
     words_at = {0: [()]}  # component index -> words, at the current length
     for lvl in range(1, k + 1):

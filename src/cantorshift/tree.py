@@ -386,6 +386,8 @@ class _TreeBuilder:
         # critical indices that may lie in the level being built: all of
         # them until level 1 certifies which lie inside U'
         self.restriction_crits = np.arange(len(pmap.critical_points))
+        # band cells stop once their k-step image is below this width
+        self._stop_width = BAND_SCALE * 2.0 * float(disk.radius)
 
     # -- level 0: the disk itself ------------------------------------------
 
@@ -720,7 +722,6 @@ class _TreeBuilder:
         other cells need neighbor lookups, and only the new ones container
         lookups."""
         witness_boxes = self._solve_witness_preimages(k)
-        self._stop_width = BAND_SCALE * 2.0 * float(self.disk.radius)
         self._build_scale_raster(self.built[k - 1])
         parent = self.built[k - 1].pavement
         pending = [(parent.r, parent.i, parent.j)]

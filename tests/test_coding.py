@@ -85,6 +85,23 @@ def test_cylinder_recursion_quadratic(quadratic_tree, quadratic_assignment):
     assert cylinder_component(quadratic_assignment, quadratic_tree, (1,)) == (1, 1)
 
 
+def test_cylinder_component_agrees_with_fibers_in_one_call(monkeypatch):
+    # each word is coded by one call that does not re-enter the public
+    # function, and lands in the fiber that ``fibers`` puts it in
+    import cantorshift.coding as coding_mod
+
+    tree = abstract_tree_d3()
+    a = assign_symbols(tree)
+    calls = []
+    monkeypatch.setattr(coding_mod, "cylinder_component",
+                        lambda *args: calls.append(args) or cylinder_component(*args))
+    for k in (1, 2):
+        for (lvl, idx), words in fibers(a, tree, k).words_by_component.items():
+            for w in words:
+                assert coding_mod.cylinder_component(a, tree, w) == (lvl, idx)
+    assert len(calls) == 3 + 9
+
+
 def test_cylinder_alphabet_guard(quadratic_tree, quadratic_assignment):
     with pytest.raises(ValueError):
         cylinder_component(quadratic_assignment, quadratic_tree, (2,))

@@ -18,6 +18,7 @@ from cantorshift import (
     escape_radius,
     validate_restriction,
 )
+import cantorshift.maps as maps_mod
 from cantorshift.covers import Frame
 from cantorshift.intervals import boverlap
 from cantorshift.maps import (
@@ -164,7 +165,7 @@ def test_certified_roots_match_mpmath_polyroots():
     coeffs = _qc_poly_mul(_qc_poly_mul(lin, lin), quad)
     roots = certified_roots(coeffs)
     assert [m for _, m, _ in roots] == [1, 2, 1]
-    assert all(exact is None for _, _, exact in roots)
+    assert [exact for _, _, exact in roots] == [None, half, None]
     _mp_roots_in(mp, coeffs, roots)
     # (z - 1)^2 (z + 2) (z^2 - 3): exact rational roots beside certified ones
     cubic = tuple((Fraction(c), Fraction(0)) for c in (2, -3, 0, 1))
@@ -173,6 +174,35 @@ def test_certified_roots_match_mpmath_polyroots():
     assert [(m, exact is None) for _, m, exact in roots] == [
         (1, False), (1, True), (2, False), (1, True)]
     _mp_roots_in(mp, coeffs, roots)
+    # (z - i)(z + i)(z - 3/4)(z^2 - 3): non-real Gaussian-rational roots are
+    # exact too, and +-sqrt(3) stay enclosures
+    i_pair = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
+    three_quarters = ((Fraction(-3, 4), Fraction(0)), (Fraction(1), Fraction(0)))
+    coeffs = _qc_poly_mul(_qc_poly_mul(i_pair, three_quarters),
+                          ((Fraction(-3), Fraction(0)),) + quad[1:])
+    roots = certified_roots(coeffs)
+    assert [(m, exact) for _, m, exact in roots] == [
+        (1, None), (1, (Fraction(0), Fraction(-1))), (1, (Fraction(0), Fraction(1))),
+        (1, (Fraction(3, 4), Fraction(0))), (1, None)]
+    _mp_roots_in(mp, coeffs, roots)
+    # products of (z - r_j)^m_j with small Gaussian-rational r_j: every root
+    # comes back exact, with its multiplicity, inside its enclosure (this
+    # fixes every root; polyroots at 60 digits resolves a root of
+    # multiplicity m only to about 10^(-60/m))
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        chosen = {}
+        while len(chosen) < int(rng.integers(1, 4)):
+            r = tuple(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in "ri")
+            chosen[r] = int(rng.integers(1, 4))
+        coeffs = ((Fraction(1), Fraction(0)),)
+        for r, m in chosen.items():
+            for _ in range(m):
+                coeffs = _qc_poly_mul(coeffs, ((-r[0], -r[1]), (Fraction(1), Fraction(0))))
+        roots = certified_roots(coeffs)
+        assert {exact: m for _, m, exact in roots} == chosen
+        assert all(box.re_lo <= re <= box.re_hi and box.im_lo <= im <= box.im_hi
+                   for box, _, (re, im) in roots)
     # random Gaussian-rational polynomials of degree 2..6
     rng = np.random.default_rng(50)
     for _ in range(30):
@@ -182,6 +212,22 @@ def test_certified_roots_match_mpmath_polyroots():
                      for _ in range(deg))
         coeffs = tail + ((Fraction(1), Fraction(0)),)
         _mp_roots_in(mp, coeffs, certified_roots(coeffs))
+
+
+@pytest.mark.parametrize("c", ["-0.46797447697", "-0.16605545957", "-2.47357937827"])
+def test_critical_points_take_at_most_one_exact_evaluation_per_root(monkeypatch, c):
+    # z^3 + c z + 1: the critical points +-sqrt(-c / 3) are irrational, and
+    # a divisor search over the rational root theorem's candidates evaluated
+    # f' exactly 165,888 to 294,912 times on these maps
+    calls = []
+    monkeypatch.setattr(maps_mod, "p_eval", lambda p, z: calls.append(z) or p_eval(p, z))
+    pmap = PolynomialMap([("1", "0"), (c, "0"), ("0", "0"), ("1", "0")])
+    crits = pmap.critical_points
+    root = math.sqrt(-float(Fraction(c)) / 3)
+    assert [(cp.multiplicity, cp.exact) for cp in crits] == [(1, None), (1, None)]
+    for cp, x in zip(crits, (-root, root)):
+        assert abs(cp.enclosure.midpoint() - x) < 1e-12
+    assert len(calls) <= len(crits)
 
 
 # ---------------------------------------------------------------------------
