@@ -25,7 +25,7 @@ from .errors import (
     Undecided,
     check_level,
 )
-from .maps import DomainDisk
+from .maps import DomainDisk, parse_point
 from .oracle import run_equivalence_cases
 from .render import svg_parts
 from .tree import ResolutionPolicy, build_tree, cantor_diagnostic
@@ -132,8 +132,9 @@ def cmd_chi(args):
         raise ValueError(f"horizon {args.horizon} is below 0")
     if args.depth < 1:
         raise ValueError(f"chi needs a tree of depth at least 1, not {args.depth}")
+    z = parse_point((re_s.strip(), im_s.strip()))
     pmap, _, tree = _build(args)
-    result = chi(pmap, (re_s.strip(), im_s.strip()), tree, horizon=args.horizon)
+    result = chi(pmap, z, tree, horizon=args.horizon)
     _write_json(args.out, "chi.json", result.to_json_dict())
     print(f"chi value: {result.value} ({result.status})")
     for step, point, deg in result.hits:

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetExceeded, HypothesisViolation, InconsistentTree, check_level
-from .maps import DyadicOrbit, p_derivative, p_eval, parse_exact, qc_is_zero
+from .maps import DyadicOrbit, p_derivative, p_eval, parse_point, qc_is_zero
 
 # most words ``fibers`` enumerates
 _MAX_WORDS = 10_000_000
@@ -278,10 +277,7 @@ def chi(pmap, z, tree, horizon: int = 24) -> ChiResult:
         raise ValueError(f"horizon {horizon} is below 0")
     if tree.depth < 1:
         raise ValueError(f"chi needs a tree of depth at least 1, not {tree.depth}")
-    if isinstance(z, complex):
-        z = (Fraction(z.real), Fraction(z.imag))
-    else:
-        z = (parse_exact(z[0]), parse_exact(z[1]))
+    z = parse_point(z)
     d_prime = tree.degree - tree.n_level1
     budget = 2 ** d_prime
 
@@ -374,11 +370,14 @@ def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> Verifica
     code the images, (3) the coding is onto the level-k components,
     (4) fiber sizes equal cumulative degrees, (5) a component whose fiber
     mixes first symbols has a critical component somewhere on its image
-    chain.  Each failing check reports a concrete counterexample.
+    chain.  Each failing check reports a concrete counterexample.  Past the
+    word budget, BudgetExceeded comes before any word is resolved.
     """
     if not 1 <= k <= tree.depth:
         raise ValueError(f"level {k} outside 1..{tree.depth}, the tree's depth")
     d = tree.degree
+    if d ** k > _MAX_WORDS:
+        raise BudgetExceeded(f"{d}^{k} words exceed the enumeration budget")
     # resolve every word of length <= k, tolerating a broken assignment so
     # that each defect still surfaces as a counterexample below
     defects = []

@@ -29,6 +29,7 @@ polynomial, with every enclosure outward-rounded.  It has two callers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -55,9 +56,6 @@ from .intervals import (
 # size guard for exact orbit points and ceiling of the dyadic-ball precision
 _MAX_ORBIT_BITS = 2_000_000
 
-# boxes per chunk of PolynomialMap.eval_boxes_sharp
-_SHARP_CHUNK = 16384
-
 
 # ---------------------------------------------------------------------------
 # exact Gaussian-rational scalars and polynomials
@@ -68,15 +66,33 @@ QC_ONE = (Fraction(1), Fraction(0))
 
 
 def parse_exact(s) -> Fraction:
-    """Decimal string (or int/Fraction) to an exact rational."""
+    """Decimal string (or int/Fraction) to an exact rational.  Raises
+    ValueError for a non-finite string, or one whose digits and exponent
+    take over ``_MAX_ORBIT_BITS`` bits (estimated before any int is built)."""
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
         return Fraction(s)
     try:
-        return Fraction(Decimal(str(s).strip()))
+        value = Decimal(str(s).strip())
     except InvalidOperation as exc:
         raise ValueError(f"not a decimal number: {s!r}") from exc
+    if not value.is_finite():
+        raise ValueError(f"not a finite decimal number: {s!r}")
+    _, digits, exponent = value.as_tuple()
+    if any(digits) and (len(digits) + abs(exponent)) * math.log2(10) > _MAX_ORBIT_BITS:
+        raise ValueError(f"decimal number too large for an exact value: {s!r}")
+    return Fraction(value)
+
+
+def parse_point(z):
+    """An exact (Fraction, Fraction) point from a pair of decimal strings /
+    rationals, or from a finite complex number at its exact float value."""
+    if isinstance(z, complex):
+        if not cmath.isfinite(z):
+            raise ValueError(f"not a finite point: {z!r}")
+        return (Fraction(z.real), Fraction(z.imag))
+    return (parse_exact(z[0]), parse_exact(z[1]))
 
 
 def qc_add(a, b):
@@ -538,18 +554,9 @@ class PolynomialMap(_Monic):
         critical point its relative overestimation diverges; the centered
         form is quadratically sharp exactly there.  Both forms enclose the
         true image, hence so does their intersection.  Every box is
-        evaluated on its own, so the batch runs in chunks of
-        ``_SHARP_CHUNK`` boxes, whose temporaries stay in cache.
+        evaluated on its own, in one pass over the batch: the classifier
+        bounds its batches by ``tree._WAVE_SLICE``.
         """
-        n = len(boxes[0])
-        out = tuple(np.empty(n) for _ in range(4))
-        for s in range(0, n, _SHARP_CHUNK):
-            part = self._sharp(tuple(b[s:s + _SHARP_CHUNK] for b in boxes))
-            for o, p in zip(out, part):
-                o[s:s + _SHARP_CHUNK] = p
-        return out
-
-    def _sharp(self, boxes):
         plain = self.eval_boxes(boxes)
         mx = 0.5 * (boxes[0] + boxes[1])
         my = 0.5 * (boxes[2] + boxes[3])

@@ -87,7 +87,7 @@ from .maps import (
     _exact_orbit_status,
     certified_roots,
     escape_radius,
-    parse_exact,
+    parse_point,
     validate_restriction,
     witness_preimages,
 )
@@ -172,7 +172,7 @@ class _Built:
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 # cells per _classify_batch call: large waves go in slices of this size
-_WAVE_SLICE = 1 << 16
+_WAVE_SLICE = 1 << 14
 
 
 def _select(columns, mask):
@@ -388,6 +388,8 @@ class _TreeBuilder:
         self.restriction_crits = np.arange(len(pmap.critical_points))
         # band cells stop once their k-step image is below this width
         self._stop_width = BAND_SCALE * 2.0 * float(disk.radius)
+        # the local-scale raster of the parent level, repainted per level
+        self._scale_raster = np.zeros((1 << self._SCALE_BITS,) * 2)
 
     # -- level 0: the disk itself ------------------------------------------
 
@@ -517,39 +519,30 @@ class _TreeBuilder:
 
     _SCALE_BITS = 10  # the local-scale raster is 2^bits x 2^bits
 
-    def _paint_max(self, raster, r, i, j):
-        bits = self._SCALE_BITS
-        size = self.frame.cell_size(r)
-        if r >= bits:
-            np.maximum.at(raster, (i >> (r - bits), j >> (r - bits)), size)
-        else:
-            f = 1 << (bits - r)
-            for a, b in zip(i.tolist(), j.tolist()):
-                block = raster[a * f:(a + 1) * f, b * f:(b + 1) * f]
-                np.maximum(block, size, out=block)
-
     def _build_scale_raster(self, built):
-        """Rasterized local structure scale of a level: the typical band
-        cell size where the level has boundary, its interior cell size deep
-        inside, zero off the cover.  The band stopping rule reads this; it
-        is purely a heuristic accelerator and certificates never consult
-        it.  Max-aggregation keeps unusually fine collar cells from
-        dragging the target scale of the next level down."""
+        """Repaint the raster with a level's local structure scale: per
+        pixel, the size of the coarsest band cell over it, else of the
+        coarsest interior cell, zero off the cover.  Only the band stopping
+        rule reads it, as a heuristic; certificates never do.  The coarsest
+        cell keeps fine collar cells from dragging the next level's target
+        scale down.  Interior cells go first and band cells over them, each
+        group finest first and one block assignment per resolution, so the
+        last write to a pixel comes from its coarsest cell."""
         bits = self._SCALE_BITS
-        m = 1 << bits
-        interior_r = np.zeros((m, m))
-        band_r = np.zeros((m, m))
-        pav = built.pavement
-        for r in np.unique(pav.r).tolist():
-            at_r = pav.r == r
-            for raster, sel in ((interior_r, at_r & built.interior),
-                                (band_r, at_r & ~built.interior)):
-                self._paint_max(raster, r, pav.i[sel], pav.j[sel])
-        self._scale_raster = np.where(band_r > 0.0, band_r, interior_r)
+        m, raster, pav = 1 << bits, self._scale_raster, built.pavement
+        raster.fill(0.0)
+        finest_first = np.flatnonzero(np.bincount(pav.r))[::-1].tolist()
+        for group in (built.interior, ~built.interior):
+            for r in finest_first:
+                sel = group & (pav.r == r)
+                n, s = 1 << min(r, bits), max(r - bits, 0)
+                i, j = pav.i[sel], pav.j[sel]
+                i >>= s
+                j >>= s
+                raster.reshape(n, m // n, n, m // n)[i, :, j, :] = self.frame.cell_size(r)
 
     def _scale_lookup(self, x, y):
-        bits = self._SCALE_BITS
-        m = 1 << bits
+        m = len(self._scale_raster)
         s = self.frame.side / m
         ix = np.clip(((x - self.frame.x0) / s).astype(np.int64), 0, m - 1)
         iy = np.clip(((y - self.frame.y0) / s).astype(np.int64), 0, m - 1)
@@ -773,9 +766,10 @@ class _TreeBuilder:
         The pending cells form one wave of mixed resolutions, and the
         children of its cells that must refine form the next.  A wave goes
         to ``_classify_batch`` in slices of at most ``_WAVE_SLICE`` cells,
-        which bounds the orbit chain's arrays; the last wave is released on
-        return, before the caller paves.  A cell's status depends only on
-        the cell, so waves and slices give each attempt the cells that one
+        the only chunking on the way to the interval kernels, which bounds
+        the orbit chain's arrays; the last wave is released on return,
+        before the caller paves.  A cell's status depends only on the
+        cell, so waves and slices give each attempt the cells that one
         batch per resolution would.  Before each slice, the live cells
         (``n_kept`` kept ones, the classified ones and the waiting ones)
         must fit the box budget."""
@@ -816,7 +810,7 @@ class _TreeBuilder:
 
     # -- public driver -------------------------------------------------------
 
-    def build(self, depth, validate=True) -> PuzzleTree:
+    def build(self, depth) -> PuzzleTree:
         self._build_level0()
         restriction = None
         for k in range(1, depth + 1):
@@ -826,7 +820,7 @@ class _TreeBuilder:
                 restriction = validate_restriction(
                     self.pmap, self.disk, self.levels[1], self.built[1].pavement,
                     horizon=self.policy.validation_horizon)
-                if validate and not restriction.hypothesis_ok:
+                if not restriction.hypothesis_ok:
                     raise HypothesisViolation(
                         "restriction hypotheses not satisfied: "
                         + "; ".join(restriction.summary_lines()), restriction)
@@ -908,7 +902,7 @@ def check_structure(tree):
 
 
 def build_tree(pmap: PolynomialMap, disk: DomainDisk, depth: int,
-               policy: ResolutionPolicy = None, validate: bool = True) -> PuzzleTree:
+               policy: ResolutionPolicy = None) -> PuzzleTree:
     """Build the component tree of f^{-k}(U) for k = 0..depth.
 
     Each level is refined until the container/image/witness/conservation
@@ -922,7 +916,7 @@ def build_tree(pmap: PolynomialMap, disk: DomainDisk, depth: int,
         raise ValueError("depth must be >= 0")
     if policy is None:
         policy = ResolutionPolicy()
-    return _TreeBuilder(pmap, disk, policy).build(depth, validate=validate)
+    return _TreeBuilder(pmap, disk, policy).build(depth)
 
 
 def locate(tree: PuzzleTree, z, k: int):
@@ -934,10 +928,7 @@ def locate(tree: PuzzleTree, z, k: int):
     Undecided when membership cannot be certified at the built resolution.
     """
     check_level(k, tree.depth)
-    if isinstance(z, complex):
-        z = (Fraction(z.real), Fraction(z.imag))
-    else:
-        z = (parse_exact(z[0]), parse_exact(z[1]))
+    z = parse_point(z)
     side = tree.disk.classify_exact(z)
     if side == "out":
         raise NotInCover("z is certified outside U")

@@ -2,10 +2,15 @@
 
 The quadratic z^2 - 6 on the disk of radius 4 is the critical-point-free
 Cantor case.  The cubic z^3 - 3z + b on the disk of radius 3 is the
-one-critical-chain case: b is tuned by Newton search (frozen to 40+
-digits) so that the orbit of the critical point +1 lands after two steps
-on a repelling fixed point q inside the *degree-one* level-1 component,
-while -1 escapes immediately.  The landing component matters: for real b
+one-critical-chain case: b is tuned by Newton search so that the orbit of
+the critical point +1 lands after two steps on a repelling fixed point q
+inside the *degree-one* level-1 component, while -1 escapes immediately.
+The b used here is that root truncated to 40 digits, so +1 is not exactly
+preperiodic: f^2(1) lies about 2.5e-40 from q, and the orbit stays in U'
+through step 38 and escapes at step 39.  The validation horizon (20) and
+the built depths see only the part that shadows q, so this is a
+finite-depth instance of the preperiodic case.  The landing component
+matters: for real b
 the bounded critical orbit can never leave the critical component, its
 level-1 factor then rides along the whole image chain, and the chain
 fibers stabilize at 4 instead of 2; a complex parameter is what makes the
@@ -27,8 +32,9 @@ from cantorshift import (
 )
 from cantorshift.coding import assign_symbols
 
-# Newton-tuned: 1 -> b-2 -> q with q = -2.30746...-0.08766...i a repelling
-# fixed point (multiplier ~ 13) in the univalent level-1 component
+# Newton-tuned, truncated to 40 digits: 1 -> b-2 -> (about 2.5e-40 from) q,
+# with q = -2.30746...-0.08766...i a repelling fixed point (multiplier ~ 13)
+# in the univalent level-1 component; +1 escapes at step 39
 CUBIC_B_RE = "3.0027928292887019597148481277688810288243"
 CUBIC_B_IM = "1.0489775926434714088283088554051079718497"
 

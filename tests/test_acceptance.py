@@ -63,7 +63,9 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_cubic_instance(cubic_map, cubic_tree, cubic_assignment):
-    """The Newton-found cubic with one strictly preperiodic critical point:
+    """The Newton-found cubic, b truncated to 40 digits, whose critical
+    point c1 = +1 shadows a repelling fixed point through step 38 and
+    escapes at step 39 (``test_cubic_critical_orbit_escapes_at_step_39``):
     N = 2, degrees (2,1); chi(c1) = 2 certified; fibers over the critical
     chain stabilize at 2; non-precritical fibers are 1; chi <= 2 always."""
     tree = cubic_tree

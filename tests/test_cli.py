@@ -243,6 +243,22 @@ def test_chi_horizon_below_zero_is_usage_error(quad_config, tmp_path, capsys, mo
     assert not (tmp_path / "o").exists()
 
 
+def test_non_finite_point_and_coefficient_are_usage_errors(quad_config, tmp_path, capsys,
+                                                           monkeypatch):
+    _no_build(monkeypatch)
+    code, _, err = run(["chi", "--config", quad_config, "--point", "inf,0",
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err == "error: not a finite decimal number: 'inf'\n"
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(dict(QUAD_CONFIG, coefficients=[["inf", "0"], ["0", "0"],
+                                                               ["1", "0"]])))
+    code, _, err = run(["analyze", "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err == "error: not a finite decimal number: 'inf'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_chi_depth_below_one_is_usage_error(quad_config, tmp_path, capsys, monkeypatch):
     _no_build(monkeypatch)
     for depth in ("0", "-2"):

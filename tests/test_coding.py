@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cantorshift import InconsistentTree, ResolutionPolicy, build_tree
+import cantorshift.coding as coding_mod
+from cantorshift import BudgetExceeded, InconsistentTree, ResolutionPolicy, build_tree
 from cantorshift.coding import (
     assign_symbols,
     chi,
@@ -88,8 +89,6 @@ def test_cylinder_recursion_quadratic(quadratic_tree, quadratic_assignment):
 def test_cylinder_component_agrees_with_fibers_in_one_call(monkeypatch):
     # each word is coded by one call that does not re-enter the public
     # function, and lands in the fiber that ``fibers`` puts it in
-    import cantorshift.coding as coding_mod
-
     tree = abstract_tree_d3()
     a = assign_symbols(tree)
     calls = []
@@ -235,6 +234,25 @@ def test_verify_detects_corruption():
     assert failing
     counterexamples = [ce for _, ok, ce in report.checks if not ok and ce]
     assert counterexamples  # a concrete witness is reported
+
+
+def test_verify_checks_the_word_budget_first(monkeypatch):
+    # d^k words past the budget raise before any word is resolved
+    tree = abstract_tree_d3()
+    a = assign_symbols(tree)
+    monkeypatch.setattr(coding_mod, "_MAX_WORDS", 8)
+    monkeypatch.setattr(coding_mod, "_resolve_word", None)  # never called
+    with pytest.raises(BudgetExceeded, match="3\\^2 words exceed"):
+        verify_semiconjugacy(a, tree, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(coding_mod, "_MAX_WORDS", 9)
+    assert verify_semiconjugacy(a, tree, 2).all_passed
+
+
+def test_chi_rejects_a_non_finite_point(quadratic_map, quadratic_tree):
+    for z in (complex("inf"), complex(0.5, float("nan"))):
+        with pytest.raises(ValueError, match="not a finite point"):
+            chi(quadratic_map, z, quadratic_tree)
 
 
 def test_levels_outside_the_tree_are_rejected():

@@ -1,10 +1,14 @@
-"""Every function, class and method in the library has a caller.
+"""Every function, class, method and constant in the library has a caller.
 
 A definition counts as used when its name occurs outside its own body
 somewhere in ``src/`` or ``perfbench/``: as a name, an attribute, or a
 string constant (``setattr``/``getattr`` targets), or when ``__init__.py``
 imports it as public API.  Imports elsewhere do not count, and dunder
 methods are called by the language.
+
+A module-level or class-level constant counts as used when its name is
+read (loaded, not assigned) somewhere in ``src/`` or ``perfbench/``, or when
+``__init__.py`` imports it; dunders such as ``__all__`` are exempt.
 
 Matching by name cannot tell apart the methods of different classes that
 share a name: a dead ``A.name`` passes as long as some ``B.name`` is called.
@@ -37,8 +41,11 @@ CALLERS = {
 }
 
 
-def _names(node, in_init):
+def _names(node, in_init, reads_only=False):
+    """The names a node uses; with ``reads_only``, assigned ones left out."""
     for sub in ast.walk(node):
+        if reads_only and isinstance(getattr(sub, "ctx", None), (ast.Store, ast.Del)):
+            continue
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
@@ -118,3 +125,31 @@ def test_shared_method_names_name_their_callers():
                      for sub in ast.walk(node)):
             problems.append(f"{method}: stale caller {caller} does not use .{name}")
     assert not problems, "\n".join(problems)
+
+
+def _constants(tree):
+    """(name, line) of every module-level and class-level assignment."""
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in (node for body in bodies for node in body):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node.lineno
+
+
+def test_every_constant_has_a_reader():
+    trees = _trees()
+    read = Counter()
+    for path, tree in trees.items():
+        read.update(_names(tree, path.name == "__init__.py", reads_only=True))
+    unread = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path, tree in trees.items() if path.is_relative_to(PACKAGE)
+              for name, line in _constants(tree)
+              if not (name.startswith("__") and name.endswith("__")) and not read[name]]
+    assert not unread, "constants without a reader:\n" + "\n".join(unread)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from cantorshift import (
     DomainDisk,
     PolynomialMap,
     ResolutionPolicy,
-    build_tree,
     derive_critical_points,
     escape_radius,
     validate_restriction,
@@ -22,7 +22,6 @@ import cantorshift.maps as maps_mod
 from cantorshift.covers import Frame
 from cantorshift.intervals import boverlap
 from cantorshift.maps import (
-    _SHARP_CHUNK,
     DyadicOrbit,
     _ball_orbit_status,
     _exact_orbit_status,
@@ -33,6 +32,7 @@ from cantorshift.maps import (
     squarefree_decomposition,
     witness_preimages,
 )
+from cantorshift.tree import _WAVE_SLICE, _TreeBuilder
 
 from conftest import CUBIC_B_IM, CUBIC_B_RE, paved, shifted_coefficients
 
@@ -47,6 +47,33 @@ def test_map_requires_monic_and_degree_two():
 def test_exact_decimal_parsing():
     pmap = PolynomialMap([("0.1", "-0.25"), ("0", "0"), ("1", "0")])
     assert pmap.exact_coefficients[0] == (Fraction(1, 10), Fraction(-1, 4))
+
+
+@pytest.mark.parametrize("text", ["inf", "-Infinity", "NaN", "sNaN", "1e999999999",
+                                  "-2.5e-999999999", "1e700000"])
+def test_non_finite_or_oversized_decimals_are_rejected(text):
+    # answered from the digits and exponent, without building the integer
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        maps_mod.parse_exact(text)
+
+
+def test_decimal_size_estimate_before_parsing(monkeypatch):
+    # (digits + |exponent|) * log2(10) bits against the guard; zero is small
+    monkeypatch.setattr(maps_mod, "_MAX_ORBIT_BITS", 100)
+    assert maps_mod.parse_exact("1e29") == 10 ** 29
+    assert maps_mod.parse_exact("-0.5e-28") == Fraction(-5, 10 ** 29)
+    assert maps_mod.parse_exact("0e999999999") == 0
+    for text in ("1e30", "1.5e30", "1e-30"):
+        with pytest.raises(ValueError, match="too large"):
+            maps_mod.parse_exact(text)
+
+
+def test_parse_point():
+    assert maps_mod.parse_point(complex(0.5, -2)) == (Fraction(1, 2), Fraction(-2))
+    assert maps_mod.parse_point(("0.1", Fraction(1, 3))) == (Fraction(1, 10), Fraction(1, 3))
+    for z in (complex("inf"), complex(0, float("-inf")), complex("nan")):
+        with pytest.raises(ValueError, match="not a finite point"):
+            maps_mod.parse_point(z)
 
 
 def test_critical_points_quadratic():
@@ -345,11 +372,13 @@ def test_squarefree_decomposition_multiplicity():
         assert p_eval(factor, (root, Fraction(0))) == (0, 0)
 
 
-def _level1(pmap, disk, depth=1):
-    """The level-1 components and the level-1 pavement."""
-    policy = ResolutionPolicy(max_resolution=24, max_boxes=2_000_000)
-    tree = build_tree(pmap, disk, depth, policy=policy, validate=False)
-    return tree.levels[1], tree.pavement(1)
+def _level1(pmap, disk):
+    """The level-1 components and the level-1 pavement, built without the
+    restriction validation that ``build_tree`` runs on them."""
+    builder = _TreeBuilder(pmap, disk, ResolutionPolicy(max_resolution=24, max_boxes=2_000_000))
+    builder._build_level0()
+    builder._build_level(1)
+    return builder.levels[1], builder.built[1].pavement
 
 
 def test_validate_quadratic_hypothesis_ok():
@@ -463,15 +492,15 @@ def test_contains_cover_matches_cellwise_side():
     assert not disk.contains_cover(paved(frame, cells[:1] + inner))
 
 
-def test_sharp_chunks_match_single_boxes():
-    # more than two chunks of boxes around the cubic's critical points +-1,
-    # with walls on the axes and at the critical points themselves.  The
-    # chunked batch equals one unchunked pass bit for bit, and so does each
-    # box on its own as a length-1 batch: all boxes within 3 of a chunk
-    # boundary and a random sample of the rest (all n take about a minute)
+def test_sharp_batch_matches_single_boxes():
+    # more than one wave slice of boxes around the cubic's critical points
+    # +-1, with walls on the axes and at the critical points themselves.
+    # Each box of the batch equals the box on its own as a length-1 batch,
+    # bit for bit: all boxes within 3 of the ends and of the slice size, and
+    # a random sample of the rest (all n take about a minute)
     pmap = PolynomialMap([(CUBIC_B_RE, CUBIC_B_IM), ("-3", "0"),
                           ("0", "0"), ("1", "0")])
-    n = 2 * _SHARP_CHUNK + 3
+    n = _WAVE_SLICE + 3
     rng = np.random.default_rng(7)
     cx = np.where(rng.random(n) < 0.5, -1.0, 1.0) + rng.normal(0.0, 1e-3, n)
     cy = rng.normal(0.0, 1e-3, n)
@@ -481,9 +510,7 @@ def test_sharp_chunks_match_single_boxes():
     boxes = (lo_x, lo_x + 2 * h, lo_y, lo_y + 2 * h)
     whole = pmap.eval_boxes_sharp(boxes)
     bits = [np.asarray(w).view(np.int64) for w in whole]
-    assert all(np.array_equal(b, np.asarray(u).view(np.int64))
-               for b, u in zip(bits, pmap._sharp(boxes)))
-    edges = [k + d for k in (0, _SHARP_CHUNK, 2 * _SHARP_CHUNK, n) for d in range(-3, 3)]
+    edges = [k + d for k in (0, _WAVE_SLICE, n) for d in range(-3, 3)]
     sample = set(rng.integers(0, n, 200).tolist()) | {k for k in edges if 0 <= k < n}
     for k in sorted(sample):
         one = pmap.eval_boxes_sharp(tuple(b[k:k + 1] for b in boxes))
@@ -504,6 +531,16 @@ def test_validate_cubic_instance():
     assert by_point["-1+0i"]["status"] == "escapes"
     assert by_point["1+0i"]["in_restriction"] is True
     assert by_point["1+0i"]["status"] == "in_Uprime"
+
+
+def test_cubic_critical_orbit_escapes_at_step_39(cubic_map, cubic_disk):
+    # b is a 40-digit truncation of the Newton root, so +1 is not exactly
+    # preperiodic: f^2(1) lies about 2.5e-40 from the repelling fixed point
+    # q (multiplier ~ 13), and the orbit shadows q until it escapes.  The
+    # validation horizon 20 sees only the shadowing part.
+    one = (Fraction(1), Fraction(0))
+    assert _exact_orbit_status(cubic_map, cubic_disk, one, 38)[0] == "in_Uprime"
+    assert _exact_orbit_status(cubic_map, cubic_disk, one, 39) == ("escapes", 39, False)
 
 
 def test_validate_critical_point_outside_every_component(cubic_map, cubic_disk):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -359,6 +360,80 @@ def test_sliced_waves_build_the_same_tree(cubic_map, cubic_disk):
         assert sliced._built[k].witness_points == whole._built[k].witness_points
 
 
+def _two_raster_scale(frame, built, bits=10):
+    """The local-scale raster of a level the naive way: one raster per kind
+    of cell, each pixel the size of the coarsest cell of that kind over it,
+    and the band raster wherever it has a cell, else the interior one."""
+    m = 1 << bits
+    rasters = {True: np.zeros((m, m)), False: np.zeros((m, m))}
+    pav = built.pavement
+    for r, i, j, inner in zip(pav.r.tolist(), pav.i.tolist(), pav.j.tolist(),
+                              built.interior.tolist()):
+        raster, size = rasters[inner], frame.cell_size(r)
+        if r >= bits:
+            raster[i >> (r - bits), j >> (r - bits)] = max(
+                raster[i >> (r - bits), j >> (r - bits)], size)
+        else:
+            f = 1 << (bits - r)
+            block = raster[i * f:(i + 1) * f, j * f:(j + 1) * f]
+            np.maximum(block, size, out=block)
+    return np.where(rasters[False] > 0, rasters[False], rasters[True])
+
+
+@pytest.mark.parametrize("case", ["quadratic", "cubic"])
+def test_scale_raster_matches_two_raster_maximum(request, case):
+    # on every level of the fixture builds, one raster painted interior
+    # first, band over it, finest first, is the two-raster maximum
+    tree = request.getfixturevalue(f"{case}_tree")
+    builder = tree_mod._TreeBuilder(tree.map, tree.disk, tree.policy)
+    for built in tree._built:
+        builder._build_scale_raster(built)
+        assert np.array_equal(builder._scale_raster, _two_raster_scale(tree.frame, built))
+
+
+def test_scale_raster_of_mixed_cells(quadratic_map, quadratic_disk):
+    # cells coarser and finer than a pixel (resolution 10), and pixels that
+    # hold interior and band cells at once: a pixel takes the coarsest band
+    # cell over it, else the coarsest interior cell
+    builder = tree_mod._TreeBuilder(quadratic_map, quadratic_disk, small_policy())
+    frame, size = builder.frame, builder.frame.cell_size
+    cells = [((3, 0, 0), True), ((3, 1, 0), False), ((8, 64, 64), True),
+             ((9, 130, 128), False), ((10, 400, 400), False),
+             # pixel (300, 300): interior and band at 12, band at 11
+             ((12, 1200, 1200), True), ((12, 1201, 1200), False), ((11, 600, 601), False),
+             # pixel (301, 300): interior at 12 and 13 only
+             ((12, 1204, 1200), True), ((13, 2410, 2400), True)]
+    pavement = paved(frame, [c for c, _ in cells])
+    inner = np.zeros(len(pavement), dtype=bool)
+    inner[pavement.find(*np.array([c for c, i in cells if i]).T)] = True
+    built = SimpleNamespace(pavement=pavement, interior=inner)
+    builder._scale_raster[:] = 1.0  # a repaint clears the last level's scales
+    builder._build_scale_raster(built)
+    raster = builder._scale_raster
+    assert np.array_equal(raster, _two_raster_scale(frame, built))
+    assert (raster[:256, :128] == size(3)).all()
+    assert (raster[256:260, 256:260] == size(8)).all()
+    assert raster[260, 256] == raster[261, 257] == size(9)
+    assert raster[400, 400] == size(10)
+    assert raster[300, 300] == size(11)
+    assert raster[301, 300] == size(12)
+    assert np.count_nonzero(raster) == 256 * 128 + 16 + 4 + 1 + 2
+
+
+def test_scale_raster_repaint_stays_small(cubic_tree):
+    # a repaint allocates no second raster: its traced peak on the largest
+    # fixture pavement stays well below one 8 MB raster
+    builder = tree_mod._TreeBuilder(cubic_tree.map, cubic_tree.disk, cubic_tree.policy)
+    built = max(cubic_tree._built, key=lambda b: len(b.pavement))
+    tracemalloc.start()
+    try:
+        builder._build_scale_raster(built)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, f"repaint of {len(built.pavement)} cells peaked at {peak} bytes"
+
+
 def _with_box(boxes, rect):
     """Witness boxes with one more box of multiplicity 1 from witness 0."""
     rects, mults, sources = boxes
@@ -687,6 +762,12 @@ def test_locate_outside_raises(quadratic_tree):
     # inside U but certified to escape: the critical point 0
     with pytest.raises(NotInCover):
         locate(quadratic_tree, ("0", "0"), 3)
+
+
+def test_locate_rejects_a_non_finite_point(quadratic_tree):
+    for z in (complex("inf"), complex(float("nan"), 0)):
+        with pytest.raises(ValueError, match="not a finite point"):
+            locate(quadratic_tree, z, 1)
 
 
 def test_locate_level_outside_the_tree(quadratic_tree):
