@@ -112,9 +112,11 @@ def cmd_code(args):
 
 
 def cmd_verify(args):
+    # the check of verify_semiconjugacy, made before the build
+    level = args.level if args.level is not None else args.depth
+    check_level(level, args.depth, lowest=1)
     _, _, tree = _build(args)
     assignment = assign_symbols(tree)
-    level = args.level if args.level is not None else tree.depth
     report = verify_semiconjugacy(assignment, tree, level)
     _write_json(args.out, "verify.json", report.to_json_dict())
     for line in report.summary_lines():
@@ -163,7 +165,7 @@ def cmd_render(args):
 
 
 def cmd_oracle_test(args):
-    degrees = (args.d,) if args.d else (2, 3, 4)
+    degrees = (args.d,) if args.d is not None else (2, 3, 4)
     passed, failed, messages = run_equivalence_cases(
         args.seed, args.cases, degrees=degrees, max_depth=args.depth)
     for msg in messages[:20]:

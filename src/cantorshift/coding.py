@@ -373,8 +373,7 @@ def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> Verifica
     chain.  Each failing check reports a concrete counterexample.  Past the
     word budget, BudgetExceeded comes before any word is resolved.
     """
-    if not 1 <= k <= tree.depth:
-        raise ValueError(f"level {k} outside 1..{tree.depth}, the tree's depth")
+    check_level(k, tree.depth, lowest=1)
     d = tree.degree
     if d ** k > _MAX_WORDS:
         raise BudgetExceeded(f"{d}^{k} words exceed the enumeration budget")
@@ -437,22 +436,16 @@ def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> Verifica
     c5_ok, c5_ce = True, None
     for comp in tree.levels[k]:
         fs = firsts.get(comp.index, set())
-        if len(fs) > 1:
-            # walk the image chain looking for a branched component
-            branched = False
-            lvl, idx = k, comp.index
-            while lvl >= 1:
-                node = tree.levels[lvl][idx]
-                if node.local_degree >= 2:
-                    branched = True
-                    break
-                idx = node.image
-                lvl -= 1
-            if not branched:
-                c5_ok = False
-                c5_ce = (f"fiber of ({k},{comp.index}) mixes first symbols {sorted(fs)} "
-                         f"but its image chain is critical-free")
-                break
+        if len(fs) < 2:
+            continue
+        # walk the image chain down to a branched component or to level 1
+        node = comp
+        while node.local_degree < 2 and node.level > 1:
+            node = tree.levels[node.level - 1][node.image]
+        if node.local_degree < 2:
+            c5_ok, c5_ce = False, (f"fiber of ({k},{comp.index}) mixes first symbols "
+                                   f"{sorted(fs)} but its image chain is critical-free")
+            break
 
     checks = (
         ("container-of-prefix", c1_ok, c1_ce),

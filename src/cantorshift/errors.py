@@ -45,7 +45,7 @@ class InconsistentTree(CantorshiftError):
     """Component-tree bookkeeping violates a structural invariant."""
 
 
-def check_level(k, depth):
-    """Raise ValueError unless 0 <= k <= depth, a tree's depth."""
-    if not 0 <= k <= depth:
-        raise ValueError(f"level {k} outside 0..{depth}, the tree's depth")
+def check_level(k, depth, lowest=0):
+    """Raise ValueError unless lowest <= k <= depth, a tree's depth."""
+    if not lowest <= k <= depth:
+        raise ValueError(f"level {k} outside {lowest}..{depth}, the tree's depth")

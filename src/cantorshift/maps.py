@@ -66,12 +66,12 @@ QC_ONE = (Fraction(1), Fraction(0))
 
 
 def parse_exact(s) -> Fraction:
-    """Decimal string (or int/Fraction) to an exact rational.  Raises
-    ValueError for a non-finite string, or one whose digits and exponent
-    take over ``_MAX_ORBIT_BITS`` bits (estimated before any int is built)."""
+    """Decimal string (or int/Fraction, not bool) to an exact rational.
+    Raises ValueError for a bool, a non-finite string, or one whose digits
+    and exponent take over ``_MAX_ORBIT_BITS`` bits (estimated first)."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     try:
         value = Decimal(str(s).strip())
@@ -313,13 +313,9 @@ def certified_roots(poly):
 
 def derive_critical_points(pmap: "PolynomialMap"):
     """Certified enclosures of all roots of f', with multiplicities
-    summing to d - 1."""
+    summing to d - 1, the degree of f' (``certified_roots`` checks it)."""
     roots = certified_roots(p_derivative(pmap.exact_coefficients))
-    found = [CriticalPoint(box, mult, exact) for box, mult, exact in roots]
-    if sum(c.multiplicity for c in found) != pmap.degree - 1:
-        raise PrecisionExceeded(
-            f"critical multiplicities do not sum to {pmap.degree - 1}")
-    return tuple(found)
+    return tuple(CriticalPoint(box, mult, exact) for box, mult, exact in roots)
 
 
 # The one Krawczyk contraction loop (``_krawczyk``), behind both

@@ -155,9 +155,15 @@ def run_equivalence_cases(seed: int, cases: int, degrees=(2, 3, 4), max_depth: i
     Returns (passed, failed, messages).  Each case draws a degree and depth,
     generates a tree, builds the assignment, and requires exact agreement
     of the two fiber computations plus the partition/nesting invariants.
+    A degree below 2, a depth below 1 or a negative case count raises
+    ValueError before any case runs.
     """
     from .coding import assign_symbols, fibers
 
+    for name, value, least in (("degree", min(degrees), 2), ("depth", max_depth, 1),
+                               ("case count", cases, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, not {value}")
     rng = random.Random(seed)
     passed = 0
     messages = []

@@ -43,7 +43,8 @@ this order:
     preimages in each child component over V, so any mismatch certifies
     an under- or over-split cover;
   * conservation: per parent cluster P and component V over image(P),
-    child degrees sum to local_degree(P);
+    child degrees sum to local_degree(P) (from level 2 on: at level 1 the
+    two stages above make the degrees sum to d);
   * witness membership: some witness midpoint of each cluster is certified
     inside f^-k(U), by the float orbit chain of all candidates of the level
     or, for a candidate that chain leaves open, by an exact orbit walk; it
@@ -258,7 +259,7 @@ def _conservation(parent_of, image_of, local_degree, parent):
 
 
 class _Failure(Exception):
-    """Internal: a certification attempt failed.
+    """Internal: a certification attempt failed (``_Defects.flag`` raises it).
 
     ``refine``, a mask over the attempt's pavement, localizes the failure:
     when set, only those cells (intersected with the refinable band) need
@@ -267,8 +268,8 @@ class _Failure(Exception):
     level.  ``labels`` and ``up`` are the attempt's cluster and parent
     cluster per cell."""
 
-    def __init__(self, kind, detail, labels, up, refine=None):
-        super().__init__(f"{kind}: {detail}")
+    def __init__(self, detail, labels, up, refine=None):
+        super().__init__(f"defects: {detail}")
         self.labels, self.up, self.refine = labels, up, refine
 
 
@@ -300,7 +301,7 @@ class _Defects:
             self.clusters.update([i] if clusters is None else clusters(i))
         if self.counts and self.labels is not None:
             refine = np.isin(self.labels, list(self.clusters)) if self.clusters else None
-            raise _Failure("defects", str(self), self.labels, self.up, refine=refine)
+            raise _Failure(str(self), self.labels, self.up, refine=refine)
 
     def __str__(self):
         histogram = ", ".join(f"{kind}={n}" for kind, n in self.counts.items())
@@ -664,12 +665,10 @@ class _TreeBuilder:
             "degree-mismatch", f"cluster {idx}: {witness_mult[idx]} witness preimages vs "
                                f"local degree {local_degree[idx]} from critical points"))
 
-        if k == 1:
-            if local_degree.sum() != self.pmap.degree:
-                raise _Failure("conservation", f"level-1 degrees sum to "
-                               f"{local_degree.sum()}, want {self.pmap.degree}",
-                               labels, up)
-        else:
+        # conservation; at level 1 the d preimages of the disk center lie one
+        # cluster each and local degrees equal witness multiplicities, so the
+        # degrees sum to d already
+        if k >= 2:
             p, v, got, want = _conservation(parent_of, image_of, local_degree, parent)
             defects.flag(got != want, lambda i: (
                 "conservation", f"children of parent {p[i]} over component {v[i]} have "
@@ -924,8 +923,12 @@ def locate(tree: PuzzleTree, z, k: int):
     exact point z (a pair of decimal strings / rationals, or a complex
     number taken at its exact float value).
 
-    Raises NotInCover when z is certified outside the level-k cover and
-    Undecided when membership cannot be certified at the built resolution.
+    One query of z's point box against the level-k pavement finds W_k, the
+    one component whose cells tile it; the rest is W_k's container chain,
+    certified already, as W's cells descend from cells of its container.
+    Raises NotInCover when z is certified outside U or the level-k cover
+    and Undecided when membership cannot be certified at the built
+    resolution.
     """
     check_level(k, tree.depth)
     z = parse_point(z)
@@ -934,22 +937,21 @@ def locate(tree: PuzzleTree, z, k: int):
         raise NotInCover("z is certified outside U")
     if side == "boundary":
         raise Undecided("z lies exactly on the boundary circle of U")
+    if k == 0:
+        return [tree.levels[0][0]]
     box = _one_box(enclose_point(z))
-    chain = [tree.levels[0][0]]
-    for lvl in range(1, k + 1):
-        built = tree._built[lvl]
-        owners, hits = built.pavement.overlapping(box)
-        touched, cluster = _distinct(owners, built.labels[hits], 1)
-        if not touched[0]:
-            raise NotInCover(f"z is certified outside the level-{lvl} cover")
-        if touched[0] > 1 or not built.pavement.tiled(box, owners, hits)[0]:
-            raise Undecided(f"membership of z at level {lvl} is not certified "
-                            f"at the built resolution")
-        comp = tree.levels[lvl][cluster[0]]
-        if lvl >= 2 and comp.container != chain[-1].index:
-            raise InconsistentTree("located chain is not nested")
-        chain.append(comp)
-    return chain
+    built = tree._built[k]
+    owners, hits = built.pavement.overlapping(box)
+    touched, cluster = _distinct(owners, built.labels[hits], 1)
+    if not touched[0]:
+        raise NotInCover(f"z is certified outside the level-{k} cover")
+    if touched[0] > 1 or not built.pavement.tiled(box, owners, hits)[0]:
+        raise Undecided(f"membership of z at level {k} is not certified "
+                        f"at the built resolution")
+    chain = [tree.levels[k][cluster[0]]]
+    while len(chain) <= k:
+        chain.append(tree.levels[k - len(chain)][chain[-1].container])
+    return chain[::-1]
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,21 @@ def test_oracle_test_command(capsys):
     assert "40/40 cases pass" in out
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--d", "1"], "degree must be at least 2, not 1"),
+    (["--d", "0"], "degree must be at least 2, not 0"),
+    (["--depth", "0"], "depth must be at least 1, not 0"),
+    (["--cases", "-2"], "case count must be at least 0, not -2"),
+])
+def test_oracle_test_rejects_arguments_before_any_case(capsys, monkeypatch, args, message):
+    # these used to fail every case (exit 5) or print "0/-2 cases pass"
+    monkeypatch.setattr("cantorshift.oracle.generate", None)  # never called
+    code, out, err = run(["oracle-test", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_byte_identical_exports(quad_config, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CANTORSHIFT_MAX_RESOLUTION", "30")
     blobs = []
@@ -342,6 +357,24 @@ def test_malformed_map_config_is_usage_error(tmp_path, capsys, monkeypatch, docu
     assert err.startswith(f"error: {path}: ") and named in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("coefficients", [["-6", "0"], [True, "0"], ["1", "0"]]),
+    ("disk_center", [True, "0"]),
+    ("disk_radius", True),
+    ("shrink_on_contact", True),
+])
+def test_boolean_number_in_map_config_is_usage_error(tmp_path, capsys, monkeypatch, field,
+                                                     value):
+    # a JSON true used to read as 1: [true, "0"] made the map z^2 + z - 6
+    _no_build(monkeypatch)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(dict(QUAD_CONFIG, **{field: value})))
+    code, _, err = run(["analyze", "--config", str(path), "--depth", "1",
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err == "error: not a decimal number: True\n"
+
+
 def test_map_config_auto_radius(tmp_path):
     from cantorshift.config import load_map_config
     cfg = dict(QUAD_CONFIG, disk_radius="auto")
@@ -379,11 +412,23 @@ def test_shrink_on_contact_keeps_a_fractional_center(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("level", ["0", "3"])
-def test_verify_level_outside_the_tree_is_usage_error(quad_config, tmp_path, capsys, level):
+def test_verify_level_outside_the_tree_is_usage_error(quad_config, tmp_path, capsys, level,
+                                                      monkeypatch):
+    _no_build(monkeypatch)
     code, _, err = run(["verify", "--config", quad_config, "--depth", "2", "--level", level,
                         "--out", str(tmp_path / "o"), "--max-resolution", "24"], capsys)
     assert code == 2
     assert f"level {level} outside 1..2" in err
+
+
+def test_verify_depth_zero_is_usage_error(quad_config, tmp_path, capsys, monkeypatch):
+    # without --level the word length is the depth, and no word has length 0
+    _no_build(monkeypatch)
+    code, _, err = run(["verify", "--config", quad_config, "--depth", "0",
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err == "error: level 0 outside 1..0, the tree's depth\n"
+    assert not (tmp_path / "o").exists()
 
 
 

@@ -236,6 +236,63 @@ def test_verify_detects_corruption():
     assert counterexamples  # a concrete witness is reported
 
 
+def test_verify_reports_a_doubly_claimed_symbol():
+    # B's child over A takes symbol 1, which A's child over A holds as well:
+    # (A, 1) is claimed twice, and symbol 2 over A has no carrier
+    tree = abstract_tree_d3()
+    a = assign_symbols(tree)
+    symbols = dict(a.symbols)
+    symbols[(2, 2)] = (1,)
+    report = verify_semiconjugacy(type(a)(a.degree, symbols), tree, 2)
+    assert report.checks == (
+        ("container-of-prefix", True, None),
+        ("image-of-shift", False, "word (1,0) has no coded component"),
+        ("surjective-onto-level", False, "component (2,2) receives no word"),
+        ("fiber-size-equals-degree", False, "fiber of (2,0) has 2 words, cumulative degree is 4"),
+        ("mixed-fibers-are-critical", True, None),
+    )
+    # without a defect list, each table defect raises
+    with pytest.raises(InconsistentTree, match="symbol 1 over image 0 is claimed twice at level 2"):
+        cylinder_component(type(a)(a.degree, symbols), tree, (1, 0))
+    symbols[(2, 2)] = ()
+    with pytest.raises(InconsistentTree, match="no component for symbol 2 over image 0 at level 2"):
+        cylinder_component(type(a)(a.degree, symbols), tree, (2, 0))
+
+
+def test_verify_reports_a_mixed_fiber_off_the_critical_chains():
+    # B's child over B takes symbol 1 from A's: its fiber {12, 22} mixes
+    # first symbols, but it and its image B both have local degree 1
+    tree = abstract_tree_d3()
+    a = assign_symbols(tree)
+    symbols = dict(a.symbols)
+    symbols[(2, 1)], symbols[(2, 3)] = (0,), (1, 2)
+    report = verify_semiconjugacy(type(a)(a.degree, symbols), tree, 2)
+    assert report.checks[4] == (
+        "mixed-fibers-are-critical", False,
+        "fiber of (2,3) mixes first symbols [1, 2] but its image chain is critical-free")
+    # the fiber of A's child over B, {02}, mixes nothing, and branched
+    # components may mix: the unaltered assignment passes
+    assert verify_semiconjugacy(a, tree, 2).checks[4] == ("mixed-fibers-are-critical", True, None)
+
+
+def test_verify_reports_a_symbol_table_defect_where_fibers_match():
+    # two extra level-1 components over an image no word reaches (level 0
+    # has no component 1) both claim symbol 0; they get no word, so with
+    # cumulative degree 0 every fiber count matches and only the symbol
+    # table shows the defect
+    base = abstract_tree_d3()
+    a = assign_symbols(base)
+    extra = [AbstractComponent(1, idx, 0, 1, 1, 0) for idx in (2, 3)]
+    tree = AbstractTree(3, [base.levels[0], base.levels[1] + extra])
+    symbols = dict(a.symbols)
+    symbols.update({(1, 2): (0,), (1, 3): (0,)})
+    report = verify_semiconjugacy(type(a)(a.degree, symbols), tree, 1)
+    assert dict((name, ce) for name, ok, ce in report.checks if not ok) == {
+        "surjective-onto-level": "component (1,2) receives no word",
+        "fiber-size-equals-degree": "symbol table defect at level 1, (image, symbol) = (1, 0)",
+    }
+
+
 def test_verify_checks_the_word_budget_first(monkeypatch):
     # d^k words past the budget raise before any word is resolved
     tree = abstract_tree_d3()

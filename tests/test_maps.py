@@ -57,6 +57,14 @@ def test_non_finite_or_oversized_decimals_are_rejected(text):
         maps_mod.parse_exact(text)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_booleans_are_not_numbers(value):
+    # bool is an int subclass; a JSON true must not read as 1
+    with pytest.raises(ValueError, match=f"not a decimal number: {value}"):
+        maps_mod.parse_exact(value)
+    assert maps_mod.parse_exact(int(value)) == int(value)
+
+
 def test_decimal_size_estimate_before_parsing(monkeypatch):
     # (digits + |exponent|) * log2(10) bits against the guard; zero is small
     monkeypatch.setattr(maps_mod, "_MAX_ORBIT_BITS", 100)

@@ -1,5 +1,6 @@
 """Abstract tree generator and the brute-force fiber oracle."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,3 +70,14 @@ def test_run_equivalence_cases_clean():
     passed, failed, messages = run_equivalence_cases(2024, 60)
     assert failed == 0 and passed == 60
     assert messages == []
+
+
+def test_run_equivalence_cases_rejects_arguments_before_any_case():
+    # a degree below 2 or a depth below 1 used to fail every case, and a
+    # negative case count to report -2 failures
+    for kwargs, message in [({"degrees": (2, 1)}, "degree must be at least 2, not 1"),
+                            ({"max_depth": 0}, "depth must be at least 1, not 0"),
+                            ({"cases": -2}, "case count must be at least 0, not -2")]:
+        with pytest.raises(ValueError, match=message):
+            run_equivalence_cases(**{"seed": 0, "cases": 3, **kwargs})
+    assert run_equivalence_cases(0, 0) == (0, 0, [])

@@ -16,7 +16,9 @@ from cantorshift import (
     Frame,
     HypothesisViolation,
     NotInCover,
+    PavedCover,
     PolynomialMap,
+    ResolutionExceeded,
     ResolutionPolicy,
     Undecided,
     build_tree,
@@ -26,8 +28,9 @@ from cantorshift import (
 )
 from cantorshift import tree as tree_mod
 from cantorshift.coding import coding_to_json_dict
-from cantorshift.intervals import boverlap, enclose_fraction, isqrt_hi
-from cantorshift.maps import _exact_orbit_status, certified_roots
+from cantorshift.errors import check_level
+from cantorshift.intervals import _one_box, boverlap, enclose_fraction, enclose_point, isqrt_hi
+from cantorshift.maps import _exact_orbit_status, certified_roots, parse_point
 
 from conftest import paved, shifted_coefficients
 
@@ -801,6 +804,126 @@ def test_locate_critical_chain(cubic_tree):
         assert c.local_degree == 2
 
 
+def _locate_per_level(tree, z, k, answers=None):
+    """The reference for ``locate``: z located afresh at every level 1..k,
+    the chain's nesting re-checked level by level.  ``answers`` may keep
+    each level's answer for z, the cluster or the exception, across calls."""
+    answers = {} if answers is None else answers
+    check_level(k, tree.depth)
+    exact = parse_point(z)
+    side = tree.disk.classify_exact(exact)
+    if side == "out":
+        raise NotInCover("z is certified outside U")
+    if side == "boundary":
+        raise Undecided("z lies exactly on the boundary circle of U")
+    box = _one_box(enclose_point(exact))
+    chain = [tree.levels[0][0]]
+    for lvl in range(1, k + 1):
+        if (z, lvl) not in answers:
+            built = tree._built[lvl]
+            owners, hits = built.pavement.overlapping(box)
+            touched, cluster = tree_mod._distinct(owners, built.labels[hits], 1)
+            answers[z, lvl] = (
+                NotInCover(f"z is certified outside the level-{lvl} cover") if not touched[0]
+                else Undecided(f"membership of z at level {lvl} is not certified")
+                if touched[0] > 1 or not built.pavement.tiled(box, owners, hits)[0]
+                else int(cluster[0]))
+        if isinstance(answers[z, lvl], Exception):
+            raise answers[z, lvl]
+        comp = tree.levels[lvl][answers[z, lvl]]
+        assert lvl == 1 or comp.container == chain[-1].index
+        chain.append(comp)
+    return chain
+
+
+def _outcome(query, tree, z, k, *args):
+    try:
+        return query(tree, z, k, *args)
+    except (NotInCover, Undecided) as exc:
+        return type(exc)
+
+
+def _probe_points(tree, pmap, seed):
+    """Exact points around a tree's cover: inverse-branch preimage chains of
+    the disk center, witness points, random points of the disk's square, and
+    the corners and wall midpoints of some cells of each level."""
+    rng = np.random.default_rng(seed)
+    desc = [complex(float(re), float(im)) for re, im in reversed(pmap.exact_coefficients)]
+    center = complex(*map(float, tree.disk.center))
+    points = []
+    for _ in range(4):
+        w = center
+        for _ in range(tree.depth):
+            p = list(desc)
+            p[-1] -= w
+            w = complex(rng.choice(np.roots(p)))
+            points.append(w)
+    for built in tree._built[1:]:
+        points += built.witness_points[:3]
+    radius = float(tree.disk.radius)
+    points += list(center + radius * (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20)))
+    for built in tree._built[1:]:
+        pav = built.pavement
+        pick = rng.choice(len(pav), size=2, replace=False)
+        for lo_x, hi_x, lo_y, hi_y in zip(*(w.tolist() for w in tree.frame.cell_walls(
+                pav.r[pick], pav.i[pick], pav.j[pick]))):
+            mid_x, mid_y = 0.5 * (lo_x + hi_x), 0.5 * (lo_y + hi_y)
+            points += [complex(x, y) for x in (lo_x, mid_x, hi_x) for y in (lo_y, mid_y, hi_y)
+                       if (x, y) != (mid_x, mid_y)]
+    return points
+
+
+@pytest.mark.parametrize("case", ["quadratic", "cubic"])
+def test_locate_matches_the_per_level_walk(request, case, monkeypatch):
+    # one level-k query and the container chain give the walk's chain
+    # wherever the walk gives one; where the walk stops at some level with
+    # Undecided, the level-k answer may be certain either way
+    tree = request.getfixturevalue(f"{case}_tree")
+    queries = []
+    overlapping = PavedCover.overlapping
+    monkeypatch.setattr(PavedCover, "overlapping",
+                        lambda self, rects: queries.append(len(self)) or overlapping(self, rects))
+    outcomes, answers = {}, {}
+    for z in _probe_points(tree, request.getfixturevalue(f"{case}_map"), seed=3):
+        in_disk = tree.disk.classify_exact(parse_point(z)) == "in"
+        for k in range(tree.depth + 1):
+            want = _outcome(_locate_per_level, tree, z, k, answers)
+            del queries[:]
+            got = _outcome(locate, tree, z, k)
+            # one query of the level-k pavement, after the disk test
+            assert queries == ([len(tree.pavement(k))] if in_disk and k else [])
+            if want is Undecided and isinstance(got, list):
+                built = tree._built[k]
+                box = _one_box(enclose_point(parse_point(z)))
+                owners, hits = built.pavement.overlapping(box)
+                assert set(built.labels[hits].tolist()) == {got[-1].index}
+                assert built.pavement.tiled(box, owners, hits)[0]
+            elif want is not Undecided:
+                assert got == want
+            key = tuple("chain" if isinstance(v, list) else v.__name__ for v in (want, got))
+            outcomes[key] = outcomes.get(key, 0) + 1
+    # every outcome of the reference is exercised, and the walk's Undecided
+    # is certain at level k for some probes
+    assert {want for want, _ in outcomes} == {"chain", "NotInCover", "Undecided"}
+    assert ("Undecided", "NotInCover") in outcomes
+
+
+@pytest.mark.parametrize("k", [1, 10])
+def test_locate_on_an_outer_wall_is_undecided(quadratic_tree, k):
+    # the midpoint of the left wall of the leftmost level-k cell touches that
+    # cell alone, but its box reaches into the column outside the cover
+    pav = quadratic_tree.pavement(k)
+    walls = quadratic_tree.frame.cell_walls(pav.r, pav.i, pav.j)
+    cell = int(np.argmin(walls[0]))
+    z = complex(walls[0][cell], 0.5 * (walls[2][cell] + walls[3][cell]))
+    assert quadratic_tree.disk.classify_exact(parse_point(z)) == "in"
+    box = _one_box(enclose_point(parse_point(z)))
+    owners, hits = pav.overlapping(box)
+    assert hits.tolist() == [cell]
+    with pytest.raises(Undecided, match=f"membership of z at level {k} is not certified"):
+        locate(quadratic_tree, z, k)
+
+
 def test_connected_julia_rejected():
     # z^2 on the disk of radius 2 has a connected filled-in set: N = 1
     pmap = PolynomialMap([("0", "0"), ("0", "0"), ("1", "0")])
@@ -844,6 +967,14 @@ def test_determinism_same_config(quadratic_map, quadratic_disk):
         tree = build_tree(quadratic_map, quadratic_disk, 3, policy=small_policy())
         docs.append(json.dumps(tree.to_json_dict(), sort_keys=True))
     assert docs[0] == docs[1]
+
+
+def test_box_cap_raises(quadratic_map, quadratic_disk):
+    # level 0 keeps 544 cells, so the first level-1 wave alone, the parent
+    # pavement, exceeds a cap of 300 live cells
+    tight = ResolutionPolicy(max_resolution=30, max_boxes=300)
+    with pytest.raises(ResolutionExceeded, match="^level 1: 544 boxes exceed cap 300$"):
+        build_tree(quadratic_map, quadratic_disk, 1, policy=tight)
 
 
 def test_resolution_cap_raises(quadratic_map, quadratic_disk):
