@@ -30,7 +30,9 @@ class ResolutionExceeded(CantorshiftError):
 class HypothesisViolation(CantorshiftError):
     """The map/disk pair is certified not to satisfy the polynomial-like
     restriction hypotheses (N >= 2, compact containment, non-escaping and
-    non-periodic critical orbits)."""
+    non-periodic critical orbits), with one exception: a level-1 cover that
+    refinement leaves outside U is reported as not compactly contained
+    without a certificate of contact, and raised here as well."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

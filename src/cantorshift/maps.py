@@ -522,7 +522,7 @@ class PolynomialMap(_Monic):
         if coeffs[-1] != QC_ONE:
             raise ValueError("leading coefficient must be exactly 1")
         super().__init__(coeffs)
-        # D: lcm of every coefficient denominator (see _exact_orbit_status)
+        # D: lcm of every coefficient denominator (see _orbit_status)
         self.coefficient_denominator = math.lcm(
             *(part.denominator for c in coeffs for part in c))
         self._criticals = None
@@ -877,43 +877,40 @@ def _leaves_lattice(pmap, z) -> bool:
     return pmap.coefficient_denominator % q != 0
 
 
-def _exact_orbit_status(pmap, disk, start, horizon):
-    """Walk the orbit of an exact point; returns (status, escape_step,
-    periodic), where ``periodic`` marks an orbit that returns exactly to
-    its start.  A revisit of a later point makes the start strictly
+def _orbit_status(pmap, disk, z, horizon):
+    """Walk the orbit of z, an exact point or a rectangle (see
+    ``DyadicOrbit``), through step ``horizon``; returns (status, escape_step,
+    periodic), ``periodic`` marking an orbit that returns exactly to its
+    start.  A revisit of a later point makes the start strictly
     preperiodic: the orbit stays bounded, but the start is not periodic.
 
-    Exact arithmetic is kept only while a revisit is still possible: while
-    the orbit stays in the finite set (1/D)Z[i] /\\ U its points stay about
-    2 log2(R D) bits long and every revisit is found.  Once ``_leaves_lattice``
-    certifies that no revisit can happen any more, the current exact point
-    seeds a ``DyadicOrbit`` that certifies escape or stay for the remaining
-    steps; nothing is lost, since there is no period left to detect.
+    An exact point keeps exact arithmetic only while a revisit is still
+    possible: while the orbit stays in the finite set (1/D)Z[i] /\\ U its
+    points stay about 2 log2(R D) bits long and every revisit is found.
+    Once ``_leaves_lattice`` certifies that no revisit can happen any more,
+    the current point seeds a ``DyadicOrbit`` that certifies escape or stay
+    for the remaining steps, as a rectangle does from step 0; nothing is
+    lost, since there is no period left to detect.
     """
-    z = start
-    seen = {z}
-    for step in range(horizon + 1):
-        side = disk.classify_exact(z)
-        if side == "out":
-            return "escapes", step, False
-        if side == "boundary":
-            return "undecided", None, False
-        if _leaves_lattice(pmap, z):
-            return _ball_orbit_status(pmap, disk, z, step, horizon)
-        z = pmap.eval_exact(z)
-        if z in seen:
-            return "in_Uprime", None, z == start
-        seen.add(z)
-    return "in_Uprime", None, False
-
-
-def _ball_orbit_status(pmap, disk, z, first_step, horizon):
-    """Escape or stay of the orbit of z, an exact point or a rectangle (see
-    ``DyadicOrbit``), counting its steps from ``first_step``, certified on
-    dyadic balls."""
+    start, seen, first = z, {z}, 0
+    if len(z) == 2:
+        for first in range(horizon + 1):
+            side = disk.classify_exact(z)
+            if side == "out":
+                return "escapes", first, False
+            if side == "boundary":
+                return "undecided", None, False
+            if _leaves_lattice(pmap, z):
+                break
+            z = pmap.eval_exact(z)
+            if z in seen:
+                return "in_Uprime", None, z == start
+            seen.add(z)
+        else:
+            return "in_Uprime", None, False
     orbit = DyadicOrbit(pmap, disk, z)
-    for step in range(first_step, horizon + 1):
-        if step > first_step:
+    for step in range(first, horizon + 1):
+        if step > first:
             orbit.advance()
         side = orbit.side()
         if side is None:
@@ -930,12 +927,13 @@ def validate_restriction(pmap: PolynomialMap, disk: DomainDisk, level1, pavement
 
     ``level1`` is the list of level-1 components (each with a
     ``local_degree`` and ``contains_critical``), and ``pavement`` the
-    PavedCover of all their cells.  Checks: N >= 2; certified
-    separation of the level-1 cover from the boundary circle of U; branch
-    degrees summing to the map degree; and per-critical-point orbit status.
-    An orbit that can be neither certified to escape nor certified
-    non-periodic within the horizon yields "undecided" and a warning, not a
-    failure.
+    PavedCover of all their cells.  Checks: N >= 2; separation of the
+    level-1 cover from the boundary circle of U, certified where
+    ``compactly_contained`` is True (False does not certify contact);
+    branch degrees summing to the map degree; and one ``_orbit_status``
+    walk per critical point.  An orbit that can be neither certified to
+    escape nor certified non-periodic within the horizon yields
+    "undecided" and a warning, not a failure.
     """
     n = len(level1)
     degrees = tuple(c.local_degree for c in level1)
@@ -951,11 +949,8 @@ def validate_restriction(pmap: PolynomialMap, disk: DomainDisk, level1, pavement
     violation = False
     for cidx, crit in enumerate(pmap.critical_points):
         in_restr = True if cidx in placed else (None if overlaps[cidx] else False)
-        if crit.exact is not None:
-            status, esc_step, periodic = _exact_orbit_status(pmap, disk, crit.exact, horizon)
-        else:
-            status, esc_step, periodic = _ball_orbit_status(
-                pmap, disk, crit.enclosure.as_tuple(), 0, horizon)
+        status, esc_step, periodic = _orbit_status(
+            pmap, disk, crit.enclosure.as_tuple() if crit.exact is None else crit.exact, horizon)
         if periodic:
             periodic_flag = True
         if in_restr and (status == "escapes" or periodic):

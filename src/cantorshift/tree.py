@@ -85,7 +85,7 @@ from .intervals import _one_box, enclose_fraction, enclose_point, isqrt_hi, vbab
 from .maps import (
     DomainDisk,
     PolynomialMap,
-    _exact_orbit_status,
+    _orbit_status,
     certified_roots,
     escape_radius,
     parse_point,
@@ -259,7 +259,8 @@ def _conservation(parent_of, image_of, local_degree, parent):
 
 
 class _Failure(Exception):
-    """Internal: a certification attempt failed (``_Defects.flag`` raises it).
+    """Internal: a certification attempt failed (``_Defects.flag`` raises
+    it), or certified a level-1 cover not yet inside U (``_build_level``).
 
     ``refine``, a mask over the attempt's pavement, localizes the failure:
     when set, only those cells (intersected with the refinable band) need
@@ -384,9 +385,6 @@ class _TreeBuilder:
         ])
         self.built = []                # _Built per level, 0-based
         self.levels = []               # components per accepted level
-        # critical indices that may lie in the level being built: all of
-        # them until level 1 certifies which lie inside U'
-        self.restriction_crits = np.arange(len(pmap.critical_points))
         # band cells stop once their k-step image is below this width
         self._stop_width = BAND_SCALE * 2.0 * float(disk.radius)
         # the local-scale raster of the parent level, repainted per level
@@ -553,11 +551,14 @@ class _TreeBuilder:
 
     def _locate_criticals(self, k, pavement, labels, defects):
         """Critical membership: the enclosure of each restriction critical
-        point lies inside one cluster's cells, not across clusters or the
-        cover's edge.  Returns the cluster of each critical point of the map,
-        else -1.  At k >= 2 a restriction critical outside the whole cover
-        certifies an escaping critical orbit; at level 1, one outside U'."""
-        crits = [self.pmap.critical_points[c] for c in self.restriction_crits]
+        point (every one at level 1, then those level 1 placed in U') lies
+        inside one cluster's cells, not across clusters or the cover's edge.
+        Returns the cluster of each critical point of the map, else -1.  At
+        k >= 2 a restriction critical outside the whole cover certifies an
+        escaping critical orbit; at level 1, one outside U'."""
+        ids = (np.arange(len(self.pmap.critical_points)) if k == 1
+               else np.flatnonzero(self.built[1].crit_cluster >= 0))
+        crits = [self.pmap.critical_points[c] for c in ids]
         rects = np.array([crit.enclosure.as_tuple() for crit in crits]).reshape(-1, 4)
         box, cell = pavement.overlapping(rects.T)
         touched, cluster = _distinct(box, labels[cell], len(crits))
@@ -571,7 +572,7 @@ class _TreeBuilder:
             "critical-straddle", f"critical {crits[b].point_str()} not resolved yet"),
             lambda b: labels[cell[box == b]].tolist())
         crit_cluster = np.full(len(self.pmap.critical_points), -1)
-        crit_cluster[self.restriction_crits[inside]] = cluster[inside]
+        crit_cluster[ids[inside]] = cluster[inside]
         return crit_cluster
 
     def _chain_inside(self, k, rects):
@@ -594,7 +595,7 @@ class _TreeBuilder:
         so."""
         for (re_lo, re_hi, im_lo, im_hi), sure in zip(rects.tolist(), inside.tolist()):
             c = (Fraction(0.5 * (re_lo + re_hi)), Fraction(0.5 * (im_lo + im_hi)))
-            if sure or _exact_orbit_status(
+            if sure or _orbit_status(
                     self.pmap, self.disk, self.pmap.eval_exact(c), k - 1)[0] == "in_Uprime":
                 return c
         return None
@@ -712,14 +713,14 @@ class _TreeBuilder:
         so an edge it shared with a settled cell u would lie on p's
         boundary, making p and u adjacent and so one cluster.  Only the
         other cells need neighbor lookups, and only the new ones container
-        lookups."""
+        lookups.  A level-1 table that certifies with its cover not yet
+        inside U continues like a failed attempt on the whole band; the
+        fourth such table, or the last once nothing can refine, is accepted."""
         witness_boxes = self._solve_witness_preimages(k)
         self._build_scale_raster(self.built[k - 1])
         parent = self.built[k - 1].pavement
         pending = [(parent.r, parent.i, parent.j)]
-        interior, band, kept = [], [], None
-        uncontained_accepts = 0
-        uncontained_build = None
+        interior, band, kept, uncontained = [], [], None, []
         while True:
             n_kept = 0 if kept is None else int(np.count_nonzero(kept[1]))
             self._classify_waves(k, pending, interior, band, n_kept)
@@ -727,11 +728,18 @@ class _TreeBuilder:
             kept = None
             try:
                 built = self._certify(k, pavement, is_inner, witness_boxes, settled, up)
+                if k == 1 and not self.disk.contains_cover(pavement):
+                    # the preimage plausibly touches the circle; the
+                    # restriction validator reports the accepted table
+                    uncontained.append(built)
+                    if len(uncontained) < 4:
+                        raise _Failure("level-1 cover not inside U", built.labels,
+                                       built.parent_of[built.labels])
             except _Failure as fail:
                 chosen = self._subdivide_band(pavement, is_inner, pending, fail.refine)
                 if chosen is None:
-                    if uncontained_build is not None:
-                        self._accept(uncontained_build)
+                    if uncontained:
+                        self._accept(uncontained[-1])
                         return
                     raise ResolutionExceeded(
                         f"level {k}: certification stalled at the resolution cap "
@@ -742,18 +750,6 @@ class _TreeBuilder:
                 settled = np.where(touched[fail.labels], -1, fail.labels)
                 kept = (pavement, ~chosen, is_inner, settled, fail.up)
                 continue
-            settled = up = None  # a hand-off serves one attempt
-            if k == 1 and not self.disk.contains_cover(built.pavement):
-                # everything else certifies; if separation from the circle
-                # keeps failing the preimage plausibly touches it, so accept
-                # and let the hypothesis validator report the failure
-                uncontained_build = built
-                uncontained_accepts += 1
-                if uncontained_accepts < 4:
-                    chosen = self._subdivide_band(pavement, is_inner, pending, None)
-                    if chosen is not None:
-                        kept = (pavement, ~chosen, is_inner, *[np.full(len(pavement), -1)] * 2)
-                        continue
             self._accept(built)
             return
 
@@ -815,7 +811,6 @@ class _TreeBuilder:
         for k in range(1, depth + 1):
             self._build_level(k)
             if k == 1:
-                self.restriction_crits = np.flatnonzero(self.built[1].crit_cluster >= 0)
                 restriction = validate_restriction(
                     self.pmap, self.disk, self.levels[1], self.built[1].pavement,
                     horizon=self.policy.validation_horizon)

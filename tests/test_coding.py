@@ -182,6 +182,23 @@ def test_chi_escaping_point_certified(cubic_map, cubic_tree):
     assert res.escaped_at is not None
 
 
+def test_chi_walks_past_an_exact_boundary_point(cubic_map, cubic_disk, monkeypatch):
+    # 3 lies on the circle |z| = 3: its ball straddles it at the precision
+    # ceiling, the exact point classifies as "boundary", and chi walks on
+    # as if it were inside U, to f(3) = 18 + b outside.  This pins today's
+    # answer, which disagrees with the orbit status and locate: both call
+    # such a point undecided
+    tree = build_tree(cubic_map, cubic_disk, 1,
+                      policy=ResolutionPolicy(max_resolution=44, max_boxes=8_000_000))
+    steps = []
+    exact_point = coding_mod.DyadicOrbit.exact_point
+    monkeypatch.setattr(coding_mod.DyadicOrbit, "exact_point",
+                        lambda self: steps.append(self.step) or exact_point(self))
+    res = chi(cubic_map, ("3", "0"), tree)
+    assert (res.value, res.status, res.escaped_at, res.hits) == (1, "certified", 1, ())
+    assert steps == [0]
+
+
 def test_chi_deep_preimage_certified_by_balls(cubic_map, cubic_tree):
     # an 8-fold inverse-branch preimage of u = 0.5+2.7i, |f(u)| ~ 26 > 3:
     # the orbit meets no critical point and leaves U at step 9, where its

@@ -23,9 +23,8 @@ from cantorshift.covers import Frame
 from cantorshift.intervals import boverlap
 from cantorshift.maps import (
     DyadicOrbit,
-    _ball_orbit_status,
-    _exact_orbit_status,
     _leaves_lattice,
+    _orbit_status,
     certified_roots,
     p_derivative,
     p_eval,
@@ -466,12 +465,64 @@ def test_rectangle_orbit_stays_within_its_seed_precision(monkeypatch):
         set_prec(self, prec)
 
     monkeypatch.setattr(DyadicOrbit, "_set_prec", bounded)
-    assert _ball_orbit_status(pmap, disk, seed, 0, 20) == ("undecided", None, False)
+    assert _orbit_status(pmap, disk, seed, 20) == ("undecided", None, False)
     assert precs
     orbit = DyadicOrbit(pmap, disk, seed)
     assert orbit.exact_point() is None
     orbit.advance()
     assert orbit.exact_point() is None
+
+
+_QUAD6 = [("-6", "0"), ("0", "0"), ("1", "0")]
+
+
+@pytest.mark.parametrize("coeffs, radius, start, horizon, status", [
+    # exact seeds: an escape found in the lattice phase, a start on the
+    # circle, and a hand-off to dyadic balls at step 2 (0 -> -3/4 -> -3/16
+    # for z^2 - 3/4) and at step 0 (5/2 for z^2 - 6) that stays or escapes
+    (_QUAD6, "4", 0, 20, ("escapes", 1, False)),
+    (_QUAD6, "3", 3, 20, ("undecided", None, False)),
+    ([("-0.75", "0"), ("0", "0"), ("1", "0")], "2", 0, 20, ("in_Uprime", None, False)),
+    (_QUAD6, "4", Fraction(5, 2), 20, ("escapes", 2, False)),
+])
+def test_orbit_status_of_exact_seeds(coeffs, radius, start, horizon, status):
+    assert _orbit_status(PolynomialMap(coeffs), DomainDisk(("0", "0"), radius),
+                         (Fraction(start), Fraction(0)), horizon) == status
+
+
+@pytest.mark.parametrize("which, horizon, status", [
+    (0, 1, ("in_Uprime", None, False)),
+    (0, 2, ("escapes", 2, False)),
+    (0, 20, ("escapes", 2, False)),
+    (1, 20, ("in_Uprime", None, False)),
+])
+def test_orbit_status_of_rectangle_seeds(which, horizon, status):
+    # the enclosures of -sqrt(2/3), which leaves U at step 2, and of
+    # +sqrt(2/3), walked on dyadic balls from step 0
+    pmap, disk = _enclosure_only_cubic()
+    seed = pmap.critical_points[which].enclosure.as_tuple()
+    assert _orbit_status(pmap, disk, seed, horizon) == status
+
+
+def test_validate_warns_on_an_undecided_critical_orbit(monkeypatch):
+    # z^2 + 1 on |z| < 2: 0 lies in U', and 0 -> 1 -> 2 lands on the circle,
+    # so its orbit is undecided; one orbit walk per critical point
+    pmap = PolynomialMap([("1", "0"), ("0", "0"), ("1", "0")])
+    disk = DomainDisk(("0", "0"), "2")
+    level1 = _level1(pmap, disk)
+    walks = []
+    walk = maps_mod._orbit_status
+    monkeypatch.setattr(maps_mod, "_orbit_status",
+                        lambda *args: walks.append(args[2]) or walk(*args))
+    report = validate_restriction(pmap, disk, *level1, horizon=20)
+    assert walks == [(0, 0)]
+    assert report.n_components == 1
+    assert not report.hypothesis_ok
+    (flags,) = report.critical_escape_flags
+    assert (flags["in_restriction"], flags["status"]) == (True, "undecided")
+    assert report.warnings == (
+        "critical point 0+0i in U': orbit neither escapes nor is certified "
+        "non-periodic within horizon 20; proceeding",)
 
 
 def test_contains_cover_matches_cellwise_side():
@@ -547,8 +598,8 @@ def test_cubic_critical_orbit_escapes_at_step_39(cubic_map, cubic_disk):
     # q (multiplier ~ 13), and the orbit shadows q until it escapes.  The
     # validation horizon 20 sees only the shadowing part.
     one = (Fraction(1), Fraction(0))
-    assert _exact_orbit_status(cubic_map, cubic_disk, one, 38)[0] == "in_Uprime"
-    assert _exact_orbit_status(cubic_map, cubic_disk, one, 39) == ("escapes", 39, False)
+    assert _orbit_status(cubic_map, cubic_disk, one, 38)[0] == "in_Uprime"
+    assert _orbit_status(cubic_map, cubic_disk, one, 39) == ("escapes", 39, False)
 
 
 def test_validate_critical_point_outside_every_component(cubic_map, cubic_disk):
@@ -669,7 +720,7 @@ def test_exact_revisit_still_found(monkeypatch, coeffs, radius, start, images, p
     calls = []
     exact_image = pmap.eval_exact
     monkeypatch.setattr(pmap, "eval_exact", lambda z: calls.append(z) or exact_image(z))
-    status = _exact_orbit_status(
+    status = _orbit_status(
         pmap, DomainDisk(("0", "0"), radius), (Fraction(start), Fraction(0)), horizon=20)
     # a revisit of a later point is preperiodic; only a return to the start
     # is periodic
@@ -693,5 +744,5 @@ def test_cubic_escape_matches_mpmath_intervals():
         assert d2.b < 9, f"256-bit intervals undecided at step {step}"
         z = z * z * z - 3 * z + b
     assert escape == 39
-    assert _exact_orbit_status(_cubic(), DomainDisk(("0", "0"), "3"),
-                               (Fraction(1), Fraction(0)), horizon=60) == ("escapes", 39, False)
+    assert _orbit_status(_cubic(), DomainDisk(("0", "0"), "3"),
+                         (Fraction(1), Fraction(0)), horizon=60) == ("escapes", 39, False)

@@ -25,12 +25,13 @@ from cantorshift import (
     cantor_diagnostic,
     locate,
     paved_clusters,
+    validate_restriction,
 )
 from cantorshift import tree as tree_mod
 from cantorshift.coding import coding_to_json_dict
 from cantorshift.errors import check_level
 from cantorshift.intervals import _one_box, boverlap, enclose_fraction, enclose_point, isqrt_hi
-from cantorshift.maps import _exact_orbit_status, certified_roots, parse_point
+from cantorshift.maps import _orbit_status, certified_roots, parse_point
 
 from conftest import paved, shifted_coefficients
 
@@ -157,7 +158,7 @@ def _walk_build(pmap, disk, depth, force=None, attempts=None, chain=True):
     boxes = {}
     solve = tree_mod._TreeBuilder._solve_witness_preimages
     certify = tree_mod._TreeBuilder._certify
-    walk = tree_mod._exact_orbit_status
+    walk = tree_mod._orbit_status
     chain_inside = tree_mod._TreeBuilder._chain_inside if chain else (
         lambda self, k, rects: np.zeros(len(rects), dtype=bool))
 
@@ -184,7 +185,7 @@ def _walk_build(pmap, disk, depth, force=None, attempts=None, chain=True):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_mod._TreeBuilder, "_solve_witness_preimages", traced_solve)
         mp.setattr(tree_mod._TreeBuilder, "_certify", traced_certify)
-        mp.setattr(tree_mod, "_exact_orbit_status", traced_walk)
+        mp.setattr(tree_mod, "_orbit_status", traced_walk)
         mp.setattr(tree_mod._TreeBuilder, "_chain_inside", chain_inside)
         tree = build_tree(pmap, disk, depth, policy=small_policy())
     return tree, attempts, boxes
@@ -294,7 +295,7 @@ def test_chain_certified_witness_candidates_pass_the_exact_walk(request, case):
             c = (Fraction(0.5 * (re_lo + re_hi)), Fraction(0.5 * (im_lo + im_hi)))
             if tree.disk.classify_exact(c) != "in":
                 continue
-            status, _, _ = _exact_orbit_status(tree.map, tree.disk, tree.map.eval_exact(c), k - 1)
+            status, _, _ = _orbit_status(tree.map, tree.disk, tree.map.eval_exact(c), k - 1)
             assert status == "in_Uprime" or not sure
             statuses.append(status)
         assert "escapes" in statuses
@@ -592,6 +593,63 @@ def test_carried_attempts_match_fresh_lookups(request, case, depth):
         assert np.array_equal(interior, np.isin(np.arange(len(pavement)), at))
     # the re-attempts carried settled clusters
     assert any((groups >= 0).any() for groups in settled)
+
+
+def test_containment_retries_continue_like_failed_attempts(monkeypatch):
+    # z^2 - 6 on |z| < 3: the level-1 preimage reaches the circle at +-3, so
+    # every attempt certifies with its cover not inside U.  Three retries
+    # refine the whole band and hand on their state as a failed attempt
+    # does; the fourth table is accepted and reported as not contained
+    pmap = PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])
+    disk = DomainDisk(("0", "0"), "3")
+    builder = tree_mod._TreeBuilder(pmap, disk, ResolutionPolicy(max_resolution=24))
+    builder._build_level0()
+    attempts = []
+    certify = tree_mod._TreeBuilder._certify
+
+    def traced_certify(self, k, pavement, interior, boxes, settled, up):
+        carried = (settled.copy(), up.copy())
+        built = certify(self, k, pavement, interior, boxes, settled, up)
+        attempts.append((pavement, carried, built))
+        return built
+
+    monkeypatch.setattr(tree_mod._TreeBuilder, "_certify", traced_certify)
+    builder._build_level(1)
+    assert [len(pavement) for pavement, _, _ in attempts] == [426, 1000, 2150, 4308]
+    # kept cells carry their parent cluster, so only the others are located
+    assert [int((up < 0).sum()) for _, (_, up), _ in attempts] == [426, 850, 1714, 3240]
+    assert builder.built[1] is attempts[-1][2]
+    level0 = builder.built[0]
+    for pavement, (settled, up), built in attempts[1:]:
+        fresh = paved_clusters(builder.frame, pavement)
+        assert np.array_equal(built.labels, fresh)
+        # a whole-band retry touches every cluster with a band cell
+        held = settled >= 0
+        assert np.array_equal(held, np.isin(fresh, fresh[held]))
+        anc = level0.pavement.find(pavement.r, pavement.i, pavement.j)
+        looked_up = np.where(anc >= 0, level0.labels[anc], -1)
+        known = up >= 0
+        assert known.any() and np.array_equal(up[known], looked_up[known])
+        assert np.array_equal(built.parent_of[built.labels], looked_up)
+    report = validate_restriction(pmap, disk, builder.levels[1], builder.built[1].pavement)
+    assert report.n_components == 2
+    assert list(report.branch_degrees) == [1, 1]
+    assert report.compactly_contained is False
+
+
+def test_restriction_critical_outside_a_deeper_cover_is_a_violation(cubic_map, cubic_disk):
+    # level 1 certifies +1 inside U' and leaves the escaping -1 out; at
+    # k >= 2 a restriction critical point outside the whole cover certifies
+    # an escaping orbit, and -1, not a restriction critical point, is not
+    # named
+    builder = tree_mod._TreeBuilder(cubic_map, cubic_disk, small_policy())
+    builder.build(2)
+    none = np.empty(0, dtype=np.int64)
+    empty = PavedCover(builder.frame, none, none, none)
+    with pytest.raises(HypothesisViolation) as info:
+        builder._locate_criticals(2, empty, none, tree_mod._Defects())
+    assert str(info.value) == (
+        "critical point 1+0i certified outside f^-2(U): its orbit escapes U'")
 
 
 def _with_parent(builder, k, **fields):
