@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, HypothesisViolation, InconsistentTree, check_level
+from .errors import BudgetExceeded, HypothesisViolation, InconsistentTree, Undecided, check_level
 from .maps import DyadicOrbit, p_derivative, p_eval, parse_point, qc_is_zero
 
 # most words ``fibers`` enumerates
@@ -224,6 +224,8 @@ class ChiResult:
     restriction has no critical points, or the degree budget 2^(d-N) is
     exhausted (no further hit can occur), or the orbit left the domain.
     Otherwise the value is a lower bound honest up to the horizon walked.
+    An orbit point exactly on the domain circle gets no result: ``chi``
+    raises Undecided.
     """
 
     value: int
@@ -259,14 +261,14 @@ def _exact_local_degree(pmap, z):
 def chi(pmap, z, tree, horizon: int = 24) -> ChiResult:
     """Walk the orbit of z, multiplying local degrees at critical hits.
 
-    The orbit is walked on certified dyadic balls (``DyadicOrbit``).  A
-    ball disjoint from every critical enclosure certifies that the step is
-    no hit, and a ball certified outside the closed domain ends the orbit.
-    Only where a ball meets a critical enclosure, or straddles the domain
-    circle at the precision ceiling, is the exact rational orbit point
-    computed, and the question decided exactly (a point either is or is
-    not a root of f'); hits are reported as those exact points.  If that
-    exact point passes the orbit-size guard, the result is a lower bound.
+    The orbit is walked by ``DyadicOrbit``, whose ``side`` places each step
+    against the domain circle.  A step outside the closed domain ends the
+    orbit, and a step on the circle raises Undecided naming it, as
+    ``locate`` does.  A ball disjoint from every critical enclosure
+    certifies that the step is no hit; only where it meets one is the exact
+    orbit point computed and the question decided exactly (a point either
+    is or is not a root of f').  Hits are reported as those exact points.
+    An exact point past the orbit-size guard makes the result a lower bound.
     Certification beyond the horizon uses the degree budget: once the
     accumulated product reaches 2^(d - N), any further hit would exceed the
     global bound, so the tail is hit-free under the standing hypotheses.
@@ -295,11 +297,10 @@ def chi(pmap, z, tree, horizon: int = 24) -> ChiResult:
         if step:
             orbit.advance()
         side = orbit.side()
-        if side is None:  # straddles the circle at the precision ceiling
-            cur = orbit.exact_point()
-            if cur is None:
-                return ChiResult(value, "lower_bound", horizon, tuple(hits))
-            side = tree.disk.classify_exact(cur)
+        if side is None:  # the exact orbit point is past the size guard
+            return ChiResult(value, "lower_bound", horizon, tuple(hits))
+        if side == "boundary":
+            raise Undecided(f"orbit step {step} lies exactly on the boundary circle of U")
         if side == "out":
             # the orbit left the closed domain: no further iterates exist
             return ChiResult(value, "certified", horizon, tuple(hits), escaped_at=step)

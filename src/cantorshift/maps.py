@@ -4,12 +4,13 @@ escape radius, and the restriction-hypothesis validator.
 Coefficients are exact Gaussian rationals (decimal-string real/imaginary
 parts), converted once to outward-rounded interval rectangles.  Keeping the
 exact values around buys two things: bit-reproducible float enclosures on
-any platform, and exact orbits.  Orbits of exact points, and of critical
-points known only by an enclosure, are walked on adaptive-precision dyadic
-balls (``DyadicOrbit``), which settle escape and stay cheaply; exact
-rational arithmetic is kept where an equality is the question (a periodic
-revisit, a critical hit).  Float rectangles go through the vector kernels
-of ``intervals`` only, a single one as a batch of length one.
+any platform, and exact orbits.  Every orbit is walked by ``DyadicOrbit``,
+whose one rule places each point against the domain circle: exactly while
+an exact orbit stays in the lattice (1/D)Z[i], where a revisit is possible,
+and at its first point past it; else on adaptive-precision dyadic balls,
+with the exact point deciding where a ball straddles it at the ceiling.
+Float rectangles go through the vector kernels of ``intervals`` only, a
+single one as a batch of length one.
 
 Every simple root is certified by one batched Krawczyk loop (``_krawczyk``):
 companion-matrix eigenvalues seed a numpy Krawczyk test on any monic exact
@@ -706,36 +707,36 @@ def _dsquare(u, prec):
 
 
 class DyadicOrbit:
-    """Certified enclosures of an orbit: dyadic boxes
-    ``(re_lo, re_hi, im_lo, im_hi)`` of Python ints over 2**prec.
+    """The one orbit walker: certified enclosures of an orbit, and the one
+    rule that places each orbit point against the domain circle (``side``).
 
-    The seed is an exact point ``(re, im)`` or a rectangle
+    Boxes are dyadic, ``(re_lo, re_hi, im_lo, im_hi)`` of Python ints over
+    2**prec.  The seed is an exact point ``(re, im)`` or a rectangle
     ``(re_lo, re_hi, im_lo, im_hi)`` of floats or rationals, such as the
-    enclosure of a critical point known only that way; the boxes then
-    contain the orbit of every point of the rectangle.  Each step applies f
-    in the Horner order of ``_Monic.eval_boxes`` with exact integer
-    products rounded once, down for lower and up for upper bounds, so every
-    box contains the exact orbit point.  Precision adapts as for Arb's
-    midpoint-radius balls: whenever a box straddles the circle |z - c| = R,
-    or has kept fewer than half of its ``prec`` bits, the precision doubles
-    and the walk restarts from the seed, up to a ceiling: ``_MAX_ORBIT_BITS``
-    for an exact point, and for a rectangle the precision that holds it
-    exactly (at least 64 bits), past which its own width dominates.  The
-    exact orbit of an exact point is advanced lazily, only for the steps
-    where a caller needs an equality decided, and only below the same bit
-    guard; a rectangle has none.
+    enclosure of a critical point known only that way; the boxes then hold
+    the orbit of every point of the rectangle.  An exact orbit is carried
+    exactly while it stays in the lattice (1/D)Z[i] (``_leaves_lattice``),
+    each box the point's own, and so is its first point past the lattice,
+    which seeds the boxes.  Each later step applies f in the Horner order of
+    ``_Monic.eval_boxes`` with exact integer products rounded once outward,
+    so every box contains the exact orbit point.  Precision adapts as for
+    Arb's midpoint-radius balls: whenever a box straddles the circle, or
+    has kept fewer than half of its ``prec`` bits, it doubles and the walk
+    restarts from the seed, up to a ceiling: ``_MAX_ORBIT_BITS`` for an
+    exact point, and for a rectangle the precision that holds it exactly
+    (at least 64 bits).  Past the lattice the exact orbit is advanced
+    lazily, for the steps where a caller needs it, below the same bit guard.
     """
 
     def __init__(self, pmap: PolynomialMap, disk: DomainDisk, z, prec: int = 64):
         self.pmap = pmap
         self.step = 0
+        self._classify = disk.classify_exact
         if len(z) == 4:
-            self._seed = z
-            self._exact = None
+            self._seed, self._exact, self._lattice = (0, z), None, None
             self._ceiling = max(64, *(Fraction(v).denominator.bit_length() - 1 for v in z))
         else:
-            self._seed = (z[0], z[0], z[1], z[1])
-            self._exact = (0, z)
+            self._carry(z)
             self._ceiling = _MAX_ORBIT_BITS
         cden = math.lcm(disk.center[0].denominator, disk.center[1].denominator)
         # the disk scaled to integers: center * cden and R^2 as a fraction
@@ -743,13 +744,20 @@ class DyadicOrbit:
                       cden, disk.r2.numerator, disk.r2.denominator)
         self._set_prec(min(prec, self._ceiling))
 
+    def _carry(self, z):
+        # z: the exact point of this step and the seed of the boxes
+        self._exact = (self.step, z)
+        self._lattice = None if _leaves_lattice(self.pmap, z) else z
+        self._seed = (self.step, (z[0], z[0], z[1], z[1]))
+
     def _set_prec(self, prec):
         """(Re)compute the box of the current step at precision ``prec``."""
         self.prec = prec
         self._coeffs = [None if qc_is_zero(c) else _dyadic_point(c, prec)
                         for c in self.pmap.exact_coefficients[:-1]]
-        box = _dyadic_rect(self._seed, prec)
-        for _ in range(self.step):
+        base, rect = self._seed
+        box = _dyadic_rect(rect, prec)
+        for _ in range(self.step - base):
             box = self._image(box)
         self.box = box
 
@@ -777,10 +785,14 @@ class DyadicOrbit:
 
     def advance(self):
         """Enclose the next orbit point."""
-        self.box = self._image(self.box)
         self.step += 1
-        while self._too_wide() and self._refine():
-            pass
+        if self._lattice is None:
+            self.box = self._image(self.box)
+            while self._too_wide() and self._refine():
+                pass
+        else:
+            self._carry(self.pmap.eval_exact(self._lattice))
+            self.box = _dyadic_rect(self._seed[1], self.prec)
 
     def _side(self):
         cx, cy, cden, rn, rd = self._disk
@@ -796,13 +808,17 @@ class DyadicOrbit:
         return None
 
     def side(self):
-        """'in' (inside the open disk) or 'out' (outside the closed disk),
-        certified for the exact orbit point; None if the box still straddles
-        |z - c| = R at the precision ceiling."""
-        while True:
-            s = self._side()
-            if s is not None or not self._refine():
+        """'in' (inside the open disk), 'out' (outside the closed disk) or
+        'boundary', certified: exactly for a carried point, never refining;
+        else by the box up to the ceiling, then by the exact point.  None
+        past the size guard, or for a rectangle seed."""
+        k, z = self._exact or (None, None)
+        if k != self.step:
+            while (s := self._side()) is None and self._refine():
+                pass
+            if s is not None or (z := self.exact_point()) is None:
                 return s
+        return self._classify(z)
 
     def meets(self, rect) -> bool:
         """Closed overlap of the box with an exact or float rectangle
@@ -878,45 +894,28 @@ def _leaves_lattice(pmap, z) -> bool:
 
 
 def _orbit_status(pmap, disk, z, horizon):
-    """Walk the orbit of z, an exact point or a rectangle (see
-    ``DyadicOrbit``), through step ``horizon``; returns (status, escape_step,
-    periodic), ``periodic`` marking an orbit that returns exactly to its
-    start.  A revisit of a later point makes the start strictly
-    preperiodic: the orbit stays bounded, but the start is not periodic.
-
-    An exact point keeps exact arithmetic only while a revisit is still
-    possible: while the orbit stays in the finite set (1/D)Z[i] /\\ U its
-    points stay about 2 log2(R D) bits long and every revisit is found.
-    Once ``_leaves_lattice`` certifies that no revisit can happen any more,
-    the current point seeds a ``DyadicOrbit`` that certifies escape or stay
-    for the remaining steps, as a rectangle does from step 0; nothing is
-    lost, since there is no period left to detect.
+    """Walk the orbit of z, an exact point or a rectangle, through step
+    ``horizon`` on one ``DyadicOrbit``; returns (status, escape_step,
+    periodic).  A step the walker places outside U escapes, and one on the
+    circle, or one it cannot place, leaves the orbit "undecided".
+    ``periodic`` marks an exact return to the start; a revisit of a later
+    point makes the start strictly preperiodic, bounded but not periodic.
+    Revisits are sought among the walker's lattice points, the image of the
+    one at the horizon included: in the finite set (1/D)Z[i] /\\ U every
+    revisit is found, and past it ``_leaves_lattice`` rules any out.
     """
-    start, seen, first = z, {z}, 0
-    if len(z) == 2:
-        for first in range(horizon + 1):
-            side = disk.classify_exact(z)
-            if side == "out":
-                return "escapes", first, False
-            if side == "boundary":
-                return "undecided", None, False
-            if _leaves_lattice(pmap, z):
-                break
-            z = pmap.eval_exact(z)
-            if z in seen:
-                return "in_Uprime", None, z == start
-            seen.add(z)
-        else:
-            return "in_Uprime", None, False
-    orbit = DyadicOrbit(pmap, disk, z)
-    for step in range(first, horizon + 1):
-        if step > first:
-            orbit.advance()
+    orbit, seen = DyadicOrbit(pmap, disk, z), set()
+    for step in range(horizon + 1):
         side = orbit.side()
-        if side is None:
-            return "undecided", None, False
-        if side == "out":
-            return "escapes", step, False
+        if side != "in":
+            return ("escapes", step, False) if side == "out" else ("undecided", None, False)
+        if orbit._lattice is not None:
+            seen.add(orbit._lattice)
+        elif step == horizon:
+            break
+        orbit.advance()
+        if orbit._lattice in seen:
+            return "in_Uprime", None, orbit._lattice == z
     return "in_Uprime", None, False
 
 

@@ -274,6 +274,23 @@ def test_non_finite_point_and_coefficient_are_usage_errors(quad_config, tmp_path
     assert not (tmp_path / "o").exists()
 
 
+def test_chi_on_the_boundary_circle_is_a_certification_failure(tmp_path, capsys, monkeypatch,
+                                                                cubic_map, cubic_disk,
+                                                                cubic_tree):
+    # 3 lies exactly on the circle |z| = 3 of the cubic's U: the query is
+    # undecidable, exit 3, and no chi.json is written.  The map and tree are
+    # the session's cubic, so the config file is never read
+    monkeypatch.setattr(cli, "_build", lambda args: (cubic_map, cubic_disk, cubic_tree))
+    out_dir = tmp_path / "o"
+    code, out, err = run(["chi", "--config", str(tmp_path / "cubic.json"), "--point", "3,0",
+                          "--out", str(out_dir)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == ("certification failure: orbit step 0 lies exactly on the boundary "
+                   "circle of U\n")
+    assert not out_dir.exists()
+
+
 def test_chi_depth_below_one_is_usage_error(quad_config, tmp_path, capsys, monkeypatch):
     _no_build(monkeypatch)
     for depth in ("0", "-2"):

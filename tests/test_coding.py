@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 import cantorshift.coding as coding_mod
-from cantorshift import BudgetExceeded, InconsistentTree, ResolutionPolicy, build_tree
+from cantorshift import (
+    BudgetExceeded,
+    InconsistentTree,
+    ResolutionPolicy,
+    Undecided,
+    build_tree,
+    locate,
+)
 from cantorshift.coding import (
     assign_symbols,
     chi,
@@ -14,6 +21,7 @@ from cantorshift.coding import (
     fibers,
     verify_semiconjugacy,
 )
+from cantorshift.maps import _orbit_status
 from cantorshift.oracle import AbstractComponent, AbstractTree
 
 from conftest import CUBIC_DEPTH
@@ -182,21 +190,25 @@ def test_chi_escaping_point_certified(cubic_map, cubic_tree):
     assert res.escaped_at is not None
 
 
-def test_chi_walks_past_an_exact_boundary_point(cubic_map, cubic_disk, monkeypatch):
-    # 3 lies on the circle |z| = 3: its ball straddles it at the precision
-    # ceiling, the exact point classifies as "boundary", and chi walks on
-    # as if it were inside U, to f(3) = 18 + b outside.  This pins today's
-    # answer, which disagrees with the orbit status and locate: both call
-    # such a point undecided
+def test_exact_boundary_point_is_undecided_by_every_walk(cubic_map, cubic_disk, monkeypatch):
+    # 3 lies exactly on the circle |z| = 3, and in the lattice (1/D)Z[i], so
+    # the orbit walker classifies it exactly at step 0 and never refines past
+    # its 64 starting bits.  chi, the orbit status and locate all call it
+    # undecided; chi used to walk on to f(3) = 18 + b, outside U, and
+    # return 1, certified, escaped at step 1
     tree = build_tree(cubic_map, cubic_disk, 1,
                       policy=ResolutionPolicy(max_resolution=44, max_boxes=8_000_000))
-    steps = []
-    exact_point = coding_mod.DyadicOrbit.exact_point
-    monkeypatch.setattr(coding_mod.DyadicOrbit, "exact_point",
-                        lambda self: steps.append(self.step) or exact_point(self))
-    res = chi(cubic_map, ("3", "0"), tree)
-    assert (res.value, res.status, res.escaped_at, res.hits) == (1, "certified", 1, ())
-    assert steps == [0]
+    precs = []
+    set_prec = coding_mod.DyadicOrbit._set_prec
+    monkeypatch.setattr(coding_mod.DyadicOrbit, "_set_prec",
+                        lambda self, prec: precs.append(prec) or set_prec(self, prec))
+    with pytest.raises(Undecided, match="^orbit step 0 lies exactly on the boundary circle of U$"):
+        chi(cubic_map, ("3", "0"), tree)
+    assert _orbit_status(cubic_map, cubic_disk, (Fraction(3), Fraction(0)), 20) == (
+        "undecided", None, False)
+    assert precs == [64, 64]
+    with pytest.raises(Undecided, match="exactly on the boundary circle of U"):
+        locate(tree, ("3", "0"), 1)
 
 
 def test_chi_deep_preimage_certified_by_balls(cubic_map, cubic_tree):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorshift import (
@@ -478,12 +478,15 @@ _QUAD6 = [("-6", "0"), ("0", "0"), ("1", "0")]
 
 @pytest.mark.parametrize("coeffs, radius, start, horizon, status", [
     # exact seeds: an escape found in the lattice phase, a start on the
-    # circle, and a hand-off to dyadic balls at step 2 (0 -> -3/4 -> -3/16
-    # for z^2 - 3/4) and at step 0 (5/2 for z^2 - 6) that stays or escapes
+    # circle, a hand-off to dyadic balls at step 2 (0 -> -3/4 -> -3/16 for
+    # z^2 - 3/4) and at step 0 (5/2 for z^2 - 6) that stays or escapes, and
+    # a return to the start found at the image of the point at the horizon
+    # (0 -> -1 -> 0 for z^2 - 1 at horizon 1)
     (_QUAD6, "4", 0, 20, ("escapes", 1, False)),
     (_QUAD6, "3", 3, 20, ("undecided", None, False)),
     ([("-0.75", "0"), ("0", "0"), ("1", "0")], "2", 0, 20, ("in_Uprime", None, False)),
     (_QUAD6, "4", Fraction(5, 2), 20, ("escapes", 2, False)),
+    ([("-1", "0"), ("0", "0"), ("1", "0")], "2", 0, 1, ("in_Uprime", None, True)),
 ])
 def test_orbit_status_of_exact_seeds(coeffs, radius, start, horizon, status):
     assert _orbit_status(PolynomialMap(coeffs), DomainDisk(("0", "0"), radius),
@@ -632,6 +635,7 @@ _gauss_q = st.tuples(_small_q, _small_q)
 _monic_tail = st.lists(st.one_of(st.just((Fraction(0), Fraction(0))), _gauss_q),
                        min_size=2, max_size=4)
 _precs = st.sampled_from([4, 16, 64, 200])
+_ORIGIN = (Fraction(0), Fraction(0))
 
 
 def _walk(coeffs, z, steps, disk, prec):
@@ -659,10 +663,21 @@ def test_dyadic_orbit_encloses_exact_orbit(coeffs, z, prec, steps):
 @given(coeffs=_monic_tail, z=_gauss_q, prec=_precs, steps=st.integers(0, 2),
        center=_gauss_q,
        offset=st.sampled_from([Fraction(k, 256) for k in (-8, -1, 0, 1, 8)]))
+# z^2 to a point exactly on the circle: 2 in the lattice Z[i], 1/2 the first
+# point past it, and its image 1/4, which only the exact point decides
+@example(coeffs=[_ORIGIN, _ORIGIN], z=(Fraction(2), Fraction(0)), prec=64, steps=0,
+         center=_ORIGIN, offset=Fraction(0))
+@example(coeffs=[_ORIGIN, _ORIGIN], z=(Fraction(1, 2), Fraction(0)), prec=64, steps=0,
+         center=_ORIGIN, offset=Fraction(0))
+@example(coeffs=[_ORIGIN, _ORIGIN], z=(Fraction(1, 2), Fraction(0)), prec=64, steps=1,
+         center=_ORIGIN, offset=Fraction(0))
 @settings(max_examples=100, deadline=None)
 def test_dyadic_disk_test_never_wrong(coeffs, z, prec, steps, center, offset):
     # the circle is put within 1/32 of the orbit point, where coarse boxes
-    # straddle it and the precision has to grow before the side is known
+    # straddle it and the precision has to grow before the side is known;
+    # a point exactly on it is "boundary": decided exactly for a carried
+    # point, else by the exact point once the box straddles the circle at
+    # the precision ceiling
     pmap = PolynomialMap(list(coeffs) + [(Fraction(1), Fraction(0))])
     w = z
     for _ in range(steps):
@@ -671,12 +686,7 @@ def test_dyadic_disk_test_never_wrong(coeffs, z, prec, steps, center, offset):
     radius = max(Fraction(math.isqrt(int(d2 * 4 ** 10)), 2 ** 10) + offset, Fraction(1, 64))
     disk = DomainDisk(center, radius)
     _, orbit = _walk(coeffs, z, steps, disk, prec)
-    side = orbit.side()
-    exact = disk.classify_exact(w)
-    if side is None:
-        assert exact == "boundary"  # only an exact tie survives the ceiling
-    else:
-        assert side == exact
+    assert orbit.side() == disk.classify_exact(w)
 
 
 def _cubic():
