@@ -19,7 +19,9 @@ The induced cylinder map c sends a word (e_1, ..., e_k) to the unique
 level-k component with image c(e_2, ..., e_k) and e_1 in S(W); fibers of c
 realize the counting identity  #fiber(W) = cumulative_degree(W)  at finite
 depth.  Words are plain tuples of ints; the shift drops the first symbol
-and the prefix map drops the last.
+and the prefix map drops the last.  Internally a word of length j is the
+base-d number with the first symbol most significant, and c is read off
+one carrier table per level (``_carrier_tables``).
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetExceeded, HypothesisViolation, InconsistentTree, Undecided, check_level
 from .maps import DyadicOrbit, p_derivative, p_eval, parse_point, qc_is_zero
 
-# most words ``fibers`` enumerates
-_MAX_WORDS = 10_000_000
+# most words ``fibers`` and ``verify_semiconjugacy`` enumerate
+_MAX_WORDS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -94,72 +98,64 @@ def assign_symbols(tree) -> SymbolAssignment:
     return SymbolAssignment(d, symbols)
 
 
-def _first_symbol_lookup(assignment: SymbolAssignment, tree, level: int,
-                         defects=None) -> dict:
-    """(image index, first symbol) -> component index, for one level.
+def _carrier_tables(assignment: SymbolAssignment, tree, k: int, defects=None) -> list:
+    """The carrier tables T_1..T_k of the cylinder map, as int64 arrays.
 
-    A pair claimed twice raises InconsistentTree; when ``defects`` is a
-    list, it maps to None instead and (level, pair) is recorded there.
+    T_j[v, s] is the index of the level-j component over image v whose
+    symbol set holds s; -1 where none does, -2 where two or more do.  A
+    pair claimed twice raises InconsistentTree; when ``defects`` is a list,
+    (level, pair) is recorded there instead, once per repeated claim,
+    level by level in component order.
     """
-    table = {}
-    for comp in tree.levels[level]:
-        for s in assignment.of(level, comp.index):
-            key = (comp.image, s)
-            if key in table:
+    d = tree.degree
+    tables = []
+    for lvl in range(1, k + 1):
+        claims = [(c.image, s, c.index) for c in tree.levels[lvl]
+                  for s in assignment.symbols[(lvl, c.index)]]
+        image, symbol, owner = np.fromiter(itertools.chain.from_iterable(claims),
+                                           dtype=np.int64).reshape(-1, 3).T
+        # unreached images and stray symbols get cells too, to find their repeats
+        rows = max(len(tree.levels[lvl - 1]), int(image.max(initial=-1)) + 1)
+        cols = max(d, int(symbol.max(initial=-1)) + 1)
+        key = image * cols + symbol
+        claimed = np.bincount(key, minlength=rows * cols)
+        table = np.full(rows * cols, -1, dtype=np.int64)
+        table[key] = owner
+        table[claimed > 1] = -2
+        first = {}  # pair -> its first claim
+        for p in np.flatnonzero(claimed[key] > 1):
+            if first.setdefault(key[p], p) != p:
                 if defects is None:
-                    raise InconsistentTree(
-                        f"symbol {s} over image {comp.image} is claimed twice "
-                        f"at level {level}")
-                table[key] = None
-                defects.append((level, key))
-            else:
-                table[key] = comp.index
-    return table
+                    raise InconsistentTree(f"symbol {symbol[p]} over image {image[p]} "
+                                           f"is claimed twice at level {lvl}")
+                defects.append((lvl, (int(image[p]), int(symbol[p]))))
+        tables.append(table.reshape(rows, cols)[:, :d])
+    return tables
 
 
-def _first_symbol_lookups(assignment: SymbolAssignment, tree, k: int, defects=None) -> list:
-    """The ``_first_symbol_lookup`` tables of levels 1..k, at their level's
-    index (index 0 is None)."""
-    return [None] + [_first_symbol_lookup(assignment, tree, lvl, defects)
-                     for lvl in range(1, k + 1)]
+def _codes(tables) -> list:
+    """code_0, ..., code_k: code_j[w] is the index of c(w) for the word of
+    length j numbered w, base d with the first symbol most significant.
 
-
-def _resolve_word(word, lookup, memo, defects=None):
-    """The cylinder map on component indices: c(w) is the level-|w|
-    component over c(shift(w)) that carries w[0].
-
-    ``lookup[k]`` is the ``_first_symbol_lookup`` table of level k and
-    ``memo`` caches resolved words; seed it with {(): 0}, the root.  A
-    missing carrier raises InconsistentTree; when ``defects`` is a list the
-    word resolves to None instead, (level, pair) is recorded, and every
-    word over an unresolved suffix resolves to None as well.
+    The word s.u has number s * d^(j-1) + u, so code_j is
+    T_j[code_{j-1}].T.ravel().  A word over an unresolved suffix gets -1,
+    any other word its table entry.
     """
-    if word in memo:
-        return memo[word]
-    image_idx = _resolve_word(word[1:], lookup, memo, defects)
-    idx = None
-    if image_idx is not None:
-        table = lookup[len(word)]
-        key = (image_idx, word[0])
-        idx = table.get(key)
-        if idx is None and key not in table:
-            if defects is None:
-                raise InconsistentTree(
-                    f"no component for symbol {word[0]} over image {image_idx} "
-                    f"at level {len(word)}")
-            defects.append((len(word), key))
-    memo[word] = idx
-    return idx
+    codes = [np.zeros(1, dtype=np.int64)]
+    for table in tables:
+        prev = codes[-1]
+        codes.append(np.where(prev[:, None] >= 0, table[np.maximum(prev, 0)], -1).T.ravel())
+    return codes
 
 
 def cylinder_component(assignment: SymbolAssignment, tree, word):
     """The component id c(word) coded by a finite word.
 
     c(()) is the root, and c(w) is the unique level-|w| component whose
-    image is c(shift(w)) and whose symbol set contains the first letter;
-    ``_resolve_word`` walks the suffixes on the carrier tables of levels
-    1..|w|.  Total and single-valued whenever the assignment satisfies the
-    partition property; raises InconsistentTree otherwise.
+    image is c(shift(w)) and whose symbol set contains the first letter,
+    read off the carrier tables of levels 1..|w| from the last letter on.
+    Total and single-valued whenever the assignment satisfies the partition
+    property; raises InconsistentTree otherwise.
     """
     word = tuple(word)
     k = len(word)
@@ -169,12 +165,19 @@ def cylinder_component(assignment: SymbolAssignment, tree, word):
     for s in word:
         if not 0 <= s < d:
             raise ValueError(f"symbol {s} outside alphabet of size {d}")
-    return (k, _resolve_word(word, _first_symbol_lookups(assignment, tree, k), {(): 0}))
+    v = 0
+    for lvl, (table, s) in enumerate(zip(_carrier_tables(assignment, tree, k), reversed(word)), 1):
+        if table[v, s] < 0:
+            raise InconsistentTree(f"no component for symbol {s} over image {v} at level {lvl}")
+        v = int(table[v, s])
+    return (k, v)
 
 
 @dataclass(frozen=True)
 class FiberTable:
-    """All depth-k words grouped by the component they code."""
+    """All depth-k words grouped by the component they code: only the
+    components that receive a word, in ascending index, each with its words
+    in ascending lexicographic order."""
 
     level: int
     degree: int
@@ -185,8 +188,8 @@ class FiberTable:
 
 
 def fibers(assignment: SymbolAssignment, tree, k: int) -> FiberTable:
-    """Group all d^k words by coded component, resolving each word through
-    the suffix recursion of the cylinder map.
+    """Group all d^k words by coded component, by one stable sort of the
+    codes of the length-k words.
 
     Per-component counts equal the cumulative degree and every level-k
     component receives at least one word; both facts are consequences of
@@ -196,18 +199,20 @@ def fibers(assignment: SymbolAssignment, tree, k: int) -> FiberTable:
     d = tree.degree
     if d ** k > _MAX_WORDS:
         raise BudgetExceeded(f"{d}^{k} words exceed the enumeration budget")
-    lookup = _first_symbol_lookups(assignment, tree, k)
-    memo = {(): 0}
-    by_comp = {}
-    for word in itertools.product(range(d), repeat=k):
-        idx = _resolve_word(word, lookup, memo)
-        by_comp.setdefault((k, idx), []).append(word)
-    table = FiberTable(k, d, {cid: tuple(ws) for cid, ws in by_comp.items()})
+    code = _codes(_carrier_tables(assignment, tree, k))[-1]
+    if code.min() < 0:  # the least unresolved word names its missing carrier
+        cylinder_component(assignment, tree, np.unravel_index(np.argmax(code < 0), (d,) * k))
+    words = list(itertools.product(range(d), repeat=k))
+    grouped = [words[w] for w in np.argsort(code, kind="stable").tolist()]
+    got = np.bincount(code, minlength=len(tree.levels[k])).tolist()
+    # the fiber of component i is grouped[bounds[i]:bounds[i + 1]]
+    bounds = list(itertools.accumulate(got, initial=0))
+    table = FiberTable(k, d, {(k, idx): tuple(grouped[a:b]) for idx, (a, b)
+                              in enumerate(zip(bounds, bounds[1:])) if b > a})
     for comp in tree.levels[k]:
-        n = table.count(k, comp.index)
-        if n != comp.cumulative_degree:
+        if got[comp.index] != comp.cumulative_degree:
             raise InconsistentTree(
-                f"fiber of {(k, comp.index)} has {n} words, expected "
+                f"fiber of {(k, comp.index)} has {got[comp.index]} words, expected "
                 f"{comp.cumulative_degree}")
     return table
 
@@ -360,8 +365,9 @@ class VerificationReport:
         }
 
 
-def _word_str(w):
-    return "(" + ",".join(map(str, w)) + ")"
+def _word_str(number, length, d):
+    """The word of the given length numbered ``number``, as "(e_1,...,e_k)"."""
+    return "(" + ",".join(map(str, np.unravel_index(number, (d,) * length))) + ")"
 
 
 def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> VerificationReport:
@@ -371,91 +377,84 @@ def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> Verifica
     code the images, (3) the coding is onto the level-k components,
     (4) fiber sizes equal cumulative degrees, (5) a component whose fiber
     mixes first symbols has a critical component somewhere on its image
-    chain.  Each failing check reports a concrete counterexample.  Past the
+    chain.  They compare the codes of the words of lengths k - 1 and k; a
+    failing check reports its least failing word or component.  Past the
     word budget, BudgetExceeded comes before any word is resolved.
     """
     check_level(k, tree.depth, lowest=1)
     d = tree.degree
     if d ** k > _MAX_WORDS:
         raise BudgetExceeded(f"{d}^{k} words exceed the enumeration budget")
-    # resolve every word of length <= k, tolerating a broken assignment so
-    # that each defect still surfaces as a counterexample below
+    # tolerate a broken assignment so that each defect still surfaces as a
+    # counterexample below
     defects = []
-    lookup = _first_symbol_lookups(assignment, tree, k, defects)
-    code = {(): 0}
-    words = [()]
-    for _ in range(k):
-        words = [(s,) + w for w in words for s in range(d)]
-        for w in words:
-            _resolve_word(w, lookup, code, defects)
-    words_k = sorted(words)
+    codes = _codes(_carrier_tables(assignment, tree, k, defects))
+    code, prev, n, comps = codes[k], codes[k - 1], d ** (k - 1), tree.levels[k]
+    words = np.arange(d ** k)
+    resolved = code >= 0
+    container, image = np.array([(c.container, c.image) for c in comps],
+                                dtype=np.int64)[np.maximum(code, 0)].T
 
-    c1_ok, c1_ce = True, None
-    c2_ok, c2_ce = True, None
-    for w in words_k:
-        idx = code[w]
-        if idx is None:
-            if c2_ok:
-                c2_ok, c2_ce = False, f"word {_word_str(w)} has no coded component"
-            continue
-        comp = tree.levels[k][idx]
-        if comp.container != code[w[:-1]] and c1_ok:
-            c1_ok = False
-            c1_ce = (f"container(c{_word_str(w)}) = {comp.container}, "
-                     f"c{_word_str(w[:-1])} = {code[w[:-1]]}")
-        if comp.image != code[w[1:]] and c2_ok:
-            c2_ok = False
-            c2_ce = (f"image(c{_word_str(w)}) = {comp.image}, "
-                     f"c{_word_str(w[1:])} = {code[w[1:]]}")
+    prefix_ce = shift_ce = onto_ce = size_ce = mixed_ce = None
+    bad = np.flatnonzero(resolved & (container != prev[words // d]))
+    if bad.size:
+        w, u = bad[0], prev[bad[0] // d]
+        prefix_ce = (f"container(c{_word_str(w, k, d)}) = {container[w]}, "
+                     f"c{_word_str(w // d, k - 1, d)} = {u if u >= 0 else None}")
+    bad = np.flatnonzero(~resolved | (image != prev[words % n]))
+    if bad.size:
+        w = bad[0]
+        shift_ce = (f"word {_word_str(w, k, d)} has no coded component" if not resolved[w] else
+                    f"image(c{_word_str(w, k, d)}) = {image[w]}, "
+                    f"c{_word_str(w % n, k - 1, d)} = {prev[w % n]}")
 
-    counts = {}
-    firsts = {}
-    for w in words_k:
-        idx = code[w]
-        if idx is None:
-            continue
-        counts[idx] = counts.get(idx, 0) + 1
-        firsts.setdefault(idx, set()).add(w[0])
-
-    c3_ok, c3_ce = True, None
-    missing = [c.index for c in tree.levels[k] if c.index not in counts]
+    counts = np.bincount(code[resolved], minlength=len(comps))
+    missing = [c.index for c in comps if not counts[c.index]]
     if missing:
-        c3_ok, c3_ce = False, f"component ({k},{missing[0]}) receives no word"
+        onto_ce = f"component ({k},{missing[0]}) receives no word"
 
-    c4_ok, c4_ce = True, None
-    for comp in tree.levels[k]:
-        got = counts.get(comp.index, 0)
-        if got != comp.cumulative_degree:
-            c4_ok = False
-            c4_ce = (f"fiber of ({k},{comp.index}) has {got} words, "
-                     f"cumulative degree is {comp.cumulative_degree}")
+    for comp in comps:
+        if counts[comp.index] != comp.cumulative_degree:
+            size_ce = (f"fiber of ({k},{comp.index}) has {counts[comp.index]} words, "
+                       f"cumulative degree is {comp.cumulative_degree}")
             break
-    if c4_ok and defects:
-        lvl, key = defects[0]
-        c4_ok, c4_ce = False, f"symbol table defect at level {lvl}, (image, symbol) = {key}"
+    else:
+        # a table defect, or else, when a word is unresolved, the first
+        # missing pair a word reaches: level by level, last symbol first
+        for lvl in range(1, k + 1):
+            if defects or resolved.all():
+                break
+            reach = np.tile(codes[lvl - 1], d)  # c(shift w) of each length-lvl word w
+            met = np.arange(d ** lvl).reshape((d,) * lvl).T.ravel()
+            gap = met[(codes[lvl][met] == -1) & (reach[met] >= 0)]
+            if gap.size:
+                defects.append((lvl, (int(reach[gap[0]]), int(gap[0] // d ** (lvl - 1)))))
+        if defects:
+            lvl, key = defects[0]
+            size_ce = f"symbol table defect at level {lvl}, (image, symbol) = {key}"
 
-    c5_ok, c5_ce = True, None
-    for comp in tree.levels[k]:
-        fs = firsts.get(comp.index, set())
-        if len(fs) < 2:
-            continue
+    # the distinct (component, first symbol) pairs of the resolved words
+    firsts = np.unique(code[resolved] * d + words[resolved] // n)
+    mixed = np.bincount(firsts // d, minlength=len(comps)) >= 2
+    for i in np.flatnonzero(mixed):
         # walk the image chain down to a branched component or to level 1
-        node = comp
+        node = comp = comps[i]
         while node.local_degree < 2 and node.level > 1:
             node = tree.levels[node.level - 1][node.image]
         if node.local_degree < 2:
-            c5_ok, c5_ce = False, (f"fiber of ({k},{comp.index}) mixes first symbols "
-                                   f"{sorted(fs)} but its image chain is critical-free")
+            mixed_ce = (f"fiber of ({k},{comp.index}) mixes first symbols "
+                        f"{(firsts[firsts // d == comp.index] % d).tolist()} "
+                        f"but its image chain is critical-free")
             break
 
-    checks = (
-        ("container-of-prefix", c1_ok, c1_ce),
-        ("image-of-shift", c2_ok, c2_ce),
-        ("surjective-onto-level", c3_ok, c3_ce),
-        ("fiber-size-equals-degree", c4_ok, c4_ce),
-        ("mixed-fibers-are-critical", c5_ok, c5_ce),
-    )
-    return VerificationReport(level=k, words_checked=len(words_k), checks=checks)
+    checks = tuple((name, ce is None, ce) for name, ce in (
+        ("container-of-prefix", prefix_ce),
+        ("image-of-shift", shift_ce),
+        ("surjective-onto-level", onto_ce),
+        ("fiber-size-equals-degree", size_ce),
+        ("mixed-fibers-are-critical", mixed_ce),
+    ))
+    return VerificationReport(level=k, words_checked=d ** k, checks=checks)
 
 
 def coding_to_json_dict(assignment: SymbolAssignment, tree, k: int) -> dict:

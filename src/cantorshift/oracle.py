@@ -7,9 +7,9 @@ d into N >= 2 parts, and below that the children of a parent P over each
 component V carry degrees composing local_degree(P).
 
 ``brute_force_fibers`` recounts cylinder fibers by iterative table-filling
-over word lists, sharing no code with the suffix-recursive enumeration in
-``coding.fibers``; agreement of the two on generated trees is the
-correctness oracle for the coding construction.
+over word lists, sharing no code with the per-level carrier arrays and word
+codes behind ``coding.fibers``; agreement of the two on generated trees is
+the correctness oracle for the coding construction.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def brute_force_fibers(tree, assignment, k: int):
     Maintains the full list of words per component, extending one letter at
     a time: a word of length n+1 prepends a symbol s to a word w of length
     n, landing in the unique level-(n+1) component over c(w) whose symbol
-    set contains s.  Deliberately shares no enumeration code with
-    coding.fibers.
+    set contains s.  Deliberately works on dicts and tuples, sharing no
+    code with the carrier arrays and base-d word codes of coding.fibers.
     """
     d = tree.degree
     if d ** k > _MAX_WORDS:

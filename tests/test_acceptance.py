@@ -4,11 +4,18 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; every check is exact (integer) unless stated otherwise.
 """
 
+import itertools
 import time
 from fractions import Fraction
 
 from cantorshift import cantor_diagnostic, validate_restriction
-from cantorshift.coding import assign_symbols, chi, fibers, verify_semiconjugacy
+from cantorshift.coding import (
+    assign_symbols,
+    chi,
+    cylinder_component,
+    fibers,
+    verify_semiconjugacy,
+)
 from cantorshift.oracle import run_equivalence_cases
 
 from conftest import CUBIC_DEPTH, QUAD_DEPTH
@@ -147,22 +154,19 @@ def test_criterion_5_semiconjugacy_exhaustive(quadratic_tree, quadratic_assignme
     """For every word: the shifted word codes the image and the prefix codes
     the container.  Exhaustive to k = 8 on the quadratic and to the built
     depth (6) on the cubic."""
-    from cantorshift.coding import _first_symbol_lookup, _resolve_word
-
     total = 0
     for tree, assignment, kmax in ((quadratic_tree, quadratic_assignment, 8),
                                    (cubic_tree, cubic_assignment, CUBIC_DEPTH)):
         d = tree.degree
-        lookup = [None] + [_first_symbol_lookup(assignment, tree, lvl)
-                           for lvl in range(1, kmax + 1)]
-        memo = {(): 0}
-        import itertools
+        coded = {(): 0}  # word -> index of c(word), one cylinder_component call per word
         for k in range(1, kmax + 1):
             for word in itertools.product(range(d), repeat=k):
-                idx = _resolve_word(word, lookup, memo)
+                lvl, idx = cylinder_component(assignment, tree, word)
+                assert lvl == k
+                coded[word] = idx
                 comp = tree.levels[k][idx]
-                assert comp.image == _resolve_word(word[1:], lookup, memo)
-                assert comp.container == _resolve_word(word[:-1], lookup, memo)
+                assert comp.image == coded[word[1:]]
+                assert comp.container == coded[word[:-1]]
                 total += 1
     _report("5 finite-depth semi-conjugacy", True,
             f"image(c(w)) = c(shift w) and container(c(w)) = c(prefix w) "

@@ -1,5 +1,7 @@
 """Symbol assignment, cylinder map, fibers, chi, and the verifier."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from cantorshift.coding import (
     verify_semiconjugacy,
 )
 from cantorshift.maps import _orbit_status
-from cantorshift.oracle import AbstractComponent, AbstractTree
+from cantorshift.oracle import AbstractComponent, AbstractTree, brute_force_fibers, generate
 
 from conftest import CUBIC_DEPTH
 
@@ -128,6 +130,20 @@ def test_fiber_of_critical_chain_abstract():
     assert sorted(table.words_by_component[(2, 0)]) == [
         (0, 0), (0, 1), (1, 0), (1, 1)]
     assert sum(len(w) for w in table.words_by_component.values()) == 9
+
+
+def test_fibers_list_ascending_words_under_exactly_the_coded_components():
+    # coding.json lists each fiber in this order
+    for tree in (generate(99, 3, 4), generate(7, 4, 4)):
+        a = assign_symbols(tree)
+        k, d = tree.depth, tree.degree
+        table = fibers(a, tree, k)
+        for ws in table.words_by_component.values():
+            assert list(ws) == sorted(ws)
+        assert set(table.words_by_component) == set(brute_force_fibers(tree, a, k))
+        assert sorted(itertools.chain.from_iterable(table.words_by_component.values())) == \
+            list(itertools.product(range(d), repeat=k))
+        assert fibers(a, tree, 0).words_by_component == {(0, 0): ((),)}
 
 
 def test_fibers_equal_cumulative_cubic(cubic_tree, cubic_assignment):
@@ -322,17 +338,45 @@ def test_verify_reports_a_symbol_table_defect_where_fibers_match():
     }
 
 
+def test_verify_reports_the_first_missing_pair_a_word_reaches():
+    # at level 2, symbol 2 over A and symbol 0 over B lose their carriers;
+    # with the cumulative degrees lowered to match, only the symbol table
+    # shows the defect.  The words of a level are taken with the last
+    # symbol most significant, so (2,0) names its pair before (0,2) does
+    base = abstract_tree_d3()
+    a = assign_symbols(base)
+    level2 = [dataclasses.replace(c, cumulative_degree=n)
+              for c, n in zip(base.levels[2], (4, 1, 0, 1))]
+    tree = AbstractTree(3, base.levels[:2] + [level2])
+    symbols = dict(a.symbols)
+    symbols[(2, 1)], symbols[(2, 2)] = (1,), ()
+    report = verify_semiconjugacy(type(a)(a.degree, symbols), tree, 2)
+    assert report.checks[1:4] == (
+        ("image-of-shift", False, "word (0,2) has no coded component"),
+        ("surjective-onto-level", False, "component (2,2) receives no word"),
+        ("fiber-size-equals-degree", False,
+         "symbol table defect at level 2, (image, symbol) = (0, 2)"),
+    )
+
+
 def test_verify_checks_the_word_budget_first(monkeypatch):
     # d^k words past the budget raise before any word is resolved
     tree = abstract_tree_d3()
     a = assign_symbols(tree)
     monkeypatch.setattr(coding_mod, "_MAX_WORDS", 8)
-    monkeypatch.setattr(coding_mod, "_resolve_word", None)  # never called
+    monkeypatch.setattr(coding_mod, "_carrier_tables", None)  # never called
     with pytest.raises(BudgetExceeded, match="3\\^2 words exceed"):
         verify_semiconjugacy(a, tree, 2)
     monkeypatch.undo()
     monkeypatch.setattr(coding_mod, "_MAX_WORDS", 9)
     assert verify_semiconjugacy(a, tree, 2).all_passed
+    # the real budget, 2^20 words, turns down 2^21 before any table is built
+    monkeypatch.undo()
+    monkeypatch.setattr(coding_mod, "_carrier_tables", None)
+    deep = AbstractTree(2, [tree.levels[0]] * 22)
+    for f in (fibers, verify_semiconjugacy):
+        with pytest.raises(BudgetExceeded, match="2\\^21 words exceed"):
+            f(a, deep, 21)
 
 
 def test_chi_rejects_a_non_finite_point(quadratic_map, quadratic_tree):
