@@ -173,6 +173,7 @@ class _Built:
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 # cells per _classify_batch call: large waves go in slices of this size
+# (8,192 to 32,768 time alike on one thread; ROADMAP item 5 has the runs)
 _WAVE_SLICE = 1 << 14
 
 
@@ -387,8 +388,11 @@ class _TreeBuilder:
         self.levels = []               # components per accepted level
         # band cells stop once their k-step image is below this width
         self._stop_width = BAND_SCALE * 2.0 * float(disk.radius)
-        # the local-scale raster of the parent level, repainted per level
-        self._scale_raster = np.zeros((1 << self._SCALE_BITS,) * 2)
+        # the local-scale raster of the parent level, repainted per level:
+        # per pixel the code r + 1 of a resolution-r cell, 0 off the cover
+        self._scale_raster = np.zeros((1 << self._SCALE_BITS,) * 2, dtype=np.uint8)
+        self._scale_sizes = np.array(  # the cell size of each code
+            [0.0] + [self.frame.cell_size(r) for r in range(MAX_RESOLUTION + 1)])
 
     # -- level 0: the disk itself ------------------------------------------
 
@@ -520,8 +524,8 @@ class _TreeBuilder:
 
     def _build_scale_raster(self, built):
         """Repaint the raster with a level's local structure scale: per
-        pixel, the size of the coarsest band cell over it, else of the
-        coarsest interior cell, zero off the cover.  Only the band stopping
+        pixel, the code r + 1 of the coarsest band cell over it, else of the
+        coarsest interior cell, 0 off the cover.  Only the band stopping
         rule reads it, as a heuristic; certificates never do.  The coarsest
         cell keeps fine collar cells from dragging the next level's target
         scale down.  Interior cells go first and band cells over them, each
@@ -529,7 +533,7 @@ class _TreeBuilder:
         last write to a pixel comes from its coarsest cell."""
         bits = self._SCALE_BITS
         m, raster, pav = 1 << bits, self._scale_raster, built.pavement
-        raster.fill(0.0)
+        raster.fill(0)
         finest_first = np.flatnonzero(np.bincount(pav.r))[::-1].tolist()
         for group in (built.interior, ~built.interior):
             for r in finest_first:
@@ -538,14 +542,16 @@ class _TreeBuilder:
                 i, j = pav.i[sel], pav.j[sel]
                 i >>= s
                 j >>= s
-                raster.reshape(n, m // n, n, m // n)[i, :, j, :] = self.frame.cell_size(r)
+                raster.reshape(n, m // n, n, m // n)[i, :, j, :] = r + 1
 
     def _scale_lookup(self, x, y):
+        """The local scale at each point (x, y), clipped into the frame: the
+        float64 cell size of its pixel's code, 0.0 off the cover."""
         m = len(self._scale_raster)
         s = self.frame.side / m
         ix = np.clip(((x - self.frame.x0) / s).astype(np.int64), 0, m - 1)
         iy = np.clip(((y - self.frame.y0) / s).astype(np.int64), 0, m - 1)
-        return self._scale_raster[ix, iy]
+        return self._scale_sizes.take(self._scale_raster.ravel().take(ix * m + iy))
 
     # -- certificates ----------------------------------------------------------
 

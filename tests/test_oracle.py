@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorshift import oracle as oracle_mod
 from cantorshift.coding import assign_symbols, fibers
+from cantorshift.errors import BudgetExceeded
 from cantorshift.oracle import (
     AbstractTree,
     brute_force_fibers,
@@ -81,3 +83,19 @@ def test_run_equivalence_cases_rejects_arguments_before_any_case():
         with pytest.raises(ValueError, match=message):
             run_equivalence_cases(**{"seed": 0, "cases": 3, **kwargs})
     assert run_equivalence_cases(0, 0) == (0, 0, [])
+
+
+def test_brute_force_checks_the_word_budget_first(monkeypatch):
+    # d^k words past the budget raise before any word is built: the tree's
+    # levels and the symbol sets are never read
+    tree = generate(5, 3, 2)
+    a = assign_symbols(tree)
+    monkeypatch.setattr(oracle_mod, "_MAX_WORDS", 8)
+    with pytest.raises(BudgetExceeded, match="3\\^2 words exceed"):
+        brute_force_fibers(AbstractTree(3, None), None, 2)
+    monkeypatch.setattr(oracle_mod, "_MAX_WORDS", 9)
+    assert sum(brute_force_fibers(tree, a, 2).values()) == 9
+    # the real budget, 2^18 words, turns down 2^19
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceeded, match="2\\^19 words exceed"):
+        brute_force_fibers(AbstractTree(2, None), None, 19)

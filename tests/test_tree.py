@@ -392,7 +392,8 @@ def test_scale_raster_matches_two_raster_maximum(request, case):
     builder = tree_mod._TreeBuilder(tree.map, tree.disk, tree.policy)
     for built in tree._built:
         builder._build_scale_raster(built)
-        assert np.array_equal(builder._scale_raster, _two_raster_scale(tree.frame, built))
+        decoded = builder._scale_sizes[builder._scale_raster]
+        assert np.array_equal(decoded, _two_raster_scale(tree.frame, built))
 
 
 def test_scale_raster_of_mixed_cells(quadratic_map, quadratic_disk):
@@ -411,9 +412,9 @@ def test_scale_raster_of_mixed_cells(quadratic_map, quadratic_disk):
     inner = np.zeros(len(pavement), dtype=bool)
     inner[pavement.find(*np.array([c for c, i in cells if i]).T)] = True
     built = SimpleNamespace(pavement=pavement, interior=inner)
-    builder._scale_raster[:] = 1.0  # a repaint clears the last level's scales
+    builder._scale_raster[:] = 1  # a repaint clears the last level's scales
     builder._build_scale_raster(built)
-    raster = builder._scale_raster
+    raster = builder._scale_sizes[builder._scale_raster]
     assert np.array_equal(raster, _two_raster_scale(frame, built))
     assert (raster[:256, :128] == size(3)).all()
     assert (raster[256:260, 256:260] == size(8)).all()
@@ -436,6 +437,32 @@ def test_scale_raster_repaint_stays_small(cubic_tree):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20, f"repaint of {len(built.pavement)} cells peaked at {peak} bytes"
+    assert builder._scale_raster.nbytes == 1 << 20
+
+
+@pytest.mark.parametrize("case", ["quadratic", "cubic"])
+def test_scale_lookup_equals_the_float_raster_bit_for_bit(request, case):
+    # on every level, the scale looked up at points across the frame, and
+    # at points outside it that clip to its edge pixels, is the float of
+    # the two-raster maximum at the same pixel, bit for bit
+    tree = request.getfixturevalue(f"{case}_tree")
+    builder = tree_mod._TreeBuilder(tree.map, tree.disk, tree.policy)
+    frame, m = tree.frame, 1 << 10
+    rng = np.random.default_rng(20091)
+    u, v = frame.side * rng.uniform(-0.1, 1.1, (2, 20_000))
+    x, y = frame.x0 + u, frame.y0 + v
+    ix = np.clip(np.floor((x - frame.x0) / (frame.side / m)).astype(np.int64), 0, m - 1)
+    iy = np.clip(np.floor((y - frame.y0) / (frame.side / m)).astype(np.int64), 0, m - 1)
+    assert ((ix == 0) | (ix == m - 1)).sum() > 1000
+    scales = set()
+    for built in tree._built:
+        builder._build_scale_raster(built)
+        local = builder._scale_lookup(x, y)
+        assert local.dtype == np.float64 and (local > 0).any()
+        expected = _two_raster_scale(frame, built)[ix, iy]
+        assert np.array_equal(local.view(np.int64), expected.view(np.int64))
+        scales.update(local.tolist())
+    assert len(scales) > 3
 
 
 def _with_box(boxes, rect):
