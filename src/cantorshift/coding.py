@@ -21,13 +21,16 @@ realize the counting identity  #fiber(W) = cumulative_degree(W)  at finite
 depth.  Words are plain tuples of ints; the shift drops the first symbol
 and the prefix map drops the last.  Internally a word of length j is the
 base-d number with the first symbol most significant, and c is read off
-one carrier table per level (``_carrier_tables``).
+one carrier table per level (``_carrier_tables``).  Each table is built
+once per assignment and tree and kept on the assignment, so every entry
+point after the first reads the tables it needs off that store.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,10 +44,21 @@ _MAX_WORDS = 2 ** 20
 @dataclass(frozen=True)
 class SymbolAssignment:
     """Symbol sets per component id (level, index); level 0 owns the full
-    alphabet."""
+    alphabet.
+
+    An assignment and every tree it codes are treated as immutable once
+    coded: the assignment keeps, per tree, the carrier tables of the levels
+    built so far with their repeated claims (``_carrier_tables``), and
+    serves them to every later call on that tree.  Trees are held weakly,
+    so the store lives no longer than they do.  To code altered symbol sets,
+    build a new assignment.  Concurrent readers stay safe: each level keeps
+    the first table stored for it.
+    """
 
     degree: int
     symbols: dict
+    _tables: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False)
 
     def of(self, level: int, index: int) -> tuple:
         if level == 0:
@@ -98,38 +112,55 @@ def assign_symbols(tree) -> SymbolAssignment:
     return SymbolAssignment(d, symbols)
 
 
-def _carrier_tables(assignment: SymbolAssignment, tree, k: int, defects=None) -> list:
-    """The carrier tables T_1..T_k of the cylinder map, as int64 arrays.
+def _carrier_table(assignment: SymbolAssignment, tree, lvl: int):
+    """The carrier table T_lvl of the cylinder map, as an int64 array, and
+    its repeated claims.
 
-    T_j[v, s] is the index of the level-j component over image v whose
-    symbol set holds s; -1 where none does, -2 where two or more do.  A
-    pair claimed twice raises InconsistentTree; when ``defects`` is a list,
-    (level, pair) is recorded there instead, once per repeated claim,
-    level by level in component order.
+    T_lvl[v, s] is the index of the level-lvl component over image v whose
+    symbol set holds s; -1 where none does, -2 where two or more do.  The
+    repeats are (lvl, pair), once per repeated claim, in component order.
     """
     d = tree.degree
+    claims = [(c.image, s, c.index) for c in tree.levels[lvl]
+              for s in assignment.symbols[(lvl, c.index)]]
+    image, symbol, owner = np.fromiter(itertools.chain.from_iterable(claims),
+                                       dtype=np.int64).reshape(-1, 3).T
+    # unreached images and stray symbols get cells too, to find their repeats
+    rows = max(len(tree.levels[lvl - 1]), int(image.max(initial=-1)) + 1)
+    cols = max(d, int(symbol.max(initial=-1)) + 1)
+    key = image * cols + symbol
+    claimed = np.bincount(key, minlength=rows * cols)
+    table = np.full(rows * cols, -1, dtype=np.int64)
+    table[key] = owner
+    table[claimed > 1] = -2
+    first = {}  # pair -> its first claim
+    repeats = [(lvl, (int(image[p]), int(symbol[p])))
+               for p in np.flatnonzero(claimed[key] > 1).tolist()
+               if first.setdefault(key[p], p) != p]
+    return table.reshape(rows, cols)[:, :d], repeats
+
+
+def _carrier_tables(assignment: SymbolAssignment, tree, k: int, defects=None) -> list:
+    """The carrier tables T_1..T_k, each built once per assignment and tree
+    by ``_carrier_table`` and kept in the assignment's store.
+
+    A pair claimed twice raises InconsistentTree at the first repeat of the
+    lowest level that has one; when ``defects`` is a list, every repeat is
+    recorded there instead, level by level in component order.
+    """
+    store = assignment._tables.setdefault(tree, {})  # level -> (table, repeats)
     tables = []
     for lvl in range(1, k + 1):
-        claims = [(c.image, s, c.index) for c in tree.levels[lvl]
-                  for s in assignment.symbols[(lvl, c.index)]]
-        image, symbol, owner = np.fromiter(itertools.chain.from_iterable(claims),
-                                           dtype=np.int64).reshape(-1, 3).T
-        # unreached images and stray symbols get cells too, to find their repeats
-        rows = max(len(tree.levels[lvl - 1]), int(image.max(initial=-1)) + 1)
-        cols = max(d, int(symbol.max(initial=-1)) + 1)
-        key = image * cols + symbol
-        claimed = np.bincount(key, minlength=rows * cols)
-        table = np.full(rows * cols, -1, dtype=np.int64)
-        table[key] = owner
-        table[claimed > 1] = -2
-        first = {}  # pair -> its first claim
-        for p in np.flatnonzero(claimed[key] > 1):
-            if first.setdefault(key[p], p) != p:
-                if defects is None:
-                    raise InconsistentTree(f"symbol {symbol[p]} over image {image[p]} "
-                                           f"is claimed twice at level {lvl}")
-                defects.append((lvl, (int(image[p]), int(symbol[p]))))
-        tables.append(table.reshape(rows, cols)[:, :d])
+        if lvl not in store:
+            # two readers may build a level at once; setdefault keeps one
+            store.setdefault(lvl, _carrier_table(assignment, tree, lvl))
+        table, repeats = store[lvl]
+        if defects is not None:
+            defects.extend(repeats)
+        elif repeats:
+            _, (v, s) = repeats[0]
+            raise InconsistentTree(f"symbol {s} over image {v} is claimed twice at level {lvl}")
+        tables.append(table)
     return tables
 
 
@@ -154,8 +185,9 @@ def cylinder_component(assignment: SymbolAssignment, tree, word):
     c(()) is the root, and c(w) is the unique level-|w| component whose
     image is c(shift(w)) and whose symbol set contains the first letter,
     read off the carrier tables of levels 1..|w| from the last letter on.
-    Total and single-valued whenever the assignment satisfies the partition
-    property; raises InconsistentTree otherwise.
+    Once those levels are in the assignment's store, that is k table
+    lookups.  Total and single-valued whenever the assignment satisfies the
+    partition property; raises InconsistentTree otherwise.
     """
     word = tuple(word)
     k = len(word)

@@ -810,12 +810,19 @@ class DyadicOrbit:
     def side(self):
         """'in' (inside the open disk), 'out' (outside the closed disk) or
         'boundary', certified: exactly for a carried point, never refining;
-        else by the box up to the ceiling, then by the exact point.  None
-        past the size guard, or for a rectangle seed."""
+        else by the box up to the ceiling, then by the exact point.  A box
+        that straddles the circle while the exact point has at most ``prec``
+        bits answers "boundary" at once if that point is on the circle; an
+        exact "in" or "out" still refines, so the boxes stay as they were.
+        None past the size guard, or for a rectangle seed."""
         k, z = self._exact or (None, None)
         if k != self.step:
-            while (s := self._side()) is None and self._refine():
-                pass
+            while (s := self._side()) is None:
+                z = self._exact_within(self.prec)
+                if z is not None and self._classify(z) == "boundary":
+                    return "boundary"
+                if not self._refine():
+                    break
             if s is not None or (z := self.exact_point()) is None:
                 return s
         return self._classify(z)
@@ -831,14 +838,20 @@ class DyadicOrbit:
         """The exact orbit point at the current step, or None for a
         rectangle seed or once the exact orbit passes the
         ``_MAX_ORBIT_BITS`` size guard."""
+        return self._exact_within(_MAX_ORBIT_BITS)
+
+    def _exact_within(self, bits):
+        """The exact orbit point at the current step, or None for a
+        rectangle seed or once the exact orbit passes ``bits`` bits; the
+        exact orbit is advanced no further than that."""
         if self._exact is None:
             return None
         k, z = self._exact
-        while k < self.step and qc_bits(z) <= _MAX_ORBIT_BITS:
+        while k < self.step and qc_bits(z) <= bits:
             z = self.pmap.eval_exact(z)
             k += 1
         self._exact = (k, z)
-        if k < self.step or qc_bits(z) > _MAX_ORBIT_BITS:
+        if k < self.step or qc_bits(z) > bits:
             return None
         return z
 

@@ -55,6 +55,8 @@ def _random_composition(rng: random.Random, total: int, bias: float, min_parts: 
     """Random composition of ``total``; each of the total-1 gaps breaks
     independently with probability ``bias`` (0.5 is uniform over all
     compositions; larger values favor smaller parts)."""
+    if total == 1 and min_parts <= 1:
+        return [1]  # no gap to break: the general path draws nothing either
     if total < min_parts:
         raise ValueError("cannot compose below the minimum number of parts")
     breaks = [g for g in range(total - 1) if rng.random() < bias]
@@ -156,7 +158,8 @@ def run_equivalence_cases(seed: int, cases: int, degrees=(2, 3, 4), max_depth: i
     generates a tree, builds the assignment, and requires exact agreement
     of the two fiber computations plus the partition/nesting invariants.
     A degree below 2, a depth below 1 or a negative case count raises
-    ValueError before any case runs.
+    ValueError, and a batch whose largest case could pass the brute-force
+    word budget raises BudgetExceeded, both before any case runs.
     """
     from .coding import assign_symbols, fibers
 
@@ -164,6 +167,8 @@ def run_equivalence_cases(seed: int, cases: int, degrees=(2, 3, 4), max_depth: i
                                ("case count", cases, 0)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, not {value}")
+    if max(degrees) ** max_depth > _MAX_WORDS:
+        raise BudgetExceeded(f"{max(degrees)}^{max_depth} words exceed the enumeration budget")
     rng = random.Random(seed)
     passed = 0
     messages = []

@@ -135,6 +135,19 @@ def test_oracle_test_rejects_arguments_before_any_case(capsys, monkeypatch, args
     assert err == f"error: {message}\n"
 
 
+def test_oracle_test_past_the_word_budget_exits_3_before_any_case(capsys, monkeypatch):
+    # 4^10 words pass the brute-force budget of 2^18: this used to generate
+    # and count the case for about 15 s, then call it failed (exit 5)
+    def generate(*args):
+        raise AssertionError("a case was generated")
+    monkeypatch.setattr("cantorshift.oracle.generate", generate)
+    code, out, err = run(["oracle-test", "--seed", "1", "--cases", "1", "--d", "4",
+                          "--depth", "10"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "certification failure: 4^10 words exceed the enumeration budget\n"
+
+
 def test_byte_identical_exports(quad_config, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CANTORSHIFT_MAX_RESOLUTION", "30")
     blobs = []

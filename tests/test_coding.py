@@ -1,7 +1,9 @@
 """Symbol assignment, cylinder map, fibers, chi, and the verifier."""
 
 import dataclasses
+import gc
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -377,6 +379,91 @@ def test_verify_checks_the_word_budget_first(monkeypatch):
     for f in (fibers, verify_semiconjugacy):
         with pytest.raises(BudgetExceeded, match="2\\^21 words exceed"):
             f(a, deep, 21)
+
+
+def test_each_carrier_table_is_built_once_per_assignment_and_tree(quadratic_tree,
+                                                                  monkeypatch):
+    # a new assignment: the session fixture's store may hold tables already
+    a = assign_symbols(quadratic_tree)
+    k = quadratic_tree.depth
+    built = []
+    build = coding_mod._carrier_table
+    monkeypatch.setattr(coding_mod, "_carrier_table",
+                        lambda *args: built.append(args[2]) or build(*args))
+    rng = random.Random(5)
+    words = [tuple(rng.randrange(2) for _ in range(1 + n % k)) for n in range(200)]
+    coded = [cylinder_component(a, quadratic_tree, w) for w in words]
+    table = fibers(a, quadratic_tree, k)
+    assert verify_semiconjugacy(a, quadratic_tree, 8).all_passed
+    doc = coding_to_json_dict(a, quadratic_tree, k)
+    assert built == list(range(1, k + 1))
+    for w, (lvl, idx) in zip(words, coded):
+        assert "".join(map(str, w)) in doc["levels"][str(lvl)][f"{lvl}:{idx}"]["fiber_words"]
+    assert sum(map(len, table.words_by_component.values())) == 2 ** k
+
+
+def test_stored_repeats_give_the_same_answers_in_any_call_order():
+    # the doubly claimed pair of test_verify_reports_a_doubly_claimed_symbol,
+    # on one assignment object per order: the level-2 table and its repeat
+    # are built by whichever call comes first and read by the others
+    tree = abstract_tree_d3()
+    base = assign_symbols(tree)
+    symbols = dict(base.symbols)
+    symbols[(2, 2)] = (1,)
+    claimed = "^symbol 1 over image 0 is claimed twice at level 2$"
+    checks = verify_semiconjugacy(type(base)(base.degree, symbols), tree, 2).checks
+    assert checks[3] == ("fiber-size-equals-degree", False,
+                         "fiber of (2,0) has 2 words, cumulative degree is 4")
+    calls = {
+        "verify": lambda a: verify_semiconjugacy(a, tree, 2).checks == checks,
+        "cylinder_component": lambda a: cylinder_component(a, tree, (1, 0)),
+        "fibers": lambda a: fibers(a, tree, 2),
+        "level 1": lambda a: (cylinder_component(a, tree, (2,)) == (1, 1)
+                              and fibers(a, tree, 1).count(1, 0) == 2),
+    }
+    for order in itertools.permutations(calls):
+        a = type(base)(base.degree, symbols)
+        for name in order * 2:
+            if name in ("cylinder_component", "fibers"):
+                with pytest.raises(InconsistentTree, match=claimed):
+                    calls[name](a)
+            else:
+                assert calls[name](a), (order, name)
+
+
+def test_one_assignment_keeps_each_trees_own_tables():
+    # the wider tree of test_verify_reports_a_symbol_table_defect_where_fibers_match
+    # has two extra level-1 components that both claim symbol 0 over image 1;
+    # the base tree never reads their symbol sets
+    base = abstract_tree_d3()
+    a0 = assign_symbols(base)
+    extra = [AbstractComponent(1, idx, 0, 1, 1, 0) for idx in (2, 3)]
+    wide = AbstractTree(3, [base.levels[0], base.levels[1] + extra])
+    symbols = dict(a0.symbols)
+    symbols.update({(1, 2): (0,), (1, 3): (0,)})
+    for order in ((base, wide), (wide, base)):
+        a = type(a0)(a0.degree, symbols)
+        for tree in order * 2:
+            report = verify_semiconjugacy(a, tree, 1)
+            if tree is base:
+                assert report.all_passed
+                assert verify_semiconjugacy(a, base, 2).all_passed
+                assert cylinder_component(a, base, (1, 0)) == (2, 0)
+            else:
+                assert {name: ce for name, ok, ce in report.checks if not ok} == {
+                    "surjective-onto-level": "component (1,2) receives no word",
+                    "fiber-size-equals-degree":
+                        "symbol table defect at level 1, (image, symbol) = (1, 0)",
+                }
+                with pytest.raises(InconsistentTree,
+                                   match="^symbol 0 over image 1 is claimed twice at level 1$"):
+                    cylinder_component(a, wide, (0,))
+    # the store holds trees weakly: a tree no one else holds takes its
+    # tables with it
+    assert len(a._tables) == 2
+    del wide, order, tree
+    gc.collect()
+    assert list(a._tables) == [base]
 
 
 def test_chi_rejects_a_non_finite_point(quadratic_map, quadratic_tree):

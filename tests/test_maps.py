@@ -689,6 +689,19 @@ def test_dyadic_disk_test_never_wrong(coeffs, z, prec, steps, center, offset):
     assert orbit.side() == disk.classify_exact(w)
 
 
+def test_a_box_over_a_small_point_on_the_circle_answers_at_once():
+    # z^2 from 1/2 on |z| < 1/4: step 1 is 1/4, on the circle and past the
+    # lattice phase, so its box straddles the circle at every precision.  The
+    # precision used to double 15 times, to the 2,000,000-bit ceiling
+    # (68 ms), before the exact point answered
+    pmap = PolynomialMap([("0", "0"), ("0", "0"), ("1", "0")])
+    orbit = DyadicOrbit(pmap, DomainDisk(("0", "0"), "0.25"), (Fraction(1, 2), Fraction(0)))
+    assert orbit.side() == "out"
+    orbit.advance()
+    assert orbit.side() == "boundary"
+    assert orbit.prec == 64
+
+
 def _cubic():
     return PolynomialMap([(CUBIC_B_RE, CUBIC_B_IM), ("-3", "0"), ("0", "0"), ("1", "0")])
 

@@ -1,5 +1,8 @@
 """Abstract tree generator and the brute-force fiber oracle."""
 
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,24 @@ def test_generate_deterministic():
     assert [[c for c in lvl] for lvl in t1.levels] == [[c for c in lvl] for lvl in t2.levels]
     t3 = generate(12346, 4, 5)
     assert [[c for c in lvl] for lvl in t3.levels] != [[c for c in lvl] for lvl in t1.levels]
+
+
+def test_generated_trees_are_pinned():
+    # the trees of these seeds, as generated before compositions of 1 were
+    # returned without entering the general path (which draws nothing there)
+    want = {
+        2: "c8578256c13ff39775da23fe770c728753715f1bcb03f2b71709df1aa054bcda",
+        3: "5fa156e43aa6d7aa5abd2696865d441ee8af1f9d6c221b3cba4411970dc0f890",
+        4: "72c69e9d7e843c9b81c958e9a2a48127734f0dfbeccf212b41904c67e766b502",
+    }
+    for d, digest in want.items():
+        h = hashlib.sha256()
+        for depth in range(1, 7):
+            for seed in (1, 7, 99):
+                tree = generate(seed, d, depth, 0.55)
+                h.update(repr([[dataclasses.astuple(c) for c in lvl]
+                               for lvl in tree.levels]).encode())
+        assert h.hexdigest() == digest, d
 
 
 def test_degree_two_is_full_binary_tree():
@@ -99,3 +120,19 @@ def test_brute_force_checks_the_word_budget_first(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(BudgetExceeded, match="2\\^19 words exceed"):
         brute_force_fibers(AbstractTree(2, None), None, 19)
+
+
+def test_run_equivalence_cases_checks_the_word_budget_first(monkeypatch):
+    # a batch whose largest case passes the brute-force budget raises before
+    # any tree is generated; it used to count each such case as failed
+    def sentinel(*args):
+        raise AssertionError("a case was generated")
+    monkeypatch.setattr(oracle_mod, "generate", sentinel)
+    with pytest.raises(BudgetExceeded, match="^4\\^10 words exceed the enumeration budget$"):
+        run_equivalence_cases(1, 1, degrees=(4,), max_depth=10)
+    with pytest.raises(BudgetExceeded, match="^2\\^19 words exceed"):
+        run_equivalence_cases(0, 0, degrees=(2,), max_depth=19)
+    # 2^18 words is within the budget, and so is the default batch's 4^6
+    assert run_equivalence_cases(0, 0, degrees=(2,), max_depth=18) == (0, 0, [])
+    monkeypatch.undo()
+    assert run_equivalence_cases(3, 4) == (4, 0, [])
