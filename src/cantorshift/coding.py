@@ -13,7 +13,11 @@ consecutive symbol blocks of sizes d_1, ..., d_N in canonical order, and
 at level k the symbols of each parent P are split, per image component V,
 into consecutive ascending runs matching the children's degrees in
 canonical order.  All free choices are resolved by the canonical component
-order, so two runs on the same tree agree byte for byte.
+order, so two runs on the same tree agree byte for byte.  By induction
+every symbol set is a run [start, start + degree): a child starts at its
+parent's start plus the degrees of the children before it over the same
+image.  ``assign_symbols`` computes these starts for a whole tree on
+arrays, a level at a time, and shares one tuple among equal runs.
 
 The induced cylinder map c sends a word (e_1, ..., e_k) to the unique
 level-k component with image c(e_2, ..., e_k) and e_1 in S(W); fibers of c
@@ -66,6 +70,11 @@ class SymbolAssignment:
         return self.symbols[(level, index)]
 
 
+def _ints(values: list) -> np.ndarray:
+    """A list of ints as an int64 array."""
+    return np.fromiter(values, dtype=np.int64, count=len(values))
+
+
 def assign_symbols(tree) -> SymbolAssignment:
     """Construct the canonical branch-symbol assignment for a tree.
 
@@ -73,43 +82,83 @@ def assign_symbols(tree) -> SymbolAssignment:
     lists with ``container``/``image``/``local_degree`` (geometric trees and
     abstract ones alike).  Raises InconsistentTree when the degree
     bookkeeping cannot be met, which signals a corrupted tree.
+
+    Every symbol set is a run [start, start + degree), computed on arrays.
+    Level 1 takes consecutive blocks.  Below, the children of a parent over
+    one image component, a group, split the parent's run in list order, so
+    a child starts at its parent's start plus the degrees before it in its
+    group.  Groups are taken level by level in ascending (container, image):
+    the first whose degrees do not fill its parent's run raises, and a
+    container missing from the level above raises KeyError.  Each distinct
+    run is one tuple, shared by every set equal to it.
     """
     d = tree.degree
-    symbols = {}
     if tree.depth < 1:
-        return SymbolAssignment(d, symbols)
-
-    # level 1: consecutive blocks of sizes d_1, ..., d_N starting at 0
-    next_symbol = 0
-    for comp in tree.levels[1]:
-        block = tuple(range(next_symbol, next_symbol + comp.local_degree))
-        symbols[(1, comp.index)] = block
-        next_symbol += comp.local_degree
-    if next_symbol != d:
+        return SymbolAssignment(d, {})
+    levels = tree.levels[1:tree.depth + 1]
+    top = len(levels[0])
+    comps = list(itertools.chain.from_iterable(levels))
+    index, degree = _ints([c.index for c in comps]), _ints([c.local_degree for c in comps])
+    if int(degree[:top].sum()) != d:
         raise InconsistentTree(
-            f"level-1 degrees fill {next_symbol} symbols, alphabet has {d}")
+            f"level-1 degrees fill {int(degree[:top].sum())} symbols, alphabet has {d}")
 
-    for k in range(2, tree.depth + 1):
-        # group the children of each parent by their image component
-        groups = {}
-        for comp in tree.levels[k]:
-            groups.setdefault((comp.container, comp.image), []).append(comp)
-        for (p_idx, v_idx), children in sorted(groups.items()):
-            pool = symbols[(k - 1, p_idx)]
-            take = 0
-            for child in children:  # canonical order within the level list
-                run = pool[take:take + child.local_degree]
-                if len(run) != child.local_degree:
-                    raise InconsistentTree(
-                        f"parent {(k - 1, p_idx)} has too few symbols for its "
-                        f"children over image {(k - 1, v_idx)}")
-                symbols[(k, child.index)] = tuple(run)
-                take += child.local_degree
-            if take != len(pool):
-                raise InconsistentTree(
-                    f"children of {(k - 1, p_idx)} over image {(k - 1, v_idx)} "
-                    f"use {take} of {len(pool)} symbols")
-    return SymbolAssignment(d, symbols)
+    # every component in the order its set is stored: level 1 in list order,
+    # then the children by group, ascending in (level, container, image), in
+    # list order within a group; a duplicate index keeps the last set stored
+    level = np.arange(1, tree.depth + 1).repeat(list(map(len, levels)))
+    children = comps[top:]
+    container, image = _ints([c.container for c in children]), _ints([c.image for c in children])
+    order = np.lexsort((image, container, level[top:]))
+    container, image = container[order], image[order]
+    stored = np.concatenate((np.arange(top), order + top))
+    level, index, degree = level[stored], index[stored], degree[stored]
+    child_level, child_degree = level[top:], degree[top:]
+    head = np.ones(len(order), dtype=bool)  # the first child of each group
+    head[1:] = ((child_level[1:] != child_level[:-1]) | (container[1:] != container[:-1])
+                | (image[1:] != image[:-1]))
+    first = head.nonzero()[0]
+    group = head.cumsum() - 1
+    start = degree.cumsum() - degree  # right for level 1; the children's are set below
+    offset = start[top:] - start[top:][first][group]  # the degrees before a child in its group
+    used = np.add.reduceat(child_degree, first)  # the degrees of each group
+
+    # each group's parent, from the slot (level, index); slot width - 1 stays -1
+    width = int(index.max(initial=-1)) + 2
+    position = np.full((tree.depth + 1) * width, -1)
+    position[level * width + index] = np.arange(len(index))
+    owner = container[first]
+    parent = position[(child_level[first] - 1) * width + np.where(
+        (owner >= 0) & (owner < width - 1), owner, width - 1)]
+    length = np.maximum(degree, 0)  # a level-1 block of degree <= 0 is empty
+    pool = np.concatenate((length, [0]))[parent]  # a missing parent reads the 0
+    negative = np.zeros(len(first), dtype=bool)
+    negative[group[child_degree < 0]] = True
+    bad = ((parent < 0) | negative | (used != pool)).nonzero()[0]
+    if bad.size:
+        g = int(bad[0])
+        k = int(child_level[first[g]])
+        parent_id, image_id = (k - 1, int(owner[g])), (k - 1, int(image[first[g]]))
+        if parent[g] < 0:
+            raise KeyError(parent_id)
+        if negative[g] or used[g] > pool[g]:
+            raise InconsistentTree(
+                f"parent {parent_id} has too few symbols for its children over image {image_id}")
+        raise InconsistentTree(f"children of {parent_id} over image {image_id} "
+                               f"use {int(used[g])} of {int(pool[g])} symbols")
+
+    # the children's starts, a level at a time, since a parent lies a level above
+    parent = parent[group]
+    bounds = list(itertools.accumulate(map(len, levels), initial=0))[1:]
+    for lo, hi in zip(bounds, bounds[1:]):
+        start[lo:hi] = start[parent[lo - top:hi - top]] + offset[lo - top:hi - top]
+
+    base, span = int(start.min()), int(length.max()) + 1
+    keys = ((start - base) * span + length).tolist()
+    runs = {key: tuple(range(base + key // span, base + key // span + key % span))
+            for key in set(keys)}
+    return SymbolAssignment(d, dict(zip(zip(level.tolist(), index.tolist()),
+                                        map(runs.__getitem__, keys))))
 
 
 def _carrier_table(assignment: SymbolAssignment, tree, lvl: int):
@@ -121,10 +170,13 @@ def _carrier_table(assignment: SymbolAssignment, tree, lvl: int):
     repeats are (lvl, pair), once per repeated claim, in component order.
     """
     d = tree.degree
-    claims = [(c.image, s, c.index) for c in tree.levels[lvl]
-              for s in assignment.symbols[(lvl, c.index)]]
-    image, symbol, owner = np.fromiter(itertools.chain.from_iterable(claims),
-                                       dtype=np.int64).reshape(-1, 3).T
+    comps = tree.levels[lvl]
+    image, owner = _ints([c.image for c in comps]), _ints([c.index for c in comps])
+    sets = list(map(assignment.symbols.__getitem__, zip(itertools.repeat(lvl), owner.tolist())))
+    size = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    symbol = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                         count=int(size.sum()))
+    image, owner = image.repeat(size), owner.repeat(size)  # one row per claim
     # unreached images and stray symbols get cells too, to find their repeats
     rows = max(len(tree.levels[lvl - 1]), int(image.max(initial=-1)) + 1)
     cols = max(d, int(symbol.max(initial=-1)) + 1)
@@ -132,11 +184,11 @@ def _carrier_table(assignment: SymbolAssignment, tree, lvl: int):
     claimed = np.bincount(key, minlength=rows * cols)
     table = np.full(rows * cols, -1, dtype=np.int64)
     table[key] = owner
-    table[claimed > 1] = -2
+    shared = (claimed[key] > 1).nonzero()[0]  # the claims of pairs claimed twice or more
+    table[key[shared]] = -2
     first = {}  # pair -> its first claim
     repeats = [(lvl, (int(image[p]), int(symbol[p])))
-               for p in np.flatnonzero(claimed[key] > 1).tolist()
-               if first.setdefault(key[p], p) != p]
+               for p in shared.tolist() if first.setdefault(key[p], p) != p]
     return table.reshape(rows, cols)[:, :d], repeats
 
 
@@ -235,12 +287,12 @@ def fibers(assignment: SymbolAssignment, tree, k: int) -> FiberTable:
     if code.min() < 0:  # the least unresolved word names its missing carrier
         cylinder_component(assignment, tree, np.unravel_index(np.argmax(code < 0), (d,) * k))
     words = list(itertools.product(range(d), repeat=k))
-    grouped = [words[w] for w in np.argsort(code, kind="stable").tolist()]
+    grouped = tuple(map(words.__getitem__, np.argsort(code, kind="stable").tolist()))
     got = np.bincount(code, minlength=len(tree.levels[k])).tolist()
     # the fiber of component i is grouped[bounds[i]:bounds[i + 1]]
     bounds = list(itertools.accumulate(got, initial=0))
-    table = FiberTable(k, d, {(k, idx): tuple(grouped[a:b]) for idx, (a, b)
-                              in enumerate(zip(bounds, bounds[1:])) if b > a})
+    table = FiberTable(k, d, {(k, idx): grouped[a:b] for idx, a, b
+                              in zip(itertools.count(), bounds, bounds[1:]) if b > a})
     for comp in tree.levels[k]:
         if got[comp.index] != comp.cumulative_degree:
             raise InconsistentTree(

@@ -24,8 +24,16 @@ from .tree import check_structure
 _MAX_WORDS = 2 ** 18
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AbstractComponent:
+    """One component of an abstract tree, with the fields of
+    ``tree.Component`` that the coding reads.
+
+    Mutable like ``tree.Component``, so that a generated tree's hundreds of
+    thousands of components are cheap to build; like every coded tree, it is
+    treated as immutable once generated.
+    """
+
     level: int
     index: int
     container: int
@@ -55,8 +63,6 @@ def _random_composition(rng: random.Random, total: int, bias: float, min_parts: 
     """Random composition of ``total``; each of the total-1 gaps breaks
     independently with probability ``bias`` (0.5 is uniform over all
     compositions; larger values favor smaller parts)."""
-    if total == 1 and min_parts <= 1:
-        return [1]  # no gap to break: the general path draws nothing either
     if total < min_parts:
         raise ValueError("cannot compose below the minimum number of parts")
     breaks = [g for g in range(total - 1) if rng.random() < bias]
@@ -100,14 +106,16 @@ def generate(seed: int, d: int, depth: int, bias: float = 0.5) -> AbstractTree:
         prev = levels[k - 1]
         by_container = {}
         for v in prev:
-            by_container.setdefault(v.container, []).append(v.index)
+            by_container.setdefault(v.container, []).append(v)
         comps = []
         for p in prev:
-            for v_idx in by_container.get(p.image, []):
-                for deg in _random_composition(rng, p.local_degree, bias):
+            for v in by_container.get(p.image, ()):
+                # degree 1 has the one composition (1), which draws nothing
+                parts = ((1,) if p.local_degree == 1
+                         else _random_composition(rng, p.local_degree, bias))
+                for deg in parts:
                     comps.append(AbstractComponent(
-                        k, len(comps), p.index, v_idx, deg,
-                        deg * prev[v_idx].cumulative_degree,
+                        k, len(comps), p.index, v.index, deg, deg * v.cumulative_degree,
                         ("c",) if deg > 1 else ()))
         levels.append(comps)
     tree = AbstractTree(d, levels)

@@ -611,6 +611,11 @@ class _TreeBuilder:
         order of the module docstring.  Returns the level's cluster table, or
         raises _Failure with the defects of the first stage that has any.
 
+        ``witness_boxes`` holds the level's witness enclosures, their
+        multiplicities and parent indices (``_solve_witness_preimages``) and
+        the float chain's verdict on each midpoint (``_chain_inside``): all
+        four are the same on every attempt, so the level computes them once.
+
         ``settled`` and ``up``, aligned with the pavement, are the hand-off
         of the level's last failed attempt (see ``_pave``): each cell's
         cluster where settled and its parent cluster where known, else -1
@@ -633,7 +638,7 @@ class _TreeBuilder:
 
         # witness location: every true preimage of every parent witness lies
         # in the kept region, so each enclosure touches some cluster
-        rects, mults, sources = witness_boxes
+        rects, mults, sources, inside = witness_boxes
         box, cell = pavement.overlapping(rects.T)
         touched, cluster = _distinct(box, labels[cell], len(mults))
         if k == 1 and self.disk.sides(rects[touched == 0].T)[1].any():
@@ -684,7 +689,6 @@ class _TreeBuilder:
 
         # witness membership: each cluster tries its boxes in candidate order,
         # the exact walk only for a midpoint the float chain leaves open
-        inside = self._chain_inside(k, rects)
         witness_points = [self._witness_point(k, rects[members], inside[members])
                           for members in _groups(cluster, n_clusters)]
         missing = _Defects()
@@ -722,7 +726,8 @@ class _TreeBuilder:
         lookups.  A level-1 table that certifies with its cover not yet
         inside U continues like a failed attempt on the whole band; the
         fourth such table, or the last once nothing can refine, is accepted."""
-        witness_boxes = self._solve_witness_preimages(k)
+        rects, mults, sources = self._solve_witness_preimages(k)
+        witness_boxes = (rects, mults, sources, self._chain_inside(k, rects))
         self._build_scale_raster(self.built[k - 1])
         parent = self.built[k - 1].pavement
         pending = [(parent.r, parent.i, parent.j)]

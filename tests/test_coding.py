@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -84,6 +85,198 @@ def test_assignment_invariants(cubic_tree, cubic_assignment):
             bucket |= syms
         for got in per_image.values():
             assert got == set(range(d))
+
+
+def _with_level2(tree, *changes, order=(0, 1, 2, 3)):
+    """``abstract_tree_d3()``'s level 2 edited: each change is a (list
+    position, field, value), and ``order`` lists the positions in their new
+    order."""
+    comps = list(tree.levels[2])
+    for i, name, value in changes:
+        comps[i] = dataclasses.replace(comps[i], **{name: value})
+    return AbstractTree(tree.degree, [*tree.levels[:2], [comps[i] for i in order]])
+
+
+def test_assignment_names_a_parent_with_too_few_symbols():
+    # A's child over B asks for 3 of A's 2 symbols; a negative degree can
+    # never be met either
+    tree = abstract_tree_d3()
+    for degree in (3, -1):
+        with pytest.raises(InconsistentTree) as info:
+            assign_symbols(_with_level2(tree, (1, "local_degree", degree)))
+        assert str(info.value) == ("parent (1, 0) has too few symbols for its children "
+                                   "over image (1, 1)")
+
+
+def test_assignment_names_children_that_leave_symbols_unused():
+    # A's child over A takes 1 of A's 2 symbols and no sibling takes the other
+    tree = abstract_tree_d3()
+    with pytest.raises(InconsistentTree) as info:
+        assign_symbols(_with_level2(tree, (0, "local_degree", 1)))
+    assert str(info.value) == "children of (1, 0) over image (1, 0) use 1 of 2 symbols"
+    # A's two children over A ask for 1 + 2 of A's 2 symbols: the second
+    # cannot fill its run, which raises before the group's total is checked
+    with pytest.raises(InconsistentTree) as info:
+        assign_symbols(_with_level2(tree, (0, "local_degree", 1), (1, "image", 0)))
+    assert str(info.value) == ("parent (1, 0) has too few symbols for its children "
+                               "over image (1, 0)")
+
+
+def test_assignment_raises_at_the_first_failing_group_in_container_image_order():
+    # the list runs B over B, B over A, A over B, A over A; groups are
+    # checked in ascending (container, image), so A over B fails before
+    # B over A, which comes first in the list and in (image, container)
+    tree = abstract_tree_d3()
+    backwards = (3, 2, 1, 0)
+    with pytest.raises(InconsistentTree) as info:
+        assign_symbols(_with_level2(tree, (2, "local_degree", 2), (1, "local_degree", 1),
+                                    order=backwards))
+    assert str(info.value) == "children of (1, 0) over image (1, 1) use 1 of 2 symbols"
+    with pytest.raises(InconsistentTree) as info:
+        assign_symbols(_with_level2(tree, (3, "local_degree", 2), (1, "local_degree", 3),
+                                    order=backwards))
+    assert str(info.value) == ("parent (1, 0) has too few symbols for its children "
+                               "over image (1, 1)")
+    # within a group the children take their runs in list order
+    a = assign_symbols(_with_level2(tree, (1, "image", 0), (0, "local_degree", 1),
+                                    (1, "local_degree", 1), order=(1, 0, 2, 3)))
+    assert a.of(2, 1) == (0,) and a.of(2, 0) == (1,)
+
+
+def test_assignment_of_a_container_outside_the_level_above_raises_key_error():
+    tree = abstract_tree_d3()
+    with pytest.raises(KeyError) as info:
+        assign_symbols(_with_level2(tree, (2, "container", 5)))
+    assert info.value.args == ((1, 5),)
+    # a group over a missing container that sorts after a failing group
+    # leaves that group's error first
+    with pytest.raises(InconsistentTree, match="use 1 of 2 symbols"):
+        assign_symbols(_with_level2(tree, (2, "container", 5), (0, "local_degree", 1)))
+    with pytest.raises(KeyError) as info:
+        assign_symbols(_with_level2(tree, (2, "container", -1), (3, "local_degree", 2)))
+    assert info.value.args == ((1, -1),)
+
+
+def _loop_symbols(tree):
+    """The symbol sets of ``assign_symbols``, by the per-group loop it
+    replaced: the reference for its array form."""
+    d = tree.degree
+    symbols = {}
+    if tree.depth < 1:
+        return symbols
+    next_symbol = 0
+    for comp in tree.levels[1]:
+        symbols[(1, comp.index)] = tuple(range(next_symbol, next_symbol + comp.local_degree))
+        next_symbol += comp.local_degree
+    if next_symbol != d:
+        raise InconsistentTree(f"level-1 degrees fill {next_symbol} symbols, alphabet has {d}")
+    for k in range(2, tree.depth + 1):
+        groups = {}
+        for comp in tree.levels[k]:
+            groups.setdefault((comp.container, comp.image), []).append(comp)
+        for (p_idx, v_idx), children in sorted(groups.items()):
+            pool = symbols[(k - 1, p_idx)]
+            take = 0
+            for child in children:
+                run = pool[take:take + child.local_degree]
+                if len(run) != child.local_degree:
+                    raise InconsistentTree(
+                        f"parent {(k - 1, p_idx)} has too few symbols for its "
+                        f"children over image {(k - 1, v_idx)}")
+                symbols[(k, child.index)] = tuple(run)
+                take += child.local_degree
+            if take != len(pool):
+                raise InconsistentTree(
+                    f"children of {(k - 1, p_idx)} over image {(k - 1, v_idx)} "
+                    f"use {take} of {len(pool)} symbols")
+    return symbols
+
+
+def test_assignment_equals_the_loop_reference_on_corrupted_trees():
+    # generated trees, each with up to three edits of one kind: a degree
+    # moved by 1, a degree set to 0, a negative value or d + 1, a container
+    # anywhere from -1 to past the level above, a shuffled level, a changed
+    # image, or an emptied level; the sets, their order of storage and
+    # every error must be the reference's
+    rng = random.Random(9)
+    outcomes = set()
+    for case in range(700):
+        d, depth = rng.choice((2, 3, 4, 5)), rng.randint(1, 5)
+        tree = generate(rng.randrange(2 ** 62), d, depth, rng.choice((0.3, 0.55, 0.8)))
+        kind = case % 7
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, depth)
+            comps = tree.levels[k]
+            if not comps:
+                continue
+            i = rng.randrange(len(comps))
+            if kind == 1:
+                comps[i] = dataclasses.replace(comps[i], local_degree=comps[i].local_degree
+                                               + rng.choice((-1, 1)))
+            elif kind == 2:
+                comps[i] = dataclasses.replace(comps[i],
+                                               local_degree=rng.choice((0, -1, -2, d + 1)))
+            elif kind == 3 and k >= 2:
+                comps[i] = dataclasses.replace(
+                    comps[i], container=rng.randint(-1, len(tree.levels[k - 1]) + 1))
+            elif kind == 4:
+                rng.shuffle(comps)
+            elif kind == 5 and k >= 2:
+                comps[i] = dataclasses.replace(
+                    comps[i], image=rng.randrange(len(tree.levels[k - 1])))
+            elif kind == 6 and rng.random() < 0.3:
+                comps.clear()
+        try:
+            want = list(_loop_symbols(tree).items())
+        except (InconsistentTree, KeyError) as exc:
+            with pytest.raises(type(exc)) as info:
+                assign_symbols(tree)
+            assert info.value.args == exc.args
+            outcomes.add("KeyError" if type(exc) is KeyError else str(exc).split(" ")[0])
+            continue
+        assert list(assign_symbols(tree).symbols.items()) == want
+        outcomes.add("assigned")
+    assert outcomes == {"assigned", "level-1", "parent", "children", "KeyError"}
+
+
+def test_codings_of_generated_trees_are_pinned():
+    # symbol sets or the error of assign_symbols, fiber counts or their
+    # error, and the verifier's checks at every level, over generated trees
+    # with one degree changed by 1, one unit moved between two siblings, or
+    # none; pinned before symbol sets were computed as runs on arrays
+    h = hashlib.sha256()
+    rng = random.Random(25)
+    for case in range(900):
+        d, depth = rng.choice((2, 3, 4)), rng.randint(1, 5)
+        tree = generate(rng.randrange(2 ** 62), d, depth, 0.55)
+        k = rng.randint(1, depth)
+        comps = tree.levels[k]
+        i = rng.randrange(len(comps))
+        if case % 3 == 1:
+            comps[i] = dataclasses.replace(comps[i], local_degree=comps[i].local_degree
+                                           + rng.choice((-1, 1)))
+        elif case % 3 == 2:
+            siblings = [j for j, c in enumerate(comps) if j != i
+                        and (c.container, c.image) == (comps[i].container, comps[i].image)]
+            if siblings:
+                j = rng.choice(siblings)
+                comps[i] = dataclasses.replace(comps[i], local_degree=comps[i].local_degree + 1)
+                comps[j] = dataclasses.replace(comps[j], local_degree=comps[j].local_degree - 1)
+        try:
+            a = assign_symbols(tree)
+        except (InconsistentTree, KeyError) as exc:
+            h.update(f"{case} {exc!r}\n".encode())
+            continue
+        h.update(f"{case} {sorted(a.symbols.items())}\n".encode())
+        for k in range(1, depth + 1):
+            try:
+                table = fibers(a, tree, k)
+                h.update(repr(sorted((cid, len(ws)) for cid, ws
+                                     in table.words_by_component.items())).encode())
+            except InconsistentTree as exc:
+                h.update(repr(exc).encode())
+            h.update(repr(verify_semiconjugacy(a, tree, k).checks).encode())
+    assert h.hexdigest() == "1c663ddf8cbeb4176e3973542b6da63703f08200b776c8a42793d383b3ee19c4"
 
 
 def test_cylinder_recursion_quadratic(quadratic_tree, quadratic_assignment):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import math
 import re
 import tracemalloc
@@ -261,7 +262,8 @@ def test_witness_walk_without_candidate_left_fails(quadratic_map, quadratic_disk
 @pytest.mark.parametrize("case, depth", [("quadratic", 4), ("cubic", 3)])
 def test_walk_alone_gives_the_chain_witness_points(request, case, depth):
     # the float chain certifies every witness of these builds, so they walk
-    # no orbit; the walk alone must choose the same points
+    # no orbit; the walk alone must choose the same points and export the
+    # same tree.json
     pmap = request.getfixturevalue(f"{case}_map")
     disk = request.getfixturevalue(f"{case}_disk")
     chained, chain_attempts, _ = _walk_build(pmap, disk, depth)
@@ -270,6 +272,8 @@ def test_walk_alone_gives_the_chain_witness_points(request, case, depth):
     assert all(walks for _, walks, text in walk_attempts if text is None)
     for k in range(depth + 1):
         assert walked._built[k].witness_points == chained._built[k].witness_points
+    assert (json.dumps(walked.to_json_dict(), sort_keys=True)
+            == json.dumps(chained.to_json_dict(), sort_keys=True))
 
 
 @pytest.mark.parametrize("case", ["quadratic", "cubic"])
@@ -471,11 +475,17 @@ def _with_box(boxes, rect):
     return np.vstack((rects, [rect])), np.append(mults, 1), np.append(sources, 0)
 
 
+def _with_chain(builder, k, boxes):
+    """Witness ``boxes`` with the float chain's verdict on each midpoint,
+    as ``_certify`` takes them."""
+    return (*boxes, builder._chain_inside(k, boxes[0]))
+
+
 def _certify_failure(builder, k, boxes):
     """The failure of re-certifying the accepted level k with ``boxes``."""
     built = builder.built[k]
     with pytest.raises(tree_mod._Failure) as info:
-        builder._certify(k, built.pavement, built.interior, boxes)
+        builder._certify(k, built.pavement, built.interior, _with_chain(builder, k, boxes))
     return info.value
 
 
@@ -508,7 +518,7 @@ def test_witness_box_outside_the_cover(quadratic_map, quadratic_disk):
     built = builder.built[1]
     boxes = _with_box(builder._solve_witness_preimages(1), (5.0, 5.01, 0.0, 0.01))
     with pytest.raises(HypothesisViolation):
-        builder._certify(1, built.pavement, built.interior, boxes)
+        builder._certify(1, built.pavement, built.interior, _with_chain(builder, 1, boxes))
 
 
 def test_critical_point_on_a_corner_names_both_clusters(cubic_map, cubic_disk):
@@ -540,7 +550,7 @@ def test_cluster_across_parent_clusters_fails(quadratic_map, quadratic_disk):
     assert len(set(paved_clusters(frame, pavement).tolist())) == 1
     with pytest.raises(tree_mod._Failure) as info:
         builder._certify(2, pavement, np.zeros(len(pavement), dtype=bool),
-                         builder._solve_witness_preimages(2))
+                         _with_chain(builder, 2, builder._solve_witness_preimages(2)))
     assert str(info.value).endswith("(by kind: container-straddle=1)")
     assert "cluster spans 3 parent clusters" in str(info.value)
     assert info.value.refine.all()
@@ -764,7 +774,7 @@ def test_empty_level_fails_certification(quadratic_map, quadratic_disk):
     for k in (1, 2):
         boxes = builder._solve_witness_preimages(k)
         with pytest.raises(tree_mod._Failure) as info:
-            builder._certify(k, empty, no_cells, boxes)
+            builder._certify(k, empty, no_cells, _with_chain(builder, k, boxes))
         # nothing is left to refine, which ends the level in ResolutionExceeded
         assert builder._subdivide_band(empty, no_cells, {}, info.value.refine) is None
 
