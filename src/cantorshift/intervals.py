@@ -14,6 +14,28 @@ itself.  Scalar ``math.nextafter`` remains only where an exact value is
 enclosed once (``enclose_fraction``, ``isqrt_hi``).  The ``IntervalBox``
 dataclass is the public face of a rectangle.
 
+The kernels look at what their operands are and skip the work that cannot
+change a bit of the result (degenerate intervals: Moore, Kearfott and
+Cloud, *Introduction to Interval Analysis*, SIAM 2009, ch. 2):
+- a point, with lo and hi one array or equal floats (a float midpoint, a
+  real coefficient, the Krawczyk inverse): ``vimul`` takes two products
+  against an interval and one against a point, ``visq`` one, and
+  ``_outward`` one sign step.  The products it skips repeat the ones
+  it takes, so the min and max are the same values;
+- an exact 0.0 factor, given as floats (the imaginary part of a real
+  coefficient): ``vimul`` returns (-5e-324, 5e-324) where the other factor
+  is finite and the whole line elsewhere, which is what the generic ``+-0``
+  products and ``0 * inf`` NaNs give after ``_outward``;
+- an exact 0.0 second operand of ``viadd`` or ``visub``, given as floats
+  (a real coefficient's imaginary part, a disk centred on an axis): they
+  return ``_outward`` of the first operand, since x + 0.0 differs from x
+  only at -0 and in NaN payloads, which ``_outward`` rounds alike;
+- ``visq`` of an interval computes each square once: on lo <= hi the
+  smaller square is the lower bound, or 0 on a straddle, and a zero
+  lower bound is rounded without np.nextafter.
+Other operands take the generic formulas, and
+``tests/test_intervals.py`` pins every fast path to it bit for bit.
+
 Overflow is not an error: bounds saturate at +-inf and any NaN produced by
 ``inf * 0`` style products is widened to the whole line, which keeps every
 result a valid (possibly infinite) enclosure.
@@ -80,6 +102,16 @@ def _one_box(rect):
 _TINY = math.ulp(0.0)  # 5e-324, the least positive subnormal
 
 
+def _is_point(lo, hi):
+    """A degenerate interval: one array as both ends, or equal floats."""
+    return lo is hi or (isinstance(lo, float) and isinstance(hi, float) and lo == hi)
+
+
+def _is_zero(lo, hi):
+    """The exact interval [0, 0], given as floats."""
+    return isinstance(lo, float) and isinstance(hi, float) and lo == 0.0 and hi == 0.0
+
+
 def _outward(lo, hi):
     """np.nextafter(lo, -inf) and np.nextafter(hi, +inf) elementwise, with
     a NaN at either end widened to the whole line, bit for bit.
@@ -87,17 +119,28 @@ def _outward(lo, hi):
     Apart from its sign bit, a double's int64 bit pattern b orders like its
     magnitude, so the next double down is b - s and the next one up is
     b + s, with s = (b >> 63) | 1 (+1 for a positive, -1 for a negative
-    sign bit): a few integer passes instead of np.nextafter's per-element
-    call.  The step is wrong exactly at +0 going down, -0 going up, -inf
-    going down and +inf going up, where it yields a NaN pattern.  Those and
-    every NaN input fail the strict comparisons below, and only that subset
-    goes through np.nextafter.  (+inf going down gives DBL_MAX, -inf going
-    up -DBL_MAX and DBL_MAX going up +inf, as np.nextafter does.)
+    sign bit): a few integer passes, in place in the shift temporaries,
+    instead of np.nextafter's per-element call.  A point (lo is hi) takes
+    one sign step for both ends.  The step is wrong exactly at +0 going
+    down, -0 going up, -inf going down and +inf going up, where it yields a
+    NaN pattern.  Those and every NaN input fail the strict comparisons
+    below, and only that subset goes through np.nextafter.  (+inf going
+    down gives DBL_MAX, -inf going up -DBL_MAX and DBL_MAX going up +inf,
+    as np.nextafter does.)
     """
     bl = lo.view(np.int64)
-    bh = hi.view(np.int64)
-    down = (bl - ((bl >> 63) | 1)).view(np.float64)
-    up = (bh + ((bh >> 63) | 1)).view(np.float64)
+    down = bl >> 63
+    down |= 1
+    if lo is hi:
+        up = bl + down
+    else:
+        bh = hi.view(np.int64)
+        up = bh >> 63
+        up |= 1
+        up += bh
+    np.subtract(bl, down, out=down)
+    down = down.view(np.float64)
+    up = up.view(np.float64)
     ok = down < lo
     ok &= up > hi
     if not ok.all():
@@ -110,15 +153,42 @@ def _outward(lo, hi):
     return down, up
 
 
+def _outward_of(lo, hi):
+    """x + 0.0 and x - 0.0 rounded outward: ``_outward`` of x itself.  The
+    sum differs from x only at -0 and in NaN payloads, which ``_outward``
+    rounds alike."""
+    return _outward(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
+
+
 def viadd(alo, ahi, blo, bhi):
+    if _is_zero(blo, bhi):
+        return _outward_of(alo, ahi)
     return _outward(alo + blo, ahi + bhi)
 
 
 def visub(alo, ahi, blo, bhi):
+    if _is_zero(blo, bhi):
+        return _outward_of(alo, ahi)
     return _outward(alo - bhi, ahi - blo)
 
 
 def vimul(alo, ahi, blo, bhi):
+    # a zero or point factor goes second (a product commutes bit for bit,
+    # up to NaN payloads, which _outward widens)
+    if _is_zero(alo, ahi) or (_is_point(alo, ahi) and not _is_point(blo, bhi)):
+        alo, ahi, blo, bhi = blo, bhi, alo, ahi
+    if _is_zero(blo, bhi):
+        # every product is +-0 where the other factor is finite, else a
+        # NaN (0 * inf): the generic bounds after _outward, without the
+        # products or np.nextafter
+        finite = np.isfinite(alo) & np.isfinite(ahi)
+        return np.where(finite, -_TINY, -_INF), np.where(finite, _TINY, _INF)
+    if _is_point(blo, bhi):
+        p = alo * blo
+        if _is_point(alo, ahi):
+            return _outward(p, p)
+        q = ahi * blo
+        return _outward(np.minimum(p, q), np.maximum(p, q))
     p1 = alo * blo
     p2 = alo * bhi
     p3 = ahi * blo
@@ -129,16 +199,23 @@ def vimul(alo, ahi, blo, bhi):
 
 
 def visq(alo, ahi):
-    neg = ahi <= 0.0
-    straddle = (alo < 0.0) & (ahi > 0.0)
-    lo = np.where(neg, ahi * ahi, alo * alo)
-    hi = np.where(neg, alo * alo, ahi * ahi)
-    lo = np.where(straddle, 0.0, lo)
-    hi = np.where(straddle, np.maximum(alo * alo, ahi * ahi), hi)
-    lo, hi = _outward(lo, hi)
-    # a zero lower bound is exact and stays: +-0 (and nothing else) step
-    # down to -_TINY
-    return np.where(lo == -_TINY, 0.0, lo), hi
+    if _is_point(alo, ahi):
+        sq = alo * alo
+        lo, hi = _outward(sq, sq)
+        # a zero lower bound is exact and stays: +0 (and nothing else)
+        # steps down to -_TINY
+        return np.where(lo == -_TINY, 0.0, lo), hi
+    # on lo <= hi the smaller square is the lower bound, or 0 on a
+    # straddle, and the larger one the upper bound.  A square is never -0,
+    # and a lower bound of +0 (kept exact) or _TINY both round down to
+    # +0, so raising +0 to _TINY gives the same bits without _outward's
+    # np.nextafter fallback
+    a2 = alo * alo
+    b2 = ahi * ahi
+    lo, hi = _outward(np.maximum(np.minimum(a2, b2), _TINY), np.maximum(a2, b2))
+    straddle = alo < 0.0
+    straddle &= ahi > 0.0
+    return np.where(straddle, 0.0, lo), hi
 
 
 def vbadd(u, v):

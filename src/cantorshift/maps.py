@@ -349,7 +349,7 @@ def _krawczyk_boxes(g, X, const):
     with np.errstate(all="ignore"):
         y = 1.0 / np.polyval(g.deriv_desc, mx + 1j * my)
     y = np.where(np.isfinite(y), y, 0.0)
-    Y = (y.real, y.real, y.imag, y.imag)
+    Y = (y.real,) * 2 + (y.imag,) * 2  # point boxes, one array per part
     ygm = vbmul(Y, g.eval_boxes(mid, constant=const))
     ygx = vbmul(Y, g.eval_deriv_boxes(X))
     E = visub(1.0, 1.0, ygx[0], ygx[1]) + visub(0.0, 0.0, ygx[2], ygx[3])
@@ -488,7 +488,11 @@ class _Monic:
 
         ``constant``, when given, is a 4-tuple of rectangles that replaces
         the constant coefficient per box, e.g. enclosures of a_0 - w for
-        f - w."""
+        f - w.
+
+        Point boxes (one array as both walls of a part) and the exact 0.0
+        imaginary part of a real coefficient take the kernels' cheaper
+        paths (see ``intervals``), with the generic path's bits."""
         lower = self._nonzero_boxes
         if constant is not None:
             lower = [constant] + lower[1:]
@@ -503,7 +507,14 @@ class _Monic:
 
     def eval_deriv_boxes(self, boxes):
         """Enclosure of the derivative over rectangles (generic Horner; the
-        derivative is not monic)."""
+        derivative is not monic).
+
+        Horner starts from the leading coefficient d of f' as a float box
+        (d, d, 0.0, 0.0), so the first product is a real point times the
+        rectangles (two products per part) and two exact zero factors,
+        which the kernels answer without multiplying (see ``intervals``).
+        Every real coefficient after it adds an exact 0.0 imaginary part,
+        which is the outward rounding of the accumulator alone."""
         acc = self._deriv_boxes_desc[0]
         for c in self._deriv_boxes_desc[1:]:
             acc = vbmul(acc, boxes)
@@ -553,6 +564,12 @@ class PolynomialMap(_Monic):
         true image, hence so does their intersection.  Every box is
         evaluated on its own, in one pass over the batch: the classifier
         bounds its batches by ``tree._WAVE_SLICE``.
+
+        f(m) is the Horner scheme on the point boxes (mx, mx, my, my), one
+        array per part, so its kernels multiply and round each point once
+        (see ``intervals``), with the bits of the generic path.  A batch of
+        point boxes (``_chain_inside`` passes midpoints) takes the same
+        paths in the plain form.
         """
         plain = self.eval_boxes(boxes)
         mx = 0.5 * (boxes[0] + boxes[1])

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,7 +87,6 @@ def contains_exact(box, re, im):
 
 
 def test_interval_and_box_types():
-    import pytest
     with pytest.raises(ValueError):
         IntervalBox(0.0, -1.0, 0.0, 1.0)
     box = IntervalBox.point(Fraction(1, 3), Fraction(-1, 7))
@@ -188,50 +188,64 @@ def encloses(lo, hi, exact):
             and (hi == math.inf or exact[1] <= Fraction(hi)))
 
 
+def kernel_results(u, o):
+    """Every kernel on the boxes u and the second operand o (a box of
+    floats or of arrays): name -> (computed pairs, exact pairs of the box b
+    of an element of u and the box o)."""
+    x, y = o[:2], o[2:]
+    return {
+        "viadd": ([viadd(u[0], u[1], *x)],
+                  lambda b, o: [x_add(b[:2], o[:2])]),
+        "visub": ([visub(u[0], u[1], *y)],
+                  lambda b, o: [x_sub(b[:2], o[2:])]),
+        "vimul": ([vimul(u[0], u[1], *y)],
+                  lambda b, o: [x_mul(b[:2], o[2:])]),
+        "visq": ([visq(u[0], u[1])],
+                 lambda b, o: [x_sq(b[:2])]),
+        "vbadd": (pairs(vbadd(u, o)),
+                  lambda b, o: [x_add(b[:2], o[:2]), x_add(b[2:], o[2:])]),
+        "vbmul": (pairs(vbmul(u, o)),
+                  lambda b, o: [x_sub(x_mul(b[:2], o[:2]), x_mul(b[2:], o[2:])),
+                                x_add(x_mul(b[:2], o[2:]), x_mul(b[2:], o[:2]))]),
+        "vbsquare": (pairs(vbsquare(u)),
+                     lambda b, o: [x_sub(x_sq(b[:2]), x_sq(b[2:])),
+                                   x_add(x_mul(b[:2], b[2:]), x_mul(b[:2], b[2:]))]),
+        "vbabs2": ([vbabs2(u, o)],
+                   lambda b, o: [x_add(x_sq(x_sub(b[:2], o[:2])),
+                                       x_sq(x_sub(b[2:], o[2:])))]),
+    }
+
+
 @given(st.lists(st.tuples(anyfloat, anyfloat, anyfloat, anyfloat), min_size=1, max_size=8))
 @settings(max_examples=300)
 def test_vector_kernels_on_any_floats(rects):
     # every kernel on infinities, signed zeros, subnormals and DBL_MAX: no
-    # NaN, ordered bounds, and, for finite inputs, the exact result inside
+    # NaN, ordered bounds, and, for finite inputs, the exact result inside.
+    # The first operand comes as boxes and as point boxes (lo is hi), the
+    # second as floats (a point or zero there takes its fast path) and as
+    # arrays (the generic path)
     boxes = [(min(a, b), max(a, b), min(c, d), max(c, d)) for a, b, c, d in rects]
     arr = tuple(np.array(col) for col in zip(*boxes))
     other = boxes[0]
-    x, y = other[:2], other[2:]
-    with np.errstate(all="ignore"):  # overflow and inf - inf are expected
-        results = {  # name: (computed pairs, exact pairs of box b and other o)
-            "viadd": ([viadd(arr[0], arr[1], *x)],
-                      lambda b, o: [x_add(b[:2], o[:2])]),
-            "visub": ([visub(arr[0], arr[1], *y)],
-                      lambda b, o: [x_sub(b[:2], o[2:])]),
-            "vimul": ([vimul(arr[0], arr[1], *y)],
-                      lambda b, o: [x_mul(b[:2], o[2:])]),
-            "visq": ([visq(arr[0], arr[1])],
-                     lambda b, o: [x_sq(b[:2])]),
-            "vbadd": (pairs(vbadd(arr, other)),
-                      lambda b, o: [x_add(b[:2], o[:2]), x_add(b[2:], o[2:])]),
-            "vbmul": (pairs(vbmul(arr, other)),
-                      lambda b, o: [x_sub(x_mul(b[:2], o[:2]), x_mul(b[2:], o[2:])),
-                                    x_add(x_mul(b[:2], o[2:]), x_mul(b[2:], o[:2]))]),
-            "vbsquare": (pairs(vbsquare(arr)),
-                         lambda b, o: [x_sub(x_sq(b[:2]), x_sq(b[2:])),
-                                       x_add(x_mul(b[:2], b[2:]), x_mul(b[:2], b[2:]))]),
-            "vbabs2": ([vbabs2(arr, other)],
-                       lambda b, o: [x_add(x_sq(x_sub(b[:2], o[:2])),
-                                           x_sq(x_sub(b[2:], o[2:])))]),
-        }
+    firsts = {"box": (arr, lambda b: b),
+              "point": ((arr[0], arr[0], arr[2], arr[2]), lambda b: (b[0], b[0], b[2], b[2]))}
+    wide = tuple(np.full(len(boxes), v) for v in other)
     is_finite = [all(map(math.isfinite, b)) for b in boxes]
-    for name, (got, exact) in results.items():
-        for lo, hi in got:
-            assert not (np.isnan(lo).any() or np.isnan(hi).any()), name
-            assert (lo <= hi).all(), name
-        if not is_finite[0]:  # the second operand of every binary kernel
-            continue
-        for n, box in enumerate(boxes):
-            if is_finite[n]:
-                want = exact(tuple(map(Fraction, box)), tuple(map(Fraction, other)))
-                for (lo, hi), w in zip(got, want):
-                    assert encloses(float(lo[n]), float(hi[n]), w), (name, box, other)
-
+    for form, (u, lift) in firsts.items():
+        with np.errstate(all="ignore"):  # overflow and inf - inf are expected
+            by_floats, by_arrays = kernel_results(u, other), kernel_results(u, wide)
+        for name, (got, exact) in by_floats.items():
+            got = got + by_arrays[name][0]
+            for lo, hi in got:
+                assert not (np.isnan(lo).any() or np.isnan(hi).any()), (name, form)
+                assert (lo <= hi).all(), (name, form)
+            if not is_finite[0]:  # the second operand of every binary kernel
+                continue
+            for n, box in enumerate(boxes):
+                if is_finite[n]:
+                    want = exact(tuple(map(Fraction, lift(box))), tuple(map(Fraction, other)))
+                    for (lo, hi), w in zip(got, want + want):
+                        assert encloses(float(lo[n]), float(hi[n]), w), (name, form, box, other)
 
 def test_outward_matches_nextafter_bitwise():
     """The bit-step rounding against its definition: np.nextafter after
@@ -284,3 +298,86 @@ def test_sharp_eval_tighter_near_critical_point():
         w = z ** 3 - 3 * z + 2
         assert sharp[0][0] <= w.real <= sharp[1][0]
         assert sharp[2][0] <= w.imag <= sharp[3][0]
+
+
+# what the fast paths must carry bit for bit: signed zeros, infinities,
+# NaN (also with the all-ones payload), subnormals and DBL_MAX
+SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan,
+                    np.array(-1, dtype=np.int64).view(np.float64), 5e-324, -5e-324,
+                    sys.float_info.min, sys.float_info.max, -sys.float_info.max, -1.5])
+
+
+def endpoints(seed, n=4096):
+    """Seeded intervals lo <= hi over the whole double range, a fifth of
+    the endpoints special, some with a NaN at one end only."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        with np.errstate(over="ignore"):
+            x = np.ldexp(rng.normal(size=n), rng.integers(-1080, 1030, n))
+        special = rng.random(n) < 0.2
+        x[special] = rng.choice(SPECIAL, special.sum())
+        return x
+
+    a, b = draw(), draw()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo[rng.random(n) < 0.02] = math.nan
+    hi[rng.random(n) < 0.02] = SPECIAL[5]
+    return lo, hi
+
+
+def same_bits(got, want):
+    return all(np.array_equal(bits(g), bits(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_point_paths_match_generic_bitwise(seed):
+    # a point given as one array (or equal floats) against the same values
+    # given as two arrays, which the dispatch cannot take for a point
+    lo, hi = endpoints(seed)
+    p, q = lo, hi[::-1].copy()
+    scalars = [float(v) for v in SPECIAL if not math.isnan(v)] + [2.5, -1e-300]
+    with np.errstate(all="ignore"):
+        assert same_bits(_outward(p, p), _outward(p, p.copy()))
+        assert same_bits(visq(p, p), visq(p, p.copy()))
+        assert same_bits(vimul(lo, hi, p, p), vimul(lo, hi, p, p.copy()))
+        assert same_bits(vimul(p, p, lo, hi), vimul(p, p.copy(), lo, hi))
+        assert same_bits(vimul(p, p, q, q), vimul(p, p.copy(), q, q.copy()))
+        for s in scalars:
+            full = np.full(len(lo), s)
+            assert same_bits(vimul(lo, hi, s, s), vimul(lo, hi, full, full.copy())), s
+            assert same_bits(vimul(s, s, lo, hi), vimul(full, full.copy(), lo, hi)), s
+            assert same_bits(vimul(p, p, s, s), vimul(p, p.copy(), full, full.copy())), s
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_zero_paths_match_generic_bitwise(seed):
+    # an exact zero factor or addend, as floats of either sign, against
+    # the generic path on arrays of that zero; also a point operand
+    lo, hi = endpoints(seed)
+    for zlo, zhi in ((0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0)):
+        zl, zh = np.full(len(lo), zlo), np.full(len(lo), zhi)
+        for a in ((lo, hi), (lo, lo)):
+            with np.errstate(all="ignore"):
+                assert same_bits(vimul(*a, zlo, zhi), vimul(*a, zl, zh))
+                assert same_bits(vimul(zlo, zhi, *a), vimul(zl, zh, *a))
+                assert same_bits(viadd(*a, zlo, zhi), viadd(*a, zl, zh))
+                assert same_bits(visub(*a, zlo, zhi), visub(*a, zl, zh))
+
+
+def test_visq_matches_case_split_formula():
+    # the squares computed once against the case split they replace
+    def reference(alo, ahi):
+        neg = ahi <= 0.0
+        straddle = (alo < 0.0) & (ahi > 0.0)
+        lo = np.where(neg, ahi * ahi, alo * alo)
+        hi = np.where(neg, alo * alo, ahi * ahi)
+        lo = np.where(straddle, 0.0, lo)
+        hi = np.where(straddle, np.maximum(alo * alo, ahi * ahi), hi)
+        lo, hi = _outward(lo, hi)
+        return np.where(lo == -5e-324, 0.0, lo), hi
+
+    for seed in (7, 8, 9):
+        lo, hi = endpoints(seed)
+        with np.errstate(all="ignore"):
+            assert same_bits(visq(lo, hi), reference(lo, hi))

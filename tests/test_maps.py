@@ -20,7 +20,7 @@ from cantorshift import (
 )
 import cantorshift.maps as maps_mod
 from cantorshift.covers import Frame
-from cantorshift.intervals import boverlap
+from cantorshift.intervals import boverlap, enclose_point
 from cantorshift.maps import (
     DyadicOrbit,
     _leaves_lattice,
@@ -769,3 +769,79 @@ def test_cubic_escape_matches_mpmath_intervals():
     assert escape == 39
     assert _orbit_status(_cubic(), DomainDisk(("0", "0"), "3"),
                          (Fraction(1), Fraction(0)), horizon=60) == ("escapes", 39, False)
+
+
+def _decimal(draw):
+    """A decimal of 1 to 25 digits, zero a quarter of the time."""
+    if draw(st.integers(0, 3)) == 0:
+        return Fraction(0)
+    digits = draw(st.integers(1, 25))
+    return Fraction(draw(st.integers(-10 ** digits + 1, 10 ** digits - 1)),
+                    10 ** draw(st.integers(0, digits)))
+
+
+@st.composite
+def maps_and_boxes(draw):
+    """A monic map of degree 2..5 and eight rectangles (walls as floats):
+    the first centred on a float critical point, then anywhere near the
+    origin, some of width 0 and some far enough out that the enclosures
+    overflow."""
+    degree = draw(st.integers(2, 5))
+    coeffs = [(_decimal(draw), _decimal(draw)) for _ in range(degree)] + [(1, 0)]
+    pmap = PolynomialMap(coeffs)
+    crit = np.roots(pmap.deriv_desc)
+    rects = []
+    for n in range(8):
+        kind = "critical" if n == 0 else draw(st.sampled_from(["critical", "near", "far"]))
+        if kind == "critical":
+            c = complex(crit[draw(st.integers(0, len(crit) - 1))])
+        else:
+            scale = 1.0 if kind == "near" else 1e150
+            c = complex(draw(st.floats(-3, 3)), draw(st.floats(-3, 3))) * scale
+        h = [0.0, *np.ldexp(1.0, -np.arange(41))][draw(st.integers(0, 41))] * abs(c or 1)
+        if n == 0:
+            h = max(h, 1e-3)
+        k = draw(st.floats(0.25, 4)) * h
+        rects.append((c.real - h, c.real + h, c.imag - k, c.imag + k))
+    consts = [(_decimal(draw), _decimal(draw)) for _ in rects]
+    ts = [Fraction(draw(st.integers(0, 8)), 8) for _ in range(6)]
+    return pmap, rects, consts, ts
+
+
+def _contains(lo, hi, exact):
+    return ((lo == -math.inf or Fraction(lo) <= exact)
+            and (hi == math.inf or exact <= Fraction(hi)))
+
+
+@given(maps_and_boxes())
+@settings(max_examples=40, deadline=None)
+def test_box_kernels_enclose_exact_values(case):
+    # p_eval at exact rational points of each rectangle lies in the
+    # enclosures of f (with its own and with a replaced constant term), f'
+    # and the sharp form, on the rectangles and on their midpoints as one
+    # point batch
+    pmap, rects, consts, ts = case
+    coeffs = pmap.exact_coefficients
+    deriv = p_derivative(coeffs)
+    walls = tuple(np.array(col) for col in zip(*rects))
+    mx = 0.5 * (walls[0] + walls[1])
+    my = 0.5 * (walls[2] + walls[3])
+    const = tuple(np.array(col) for col in zip(*(enclose_point(c) for c in consts)))
+    for boxes, samples in ((walls, list(zip(ts[:3], ts[3:]))), ((mx, mx, my, my), [(0, 0)])):
+        with np.errstate(all="ignore"):
+            got = {"f": pmap.eval_boxes(boxes),
+                   "f const": pmap.eval_boxes(boxes, constant=const),
+                   "f'": pmap.eval_deriv_boxes(boxes),
+                   "f sharp": pmap.eval_boxes_sharp(boxes)}
+        for n in range(len(rects)):
+            x0, x1, y0, y1 = (Fraction(float(b[n])) for b in boxes)
+            for tx, ty in samples:
+                z = (x0 + tx * (x1 - x0), y0 + ty * (y1 - y0))
+                f = p_eval(coeffs, z)
+                exact = {"f": f, "f const": p_eval(((consts[n],) + coeffs[1:]), z),
+                         "f'": p_eval(deriv, z), "f sharp": f}
+                for name, enc in got.items():
+                    e = [float(a[n]) for a in enc]
+                    assert not any(map(math.isnan, e)), name
+                    assert _contains(e[0], e[1], exact[name][0]), (name, n, rects[n])
+                    assert _contains(e[2], e[3], exact[name][1]), (name, n, rects[n])

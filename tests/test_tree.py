@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -32,7 +33,7 @@ from cantorshift import tree as tree_mod
 from cantorshift.coding import coding_to_json_dict
 from cantorshift.errors import check_level
 from cantorshift.intervals import _one_box, boverlap, enclose_fraction, enclose_point, isqrt_hi
-from cantorshift.maps import _orbit_status, certified_roots, parse_point
+from cantorshift.maps import _companion_roots, _orbit_status, certified_roots, parse_point
 
 from conftest import paved, shifted_coefficients
 
@@ -1084,3 +1085,49 @@ def test_resolution_cap_raises(quadratic_map, quadratic_disk):
     counts = dict(part.split("=") for part in found.group(2).split(", "))
     assert found.group(1) in counts
     assert all(int(n) >= 1 for n in counts.values())
+
+def _chain_digest(pmap, disk, seed):
+    """sha256 over ``_orbit_chain``'s outputs at k = 3 and 4 for seeded
+    cells at mixed resolutions, and for their midpoints as point boxes (as
+    ``_chain_inside`` passes them): the alive indices, the strict mask and
+    the bits of the first and k-th image enclosures.  Half the cells lie
+    anywhere on the disk, half around points of twelve backward orbit
+    steps, near the Julia set, where the chain runs to the end."""
+    builder = tree_mod._TreeBuilder(pmap, disk, small_policy())
+    frame, rng = builder.frame, np.random.default_rng(seed)
+    n, d = 1000, pmap.degree
+    radius, (cx, cy) = float(disk.radius), map(float, disk.center)
+    z = cx + rng.uniform(-radius, radius, n) + 1j * (cy + rng.uniform(-radius, radius, n))
+    lower = np.array([complex(*map(float, c)) for c in pmap.exact_coefficients[:-1]])
+    w = z[n // 2:]
+    for _ in range(12):
+        rows = np.tile(lower, (len(w), 1))
+        rows[:, 0] -= w
+        roots = np.sort(_companion_roots(rows).reshape(len(w), d))  # an order of their own
+        w = roots[np.arange(len(w)), rng.integers(0, d, len(w))]
+    z[n // 2:] = w
+    r = rng.integers(3, 28, n)
+    size = np.ldexp(frame.side, -r)
+    i = np.floor((z.real - frame.x0) / size).astype(np.int64)
+    j = np.floor((z.imag - frame.y0) / size).astype(np.int64)
+    walls = frame.cell_walls(r, i, j)
+    mx = 0.5 * (walls[0] + walls[1])
+    my = 0.5 * (walls[2] + walls[3])
+    h = hashlib.sha256()
+    for k in (3, 4):
+        for boxes in (walls, (mx, mx, my, my)):
+            alive, strict, first, last = builder._orbit_chain(k, boxes)
+            h.update(alive.astype(np.int64).tobytes())
+            h.update(strict.tobytes())
+            for a in (*first, *last):
+                h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_orbit_chain_bits_are_pinned(quadratic_map, quadratic_disk, cubic_map, cubic_disk):
+    # pinned before the interval kernels took the point, zero-factor and
+    # zero-addend paths: every enclosure of the chain keeps its bits
+    assert _chain_digest(quadratic_map, quadratic_disk, 31) == (
+        "d979bf61235f21c449a5ec4d1e0650cf0fd6e2c9003e644f58eb7c593526aaa7")
+    assert _chain_digest(cubic_map, cubic_disk, 32) == (
+        "8673f93c0494ded0a0275500b3f35fc0946d3bdaf78f446814ad3a67c079c84d")
