@@ -23,7 +23,6 @@ from .errors import (
     ResolutionExceeded,
     Undecided,
 )
-from .intervals import IntervalBox, eval_enclosure
 from .maps import (
     CriticalPoint,
     DomainDisk,

@@ -375,7 +375,7 @@ def chi(pmap, z, tree, horizon: int = 24) -> ChiResult:
     if not any(comp.contains_critical for comp in tree.levels[1]):
         return ChiResult(value=1, status="certified", horizon=horizon, hits=())
 
-    critical_rects = [crit.enclosure.as_tuple() if crit.exact is None
+    critical_rects = [crit.enclosure if crit.exact is None
                       else (crit.exact[0], crit.exact[0], crit.exact[1], crit.exact[1])
                       for crit in pmap.critical_points]
     value = 1

@@ -1,18 +1,18 @@
 """Outward-rounded interval arithmetic on IEEE doubles.
 
 Real intervals are ``(lo, hi)`` pairs of endpoints; complex enclosures are
-axis-aligned rectangles ``(re_lo, re_hi, im_lo, im_hi)``.  The ``v*``
-kernels compute them on numpy arrays of endpoints, one interval or
-rectangle per element; a single box is a batch of length one.  Every
-arithmetic step is widened by one ulp, so a computed enclosure contains
-the exact real/complex result independently of the host's rounding mode.
-This one-ulp epsilon inflation is the portable substitute for directed
-rounding.  The kernels widen by the exact one-ulp step of the int64 bit
-pattern (``_outward``), which gives np.nextafter's bits on every input:
-only +0 going down, -0 going up, the infinities and NaN need np.nextafter
-itself.  Scalar ``math.nextafter`` remains only where an exact value is
-enclosed once (``enclose_fraction``, ``isqrt_hi``).  The ``IntervalBox``
-dataclass is the public face of a rectangle.
+axis-aligned rectangles ``(re_lo, re_hi, im_lo, im_hi)``, tuples of four
+floats outside the kernels.  The ``v*`` kernels compute them on numpy
+arrays of endpoints, one interval or rectangle per element; a single box
+is a batch of length one.  Every arithmetic step is widened by one ulp, so
+a computed enclosure contains the exact real/complex result independently
+of the host's rounding mode.  This one-ulp epsilon inflation is the
+portable substitute for directed rounding.  The kernels widen by the exact
+one-ulp step of the int64 bit pattern (``_outward``), which gives
+np.nextafter's bits on every input: only +0 going down, -0 going up, the
+infinities and NaN need np.nextafter itself.  Scalar ``math.nextafter``
+remains only where an exact value is enclosed once (``enclose_fraction``,
+``isqrt_hi``).
 
 The kernels look at what their operands are and skip the work that cannot
 change a bit of the result (degenerate intervals: Moore, Kearfott and
@@ -44,7 +44,6 @@ result a valid (possibly infinite) enclosure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -251,47 +250,3 @@ def vbabs2(u, center):
     sxlo, sxhi = visq(dxlo, dxhi)
     sylo, syhi = visq(dylo, dyhi)
     return viadd(sxlo, sxhi, sylo, syhi)
-
-
-# ---------------------------------------------------------------------------
-# public dataclass
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntervalBox:
-    """Axis-aligned rectangle in the complex plane, outward-rounded."""
-
-    re_lo: float
-    re_hi: float
-    im_lo: float
-    im_hi: float
-
-    def __post_init__(self):
-        if not (self.re_lo <= self.re_hi and self.im_lo <= self.im_hi):
-            raise ValueError(f"empty box {self.as_tuple()}")
-
-    @classmethod
-    def from_tuple(cls, t) -> "IntervalBox":
-        return cls(t[0], t[1], t[2], t[3])
-
-    @classmethod
-    def point(cls, re, im) -> "IntervalBox":
-        """Tight enclosure of an exact point given as rationals/floats."""
-        return cls(*enclose_point((re, im)))
-
-    def as_tuple(self):
-        return (self.re_lo, self.re_hi, self.im_lo, self.im_hi)
-
-    def midpoint(self) -> complex:
-        return complex(0.5 * (self.re_lo + self.re_hi),
-                       0.5 * (self.im_lo + self.im_hi))
-
-
-def eval_enclosure(poly, box: IntervalBox) -> IntervalBox:
-    """Certified image rectangle: contains {f(z) : z in box}.
-
-    ``poly`` is a ``PolynomialMap``; the enclosure is its ``eval_box``, a
-    monic Horner scheme that is monotone under inclusion.  Overflow
-    saturates to infinite bounds rather than raising.
-    """
-    return IntervalBox.from_tuple(poly.eval_box(box.as_tuple()))

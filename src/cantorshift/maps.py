@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import PrecisionExceeded
 from .intervals import (
-    IntervalBox,
     _one_box,
     boverlap,
     enclose_fraction,
@@ -245,30 +244,33 @@ def _companion_roots(lower):
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """A certified critical point: enclosure, multiplicity in f', and the
-    exact Gaussian-rational value when ``certified_roots`` finds one (used
-    for exact orbit walks)."""
+    """A certified critical point: its enclosure, a float rectangle
+    ``(re_lo, re_hi, im_lo, im_hi)``, its multiplicity in f', and the exact
+    Gaussian-rational value when ``certified_roots`` finds one (used for
+    exact orbit walks)."""
 
-    enclosure: IntervalBox
+    enclosure: tuple
     multiplicity: int
     exact: tuple = None  # (Fraction re, Fraction im) or None
 
     def point_str(self) -> str:
         if self.exact is not None:
             return f"{self.exact[0]}{'+' if self.exact[1] >= 0 else ''}{self.exact[1]}i"
-        m = self.enclosure.midpoint()
-        return f"~{m.real!r}{'+' if m.imag >= 0 else ''}{m.imag!r}i"
+        re_lo, re_hi, im_lo, im_hi = self.enclosure
+        re, im = 0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi)
+        return f"~{re!r}{'+' if im >= 0 else ''}{im!r}i"
 
 
 def certified_roots(poly):
     """Certified root enclosures of an exact-coefficient polynomial.
 
     Returns (enclosure, multiplicity, exact-or-None) triples covering every
-    root: multiplicities come from exact square-free decomposition (so they
-    sum to the degree by construction), and the simple roots of each
-    square-free factor are certified in one Krawczyk batch (``_krawczyk``)
-    seeded by its companion eigenvalues.  Enclosures are checked pairwise
-    disjoint; results are in canonical (re, im) order.
+    root, each enclosure a float rectangle ``(re_lo, re_hi, im_lo, im_hi)``.
+    Multiplicities come from exact square-free decomposition (so they sum to
+    the degree by construction), and the simple roots of each square-free
+    factor are certified in one Krawczyk batch (``_krawczyk``) seeded by its
+    companion eigenvalues.  Enclosures are checked pairwise disjoint;
+    results are in canonical (re_lo, im_lo) order.
 
     Each certified box holds exactly one root r, and ``exact`` is r itself
     when r is a Gaussian rational found as follows.  With D the lcm of the
@@ -297,18 +299,18 @@ def certified_roots(poly):
                       for lo, hi in (box[:2], box[2:]))
             if (box[0] <= z[0] <= box[1] and box[2] <= z[1] <= box[3]
                     and qc_is_zero(p_eval(factor, z))):
-                found.append((IntervalBox.point(*z), mult, z))
+                found.append((enclose_point(z), mult, z))
             else:
-                found.append((IntervalBox.from_tuple(box), mult, None))
+                found.append((tuple(box), mult, None))
     total = sum(m for _, m, _ in found)
     if total != p_degree(poly):
         raise PrecisionExceeded(
             f"certified {total} roots (with multiplicity), expected {p_degree(poly)}")
     for a in range(len(found)):
         for b in range(a + 1, len(found)):
-            if boverlap(found[a][0].as_tuple(), found[b][0].as_tuple()):
+            if boverlap(found[a][0], found[b][0]):
                 raise PrecisionExceeded("root enclosures overlap")
-    found.sort(key=lambda t: (t[0].re_lo, t[0].im_lo))
+    found.sort(key=lambda t: (t[0][0], t[0][2]))
     return tuple(found)
 
 
@@ -419,7 +421,8 @@ def _krawczyk(g, seeds, const=None):
 def witness_preimages(pmap: "PolynomialMap", points):
     """Certified roots of f(z) = w for many exact points w at once.
 
-    Returns, per point, d ``(IntervalBox, 1)`` pairs in the canonical
+    Returns, per point, d ``(rectangle, 1)`` pairs, each rectangle a float
+    tuple ``(re_lo, re_hi, im_lo, im_hi)``, in the canonical
     (re_lo, im_lo) order of ``certified_roots``, or None.  The roots of
     every g = f - w are seeded by one stacked eigenvalue call on the
     companion matrices and certified in one ``_krawczyk`` batch, with the
@@ -454,7 +457,7 @@ def witness_preimages(pmap: "PolynomialMap", points):
                for a in range(d) for b in range(a + 1, d)):
             out.append(None)
             continue
-        out.append(tuple((IntervalBox.from_tuple(b), 1) for b in boxes))
+        out.append(tuple((b, 1) for b in boxes))
     return out
 
 
@@ -550,8 +553,9 @@ class PolynomialMap(_Monic):
         return p_eval(self.exact_coefficients, z)
 
     def eval_box(self, box4):
-        """``eval_boxes`` of one rectangle, a tuple of four floats, for
-        ``eval_enclosure``."""
+        """``eval_boxes`` of one rectangle, a tuple of four floats.  The
+        benchmark's tracer is its only caller; ROADMAP item 1 deletes the
+        method and the tracer's layer together."""
         return tuple(float(a[0]) for a in self.eval_boxes(_one_box(box4)))
 
     def eval_boxes_sharp(self, boxes):
@@ -970,7 +974,7 @@ def validate_restriction(pmap: PolynomialMap, disk: DomainDisk, level1, pavement
 
     compact = disk.contains_cover(pavement)
     placed = {cidx for comp in level1 for cidx in comp.contains_critical}
-    rects = np.array([c.enclosure.as_tuple() for c in pmap.critical_points]).reshape(-1, 4)
+    rects = np.array([c.enclosure for c in pmap.critical_points]).reshape(-1, 4)
     overlaps = np.isin(np.arange(len(rects)), pavement.overlapping(rects.T)[0])
 
     crit_status = []
@@ -979,7 +983,7 @@ def validate_restriction(pmap: PolynomialMap, disk: DomainDisk, level1, pavement
     for cidx, crit in enumerate(pmap.critical_points):
         in_restr = True if cidx in placed else (None if overlaps[cidx] else False)
         status, esc_step, periodic = _orbit_status(
-            pmap, disk, crit.enclosure.as_tuple() if crit.exact is None else crit.exact, horizon)
+            pmap, disk, crit.enclosure if crit.exact is None else crit.exact, horizon)
         if periodic:
             periodic_flag = True
         if in_restr and (status == "escapes" or periodic):

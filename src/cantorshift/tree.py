@@ -443,7 +443,7 @@ class _TreeBuilder:
                 coeffs[0] = (coeffs[0][0] - w[0], coeffs[0][1] - w[1])
                 roots = [(box, mult) for box, mult, _ in certified_roots(tuple(coeffs))]
             for box, mult in roots:
-                rows.append((*box.as_tuple(), mult, v_idx))
+                rows.append((*box, mult, v_idx))
         rows = np.array(rows, dtype=np.float64).reshape(-1, 6)
         rows = rows[np.lexsort(rows.T[::-1])]
         return rows[:, :4], rows[:, 4].astype(np.int64), rows[:, 5].astype(np.int64)
@@ -565,7 +565,7 @@ class _TreeBuilder:
         ids = (np.arange(len(self.pmap.critical_points)) if k == 1
                else np.flatnonzero(self.built[1].crit_cluster >= 0))
         crits = [self.pmap.critical_points[c] for c in ids]
-        rects = np.array([crit.enclosure.as_tuple() for crit in crits]).reshape(-1, 4)
+        rects = np.array([crit.enclosure for crit in crits]).reshape(-1, 4)
         box, cell = pavement.overlapping(rects.T)
         touched, cluster = _distinct(box, labels[cell], len(crits))
         lost = np.flatnonzero(touched == 0)

@@ -107,7 +107,7 @@ def test_critical_points_cubic_family():
                                         (Fraction(1), Fraction(0))}
     # enclosures are disjoint and contain the exact roots
     a, b = crits
-    assert a.enclosure.re_hi < b.enclosure.re_lo
+    assert a.enclosure[1] < b.enclosure[0]
 
 
 def test_certified_roots_irrational():
@@ -117,7 +117,7 @@ def test_certified_roots_irrational():
                              (Fraction(1), Fraction(0))))
     assert len(roots) == 2
     import math
-    vals = sorted((r[0].re_lo + r[0].re_hi) / 2 for r in roots)
+    vals = sorted((r[0][0] + r[0][1]) / 2 for r in roots)
     assert abs(vals[0] + math.sqrt(2)) < 1e-9
     assert abs(vals[1] - math.sqrt(2)) < 1e-9
     assert all(m == 1 for _, m, _ in roots)
@@ -152,8 +152,8 @@ def test_certified_roots_fuzz_against_numeric():
         assert sum(m for _, m, _ in roots) == deg
         numeric = np.roots([1.0] + [float(c) for c in ints[::-1]])
         for z in numeric:
-            hit = any(box.re_lo - 1e-7 <= z.real <= box.re_hi + 1e-7
-                      and box.im_lo - 1e-7 <= z.imag <= box.im_hi + 1e-7
+            hit = any(box[0] - 1e-7 <= z.real <= box[1] + 1e-7
+                      and box[2] - 1e-7 <= z.imag <= box[3] + 1e-7
                       for box, _, _ in roots)
             assert hit, f"numeric root {z} not covered for {ints}"
 
@@ -173,8 +173,8 @@ def _mp_roots_in(mp, coeffs, roots):
         def holds(root, box, exact):
             if exact is not None:
                 return abs(root - mpc(exact)) < mp.mpf("1e-40")
-            return (box.re_lo <= root.real <= box.re_hi
-                    and box.im_lo <= root.imag <= box.im_hi)
+            return (box[0] <= root.real <= box[1]
+                    and box[2] <= root.imag <= box[3])
 
         hits = [[holds(z, box, exact) for box, _, exact in roots] for z in ref]
     assert all(sum(h) == 1 for h in hits), f"mpmath roots not isolated for {coeffs}"
@@ -235,7 +235,7 @@ def test_certified_roots_match_mpmath_polyroots():
                 coeffs = _qc_poly_mul(coeffs, ((-r[0], -r[1]), (Fraction(1), Fraction(0))))
         roots = certified_roots(coeffs)
         assert {exact: m for _, m, exact in roots} == chosen
-        assert all(box.re_lo <= re <= box.re_hi and box.im_lo <= im <= box.im_hi
+        assert all(box[0] <= re <= box[1] and box[2] <= im <= box[3]
                    for box, _, (re, im) in roots)
     # random Gaussian-rational polynomials of degree 2..6
     rng = np.random.default_rng(50)
@@ -260,7 +260,8 @@ def test_critical_points_take_at_most_one_exact_evaluation_per_root(monkeypatch,
     root = math.sqrt(-float(Fraction(c)) / 3)
     assert [(cp.multiplicity, cp.exact) for cp in crits] == [(1, None), (1, None)]
     for cp, x in zip(crits, (-root, root)):
-        assert abs(cp.enclosure.midpoint() - x) < 1e-12
+        box = cp.enclosure
+        assert abs(complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3])) - x) < 1e-12
     assert len(calls) <= len(crits)
 
 
@@ -283,7 +284,7 @@ def test_witness_preimages_agree_with_certified_roots(tail, witnesses):
     for w, roots in zip(witnesses, batch):
         if roots is None:
             continue  # left to the exact path
-        rects = [box.as_tuple() for box, _ in roots]
+        rects = [box for box, _ in roots]
         assert len(rects) == d and all(m == 1 for _, m in roots)
         assert rects == sorted(rects, key=lambda b: (b[0], b[2]))
         assert not any(boverlap(rects[a], rects[b])
@@ -291,7 +292,7 @@ def test_witness_preimages_agree_with_certified_roots(tail, witnesses):
         exact = certified_roots(shifted_coefficients(pmap, w))
         assert sum(m for _, m, _ in exact) == d
         hits = [[e for e, (box, _, _) in enumerate(exact)
-                 if boverlap(rect, box.as_tuple())] for rect in rects]
+                 if boverlap(rect, box)] for rect in rects]
         assert all(len(h) == 1 for h in hits)
         # d simple roots: the exact path finds each once, with multiplicity 1
         assert sorted(h[0] for h in hits) == list(range(len(exact)))
@@ -328,7 +329,7 @@ def test_witness_preimages_enclose_rational_roots():
     (roots,) = witness_preimages(quad, [(Fraction(-2), Fraction(0))])
     for (box, mult), x in zip(roots, (-2, 2)):
         assert mult == 1
-        assert box.re_lo <= x <= box.re_hi and box.im_lo <= 0 <= box.im_hi
+        assert box[0] <= x <= box[1] and box[2] <= 0 <= box[3]
 
 
 def test_krawczyk_stops_when_either_side_stalls():
@@ -338,8 +339,8 @@ def test_krawczyk_stops_when_either_side_stalls():
     quad = PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])
     (roots,) = witness_preimages(quad, [(Fraction(0), Fraction(0))])
     for (box, _), x in zip(roots, (-math.sqrt(6), math.sqrt(6))):
-        assert box.re_lo <= x <= box.re_hi and box.im_lo <= 0 <= box.im_hi
-        assert box.im_hi - box.im_lo >= 2.0 ** -1022
+        assert box[0] <= x <= box[1] and box[2] <= 0 <= box[3]
+        assert box[3] - box[2] >= 2.0 ** -1022
 
 
 def test_escape_radius_values():
@@ -503,7 +504,7 @@ def test_orbit_status_of_rectangle_seeds(which, horizon, status):
     # the enclosures of -sqrt(2/3), which leaves U at step 2, and of
     # +sqrt(2/3), walked on dyadic balls from step 0
     pmap, disk = _enclosure_only_cubic()
-    seed = pmap.critical_points[which].enclosure.as_tuple()
+    seed = pmap.critical_points[which].enclosure
     assert _orbit_status(pmap, disk, seed, horizon) == status
 
 

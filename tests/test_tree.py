@@ -127,7 +127,7 @@ def test_batched_witness_roots_match_exact_path(quadratic_map, quadratic_disk):
         rects, mults, sources = builder._solve_witness_preimages(k)
         assert mults.sum() == d * len(witnesses)
         for v, w in enumerate(witnesses):
-            exact = [box.as_tuple() for box, _, _
+            exact = [box for box, _, _
                      in certified_roots(shifted_coefficients(quadratic_map, w))]
             rects_v = [tuple(rect) for rect in rects[sources == v].tolist()]
             assert len(rects_v) == d
@@ -1131,3 +1131,83 @@ def test_orbit_chain_bits_are_pinned(quadratic_map, quadratic_disk, cubic_map, c
         "d979bf61235f21c449a5ec4d1e0650cf0fd6e2c9003e644f58eb7c593526aaa7")
     assert _chain_digest(cubic_map, cubic_disk, 32) == (
         "8673f93c0494ded0a0275500b3f35fc0946d3bdaf78f446814ad3a67c079c84d")
+
+
+def _attempt_digests(pmap, disk, depth, chain=True):
+    """One sha256 per certification attempt of a build: the level, the
+    pavement's cells and interior mask, the settled and parent clusters
+    handed over by the last failed attempt, the labels and parent clusters
+    the attempt ends with, its failure text or its accepted witness points,
+    and the mask of the cells its refinement split.  With ``chain`` false,
+    every witness goes to the exact walk, as in ``_walk_build``."""
+    digests = []
+    certify = tree_mod._TreeBuilder._certify
+    subdivide = tree_mod._TreeBuilder._subdivide_band
+
+    def update(h, *arrays):
+        for a in arrays:
+            h.update(b"-" if a is None else np.asarray(a, dtype=np.int64).tobytes())
+
+    def traced_certify(self, k, pavement, interior, witness_boxes, settled=None, up=None):
+        h = hashlib.sha256(str(k).encode())
+        update(h, pavement.r, pavement.i, pavement.j, interior, settled, up)
+        digests.append(h)
+        try:
+            built = certify(self, k, pavement, interior, witness_boxes, settled, up)
+        except tree_mod._Failure as fail:
+            update(h, fail.labels, fail.up)
+            h.update(str(fail).encode())
+            raise
+        update(h, built.labels, built.parent_of[built.labels])
+        h.update(repr(built.witness_points).encode())
+        return built
+
+    def traced_subdivide(self, pavement, interior, pending, targets):
+        chosen = subdivide(self, pavement, interior, pending, targets)
+        update(digests[-1], chosen)
+        return chosen
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_mod._TreeBuilder, "_certify", traced_certify)
+        mp.setattr(tree_mod._TreeBuilder, "_subdivide_band", traced_subdivide)
+        if not chain:
+            mp.setattr(tree_mod._TreeBuilder, "_chain_inside",
+                       lambda self, k, rects: np.zeros(len(rects), dtype=bool))
+        build_tree(pmap, disk, depth, policy=small_policy())
+    return [h.hexdigest() for h in digests]
+
+
+_ATTEMPT_DIGESTS = {
+    "quadratic": [
+        "08467ec6897197e169a9ba26ab6cfc6d9102f094aaa035e2d811bf18031b2734",
+        "9688d7e7f579643d5478f90739f20b084c19b113a4e11263976b7a15b9f966d7",
+        "25dee11479c92b124821136d232ae6680732a9daf0340f083f28bd0e9e32f2f7",
+        "4c7651d15c6baeac9fb39e4cd9f90dd29e48154fcaed3378ca9edb873bc64781",
+        "8e167889c90a6c38540918fcec3d4617e41ab07be199ad30355ba6f477f494e8",
+        "5b1c0759f5293a57e8bfb32f5f899535e0ab10f1426c36d226b3b0bbbbd1ad72",
+        "61d2b93ee5f48af3146aec5ba0d01d1f9cba19b53164f23ad8b643ba58841102",
+        "451db6d429e132745013d4605e8b0f1ededc5016520e7b88c8ba4fcebebeec5b",
+        "8c85075faaa3e64b1d94a7f2e7aa0a0eba84aab43ad56adac91183091264fd7b",
+    ],
+    "cubic": [
+        "c4f02bd559474484e5191ceefa190bae316225543617a35b1f8774520cc289e1",
+        "8c412e5033b102b4f6a63878f6417a11b5fd81c4654954146bd2b2e2ff05ce63",
+        "e7d914c3c8c4f675a2b33907481a7e3c29b90e27a54454902e0d45df203b3e4b",
+        "72fb2a97fc3b62cd96838e7057beb8b2c5a286b394abab12b8720b19642283bf",
+        "48e26114064923b85af8ffc3fdbf58c9fbe152d8fb7eff328fcbd3da16446662",
+        "38177afad6b011aff84c2b44eb379c7d42aa083a73c472015f3df1a7f75781f9",
+    ],
+}
+
+
+@pytest.mark.parametrize("case, depth", [("quadratic", 6), ("cubic", 4)])
+def test_attempt_digests_are_pinned(request, case, depth):
+    # every attempt keeps its pavement, hand-off, clusters, outcome and
+    # split cells.  These depths hold the builds of
+    # test_walk_alone_gives_the_chain_witness_points as their first levels,
+    # and the failing attempts of test_failure_texts_of_small_builds, whose
+    # refine masks are digested too; the walk alone gives the same attempts
+    pmap = request.getfixturevalue(f"{case}_map")
+    disk = request.getfixturevalue(f"{case}_disk")
+    assert _attempt_digests(pmap, disk, depth) == _ATTEMPT_DIGESTS[case]
+    assert _attempt_digests(pmap, disk, depth, chain=False) == _ATTEMPT_DIGESTS[case]
