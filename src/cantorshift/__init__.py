@@ -32,8 +32,9 @@ from .maps import (
     escape_radius,
     validate_restriction,
 )
-from .oracle import AbstractTree, brute_force_fibers, generate
+from .oracle import brute_force_fibers, generate
 from .tree import (
+    AbstractTree,
     CantorDiagnostic,
     Component,
     PuzzleTree,

@@ -78,10 +78,10 @@ def _ints(values: list) -> np.ndarray:
 def assign_symbols(tree) -> SymbolAssignment:
     """Construct the canonical branch-symbol assignment for a tree.
 
-    Works for any tree exposing ``degree``, ``depth`` and ordered component
-    lists with ``container``/``image``/``local_degree`` (geometric trees and
-    abstract ones alike).  Raises InconsistentTree when the degree
-    bookkeeping cannot be met, which signals a corrupted tree.
+    Works on any ``tree.AbstractTree`` (a ``PuzzleTree`` and a generated
+    tree alike) through its ``degree``, ``depth`` and the components'
+    ``container``/``image``/``local_degree``.  Raises InconsistentTree when
+    the degree bookkeeping cannot be met, which signals a corrupted tree.
 
     Every symbol set is a run [start, start + degree), computed on arrays.
     Level 1 takes consecutive blocks.  Below, the children of a parent over

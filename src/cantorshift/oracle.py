@@ -1,10 +1,10 @@
 """Abstract admissible component trees and brute-force fiber counting.
 
-The generator emits random trees with the same combinatorial shape as the
-geometric ones (container edges, image edges, local degrees) but no
-geometry, admissible by construction: level-1 degrees are a composition of
-d into N >= 2 parts, and below that the children of a parent P over each
-component V carry degrees composing local_degree(P).
+The generator emits random ``AbstractTree``s: the combinatorial tree
+(container edges, image edges, local degrees) that ``PuzzleTree`` extends
+with geometry, admissible by construction: level-1 degrees are a
+composition of d into N >= 2 parts, and below that the children of a
+parent P over each component V carry degrees composing local_degree(P).
 
 ``brute_force_fibers`` recounts cylinder fibers by iterative table-filling
 over word lists, sharing no code with the per-level carrier arrays and word
@@ -15,48 +15,12 @@ the correctness oracle for the coding construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InconsistentTree
-from .tree import check_structure
+from .tree import AbstractComponent, AbstractTree, check_structure
 
 # most words ``brute_force_fibers`` enumerates; 2^18 take 1-3 s, 80-150 MB traced
 _MAX_WORDS = 2 ** 18
-
-
-@dataclass(slots=True)
-class AbstractComponent:
-    """One component of an abstract tree, with the fields of
-    ``tree.Component`` that the coding reads.
-
-    Mutable like ``tree.Component``, so that a generated tree's hundreds of
-    thousands of components are cheap to build; like every coded tree, it is
-    treated as immutable once generated.
-    """
-
-    level: int
-    index: int
-    container: int
-    image: int
-    local_degree: int
-    cumulative_degree: int
-    contains_critical: tuple = ()  # degree > 1 plays the critical role here
-
-    @property
-    def id(self):
-        return (self.level, self.index)
-
-
-class AbstractTree:
-    """Geometry-free component tree satisfying the structural invariants."""
-
-    def __init__(self, degree, levels):
-        self.degree = degree
-        self.levels = levels
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
 
 
 def _random_composition(rng: random.Random, total: int, bias: float, min_parts: int = 1):

@@ -121,18 +121,14 @@ class ResolutionPolicy:
             raise ValueError(f"max_resolution must be at most {MAX_RESOLUTION}")
 
 
-@dataclass
-class Component:
-    """One connected component W of f^{-level}(U).
-
-    ``container`` and ``image`` are indices into the previous level's
-    component list (None at level 0).  ``cumulative_degree`` is the degree
-    of f^level restricted to W, the product of local degrees along the
-    image chain.  ``cover`` holds the ascending int64 indices of W's cells
-    in the level's pavement (``PuzzleTree.pavement``), so ``len(cover)``
-    counts them; ``bbox`` is their (re_lo, re_hi, im_lo, im_hi) hull, and
-    ``diameter_bound`` an upper bound on W's diameter.
-    """
+@dataclass(slots=True)
+class AbstractComponent:
+    """One connected component W of a tree level, with the fields the coding
+    reads.  ``container`` and ``image`` index the previous level's
+    components (None at level 0).  ``cumulative_degree`` is the degree of
+    f^level on W, the product of local degrees along the image chain.
+    ``contains_critical`` names the critical points in W; in a generated
+    tree, degree > 1 plays the critical role."""
 
     level: int
     index: int
@@ -140,14 +136,40 @@ class Component:
     image: int
     local_degree: int
     cumulative_degree: int
-    cover: np.ndarray = field(compare=False)  # an array has no truth value
-    bbox: tuple
-    diameter_bound: float
-    contains_critical: tuple
+    contains_critical: tuple = ()
 
     @property
     def id(self):
         return (self.level, self.index)
+
+
+class AbstractTree:
+    """Component tree over ``degree`` symbols: ``levels[k]`` lists the
+    level-k components in canonical order, geometric (``PuzzleTree``) and
+    generated (``oracle.generate``) trees alike.  Components are mutable, so
+    that a generated tree's many thousands are cheap to build, but a tree
+    and its components are treated as immutable once built, generated or
+    coded; the carrier tables an assignment stores per tree rely on it."""
+
+    def __init__(self, degree, levels):
+        self.degree = degree
+        self.levels = levels
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
+
+
+@dataclass(kw_only=True)
+class Component(AbstractComponent):
+    """A component W of f^{-level}(U) with its geometry: ``cover`` holds the
+    ascending int64 indices of W's cells in the level's pavement
+    (``PuzzleTree.pavement``), ``bbox`` their (re_lo, re_hi, im_lo, im_hi)
+    hull and ``diameter_bound`` an upper bound on W's diameter."""
+
+    cover: np.ndarray = field(compare=False)  # an array has no truth value
+    bbox: tuple
+    diameter_bound: float
 
 
 @dataclass
@@ -310,26 +332,17 @@ class _Defects:
         return f"{self.first} (by kind: {histogram})"
 
 
-class PuzzleTree:
-    """Immutable result of build_tree; levels[k] lists the components of
-    f^{-k}(U) in canonical order."""
+class PuzzleTree(AbstractTree):
+    """Result of build_tree; levels[k] lists the components of f^{-k}(U)."""
 
     def __init__(self, pmap, disk, frame, policy, levels, built, restriction):
+        super().__init__(pmap.degree, levels)
         self.map = pmap
         self.disk = disk
         self.frame = frame
         self.policy = policy
-        self.levels = levels
         self._built = built
         self.restriction = restriction
-
-    @property
-    def degree(self) -> int:
-        return self.map.degree
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
 
     @property
     def n_level1(self) -> int:

@@ -31,6 +31,7 @@ from cantorshift import (
     build_tree,
 )
 from cantorshift.coding import assign_symbols
+from cantorshift.oracle import AbstractComponent, AbstractTree
 
 # Newton-tuned, truncated to 40 digits: 1 -> b-2 -> (about 2.5e-40 from) q,
 # with q = -2.30746...-0.08766...i a repelling fixed point (multiplier ~ 13)
@@ -55,6 +56,23 @@ def shifted_coefficients(pmap, w):
 def paved(frame, cells):
     """The PavedCover of a list of (r, i, j) cells."""
     return PavedCover(frame, *np.array(cells, dtype=np.int64).reshape(-1, 3).T)
+
+
+def abstract_tree_d3():
+    """Degree-3 tree, level 1 split (2, 1), every deeper split trivial.
+
+    Component A = level-1 block of degree 2, B = degree 1.  At level 2 the
+    children of A over A and over B each inherit degree 2; the fiber of the
+    one over A must be {00, 01, 10, 11}.
+    """
+    root = AbstractComponent(0, 0, None, None, 1, 1)
+    a = AbstractComponent(1, 0, 0, 0, 2, 2, ("c",))
+    bb = AbstractComponent(1, 1, 0, 0, 1, 1)
+    w1 = AbstractComponent(2, 0, 0, 0, 2, 4, ("c",))   # in A over A
+    w2 = AbstractComponent(2, 1, 0, 1, 2, 2, ("c",))   # in A over B
+    w3 = AbstractComponent(2, 2, 1, 0, 1, 2)           # in B over A
+    w4 = AbstractComponent(2, 3, 1, 1, 1, 1)           # in B over B
+    return AbstractTree(3, [[root], [a, bb], [w1, w2, w3, w4]])
 
 
 @pytest.fixture(scope="session")

@@ -29,24 +29,7 @@ from cantorshift.coding import (
 from cantorshift.maps import _orbit_status
 from cantorshift.oracle import AbstractComponent, AbstractTree, brute_force_fibers, generate
 
-from conftest import CUBIC_DEPTH
-
-
-def abstract_tree_d3():
-    """Degree-3 tree, level 1 split (2, 1), every deeper split trivial.
-
-    Component A = level-1 block of degree 2, B = degree 1.  At level 2 the
-    children of A over A and over B each inherit degree 2; the fiber of the
-    one over A must be {00, 01, 10, 11}.
-    """
-    root = AbstractComponent(0, 0, None, None, 1, 1)
-    a = AbstractComponent(1, 0, 0, 0, 2, 2, ("c",))
-    bb = AbstractComponent(1, 1, 0, 0, 1, 1)
-    w1 = AbstractComponent(2, 0, 0, 0, 2, 4, ("c",))   # in A over A
-    w2 = AbstractComponent(2, 1, 0, 1, 2, 2, ("c",))   # in A over B
-    w3 = AbstractComponent(2, 2, 1, 0, 1, 2)           # in B over A
-    w4 = AbstractComponent(2, 3, 1, 1, 1, 1)           # in B over B
-    return AbstractTree(3, [[root], [a, bb], [w1, w2, w3, w4]])
+from conftest import CUBIC_DEPTH, abstract_tree_d3
 
 
 def test_level1_blocks_fill_from_below():

@@ -34,10 +34,6 @@ CALLERS = {
     "tree.PuzzleTree.to_json_dict": "src/cantorshift/cli.py::cmd_analyze",
     "coding.VerificationReport.summary_lines": "src/cantorshift/cli.py::cmd_verify",
     "maps.RestrictionReport.summary_lines": "src/cantorshift/cli.py::cmd_analyze",
-    "oracle.AbstractComponent.id": "src/cantorshift/oracle.py::_check_assignment_invariants",
-    "tree.Component.id": "src/cantorshift/tree.py::check_structure",
-    "oracle.AbstractTree.depth": "src/cantorshift/oracle.py::_check_assignment_invariants",
-    "tree.PuzzleTree.depth": "src/cantorshift/tree.py::locate",
 }
 
 

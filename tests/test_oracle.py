@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorshift import oracle as oracle_mod
-from cantorshift.coding import assign_symbols, fibers
-from cantorshift.errors import BudgetExceeded
+from cantorshift.coding import SymbolAssignment, assign_symbols, fibers
+from cantorshift.errors import BudgetExceeded, InconsistentTree
 from cantorshift.oracle import (
     AbstractTree,
+    _check_assignment_invariants,
     brute_force_fibers,
     generate,
     run_equivalence_cases,
 )
 from cantorshift.tree import check_structure
+
+from conftest import abstract_tree_d3
 
 
 def test_generate_deterministic():
@@ -136,3 +139,88 @@ def test_run_equivalence_cases_checks_the_word_budget_first(monkeypatch):
     assert run_equivalence_cases(0, 0, degrees=(2,), max_depth=18) == (0, 0, [])
     monkeypatch.undo()
     assert run_equivalence_cases(3, 4) == (4, 0, [])
+
+
+def _edited(tree, level, position, **fields):
+    """A copy of ``tree`` whose component ``levels[level][position]`` has
+    ``fields`` replaced; the other components are shared."""
+    levels = list(tree.levels)
+    levels[level] = list(levels[level])
+    levels[level][position] = dataclasses.replace(levels[level][position], **fields)
+    return AbstractTree(tree.degree, levels)
+
+
+@pytest.mark.parametrize("level, position, fields, message", [
+    # w3, B's child over A, moved over B: A is left two of its three preimages
+    (2, 2, {"image": 1}, "level 2: degrees over image component 0 sum to 2, want 3"),
+    (1, 0, {"contains_critical": ()}, "degree/critical mismatch at (1, 0)"),
+    (2, 3, {"cumulative_degree": 2}, "level 2: cumulative degrees do not sum to d^2"),
+])
+def test_check_structure_names_the_broken_invariant(level, position, fields, message):
+    tree = abstract_tree_d3()
+    check_structure(tree)
+    with pytest.raises(InconsistentTree) as info:
+        check_structure(_edited(tree, level, position, **fields))
+    assert str(info.value) == message
+
+
+def test_check_structure_names_a_square_that_does_not_commute():
+    # the square container(image) = image(container) can only fail from
+    # level 3 on; every split of this tree is trivial, so moving a component
+    # to another container breaks nothing else
+    tree = generate(7, 3, 3)
+    with pytest.raises(InconsistentTree) as info:
+        check_structure(_edited(tree, 3, 0, container=1))
+    assert str(info.value) == "commuting square fails at (3, 0)"
+
+
+def _with_symbols(tree, symbols):
+    """The canonical assignment of ``tree`` with the symbol sets of the
+    component ids in ``symbols`` replaced."""
+    return SymbolAssignment(tree.degree, {**assign_symbols(tree).symbols, **symbols})
+
+
+@pytest.mark.parametrize("symbols, brute, invariants", [
+    # B's child over A carries no symbol: nothing carries 2 over A
+    ({(2, 2): ()}, "no carrier for symbol 2 over image 0 at level 2",
+     "|S((2, 2))| != local degree"),
+    # it carries 1, which A's child over A carries too and B does not own
+    ({(2, 2): (1,)}, "symbol 1 over image 0 claimed twice at level 2",
+     "S((2, 2)) not nested in its container's symbols"),
+    # B carries 1, which its sibling A carries too
+    ({(1, 1): (1,)}, "symbol 1 over image 0 claimed twice at level 1",
+     "S((1, 1)) overlaps a sibling over the same image"),
+])
+def test_oracle_checks_name_a_broken_assignment(symbols, brute, invariants):
+    tree = abstract_tree_d3()
+    with pytest.raises(InconsistentTree) as info:
+        brute_force_fibers(tree, _with_symbols(tree, symbols), 2)
+    assert str(info.value) == brute
+    with pytest.raises(InconsistentTree) as info:
+        _check_assignment_invariants(tree, _with_symbols(tree, symbols))
+    assert str(info.value) == invariants
+
+
+def test_assignment_invariants_name_symbols_that_do_not_partition():
+    # A made of degree 1 and given the one symbol 0: each set has its size,
+    # is nested and overlaps no sibling, yet no component carries symbol 1
+    tree = abstract_tree_d3()
+    _check_assignment_invariants(tree, assign_symbols(tree))
+    with pytest.raises(InconsistentTree) as info:
+        _check_assignment_invariants(_edited(tree, 1, 0, local_degree=1),
+                                     _with_symbols(tree, {(1, 0): (0,)}))
+    assert str(info.value) == "symbols over image 0 at level 1 do not partition the alphabet"
+
+
+def test_run_equivalence_cases_reports_disagreeing_and_raising_cases(monkeypatch):
+    cases = ["case 0 (seed 1087608058291172412, d=2, depth=1): ",
+             "case 1 (seed 865701881190521133, d=2, depth=2): "]
+    monkeypatch.setattr(oracle_mod, "brute_force_fibers", lambda *args: {})
+    assert run_equivalence_cases(1, 2, degrees=(2,), max_depth=2) == (
+        0, 2, [case + "fiber counts disagree" for case in cases])
+
+    def refuse(*args):
+        raise InconsistentTree("refused")
+    monkeypatch.setattr(oracle_mod, "brute_force_fibers", refuse)
+    assert run_equivalence_cases(1, 2, degrees=(2,), max_depth=2) == (
+        0, 2, [case + "InconsistentTree('refused')" for case in cases])

@@ -675,6 +675,36 @@ def test_containment_retries_continue_like_failed_attempts(monkeypatch):
     assert report.compactly_contained is False
 
 
+def test_containment_retries_at_the_resolution_cap_accept_the_last_table(monkeypatch):
+    # the same map with cells no finer than 2^-7: after the third attempt
+    # no band cell can refine, so the last table not inside U is accepted
+    # before a fourth exists, and the restriction report says why
+    pmap = PolynomialMap([("-6", "0"), ("0", "0"), ("1", "0")])
+    disk = DomainDisk(("0", "0"), "3")
+    policy = ResolutionPolicy(max_resolution=7)
+    builder = tree_mod._TreeBuilder(pmap, disk, policy)
+    builder._build_level0()
+    attempts = []
+    certify = tree_mod._TreeBuilder._certify
+
+    def traced_certify(self, *args):
+        attempts.append(certify(self, *args))
+        return attempts[-1]
+
+    monkeypatch.setattr(tree_mod._TreeBuilder, "_certify", traced_certify)
+    builder._build_level(1)
+    assert len(attempts) == 3
+    assert builder.built[1] is attempts[-1]
+    assert not disk.contains_cover(attempts[-1].pavement)
+    monkeypatch.undo()
+    with pytest.raises(HypothesisViolation) as info:
+        build_tree(pmap, disk, 1, policy=policy)
+    report = info.value.report
+    assert report.compactly_contained is False
+    assert report.n_components == 2
+    assert list(report.branch_degrees) == [1, 1]
+
+
 def test_restriction_critical_outside_a_deeper_cover_is_a_violation(cubic_map, cubic_disk):
     # level 1 certifies +1 inside U' and leaves the escaping -1 out; at
     # k >= 2 a restriction critical point outside the whole cover certifies
