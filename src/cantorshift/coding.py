@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, HypothesisViolation, InconsistentTree, Undecided, check_level
 from .maps import DyadicOrbit, p_derivative, p_eval, parse_point, qc_is_zero
+from .tree import check_structure
 
 # most words ``fibers`` and ``verify_semiconjugacy`` enumerate
 _MAX_WORDS = 2 ** 20
@@ -80,83 +81,55 @@ def assign_symbols(tree) -> SymbolAssignment:
 
     Works on any ``tree.AbstractTree`` (a ``PuzzleTree`` and a generated
     tree alike) through its ``degree``, ``depth`` and the components'
-    ``container``/``image``/``local_degree``.  Raises InconsistentTree when
-    the degree bookkeeping cannot be met, which signals a corrupted tree.
+    ``container``/``image``/``local_degree``.  ``tree.check_structure``
+    runs first, so a corrupted tree raises InconsistentTree before any
+    symbol is assigned.
 
     Every symbol set is a run [start, start + degree), computed on arrays.
     Level 1 takes consecutive blocks.  Below, the children of a parent over
     one image component, a group, split the parent's run in list order, so
     a child starts at its parent's start plus the degrees before it in its
-    group.  Groups are taken level by level in ascending (container, image):
-    the first whose degrees do not fill its parent's run raises, and a
-    container missing from the level above raises KeyError.  Each distinct
-    run is one tuple, shared by every set equal to it.
+    group.  Each distinct run is one tuple, shared by every set equal to it.
     """
+    check_structure(tree)
     d = tree.degree
     if tree.depth < 1:
         return SymbolAssignment(d, {})
     levels = tree.levels[1:tree.depth + 1]
-    top = len(levels[0])
+    sizes = list(map(len, levels))
+    top = sizes[0]
     comps = list(itertools.chain.from_iterable(levels))
-    index, degree = _ints([c.index for c in comps]), _ints([c.local_degree for c in comps])
-    if int(degree[:top].sum()) != d:
-        raise InconsistentTree(
-            f"level-1 degrees fill {int(degree[:top].sum())} symbols, alphabet has {d}")
+    offset = np.cumsum([0, *sizes])  # each level's offset in ``comps``; an index is a position
 
     # every component in the order its set is stored: level 1 in list order,
     # then the children by group, ascending in (level, container, image), in
-    # list order within a group; a duplicate index keeps the last set stored
-    level = np.arange(1, tree.depth + 1).repeat(list(map(len, levels)))
+    # list order within a group
+    level = np.arange(1, tree.depth + 1).repeat(sizes)
     children = comps[top:]
     container, image = _ints([c.container for c in children]), _ints([c.image for c in children])
     order = np.lexsort((image, container, level[top:]))
     container, image = container[order], image[order]
     stored = np.concatenate((np.arange(top), order + top))
-    level, index, degree = level[stored], index[stored], degree[stored]
-    child_level, child_degree = level[top:], degree[top:]
+    level, degree = level[stored], _ints([c.local_degree for c in comps])[stored]
+    child_level = level[top:]
     head = np.ones(len(order), dtype=bool)  # the first child of each group
     head[1:] = ((child_level[1:] != child_level[:-1]) | (container[1:] != container[:-1])
                 | (image[1:] != image[:-1]))
-    first = head.nonzero()[0]
-    group = head.cumsum() - 1
     start = degree.cumsum() - degree  # right for level 1; the children's are set below
-    offset = start[top:] - start[top:][first][group]  # the degrees before a child in its group
-    used = np.add.reduceat(child_degree, first)  # the degrees of each group
-
-    # each group's parent, from the slot (level, index); slot width - 1 stays -1
-    width = int(index.max(initial=-1)) + 2
-    position = np.full((tree.depth + 1) * width, -1)
-    position[level * width + index] = np.arange(len(index))
-    owner = container[first]
-    parent = position[(child_level[first] - 1) * width + np.where(
-        (owner >= 0) & (owner < width - 1), owner, width - 1)]
-    length = np.maximum(degree, 0)  # a level-1 block of degree <= 0 is empty
-    pool = np.concatenate((length, [0]))[parent]  # a missing parent reads the 0
-    negative = np.zeros(len(first), dtype=bool)
-    negative[group[child_degree < 0]] = True
-    bad = ((parent < 0) | negative | (used != pool)).nonzero()[0]
-    if bad.size:
-        g = int(bad[0])
-        k = int(child_level[first[g]])
-        parent_id, image_id = (k - 1, int(owner[g])), (k - 1, int(image[first[g]]))
-        if parent[g] < 0:
-            raise KeyError(parent_id)
-        if negative[g] or used[g] > pool[g]:
-            raise InconsistentTree(
-                f"parent {parent_id} has too few symbols for its children over image {image_id}")
-        raise InconsistentTree(f"children of {parent_id} over image {image_id} "
-                               f"use {int(used[g])} of {int(pool[g])} symbols")
+    # the degrees before a child in its group
+    before = start[top:] - start[top:][head.nonzero()[0]][head.cumsum() - 1]
 
     # the children's starts, a level at a time, since a parent lies a level above
-    parent = parent[group]
-    bounds = list(itertools.accumulate(map(len, levels), initial=0))[1:]
-    for lo, hi in zip(bounds, bounds[1:]):
-        start[lo:hi] = start[parent[lo - top:hi - top]] + offset[lo - top:hi - top]
+    seat = np.empty_like(stored)  # the stored position of each component of ``comps``
+    seat[stored] = np.arange(len(stored))
+    parent = seat[offset[child_level - 2] + container]
+    for lo, hi in zip(offset[1:-1].tolist(), offset[2:].tolist()):
+        start[lo:hi] = start[parent[lo - top:hi - top]] + before[lo - top:hi - top]
 
-    base, span = int(start.min()), int(length.max()) + 1
-    keys = ((start - base) * span + length).tolist()
-    runs = {key: tuple(range(base + key // span, base + key // span + key % span))
-            for key in set(keys)}
+    span = int(degree.max()) + 1
+    keys = (start * span + degree).tolist()
+    runs = {key: tuple(range(key // span, key // span + key % span)) for key in set(keys)}
+    index = stored - offset[level - 1]
     return SymbolAssignment(d, dict(zip(zip(level.tolist(), index.tolist()),
                                         map(runs.__getitem__, keys))))
 

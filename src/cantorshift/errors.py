@@ -44,7 +44,8 @@ class NotInCover(CantorshiftError):
 
 
 class InconsistentTree(CantorshiftError):
-    """Component-tree bookkeeping violates a structural invariant."""
+    """Component-tree bookkeeping violates a structural invariant (all are
+    decided by ``tree.check_structure``), or an assignment does not code its tree."""
 
 
 def check_level(k, depth, lowest=0):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 
 from .errors import BudgetExceeded, InconsistentTree
-from .tree import AbstractComponent, AbstractTree, check_structure
+from .tree import AbstractComponent, AbstractTree
 
 # most words ``brute_force_fibers`` enumerates; 2^18 take 1-3 s, 80-150 MB traced
 _MAX_WORDS = 2 ** 18
@@ -49,7 +49,7 @@ def generate(seed: int, d: int, depth: int, bias: float = 0.5) -> AbstractTree:
     Identical seeds give identical trees.  Level 1 is a composition of d
     into N >= 2 parts; below, for every parent P and every component V
     inside image(P), the children of P over V get degrees composing
-    local_degree(P).
+    local_degree(P).  ``coding.assign_symbols`` checks the tree before coding it.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -82,9 +82,7 @@ def generate(seed: int, d: int, depth: int, bias: float = 0.5) -> AbstractTree:
                         k, len(comps), p.index, v.index, deg, deg * v.cumulative_degree,
                         ("c",) if deg > 1 else ()))
         levels.append(comps)
-    tree = AbstractTree(d, levels)
-    check_structure(tree)
-    return tree
+    return AbstractTree(d, levels)
 
 
 def brute_force_fibers(tree, assignment, k: int):

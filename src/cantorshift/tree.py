@@ -888,35 +888,61 @@ class _TreeBuilder:
 
 
 def check_structure(tree):
-    """Raise InconsistentTree unless the exact structural invariants hold.
-
-    Every accepted tree satisfies them, geometric (``build_tree``) and
-    abstract (``oracle.generate``) alike: per level, cumulative degrees sum
-    to d^k, sibling local degrees over each image component sum to d, the
-    square container(image) = image(container) commutes, and a component
-    is branched exactly when it contains a critical point.
+    """Raise InconsistentTree, naming the first failure, unless every
+    structural invariant holds; geometric (``build_tree``) and abstract
+    (``oracle.generate``) trees satisfy them.  Each component W of level
+    k >= 1 has its list position as index, a container and an image in
+    level k-1, local degree >= 1 and cumulative degree its local degree
+    times its image's; container(image) = image(container); and W is
+    branched exactly when it contains a critical point.  Per level, the
+    local degrees over each image sum to d, the cumulative degrees sum to
+    d^k, and from level 2 the children of a parent P over one image have
+    degrees summing to P's.  Each level checks its components in list
+    order, then the images, the total and the groups in order of first
+    occurrence.
     """
     d = tree.degree
     for k in range(1, tree.depth + 1):
-        comps = tree.levels[k]
-        if sum(c.cumulative_degree for c in comps) != d ** k:
-            raise InconsistentTree(f"level {k}: cumulative degrees do not sum to d^{k}")
-        per_image = {}
-        for c in comps:
-            per_image[c.image] = per_image.get(c.image, 0) + c.local_degree
-        for v in range(len(tree.levels[k - 1])):
-            if per_image.get(v, 0) != d:
-                raise InconsistentTree(
-                    f"level {k}: degrees over image component {v} sum to "
-                    f"{per_image.get(v, 0)}, want {d}")
-        if k >= 2:
-            above = tree.levels[k - 1]
-            for c in comps:
-                if above[c.image].container != above[c.container].image:
+        above = tree.levels[k - 1]
+        n = len(above)
+        per_image = [0] * n
+        groups = {}  # container * n + image -> the container's degree its children leave
+        total = 0
+        for i, c in enumerate(tree.levels[k]):
+            container, image, degree = c.container, c.image, c.local_degree
+            if c.index != i:
+                raise InconsistentTree(f"level {k}: position {i} holds index {c.index}")
+            if not (0 <= container < n and 0 <= image < n):
+                raise InconsistentTree(f"container or image outside level {k - 1} at {c.id}")
+            if degree < 1:
+                raise InconsistentTree(f"local degree {degree} below 1 at {c.id}")
+            v = above[image]
+            if c.cumulative_degree != degree * v.cumulative_degree:
+                raise InconsistentTree(f"cumulative degree {c.cumulative_degree} is not {degree} "
+                                       f"times its image's {v.cumulative_degree} at {c.id}")
+            if k >= 2:
+                parent = above[container]
+                if v.container != parent.image:
                     raise InconsistentTree(f"commuting square fails at {c.id}")
-        for c in comps:
-            if (c.local_degree >= 2) != bool(c.contains_critical):
+                key = container * n + image
+                groups[key] = groups.get(key, parent.local_degree) - degree
+            if (degree >= 2) != bool(c.contains_critical):
                 raise InconsistentTree(f"degree/critical mismatch at {c.id}")
+            per_image[image] += degree
+            total += c.cumulative_degree
+        for image, got in enumerate(per_image):
+            if got != d:
+                raise InconsistentTree(
+                    f"level {k}: degrees over image component {image} sum to {got}, want {d}")
+        if total != d ** k:
+            raise InconsistentTree(f"level {k}: cumulative degrees do not sum to d^{k}")
+        if any(groups.values()):
+            key, left = next((key, left) for key, left in groups.items() if left)
+            container, image = divmod(key, n)
+            want = above[container].local_degree
+            raise InconsistentTree(f"level {k}: children of {(k - 1, container)} over image "
+                                   f"{(k - 1, image)} have degrees summing to {want - left}, "
+                                   f"want {want}")
 
 
 def build_tree(pmap: PolynomialMap, disk: DomainDisk, depth: int,

@@ -28,6 +28,7 @@ from cantorshift.coding import (
 )
 from cantorshift.maps import _orbit_status
 from cantorshift.oracle import AbstractComponent, AbstractTree, brute_force_fibers, generate
+from cantorshift.tree import check_structure
 
 from conftest import CUBIC_DEPTH, abstract_tree_d3
 
@@ -73,71 +74,71 @@ def test_assignment_invariants(cubic_tree, cubic_assignment):
 def _with_level2(tree, *changes, order=(0, 1, 2, 3)):
     """``abstract_tree_d3()``'s level 2 edited: each change is a (list
     position, field, value), and ``order`` lists the positions in their new
-    order."""
+    order, each component taking its new position as its index."""
     comps = list(tree.levels[2])
     for i, name, value in changes:
         comps[i] = dataclasses.replace(comps[i], **{name: value})
-    return AbstractTree(tree.degree, [*tree.levels[:2], [comps[i] for i in order]])
+    return AbstractTree(tree.degree, [*tree.levels[:2], [dataclasses.replace(comps[i], index=j)
+                                                         for j, i in enumerate(order)]])
+
+
+def _rejected(tree):
+    """The message of the InconsistentTree that check_structure raises on
+    ``tree``, once assign_symbols has raised the same."""
+    with pytest.raises(InconsistentTree) as info:
+        check_structure(tree)
+    with pytest.raises(InconsistentTree) as again:
+        assign_symbols(tree)
+    assert again.value.args == info.value.args
+    return str(info.value)
+
+
+# A's and B's children over A trade containers: the square still commutes
+# and every image keeps its degrees, but B's child over A asks for 2 of B's
+# 1 symbol and A's child over A takes 1 of A's 2
+_TRADED = ((0, "container", 1), (2, "container", 0))
 
 
 def test_assignment_names_a_parent_with_too_few_symbols():
-    # A's child over B asks for 3 of A's 2 symbols; a negative degree can
-    # never be met either
     tree = abstract_tree_d3()
-    for degree in (3, -1):
-        with pytest.raises(InconsistentTree) as info:
-            assign_symbols(_with_level2(tree, (1, "local_degree", degree)))
-        assert str(info.value) == ("parent (1, 0) has too few symbols for its children "
-                                   "over image (1, 1)")
+    assert _rejected(_with_level2(tree, *_TRADED)) == (
+        "level 2: children of (1, 1) over image (1, 0) have degrees summing to 2, want 1")
+    # a negative degree can never be met
+    assert _rejected(_with_level2(tree, (1, "local_degree", -1))) == (
+        "local degree -1 below 1 at (2, 1)")
 
 
 def test_assignment_names_children_that_leave_symbols_unused():
-    # A's child over A takes 1 of A's 2 symbols and no sibling takes the other
     tree = abstract_tree_d3()
-    with pytest.raises(InconsistentTree) as info:
-        assign_symbols(_with_level2(tree, (0, "local_degree", 1)))
-    assert str(info.value) == "children of (1, 0) over image (1, 0) use 1 of 2 symbols"
-    # A's two children over A ask for 1 + 2 of A's 2 symbols: the second
-    # cannot fill its run, which raises before the group's total is checked
-    with pytest.raises(InconsistentTree) as info:
-        assign_symbols(_with_level2(tree, (0, "local_degree", 1), (1, "image", 0)))
-    assert str(info.value) == ("parent (1, 0) has too few symbols for its children "
-                               "over image (1, 0)")
+    assert _rejected(_with_level2(tree, *_TRADED, order=(2, 1, 0, 3))) == (
+        "level 2: children of (1, 0) over image (1, 0) have degrees summing to 1, want 2")
 
 
-def test_assignment_raises_at_the_first_failing_group_in_container_image_order():
-    # the list runs B over B, B over A, A over B, A over A; groups are
-    # checked in ascending (container, image), so A over B fails before
-    # B over A, which comes first in the list and in (image, container)
+def test_assignment_raises_at_the_first_failing_group_in_list_order():
+    # both traded groups fail; the one whose first child is listed first is
+    # named, whatever the order of (container, image)
     tree = abstract_tree_d3()
-    backwards = (3, 2, 1, 0)
-    with pytest.raises(InconsistentTree) as info:
-        assign_symbols(_with_level2(tree, (2, "local_degree", 2), (1, "local_degree", 1),
-                                    order=backwards))
-    assert str(info.value) == "children of (1, 0) over image (1, 1) use 1 of 2 symbols"
-    with pytest.raises(InconsistentTree) as info:
-        assign_symbols(_with_level2(tree, (3, "local_degree", 2), (1, "local_degree", 3),
-                                    order=backwards))
-    assert str(info.value) == ("parent (1, 0) has too few symbols for its children "
-                               "over image (1, 1)")
+    for order, parent in (((0, 1, 2, 3), 1), ((2, 1, 0, 3), 0), ((3, 0, 1, 2), 1),
+                          ((3, 2, 1, 0), 0)):
+        assert _rejected(_with_level2(tree, *_TRADED, order=order)).startswith(
+            f"level 2: children of (1, {parent}) over image (1, 0)")
     # within a group the children take their runs in list order
-    a = assign_symbols(_with_level2(tree, (1, "image", 0), (0, "local_degree", 1),
-                                    (1, "local_degree", 1), order=(1, 0, 2, 3)))
-    assert a.of(2, 1) == (0,) and a.of(2, 0) == (1,)
+    tree = generate(0, 4, 2)
+    a = assign_symbols(tree)
+    assert a.of(2, 0) == (0,) and a.of(2, 1) == (1, 2)
+    first, second, *rest = tree.levels[2]
+    a = assign_symbols(AbstractTree(4, [*tree.levels[:2], [
+        dataclasses.replace(second, index=0), dataclasses.replace(first, index=1), *rest]]))
+    assert a.of(2, 0) == (0, 1) and a.of(2, 1) == (2,)
 
 
-def test_assignment_of_a_container_outside_the_level_above_raises_key_error():
+def test_assignment_of_a_container_outside_the_level_above_raises_inconsistent_tree():
+    # as list indices, a negative value would wrap and 5 would raise
+    # IndexError
     tree = abstract_tree_d3()
-    with pytest.raises(KeyError) as info:
-        assign_symbols(_with_level2(tree, (2, "container", 5)))
-    assert info.value.args == ((1, 5),)
-    # a group over a missing container that sorts after a failing group
-    # leaves that group's error first
-    with pytest.raises(InconsistentTree, match="use 1 of 2 symbols"):
-        assign_symbols(_with_level2(tree, (2, "container", 5), (0, "local_degree", 1)))
-    with pytest.raises(KeyError) as info:
-        assign_symbols(_with_level2(tree, (2, "container", -1), (3, "local_degree", 2)))
-    assert info.value.args == ((1, -1),)
+    for name, value in (("container", 5), ("container", -1), ("image", 2), ("image", -3)):
+        assert _rejected(_with_level2(tree, (2, name, value))) == (
+            "container or image outside level 1 at (2, 2)")
 
 
 def _loop_symbols(tree):
@@ -175,24 +176,35 @@ def _loop_symbols(tree):
     return symbols
 
 
+# a distinctive part of each message of check_structure, and its kind
+_KINDS = {"holds index": "index", "outside level": "range", "below 1": "degree",
+          "times its image's": "product", "children of": "group",
+          "degrees over image": "image", "do not sum": "total",
+          "commuting square": "square", "degree/critical": "critical"}
+
+
 def test_assignment_equals_the_loop_reference_on_corrupted_trees():
     # generated trees, each with up to three edits of one kind: a degree
-    # moved by 1, a degree set to 0, a negative value or d + 1, a container
-    # anywhere from -1 to past the level above, a shuffled level, a changed
-    # image, or an emptied level; the sets, their order of storage and
-    # every error must be the reference's
+    # moved by 1; a degree set to 0, a negative value or d + 1; a container
+    # anywhere from -1 to past the level above; a shuffled level; the last
+    # level shuffled and renumbered; a changed image; an emptied level; one
+    # unit of cumulative degree moved between two components; or containers
+    # traded between two components over one image.  Whatever
+    # check_structure accepts, the loop reference codes without error and
+    # assign_symbols codes alike, to the order in which sets are stored;
+    # whatever it rejects, assign_symbols rejects with the same error
     rng = random.Random(9)
     outcomes = set()
-    for case in range(700):
+    for case in range(1000):
         d, depth = rng.choice((2, 3, 4, 5)), rng.randint(1, 5)
         tree = generate(rng.randrange(2 ** 62), d, depth, rng.choice((0.3, 0.55, 0.8)))
-        kind = case % 7
+        kind = case % 10
         for _ in range(rng.randint(1, 3)):
             k = rng.randint(1, depth)
             comps = tree.levels[k]
             if not comps:
                 continue
-            i = rng.randrange(len(comps))
+            i, j = rng.randrange(len(comps)), rng.randrange(len(comps))
             if kind == 1:
                 comps[i] = dataclasses.replace(comps[i], local_degree=comps[i].local_degree
                                                + rng.choice((-1, 1)))
@@ -204,30 +216,45 @@ def test_assignment_equals_the_loop_reference_on_corrupted_trees():
                     comps[i], container=rng.randint(-1, len(tree.levels[k - 1]) + 1))
             elif kind == 4:
                 rng.shuffle(comps)
-            elif kind == 5 and k >= 2:
+            elif kind == 5:
+                last = tree.levels[depth]
+                rng.shuffle(last)
+                last[:] = [dataclasses.replace(c, index=n) for n, c in enumerate(last)]
+            elif kind == 6 and k >= 2:
                 comps[i] = dataclasses.replace(
                     comps[i], image=rng.randrange(len(tree.levels[k - 1])))
-            elif kind == 6 and rng.random() < 0.3:
+            elif kind == 7 and rng.random() < 0.3:
                 comps.clear()
+            elif kind == 8 and i != j:
+                comps[i] = dataclasses.replace(
+                    comps[i], cumulative_degree=comps[i].cumulative_degree + 1)
+                comps[j] = dataclasses.replace(
+                    comps[j], cumulative_degree=comps[j].cumulative_degree - 1)
+            elif kind == 9 and comps[i].image == comps[j].image:
+                comps[i], comps[j] = (dataclasses.replace(comps[i], container=comps[j].container),
+                                      dataclasses.replace(comps[j], container=comps[i].container))
         try:
-            want = list(_loop_symbols(tree).items())
-        except (InconsistentTree, KeyError) as exc:
-            with pytest.raises(type(exc)) as info:
+            check_structure(tree)
+        except InconsistentTree as exc:
+            with pytest.raises(InconsistentTree) as info:
                 assign_symbols(tree)
             assert info.value.args == exc.args
-            outcomes.add("KeyError" if type(exc) is KeyError else str(exc).split(" ")[0])
+            outcomes.add(next(name for part, name in _KINDS.items() if part in str(exc)))
             continue
-        assert list(assign_symbols(tree).symbols.items()) == want
+        assert list(assign_symbols(tree).symbols.items()) == list(_loop_symbols(tree).items())
         outcomes.add("assigned")
-    assert outcomes == {"assigned", "level-1", "parent", "children", "KeyError"}
+    # no edit reaches the root or makes a degree branched without changing
+    # the cumulative degree
+    assert outcomes == {"assigned", *_KINDS.values()} - {"total", "critical"}
 
 
 def test_codings_of_generated_trees_are_pinned():
-    # symbol sets or the error of assign_symbols, fiber counts or their
-    # error, and the verifier's checks at every level, over generated trees
-    # with one degree changed by 1, one unit moved between two siblings, or
-    # none; pinned before symbol sets were computed as runs on arrays
-    h = hashlib.sha256()
+    # generated trees with one degree changed by 1, one unit moved between
+    # two siblings, or none.  For the trees check_structure accepts: symbol
+    # sets, fiber counts and the verifier's checks at every level, the same
+    # since before symbol sets were computed as runs on arrays.  For the
+    # rest: the error
+    accepted, rejected = hashlib.sha256(), hashlib.sha256()
     rng = random.Random(25)
     for case in range(900):
         d, depth = rng.choice((2, 3, 4)), rng.randint(1, 5)
@@ -247,19 +274,18 @@ def test_codings_of_generated_trees_are_pinned():
                 comps[j] = dataclasses.replace(comps[j], local_degree=comps[j].local_degree - 1)
         try:
             a = assign_symbols(tree)
-        except (InconsistentTree, KeyError) as exc:
-            h.update(f"{case} {exc!r}\n".encode())
+        except InconsistentTree as exc:
+            rejected.update(f"{case} {exc!r}\n".encode())
             continue
-        h.update(f"{case} {sorted(a.symbols.items())}\n".encode())
+        accepted.update(f"{case} {sorted(a.symbols.items())}\n".encode())
         for k in range(1, depth + 1):
-            try:
-                table = fibers(a, tree, k)
-                h.update(repr(sorted((cid, len(ws)) for cid, ws
-                                     in table.words_by_component.items())).encode())
-            except InconsistentTree as exc:
-                h.update(repr(exc).encode())
-            h.update(repr(verify_semiconjugacy(a, tree, k).checks).encode())
-    assert h.hexdigest() == "1c663ddf8cbeb4176e3973542b6da63703f08200b776c8a42793d383b3ee19c4"
+            table = fibers(a, tree, k)
+            accepted.update(repr(sorted((cid, len(ws)) for cid, ws
+                                        in table.words_by_component.items())).encode())
+            accepted.update(repr(verify_semiconjugacy(a, tree, k).checks).encode())
+    assert (accepted.hexdigest(), rejected.hexdigest()) == (
+        "fee7be952b456776c4bf5070062c6836dc4e1e5eaf93cd1f9c45a5ba98a37830",
+        "9dbb23ad011a9940919c95a40953f25e56887793d6076a340f01b4f2274811e9")
 
 
 def test_cylinder_recursion_quadratic(quadratic_tree, quadratic_assignment):
@@ -292,6 +318,9 @@ def test_cylinder_component_agrees_with_fibers_in_one_call(monkeypatch):
 def test_cylinder_alphabet_guard(quadratic_tree, quadratic_assignment):
     with pytest.raises(ValueError):
         cylinder_component(quadratic_assignment, quadratic_tree, (2,))
+    k = quadratic_tree.depth + 1
+    with pytest.raises(ValueError, match=f"^word length {k} exceeds tree depth {k - 1}$"):
+        cylinder_component(quadratic_assignment, quadratic_tree, (0,) * k)
 
 
 def test_fibers_quadratic_all_singletons(quadratic_tree, quadratic_assignment):
@@ -308,6 +337,16 @@ def test_fiber_of_critical_chain_abstract():
     assert sorted(table.words_by_component[(2, 0)]) == [
         (0, 0), (0, 1), (1, 0), (1, 1)]
     assert sum(len(w) for w in table.words_by_component.values()) == 9
+
+
+def test_fibers_name_the_carrier_a_word_misses():
+    # B's child over A carries no symbol: (2,0), the least word left without
+    # a component, names the pair it misses
+    tree = abstract_tree_d3()
+    a = assign_symbols(tree)
+    with pytest.raises(InconsistentTree) as info:
+        fibers(type(a)(a.degree, {**a.symbols, (2, 2): ()}), tree, 2)
+    assert str(info.value) == "no component for symbol 2 over image 0 at level 2"
 
 
 def test_fibers_list_ascending_words_under_exactly_the_coded_components():
@@ -660,6 +699,14 @@ def test_levels_outside_the_tree_are_rejected():
     assert fibers(a, tree, 0).count(0, 0) == 1  # the empty word codes the root
 
 
+def test_a_depth_0_tree_codes_the_empty_word_alone():
+    tree = AbstractTree(3, [[AbstractComponent(0, 0, None, None, 1, 1)]])
+    a = assign_symbols(tree)
+    assert a.symbols == {} and a.of(0, 0) == (0, 1, 2)
+    assert fibers(a, tree, 0).words_by_component == {(0, 0): ((),)}
+    assert cylinder_component(a, tree, ()) == (0, 0)
+
+
 def test_coding_export_shape(quadratic_tree, quadratic_assignment):
     doc = coding_to_json_dict(quadratic_assignment, quadratic_tree, 3)
     assert doc["degree"] == 2
@@ -673,6 +720,4 @@ def test_inconsistent_tree_detected():
     root = AbstractComponent(0, 0, None, None, 1, 1)
     a = AbstractComponent(1, 0, 0, 0, 2, 2, ("c",))
     tree = AbstractTree(3, [[root], [a]])  # degrees sum to 2, alphabet is 3
-    with pytest.raises(InconsistentTree):
-        assign_symbols(tree)
-
+    assert _rejected(tree) == "level 1: degrees over image component 0 sum to 2, want 3"

@@ -11,6 +11,7 @@ from cantorshift import oracle as oracle_mod
 from cantorshift.coding import SymbolAssignment, assign_symbols, fibers
 from cantorshift.errors import BudgetExceeded, InconsistentTree
 from cantorshift.oracle import (
+    AbstractComponent,
     AbstractTree,
     _check_assignment_invariants,
     brute_force_fibers,
@@ -151,10 +152,11 @@ def _edited(tree, level, position, **fields):
 
 
 @pytest.mark.parametrize("level, position, fields, message", [
-    # w3, B's child over A, moved over B: A is left two of its three preimages
-    (2, 2, {"image": 1}, "level 2: degrees over image component 0 sum to 2, want 3"),
+    # w3, B's child over A, moved over B with the cumulative degree that
+    # keeps the product rule: A is left two of its three preimages
+    (2, 2, {"image": 1, "cumulative_degree": 1},
+     "level 2: degrees over image component 0 sum to 2, want 3"),
     (1, 0, {"contains_critical": ()}, "degree/critical mismatch at (1, 0)"),
-    (2, 3, {"cumulative_degree": 2}, "level 2: cumulative degrees do not sum to d^2"),
 ])
 def test_check_structure_names_the_broken_invariant(level, position, fields, message):
     tree = abstract_tree_d3()
@@ -162,6 +164,18 @@ def test_check_structure_names_the_broken_invariant(level, position, fields, mes
     with pytest.raises(InconsistentTree) as info:
         check_structure(_edited(tree, level, position, **fields))
     assert str(info.value) == message
+
+
+def test_check_structure_names_a_root_of_the_wrong_cumulative_degree():
+    # from level 2 on, the d^k sum follows from the product rule and the
+    # image sums, so it can only fail through the root: here every
+    # cumulative degree is doubled, which keeps the product rule
+    tree = abstract_tree_d3()
+    doubled = AbstractTree(3, [[dataclasses.replace(c, cumulative_degree=2 * c.cumulative_degree)
+                                for c in lvl] for lvl in tree.levels])
+    with pytest.raises(InconsistentTree) as info:
+        check_structure(doubled)
+    assert str(info.value) == "level 1: cumulative degrees do not sum to d^1"
 
 
 def test_check_structure_names_a_square_that_does_not_commute():
@@ -172,6 +186,52 @@ def test_check_structure_names_a_square_that_does_not_commute():
     with pytest.raises(InconsistentTree) as info:
         check_structure(_edited(tree, 3, 0, container=1))
     assert str(info.value) == "commuting square fails at (3, 0)"
+
+
+def _swapped(tree, level, i, j, name):
+    """A copy of ``tree`` with field ``name`` of components i and j of a
+    level exchanged."""
+    a, b = tree.levels[level][i], tree.levels[level][j]
+    tree = _edited(tree, level, i, **{name: getattr(b, name)})
+    return _edited(tree, level, j, **{name: getattr(a, name)})
+
+
+def _with_degree_0_component(tree):
+    """A copy of ``tree`` with a component of local and cumulative degree 0
+    added to its last level, in the first component and over the first."""
+    levels = list(tree.levels)
+    levels[-1] = [*levels[-1], AbstractComponent(tree.depth, len(levels[-1]), 0, 0, 0, 0)]
+    return AbstractTree(tree.degree, levels)
+
+
+@pytest.mark.parametrize("tree, message", [
+    # as list indices, a negative container would wrap and one past the
+    # level above would raise IndexError
+    pytest.param(_edited(generate(7, 3, 3), 3, 0, container=-9),
+                 "container or image outside level 2 at (3, 0)", id="negative-container"),
+    pytest.param(_edited(generate(7, 3, 3), 3, 0, container=99),
+                 "container or image outside level 2 at (3, 0)", id="container-past-the-level"),
+    # the two share an image and differ in degree, so the square still
+    # commutes and only the group sums fail
+    pytest.param(_swapped(generate(0, 3, 3), 3, 8, 13, "container"),
+                 "level 3: children of (2, 4) over image (2, 4) have degrees summing to 2, "
+                 "want 1", id="container-swap"),
+    # keeps the d^3 sum; only the product rule fails
+    pytest.param(_edited(_edited(generate(0, 3, 3), 3, 0, cumulative_degree=3),
+                         3, 1, cumulative_degree=1),
+                 "cumulative degree 3 is not 1 times its image's 2 at (3, 0)",
+                 id="cumulative-unit-moved"),
+    # adds nothing to any sum, and is branched nowhere
+    pytest.param(_with_degree_0_component(generate(0, 3, 3)),
+                 "local degree 0 below 1 at (3, 14)", id="degree-0-component"),
+    pytest.param(_swapped(generate(0, 3, 3), 3, 2, 5, "index"),
+                 "level 3: position 2 holds index 5", id="swapped-indices"),
+])
+def test_check_structure_and_assign_symbols_reject_a_corrupted_tree(tree, message):
+    for check in (check_structure, assign_symbols):
+        with pytest.raises(InconsistentTree) as info:
+            check(tree)
+        assert str(info.value) == message
 
 
 def _with_symbols(tree, symbols):
