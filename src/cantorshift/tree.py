@@ -890,24 +890,26 @@ class _TreeBuilder:
 def check_structure(tree):
     """Raise InconsistentTree, naming the first failure, unless every
     structural invariant holds; geometric (``build_tree``) and abstract
-    (``oracle.generate``) trees satisfy them.  Each component W of level
-    k >= 1 has its list position as index, a container and an image in
-    level k-1, local degree >= 1 and cumulative degree its local degree
-    times its image's; container(image) = image(container); and W is
-    branched exactly when it contains a critical point.  Per level, the
-    local degrees over each image sum to d, the cumulative degrees sum to
-    d^k, and from level 2 the children of a parent P over one image have
-    degrees summing to P's.  Each level checks its components in list
-    order, then the images, the total and the groups in order of first
+    (``oracle.generate``) trees satisfy them.  Level 0 is one component of
+    index 0 and cumulative degree 1.  Each component W of level k >= 1 has
+    its list position as index, a container and an image in level k-1,
+    local degree >= 1 and cumulative degree its local degree times its
+    image's; container(image) = image(container); and W is branched
+    exactly when it contains a critical point.  Per level, the local
+    degrees over each image sum to d, and from level 2 the children of a
+    parent P over one image have degrees summing to P's.  The cumulative
+    degrees of level k then sum to d^k.  Each level checks its components
+    in list order, then the images and the groups in order of first
     occurrence.
     """
     d = tree.degree
+    if not tree.levels or [(c.index, c.cumulative_degree) for c in tree.levels[0]] != [(0, 1)]:
+        raise InconsistentTree("level 0 is not one component of index 0 and cumulative degree 1")
     for k in range(1, tree.depth + 1):
         above = tree.levels[k - 1]
         n = len(above)
         per_image = [0] * n
         groups = {}  # container * n + image -> the container's degree its children leave
-        total = 0
         for i, c in enumerate(tree.levels[k]):
             container, image, degree = c.container, c.image, c.local_degree
             if c.index != i:
@@ -929,13 +931,10 @@ def check_structure(tree):
             if (degree >= 2) != bool(c.contains_critical):
                 raise InconsistentTree(f"degree/critical mismatch at {c.id}")
             per_image[image] += degree
-            total += c.cumulative_degree
         for image, got in enumerate(per_image):
             if got != d:
                 raise InconsistentTree(
                     f"level {k}: degrees over image component {image} sum to {got}, want {d}")
-        if total != d ** k:
-            raise InconsistentTree(f"level {k}: cumulative degrees do not sum to d^{k}")
         if any(groups.values()):
             key, left = next((key, left) for key, left in groups.items() if left)
             container, image = divmod(key, n)

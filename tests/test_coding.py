@@ -179,7 +179,7 @@ def _loop_symbols(tree):
 # a distinctive part of each message of check_structure, and its kind
 _KINDS = {"holds index": "index", "outside level": "range", "below 1": "degree",
           "times its image's": "product", "children of": "group",
-          "degrees over image": "image", "do not sum": "total",
+          "degrees over image": "image", "level 0 is not": "root",
           "commuting square": "square", "degree/critical": "critical"}
 
 
@@ -188,8 +188,9 @@ def test_assignment_equals_the_loop_reference_on_corrupted_trees():
     # moved by 1; a degree set to 0, a negative value or d + 1; a container
     # anywhere from -1 to past the level above; a shuffled level; the last
     # level shuffled and renumbered; a changed image; an emptied level; one
-    # unit of cumulative degree moved between two components; or containers
-    # traded between two components over one image.  Whatever
+    # unit of cumulative degree moved between two components; containers
+    # traded between two components over one image; or a root given another
+    # cumulative degree or index, or a second root.  Whatever
     # check_structure accepts, the loop reference codes without error and
     # assign_symbols codes alike, to the order in which sets are stored;
     # whatever it rejects, assign_symbols rejects with the same error
@@ -198,7 +199,7 @@ def test_assignment_equals_the_loop_reference_on_corrupted_trees():
     for case in range(1000):
         d, depth = rng.choice((2, 3, 4, 5)), rng.randint(1, 5)
         tree = generate(rng.randrange(2 ** 62), d, depth, rng.choice((0.3, 0.55, 0.8)))
-        kind = case % 10
+        kind = case % 11
         for _ in range(rng.randint(1, 3)):
             k = rng.randint(1, depth)
             comps = tree.levels[k]
@@ -233,6 +234,11 @@ def test_assignment_equals_the_loop_reference_on_corrupted_trees():
             elif kind == 9 and comps[i].image == comps[j].image:
                 comps[i], comps[j] = (dataclasses.replace(comps[i], container=comps[j].container),
                                       dataclasses.replace(comps[j], container=comps[i].container))
+            elif kind == 10:
+                root = tree.levels[0]
+                root[:] = rng.choice(([dataclasses.replace(root[0], cumulative_degree=2)],
+                                      [dataclasses.replace(root[0], index=1)],
+                                      [root[0], AbstractComponent(0, 1, None, None, 1, 0)]))
         try:
             check_structure(tree)
         except InconsistentTree as exc:
@@ -243,9 +249,8 @@ def test_assignment_equals_the_loop_reference_on_corrupted_trees():
             continue
         assert list(assign_symbols(tree).symbols.items()) == list(_loop_symbols(tree).items())
         outcomes.add("assigned")
-    # no edit reaches the root or makes a degree branched without changing
-    # the cumulative degree
-    assert outcomes == {"assigned", *_KINDS.values()} - {"total", "critical"}
+    # no edit makes a degree branched without changing the cumulative degree
+    assert outcomes == {"assigned", *_KINDS.values()} - {"critical"}
 
 
 def test_codings_of_generated_trees_are_pinned():

@@ -167,15 +167,16 @@ def test_check_structure_names_the_broken_invariant(level, position, fields, mes
 
 
 def test_check_structure_names_a_root_of_the_wrong_cumulative_degree():
-    # from level 2 on, the d^k sum follows from the product rule and the
-    # image sums, so it can only fail through the root: here every
-    # cumulative degree is doubled, which keeps the product rule
+    # with the root checked, the product rule and the image sums make every
+    # level's cumulative degrees sum to d^k; doubling them all keeps the
+    # product rule, so only the root fails
     tree = abstract_tree_d3()
     doubled = AbstractTree(3, [[dataclasses.replace(c, cumulative_degree=2 * c.cumulative_degree)
                                 for c in lvl] for lvl in tree.levels])
-    with pytest.raises(InconsistentTree) as info:
-        check_structure(doubled)
-    assert str(info.value) == "level 1: cumulative degrees do not sum to d^1"
+    for bad in (doubled, _edited(tree, 0, 0, index=1), AbstractTree(3, [])):
+        with pytest.raises(InconsistentTree) as info:
+            check_structure(bad)
+        assert str(info.value) == "level 0 is not one component of index 0 and cumulative degree 1"
 
 
 def test_check_structure_names_a_square_that_does_not_commute():
@@ -226,6 +227,13 @@ def _with_degree_0_component(tree):
                  "local degree 0 below 1 at (3, 14)", id="degree-0-component"),
     pytest.param(_swapped(generate(0, 3, 3), 3, 2, 5, "index"),
                  "level 3: position 2 holds index 5", id="swapped-indices"),
+    # a second root of cumulative degree 0 keeps every level-1 sum, and its
+    # two children would get symbols 2 and 3, outside the alphabet
+    pytest.param(AbstractTree(2, [
+        [AbstractComponent(0, 0, None, None, 1, 1), AbstractComponent(0, 1, None, None, 1, 0)],
+        [AbstractComponent(1, 0, 0, 0, 2, 2, ("c",)), AbstractComponent(1, 1, 1, 1, 1, 0),
+         AbstractComponent(1, 2, 1, 1, 1, 0)]]),
+                 "level 0 is not one component of index 0 and cumulative degree 1", id="two-roots"),
 ])
 def test_check_structure_and_assign_symbols_reject_a_corrupted_tree(tree, message):
     for check in (check_structure, assign_symbols):
