@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,13 @@ def test_generated_trees_are_pinned():
         assert h.hexdigest() == digest, d
 
 
+def test_generate_rejects_a_degree_below_2_and_a_depth_below_1():
+    with pytest.raises(ValueError, match="^degree must be at least 2$"):
+        generate(0, 1, 3)
+    with pytest.raises(ValueError, match="^depth must be at least 1$"):
+        generate(0, 3, 0)
+
+
 def test_degree_two_is_full_binary_tree():
     tree = generate(7, 2, 6)
     for k in range(1, 7):
@@ -73,6 +81,82 @@ def test_brute_force_counts_sum():
     counts = brute_force_fibers(tree, a, 4)
     assert sum(counts.values()) == 3 ** 4
     assert all(v >= 1 for v in counts.values())
+
+
+def _listed_fibers(tree, assignment, k):
+    """The fiber counts of ``brute_force_fibers``, by the word-listing loop
+    it replaced: the reference for its transfer counts."""
+    d = tree.degree
+    words_at = {0: [()]}  # component index -> words, at the current length
+    for lvl in range(1, k + 1):
+        carriers = {}
+        for comp in tree.levels[lvl]:
+            for s in assignment.of(lvl, comp.index):
+                if (comp.image, s) in carriers:
+                    raise InconsistentTree(
+                        f"symbol {s} over image {comp.image} claimed twice at level {lvl}")
+                carriers[(comp.image, s)] = comp.index
+        nxt = {}
+        for image_idx, words in words_at.items():
+            for s in range(d):
+                target = carriers.get((image_idx, s))
+                if target is None:
+                    raise InconsistentTree(
+                        f"no carrier for symbol {s} over image {image_idx} at level {lvl}")
+                bucket = nxt.setdefault(target, [])
+                for w in words:
+                    bucket.append((s,) + w)
+        words_at = nxt
+    return {(k, idx): len(words) for idx, words in sorted(words_at.items())}
+
+
+def _corrupted(tree, assignment, rng):
+    """Copies of ``assignment`` with one symbol s of a component c edited:
+    s moved to a sibling b of c over the same image, s duplicated on b, s
+    dropped, and d and -1 added to c (outside the alphabet, where a bare
+    image*d + s key would collide with a neighbouring image's pair)."""
+    d, symbols = tree.degree, assignment.symbols
+    k = rng.randint(1, tree.depth)
+    over = {}
+    for comp in tree.levels[k]:
+        over.setdefault(comp.image, []).append(comp)
+    groups = [g for g in over.values() if len(g) >= 2]
+    if not groups:  # level 1 always has two components over the root
+        k, groups = 1, [tree.levels[1]]
+    c, b = rng.sample(rng.choice(groups), 2)
+    own, other = symbols[(k, c.index)], symbols[(k, b.index)]
+    s = rng.choice(own)
+    rest = tuple(x for x in own if x != s)
+    for edit in ({(k, c.index): rest, (k, b.index): (*other, s)},
+                 {(k, b.index): (*other, s)},
+                 {(k, c.index): rest},
+                 {(k, c.index): (*own, d)},
+                 {(k, c.index): (*own, -1)}):
+        yield SymbolAssignment(d, {**symbols, **edit})
+
+
+def test_counts_equal_the_listed_words_on_corrupted_assignments():
+    # generated trees, each with its own assignment and five corrupted
+    # copies: the transfer counts equal the word lists' lengths, or both
+    # raise the same InconsistentTree at the same first failure
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(300):
+        d, depth = rng.randint(2, 4), rng.randint(1, 6)
+        tree = generate(rng.randrange(2 ** 62), d, depth, 0.55)
+        assignment = assign_symbols(tree)
+        for a in (assignment, *_corrupted(tree, assignment, rng)):
+            try:
+                want = _listed_fibers(tree, a, depth)
+            except InconsistentTree as exc:
+                with pytest.raises(InconsistentTree) as info:
+                    brute_force_fibers(tree, a, depth)
+                assert info.value.args == exc.args
+                outcomes.add("claimed twice" if "claimed twice" in str(exc) else "no carrier")
+                continue
+            assert list(brute_force_fibers(tree, a, depth).items()) == list(want.items())
+            outcomes.add("counted")
+    assert outcomes == {"counted", "claimed twice", "no carrier"}
 
 
 def test_no_critical_means_singleton_fibers():
