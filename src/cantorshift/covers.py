@@ -8,8 +8,11 @@ same expression is evaluated everywhere, the cells tile the window exactly
 and a child cell at resolution r+delta is always contained in its ancestor
 at resolution r.
 
-A PavedCover is a set of such cells of mixed resolutions, indexed by
-sorted int64 keys per resolution (a linear quadtree).  All geometric
+A PavedCover is a set of such cells of mixed resolutions, sorted by
+resolution and indexed by one sorted int64 key per cell (a linear
+quadtree).  The sort order makes same-size adjacency a matter of
+neighbouring positions and one key search, which is how
+``paved_clusters`` finds most edges.  All geometric
 claims made from covers are one-sided: a cover is an *outer* enclosure of
 the set it tracks, so "certified disjoint" and "certified contained" tests
 are the only ones exported.
@@ -122,6 +125,16 @@ def _span(lo, hi, origin, s, n):
     return last_wall(lo, np.less), last_wall(hi, np.less_equal)
 
 
+def _ascending(r, i, j):
+    """Whether the cells (r[n], i[n], j[n]) ascend strictly in (r, i, j)
+    order, which rules out repeats."""
+    up = (i[1:] == i[:-1]) & (j[1:] > j[:-1])
+    up |= i[1:] > i[:-1]
+    up &= r[1:] == r[:-1]
+    up |= r[1:] > r[:-1]
+    return bool(up.all())
+
+
 def _rank(sorted_values, q):
     """Position of each q in a sorted array and whether it is present."""
     pos = np.minimum(np.searchsorted(sorted_values, q), len(sorted_values) - 1)
@@ -139,42 +152,52 @@ class PavedCover:
 
     The cells are stored once, as int64 arrays ``r``, ``i``, ``j`` sorted by
     (r, i, j); a cell's index is its position there.  Each resolution is a
-    contiguous run keyed by a sorted int64 array: the rank of i among the
-    run's distinct i times the number of its distinct j, plus the rank of
-    j.  The key is exact at every resolution up to ``MAX_RESOLUTION``,
-    where i and j still fit in int64, and its size is bounded by the
-    square of the cell count.  ``find`` answers which present cell contains
-    given grid cells, and ``overlapping`` which present cells arrays of
-    rectangles possibly meet; both read the same sorted runs.  ``tiled``
-    turns the pairs that ``overlapping`` returns into certified containment.
+    contiguous run, and one sorted int64 array keys every cell: the rank of
+    i among its run's distinct i times the number of the run's distinct j,
+    plus the rank of j, plus the run's offset, the sum of those products
+    over the runs before it.  The key is exact at every resolution up to
+    ``MAX_RESOLUTION``, where i and j still fit in int64, and its size is
+    bounded by the square of the cell count.  ``find`` answers which
+    present cell contains given grid cells, and ``overlapping`` which
+    present cells arrays of rectangles possibly meet; both read the same
+    sorted runs.  ``tiled`` turns the pairs that ``overlapping`` returns
+    into certified containment.
     """
 
-    __slots__ = ("frame", "r", "i", "j", "_layers")
+    __slots__ = ("frame", "r", "i", "j", "_layers", "_keys")
 
     def __init__(self, frame: Frame, r, i, j):
         """The cover of cells (r[n], i[n], j[n]), in any order and possibly
-        repeated: one lexsort orders them, and repeats are dropped.  Raises
-        ValueError for a resolution outside 0..MAX_RESOLUTION or a cell
-        outside its grid."""
+        repeated: one lexsort orders them, unless they come strictly
+        ascending in (r, i, j), and repeats are dropped.  Raises ValueError
+        for a resolution outside 0..MAX_RESOLUTION or a cell outside its
+        grid."""
         self.frame = frame
-        order = np.lexsort((j, i, r))
-        r, i, j = (np.asarray(v, dtype=np.int64)[order] for v in (r, i, j))
-        del order
-        repeat = np.append(False, (r[1:] == r[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1]))
-        if repeat.any():
-            r, i, j = r[~repeat], i[~repeat], j[~repeat]
+        r, i, j = (np.asarray(v, dtype=np.int64) for v in (r, i, j))
+        if not _ascending(r, i, j):
+            order = np.lexsort((j, i, r))
+            r, i, j = r[order], i[order], j[order]
+            del order
+            repeat = np.append(False, (r[1:] == r[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1]))
+            if repeat.any():
+                r, i, j = r[~repeat], i[~repeat], j[~repeat]
         if len(r) and not 0 <= r[0] <= r[-1] <= MAX_RESOLUTION:
             raise ValueError(f"a cell resolution lies outside 0..{MAX_RESOLUTION}")
         self.r, self.i, self.j = r, i, j
-        self._layers = {}  # r -> (start, stop, distinct i, distinct j, keys)
+        self._layers = {}  # r -> (start, stop, distinct i, distinct j, key offset)
+        self._keys, offset = np.empty(len(r), dtype=np.int64), 0
         cuts = np.flatnonzero(np.diff(r, prepend=-1, append=-1)).tolist()
         for start, stop in zip(cuts, cuts[1:]):
             res = int(r[start])
-            xs, ri = np.unique(i[start:stop], return_inverse=True)
+            # a run's i ascend, so its distinct i are the heads of equal runs
+            column = np.append(True, i[start + 1:stop] != i[start:stop - 1])
+            xs, ri = i[start:stop][column], np.cumsum(column) - 1
             ys, rj = np.unique(j[start:stop], return_inverse=True)
             if min(xs[0], ys[0]) < 0 or max(xs[-1], ys[-1]) >> res:
                 raise ValueError(f"a cell at resolution {res} lies outside the grid")
-            self._layers[res] = (start, stop, xs, ys, ri * len(ys) + rj)
+            self._keys[start:stop] = ri * len(ys) + rj + offset
+            self._layers[res] = (start, stop, xs, ys, offset)
+            offset += len(xs) * len(ys)
 
     def __len__(self):
         return len(self.r)
@@ -198,11 +221,11 @@ class PavedCover:
             q = todo[r[todo] >= rp]
             if not q.size:
                 continue
-            start, _, xs, ys, keys = self._layers[rp]
+            start, stop, xs, ys, offset = self._layers[rp]
             d = r[q] - rp
             pi, hi = _rank(xs, i[q] >> d)
             pj, hj = _rank(ys, j[q] >> d)
-            pos, hk = _rank(keys, pi * len(ys) + pj)
+            pos, hk = _rank(self._keys[start:stop], pi * len(ys) + pj + offset)
             out[q] = np.where(hi & hj & hk, start + pos, -1)
             todo = todo[out[todo] < 0]
         return out
@@ -263,7 +286,7 @@ class PavedCover:
         return out
 
 
-_CHUNK = 1 << 12  # cells whose four neighbor slots one ``find`` call resolves
+_CHUNK = 1 << 12  # cells whose leftover neighbor slots one ``find`` call resolves
 
 
 def paved_clusters(frame: Frame, cells, settled=None):
@@ -275,17 +298,27 @@ def paved_clusters(frame: Frame, cells, settled=None):
     Equivalently: for every cell and each of its four same-size neighbor
     slots, the cover cell containing that slot (the same size or coarser)
     is adjacent; finer neighbors register the pair from their own side, and
-    a same-size pair is kept from its +i/+j side only.  One
-    ``PavedCover.find`` call resolves the four slots of a fixed chunk of
-    cells, and only the edges found are kept, as int32 pairs (fewer than
-    2^31 cells), so memory stays a few dozen bytes per cell.
+    a same-size pair is kept from its +i/+j side only.
+
+    The sorted runs of the cover answer the same-size slots with at most
+    one search (a linear quadtree: Gargantini, CACM 25, 1982).  In
+    (r, i, j) order the cell (r, i, j +- 1), if present, is the next or
+    previous cell.  The cell (r, i +- 1, j), if present, has the key of the
+    cell at the same rank of j one distinct column over: one
+    ``searchsorted`` in the keys.  A slot holds a same-size cell exactly
+    when the cell so placed is that slot, which rules out a column wrap
+    and a gap between distinct columns.  Only the slots with no same-size
+    cell, which hold a coarser cell or none, go to
+    ``PavedCover.find``, one call per fixed chunk of cells.  Only the edges
+    found are kept, as int32 pairs (fewer than 2^31 cells), so memory stays
+    a few dozen bytes per cell.
 
     ``settled``, aligned with the cover, names clusters known in advance:
     cells with the same id >= 0 form one group, and -1 (every cell, when
     None) marks a cell to be joined by its neighbor slots.  Each group must
     be a whole cluster: edge-connected, and adjacent to no cell outside it.
-    A group is then joined without looking up any of its slots, so the
-    lookups scale with the unsettled cells alone.
+    A group is then joined without looking at any of its slots, so the
+    work scales with the unsettled cells alone.
 
     ``cells`` is a PavedCover or an iterable of (r, i, j).  Returns the
     cluster index of each cell as an int64 array aligned with the cover
@@ -299,30 +332,55 @@ def paved_clusters(frame: Frame, cells, settled=None):
         settled = np.full(n, -1)
     # each settled group starts as one tree rooted at its least cell
     grouped = np.flatnonzero(settled >= 0)
-    _, first, group = np.unique(settled[grouped], return_index=True, return_inverse=True)
+    ids = settled[grouped]
+    least = np.full(int(ids.max(initial=-1)) + 1, n)
+    np.minimum.at(least, ids, grouped)
     root = np.arange(n, dtype=np.int32)
-    root[grouped] = grouped[first][group]
+    root[grouped] = least[ids]
     todo = np.flatnonzero(settled < 0).astype(np.int32)
+    # per run, its first cell and its number of distinct j
+    layers = cover._layers.values()
+    starts = np.array([start for start, *_ in layers], dtype=np.int64)
+    widths = np.array([len(ys) for _, _, _, ys, _ in layers], dtype=np.int64)
     u, v = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-    for lo in range(0, len(todo), _CHUNK):
-        src = np.tile(todo[lo:lo + _CHUNK], 4)  # +i, +j, -i, -j
-        m = len(src) // 4
-        r = cover.r[src]
-        i = cover.i[src] + np.repeat((1, 0, -1, 0), m)
-        j = cover.j[src] + np.repeat((0, 1, 0, -1), m)
-        ok = np.flatnonzero((i >= 0) & (j >= 0) & (i < (1 << r)) & (j < (1 << r)))
-        nbr = cover.find(r[ok], i[ok], j[ok])
-        hit = (nbr >= 0) & ((ok < 2 * m) | (cover.r[nbr] < r[ok]))
-        u.append(src[ok[hit]])
+    for first in range(0, len(todo), _CHUNK):
+        src = todo[first:first + _CHUNK]
+        r, i, j, key = cover.r[src], cover.i[src], cover.j[src], cover._keys[src]
+        width = widths[np.searchsorted(starts, src, side="right") - 1]
+        slots = []
+        for di, dj in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            # where the same-size neighbor would be: the next or previous
+            # cell for +-j, the same rank of j a distinct column over for +-i
+            nbr = np.clip(src + dj if dj else np.searchsorted(cover._keys, key + di * width),
+                          0, n - 1)
+            same = (cover.r[nbr] == r) & (cover.i[nbr] == i + di) & (cover.j[nbr] == j + dj)
+            if di + dj > 0:
+                u.append(src[same])
+                v.append(nbr[same].astype(np.int32))
+            ni, nj = i + di, j + dj
+            free = ~same & (ni >= 0) & (nj >= 0) & (ni >> r == 0) & (nj >> r == 0)
+            slots.append((src[free], r[free], ni[free], nj[free]))
+        # a slot with no same-size cell holds a coarser one, or none
+        src, r, ni, nj = (np.concatenate(c) for c in zip(*slots))
+        nbr = cover.find(r, ni, nj)
+        hit = nbr >= 0
+        u.append(src[hit])
         v.append(nbr[hit].astype(np.int32))
     root = _components(n, np.concatenate(u), np.concatenate(v), root)
-    # number clusters by their least fine-grid lower-left corner; distinct
-    # non-overlapping cells never share that corner
+    del u, v
+    # number clusters by their least fine-grid lower-left corner, the least
+    # in (x, y) order over their cells; distinct non-overlapping cells never
+    # share that corner
     d = cover.finest - cover.r
-    roots, first = np.unique(root[np.lexsort((cover.j << d, cover.i << d))],
-                             return_index=True)
+    x, y = cover.i << d, cover.j << d
+    del d
+    least_x, least_y = np.full((2, n), np.iinfo(np.int64).max)
+    np.minimum.at(least_x, root, x)
+    at = x == least_x[root]
+    np.minimum.at(least_y, root[at], y[at])
+    roots = np.flatnonzero(root == np.arange(n))
     rank = np.empty(n, dtype=np.int64)
-    rank[roots[np.argsort(first)]] = np.arange(len(roots))
+    rank[roots[np.lexsort((least_y[roots], least_x[roots]))]] = np.arange(len(roots))
     return rank[root]
 
 

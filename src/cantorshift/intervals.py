@@ -8,9 +8,9 @@ is a batch of length one.  Every arithmetic step is widened by one ulp, so
 a computed enclosure contains the exact real/complex result independently
 of the host's rounding mode.  This one-ulp epsilon inflation is the
 portable substitute for directed rounding.  The kernels widen by the exact
-one-ulp step of the int64 bit pattern (``_outward``), which gives
-np.nextafter's bits on every input: only +0 going down, -0 going up, the
-infinities and NaN need np.nextafter itself.  Scalar ``math.nextafter``
+one-ulp step of the int64 bit pattern, b -+ sign(b) (``_outward``), which
+gives np.nextafter's bits on every input: only +0 either way, -0 going up,
+the infinities and NaN need np.nextafter itself.  Scalar ``math.nextafter``
 remains only where an exact value is enclosed once (``enclose_fraction``,
 ``isqrt_hi``).
 
@@ -20,7 +20,7 @@ Cloud, *Introduction to Interval Analysis*, SIAM 2009, ch. 2):
 - a point, with lo and hi one array or equal floats (a float midpoint, a
   real coefficient, the Krawczyk inverse): ``vimul`` takes two products
   against an interval and one against a point, ``visq`` one, and
-  ``_outward`` one sign step.  The products it skips repeat the ones
+  ``_outward`` one sign.  The products it skips repeat the ones
   it takes, so the min and max are the same values;
 - an exact 0.0 factor, given as floats (the imaginary part of a real
   coefficient): ``vimul`` returns (-5e-324, 5e-324) where the other factor
@@ -116,26 +116,24 @@ def _outward(lo, hi):
     a NaN at either end widened to the whole line, bit for bit.
 
     Apart from its sign bit, a double's int64 bit pattern b orders like its
-    magnitude, so the next double down is b - s and the next one up is
-    b + s, with s = (b >> 63) | 1 (+1 for a positive, -1 for a negative
-    sign bit): a few integer passes, in place in the shift temporaries,
-    instead of np.nextafter's per-element call.  A point (lo is hi) takes
-    one sign step for both ends.  The step is wrong exactly at +0 going
-    down, -0 going up, -inf going down and +inf going up, where it yields a
+    magnitude, so the next double down is b - sign(b) and the next one up
+    is b + sign(b): two integer passes per end, one ``np.sign`` and one
+    subtraction or addition in place, instead of np.nextafter's
+    per-element call.  A point (lo is hi) takes one sign for both ends.
+    The step is wrong exactly at +0 (whose sign is 0) either way, -0 going
+    up, -inf going down and +inf going up, where it yields +0 itself or a
     NaN pattern.  Those and every NaN input fail the strict comparisons
     below, and only that subset goes through np.nextafter.  (+inf going
     down gives DBL_MAX, -inf going up -DBL_MAX and DBL_MAX going up +inf,
     as np.nextafter does.)
     """
     bl = lo.view(np.int64)
-    down = bl >> 63
-    down |= 1
+    down = np.sign(bl)
     if lo is hi:
         up = bl + down
     else:
         bh = hi.view(np.int64)
-        up = bh >> 63
-        up |= 1
+        up = np.sign(bh)
         up += bh
     np.subtract(bl, down, out=down)
     down = down.view(np.float64)

@@ -60,8 +60,9 @@ flagged clusters, so within a level the cover only shrinks and its clusters
 can split but never merge: the decremental case of dynamic connectivity
 (Even and Shiloach, J. ACM 28, 1981).  A cluster with no split cell is
 *settled*: it stays a whole cluster of the next attempt's pavement, so that
-attempt clusters by neighbor lookups, and locates in the parent pavement,
-only the other cells (``_build_level`` gives the argument).
+attempt clusters by neighbor slots only the other cells (``_build_level``
+gives the argument).  No cell is located in the parent pavement: each
+carries the parent cluster of the parent-pavement cell it descends from.
 """
 
 from __future__ import annotations
@@ -193,7 +194,6 @@ class _Built:
     witness_points: list
 
 
-_NO_IDS = np.empty(0, dtype=np.int64)
 # cells per _classify_batch call: large waves go in slices of this size
 # (8,192 to 32,768 time alike on one thread; ROADMAP item 5 has the runs)
 _WAVE_SLICE = 1 << 14
@@ -205,44 +205,37 @@ def _select(columns, mask):
 
 
 def _count(parts):
-    """The number of cells in a list of (r, i, j) column triples."""
+    """The number of cells in a list of (r, i, j, up) column tuples."""
     return sum(len(part[0]) for part in parts)
 
 
-def _children(r, i, j):
-    """The four children of each cell, one resolution finer, as (r, i, j)
-    columns: per cell, (2i, 2j), (2i + 1, 2j), (2i, 2j + 1), (2i + 1, 2j + 1)."""
+def _children(r, i, j, up):
+    """The four children of each cell, one resolution finer, as (r, i, j, up)
+    columns: per cell, (2i, 2j), (2i + 1, 2j), (2i, 2j + 1), (2i + 1, 2j + 1),
+    each with the cell's parent cluster ``up``."""
     return (np.repeat(r + 1, 4), (2 * i[:, None] + (0, 1, 0, 1)).ravel(),
-            (2 * j[:, None] + (0, 0, 1, 1)).ravel())
+            (2 * j[:, None] + (0, 0, 1, 1)).ravel(), np.repeat(up, 4))
 
 
 def _pave(frame, interior, band, kept=None):
-    """The pavement of the interior and band cells, lists of (r, i, j)
-    column triples emptied here before the sort, and of the cells a failed
+    """The pavement of the interior and band cells, lists of (r, i, j, up)
+    column tuples emptied here before the sort, and of the cells a failed
     attempt keeps: ``kept`` is its (pavement, keep mask, interior mask,
     settled clusters, parent clusters), or None.  Returns the pavement, the
-    mask of its interior cells and each cell's settled and parent cluster:
-    a kept cell's own, -1 for the others.  Both pavements are sorted by
-    (r, i, j), so the kept cells take their positions in their previous
-    order.  One ``find`` places the two smaller of the three groups (kept,
-    interior, band); the largest fills the positions left."""
-    old_cells, flags = (_NO_IDS,) * 3, (np.zeros(0, dtype=bool), _NO_IDS, _NO_IDS)
+    mask of its interior cells, each cell's settled cluster (a kept cell's
+    own, -1 for the others) and its parent cluster, which every cell
+    carries.  One lexsort orders the cells, its permutation places the
+    three columns, and the pavement takes the sorted cells as they are."""
+    parts, inner = [*interior, *band], np.repeat([True, False], [_count(interior), _count(band)])
+    settled = np.full(len(inner), -1)
     if kept is not None:
         old, keep, *flags = kept
-        old_cells, flags = _select((old.r, old.i, old.j), keep), _select(flags, keep)
-    sizes = (len(old_cells[0]), _count(interior), _count(band))
-    cells = [np.concatenate(c) for c in zip(old_cells, *interior, *band)]
-    del interior[:], band[:]
-    pavement = PavedCover(frame, *cells)
-    group, largest = np.repeat(np.arange(3), sizes), np.argmax(sizes)
-    placed = group != largest
-    kind = np.full(len(pavement), largest, dtype=np.int8)
-    kind[pavement.find(*_select(cells, placed))] = group[placed]
-    del cells
-    inner, settled, up = kind == 1, np.full(len(pavement), -1), np.full(len(pavement), -1)
-    for column, values in zip((inner, settled, up), flags):
-        column[kind == 0] = values
-    return pavement, inner, settled, up
+        parts.insert(0, _select((old.r, old.i, old.j, flags[2]), keep))
+        inner, settled = (np.concatenate((f[keep], v)) for f, v in zip(flags, (inner, settled)))
+    r, i, j, up = (np.concatenate(c) for c in zip(*parts))
+    del interior[:], band[:], parts
+    order = np.lexsort((j, i, r))
+    return PavedCover(frame, r[order], i[order], j[order]), inner[order], settled[order], up[order]
 
 
 def _distinct(groups, values, n_groups):
@@ -289,25 +282,22 @@ class _Failure(Exception):
     when set, only those cells (intersected with the refinable band) need
     splitting, which keeps a small defect (a spurious island, one
     unresolved critical enclosure) from forcing a refinement of the whole
-    level.  ``labels`` and ``up`` are the attempt's cluster and parent
-    cluster per cell."""
+    level.  ``labels`` are the attempt's cluster per cell."""
 
-    def __init__(self, detail, labels, up, refine=None):
+    def __init__(self, detail, labels, refine=None):
         super().__init__(f"defects: {detail}")
-        self.labels, self.up, self.refine = labels, up, refine
+        self.labels, self.refine = labels, refine
 
 
 class _Defects:
     """Collector for the certification defects of one stage, so a single
     refinement pass can address all of them at once: a count per defect
     kind, the first defect's text, and the clusters to refine.  Given the
-    ``labels`` that map pavement cells to clusters and the parent cluster
-    ``up`` of each cell, a stage that flags any defect ends the attempt in
-    a _Failure that carries both."""
+    ``labels`` that map pavement cells to clusters, a stage that flags any
+    defect ends the attempt in a _Failure that carries them."""
 
-    def __init__(self, labels=None, up=None):
+    def __init__(self, labels=None):
         self.labels = labels
-        self.up = up
         self.counts = {}
         self.first = None
         self.clusters = set()
@@ -325,7 +315,7 @@ class _Defects:
             self.clusters.update([i] if clusters is None else clusters(i))
         if self.counts and self.labels is not None:
             refine = np.isin(self.labels, list(self.clusters)) if self.clusters else None
-            raise _Failure(str(self), self.labels, self.up, refine=refine)
+            raise _Failure(str(self), self.labels, refine=refine)
 
     def __str__(self):
         histogram = ", ".join(f"{kind}={n}" for kind, n in self.counts.items())
@@ -418,11 +408,12 @@ class _TreeBuilder:
                               / self.frame.side))))
         band_target = min(band_target, self.policy.max_resolution)
         n = 1 << BASE_RESOLUTION
-        cells = (np.full(n * n, BASE_RESOLUTION), *np.divmod(np.arange(n * n), n))
+        cells = (np.full(n * n, BASE_RESOLUTION), *np.divmod(np.arange(n * n), n),
+                 np.full(n * n, -1))  # level 0 has no parent clusters
         interior = []
         r = BASE_RESOLUTION
         while True:
-            inside, outside = self.disk.sides(self.frame.cell_walls(*cells))
+            inside, outside = self.disk.sides(self.frame.cell_walls(*cells[:3]))
             interior.append(_select(cells, inside))
             cells = _select(cells, ~inside & ~outside)
             if r >= band_target:
@@ -619,7 +610,7 @@ class _TreeBuilder:
                 return c
         return None
 
-    def _certify(self, k, pavement, interior, witness_boxes, settled=None, up=None):
+    def _certify(self, k, pavement, interior, witness_boxes, settled, up):
         """Run the certificates of level k on one attempt's pavement, in the
         order of the module docstring.  Returns the level's cluster table, or
         raises _Failure with the defects of the first stage that has any.
@@ -629,22 +620,18 @@ class _TreeBuilder:
         the float chain's verdict on each midpoint (``_chain_inside``): all
         four are the same on every attempt, so the level computes them once.
 
-        ``settled`` and ``up``, aligned with the pavement, are the hand-off
-        of the level's last failed attempt (see ``_pave``): each cell's
-        cluster where settled and its parent cluster where known, else -1
-        (every cell, when None).  Only the other cells are joined by
-        neighbor lookups or located in the parent pavement, which fills
-        ``up`` in place."""
+        ``settled``, aligned with the pavement, is the hand-off of the
+        level's last failed attempt (see ``_pave``): each cell's cluster
+        where settled, else -1 (every cell, when None); only the other cells
+        are joined by neighbor lookups.  ``up``, aligned too, is the parent
+        cluster of each cell, which it carries from the parent-pavement cell
+        it descends from."""
         labels = paved_clusters(self.frame, pavement, settled)
         n_clusters = int(labels.max(initial=-1)) + 1
         parent = self.built[k - 1]
 
-        # container, from exact dyadic ancestry, which a kept cell keeps
-        up = np.full(len(pavement), -1) if up is None else up
-        new = np.flatnonzero(up < 0)
-        anc = parent.pavement.find(pavement.r[new], pavement.i[new], pavement.j[new])
-        up[new] = np.where(anc >= 0, parent.labels[anc], -1)
-        defects = _Defects(labels, up)
+        # container, from exact dyadic ancestry
+        defects = _Defects(labels)
         spans, parent_of = _distinct(labels, up, n_clusters)
         defects.flag(parent_of < 0, lambda idx: (
             "container-straddle", f"cluster spans {spans[idx]} parent clusters"))
@@ -720,10 +707,13 @@ class _TreeBuilder:
 
     def _build_level(self, k):
         """Classify the parent pavement's cells and their refinements until
-        the level certifies.  Cells travel as (r, i, j) triples of int64
-        columns: each attempt classifies ``pending`` in waves
-        (``_classify_waves``) and paves the result with the cells the last
-        failed attempt keeps (``_pave``).
+        the level certifies.  Cells travel as (r, i, j, up) tuples of int64
+        columns, ``up`` being the cell's parent cluster: a cell enters the
+        level as a parent-pavement cell, which carries its own label, or as
+        a child of a cell of the level, which carries that cell's.  Each
+        attempt classifies ``pending`` in waves (``_classify_waves``) and
+        paves the result with the cells the last failed attempt keeps
+        (``_pave``), so no cell is ever located in the parent pavement.
 
         A failed attempt keeps the cells that its refinement did not choose,
         each with its interior flag, parent cluster and settled cluster: its
@@ -735,15 +725,15 @@ class _TreeBuilder:
         adjacent to it before, and a new cell lies inside a chosen cell p,
         so an edge it shared with a settled cell u would lie on p's
         boundary, making p and u adjacent and so one cluster.  Only the
-        other cells need neighbor lookups, and only the new ones container
-        lookups.  A level-1 table that certifies with its cover not yet
-        inside U continues like a failed attempt on the whole band; the
-        fourth such table, or the last once nothing can refine, is accepted."""
+        other cells need neighbor lookups.  A level-1 table that certifies
+        with its cover not yet inside U continues like a failed attempt on
+        the whole band; the fourth such table, or the last once nothing can
+        refine, is accepted."""
         rects, mults, sources = self._solve_witness_preimages(k)
         witness_boxes = (rects, mults, sources, self._chain_inside(k, rects))
-        self._build_scale_raster(self.built[k - 1])
-        parent = self.built[k - 1].pavement
-        pending = [(parent.r, parent.i, parent.j)]
+        parent = self.built[k - 1]
+        self._build_scale_raster(parent)
+        pending = [(parent.pavement.r, parent.pavement.i, parent.pavement.j, parent.labels)]
         interior, band, kept, uncontained = [], [], None, []
         while True:
             n_kept = 0 if kept is None else int(np.count_nonzero(kept[1]))
@@ -757,10 +747,9 @@ class _TreeBuilder:
                     # restriction validator reports the accepted table
                     uncontained.append(built)
                     if len(uncontained) < 4:
-                        raise _Failure("level-1 cover not inside U", built.labels,
-                                       built.parent_of[built.labels])
+                        raise _Failure("level-1 cover not inside U", built.labels)
             except _Failure as fail:
-                chosen = self._subdivide_band(pavement, is_inner, pending, fail.refine)
+                chosen = self._subdivide_band(pavement, is_inner, up, pending, fail.refine)
                 if chosen is None:
                     if uncontained:
                         self._accept(uncontained[-1])
@@ -772,15 +761,15 @@ class _TreeBuilder:
                 touched = np.zeros(int(fail.labels.max(initial=-1)) + 1, dtype=bool)
                 touched[fail.labels[chosen]] = True
                 settled = np.where(touched[fail.labels], -1, fail.labels)
-                kept = (pavement, ~chosen, is_inner, settled, fail.up)
+                kept = (pavement, ~chosen, is_inner, settled, up)
                 continue
             self._accept(built)
             return
 
     def _classify_waves(self, k, pending, interior, band, n_kept):
-        """Classify the cells of the ``pending`` list of (r, i, j) column
-        triples and their refinements, appending the interior and band
-        cells to those lists and leaving ``pending`` empty.
+        """Classify the cells of the ``pending`` list of (r, i, j, up)
+        column tuples and their refinements, appending the interior and
+        band cells to those lists and leaving ``pending`` empty.
 
         The pending cells form one wave of mixed resolutions, and the
         children of its cells that must refine form the next.  A wave goes
@@ -802,16 +791,17 @@ class _TreeBuilder:
                          + len(wave[0]) - start + _count(pending))
                 if total > cap:
                     raise ResolutionExceeded(f"level {k}: {total} boxes exceed cap {cap}")
-                status = self._classify_batch(k, *cells)
+                status = self._classify_batch(k, *cells[:3])
                 interior.append(_select(cells, status == 1))
                 band.append(_select(cells, status == 2))
                 refine = status == 3
                 if refine.any():
                     pending.append(_children(*_select(cells, refine)))
 
-    def _subdivide_band(self, pavement, interior, pending, targets):
-        """Split refinable band cells once and add their children to the
-        ``pending`` list of (r, i, j) column triples.
+    def _subdivide_band(self, pavement, interior, up, pending, targets):
+        """Split refinable band cells once and add their children, with the
+        parent clusters ``up`` of the pavement's cells, to the ``pending``
+        list of (r, i, j, up) column tuples.
 
         ``interior`` and ``targets`` are masks over the pavement; ``targets``
         localizes the split to the cells named by a failure (falling back to
@@ -824,7 +814,7 @@ class _TreeBuilder:
             chosen = band
             if not chosen.any():
                 return None
-        pending.append(_children(*_select((pavement.r, pavement.i, pavement.j), chosen)))
+        pending.append(_children(*_select((pavement.r, pavement.i, pavement.j, up), chosen)))
         return chosen
 
     # -- public driver -------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorshift import Frame, PavedCover, paved_clusters
-from cantorshift.covers import _components
+from cantorshift.covers import _ascending, _components
 
 from conftest import paved
 
@@ -310,10 +310,20 @@ def _serpentine(r):
     ([(3, 2, 2), (4, 6, 4)], 1),
     ([(3, 2, 2), (4, 4, 6)], 1),
     ([(3, 2, 2), (6, 24, 16), (6, 16, 24), (5, 12, 9), (4, 5, 6)], 1),
+    # ... or on their +i or +j side
+    ([(3, 2, 2), (4, 3, 4)], 1),
+    ([(3, 2, 2), (4, 4, 3)], 1),
     ([(0, 0, 0)], 1),
     ([(5, 31, 31)], 1),
+    # two columns of a run: (3, 2, 7) is next to (3, 3, 0) in sort order,
+    # and (5, 3, 31) to (5, 4, 0), but neither pair is adjacent
+    ([(3, 2, 6), (3, 2, 7), (3, 3, 0), (3, 3, 1), (5, 3, 30), (5, 3, 31), (5, 4, 0)], 4),
+    # gap columns: the next distinct column after i is not i + 1, yet it
+    # holds a cell at the same j
+    ([(3, 1, 4), (3, 1, 5), (3, 3, 4), (3, 4, 4), (3, 6, 5), (4, 15, 0), (4, 13, 0)], 5),
 ], ids=["serpentine", "serpentine-mixed", "checkerboard", "coarse-minus-i",
-        "coarse-minus-j", "coarse-both", "whole-frame", "corner-cell"])
+        "coarse-minus-j", "coarse-both", "coarse-plus-i", "coarse-plus-j", "whole-frame",
+        "corner-cell", "column-wrap", "gap-column"])
 def test_paved_clusters_of_hard_shapes(cells, n_clusters):
     fr = frame16()
     clusters = _clusters(fr, cells)
@@ -399,6 +409,22 @@ def test_paved_clusters_memory_is_bounded():
         tracemalloc.stop()
     assert labels.max() == 8
     assert peak < 120 * len(cover), peak / len(cover)
+
+
+def test_ascending_cells_are_taken_as_they_come():
+    # a cover skips its lexsort exactly when the cells come strictly
+    # ascending in (r, i, j); any other order or a repeat is sorted and
+    # deduplicated, and both give the same cover
+    rng = random.Random(7)
+    for _ in range(500):
+        cells = [(r, rng.randrange(1 << r), rng.randrange(1 << r))
+                 for r in (rng.randint(0, 2) for _ in range(rng.randint(0, 6)))]
+        columns = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+        assert _ascending(*columns) == all(a < b for a, b in zip(cells, cells[1:]))
+        fr = frame16()
+        cover, ordered = PavedCover(fr, *columns), paved(fr, sorted(set(cells)))
+        assert cover.cells_at(np.arange(len(cover))) == sorted(set(cells))
+        assert np.array_equal(cover._keys, ordered._keys)
 
 
 def test_paved_clusters_of_no_cells():

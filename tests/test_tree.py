@@ -482,11 +482,26 @@ def _with_chain(builder, k, boxes):
     return (*boxes, builder._chain_inside(k, boxes[0]))
 
 
+def _found_up(parent, pavement):
+    """Test-only reference for the parent clusters a level's cells carry:
+    the label of the cell of the parent level's pavement (``parent``, its
+    ``_Built``) that contains each cell, by ``find``, else -1."""
+    anc = parent.pavement.find(pavement.r, pavement.i, pavement.j)
+    return np.where(anc >= 0, parent.labels[anc], -1)
+
+
+def _certify_at(builder, k, pavement, interior, boxes):
+    """``_certify`` of a level-k pavement with nothing settled, the float
+    chain's verdicts on ``boxes`` and parent clusters found by lookup."""
+    return builder._certify(k, pavement, interior, _with_chain(builder, k, boxes), None,
+                            _found_up(builder.built[k - 1], pavement))
+
+
 def _certify_failure(builder, k, boxes):
     """The failure of re-certifying the accepted level k with ``boxes``."""
     built = builder.built[k]
     with pytest.raises(tree_mod._Failure) as info:
-        builder._certify(k, built.pavement, built.interior, _with_chain(builder, k, boxes))
+        _certify_at(builder, k, built.pavement, built.interior, boxes)
     return info.value
 
 
@@ -519,7 +534,7 @@ def test_witness_box_outside_the_cover(quadratic_map, quadratic_disk):
     built = builder.built[1]
     boxes = _with_box(builder._solve_witness_preimages(1), (5.0, 5.01, 0.0, 0.01))
     with pytest.raises(HypothesisViolation):
-        builder._certify(1, built.pavement, built.interior, _with_chain(builder, 1, boxes))
+        _certify_at(builder, 1, built.pavement, built.interior, boxes)
 
 
 def test_critical_point_on_a_corner_names_both_clusters(cubic_map, cubic_disk):
@@ -550,8 +565,8 @@ def test_cluster_across_parent_clusters_fails(quadratic_map, quadratic_disk):
     pavement = paved(frame, row)
     assert len(set(paved_clusters(frame, pavement).tolist())) == 1
     with pytest.raises(tree_mod._Failure) as info:
-        builder._certify(2, pavement, np.zeros(len(pavement), dtype=bool),
-                         _with_chain(builder, 2, builder._solve_witness_preimages(2)))
+        _certify_at(builder, 2, pavement, np.zeros(len(pavement), dtype=bool),
+                    builder._solve_witness_preimages(2))
     assert str(info.value).endswith("(by kind: container-straddle=1)")
     assert "cluster spans 3 parent clusters" in str(info.value)
     assert info.value.refine.all()
@@ -577,9 +592,10 @@ def test_failure_texts_of_small_builds(request, case, depth, failures):
 @pytest.mark.parametrize("case, depth", [("quadratic", 6), ("cubic", 4), ("cubic", 5)])
 def test_carried_attempts_match_fresh_lookups(request, case, depth):
     # a failed attempt hands the next one its settled clusters, and the
-    # interior flag and parent cluster of every kept cell; on every attempt
-    # the labels, container edges and interior mask must equal those that a
-    # from-scratch clustering and lookups give its pavement
+    # interior flag of every kept cell; on every attempt the labels and
+    # interior mask must equal those that a from-scratch clustering and
+    # lookups give its pavement (test_carried_parent_clusters_equal_a_find
+    # checks the parent clusters)
     classified, settled, tables, attempts = {}, [], [], []
     classify = tree_mod._TreeBuilder._classify_batch
     certify = tree_mod._TreeBuilder._certify
@@ -597,10 +613,10 @@ def test_carried_attempts_match_fresh_lookups(request, case, depth):
             np.stack((r[inner], i[inner], j[inner]), axis=1))
         return status
 
-    def traced_defects(self, labels=None, up=None):
-        defects(self, labels, up)
+    def traced_defects(self, labels=None):
+        defects(self, labels)
         if labels is not None:
-            tables.append((labels, up))
+            tables.append(labels)
 
     def traced_certify(self, k, pavement, interior, *args):
         attempts.append((k, pavement, interior, np.concatenate(classified[k])))
@@ -614,7 +630,7 @@ def test_carried_attempts_match_fresh_lookups(request, case, depth):
         tree = build_tree(request.getfixturevalue(f"{case}_map"),
                           request.getfixturevalue(f"{case}_disk"), depth, policy=small_policy())
     assert len(tables) == len(settled) == len(attempts) > depth
-    for (k, pavement, interior, inner_cells), (labels, up), groups in zip(
+    for (k, pavement, interior, inner_cells), labels, groups in zip(
             attempts, tables, settled):
         fresh = paved_clusters(tree.frame, pavement)
         assert np.array_equal(labels, fresh)
@@ -623,14 +639,37 @@ def test_carried_attempts_match_fresh_lookups(request, case, depth):
         pairs = np.unique(np.stack((groups[held], fresh[held])), axis=1)
         assert len(set(pairs[0])) == len(set(pairs[1])) == pairs.shape[1]
         assert np.array_equal(held, np.isin(fresh, fresh[held]))
-        parent = tree._built[k - 1]
-        anc = parent.pavement.find(pavement.r, pavement.i, pavement.j)
-        assert np.array_equal(up, np.where(anc >= 0, parent.labels[anc], -1))
         at = pavement.find(*inner_cells.T)
         assert (at >= 0).all()
         assert np.array_equal(interior, np.isin(np.arange(len(pavement)), at))
     # the re-attempts carried settled clusters
     assert any((groups >= 0).any() for groups in settled)
+
+
+@pytest.mark.parametrize("case, depth", [("quadratic", 6), ("cubic", 4)])
+def test_carried_parent_clusters_equal_a_find(request, case, depth):
+    # a cell enters a level as a parent-pavement cell or as a child of one
+    # of the level's cells, and carries that cell's parent cluster; on every
+    # attempt, the pinned ones of test_attempt_digests_are_pinned, the
+    # carried clusters must equal a lookup of each cell in the parent
+    # pavement, which no cell misses
+    builder = tree_mod._TreeBuilder(request.getfixturevalue(f"{case}_map"),
+                                    request.getfixturevalue(f"{case}_disk"), small_policy())
+    carried = []
+    certify = tree_mod._TreeBuilder._certify
+
+    def traced_certify(self, k, pavement, interior, boxes, settled, up):
+        carried.append((k, pavement, up.copy()))
+        return certify(self, k, pavement, interior, boxes, settled, up)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_mod._TreeBuilder, "_certify", traced_certify)
+        builder.build(depth)
+    assert len(carried) == len(_ATTEMPT_DIGESTS[case])
+    for k, pavement, up in carried:
+        found = _found_up(builder.built[k - 1], pavement)
+        assert (found >= 0).all()
+        assert np.array_equal(up, found)
 
 
 def test_containment_retries_continue_like_failed_attempts(monkeypatch):
@@ -654,21 +693,26 @@ def test_containment_retries_continue_like_failed_attempts(monkeypatch):
     monkeypatch.setattr(tree_mod._TreeBuilder, "_certify", traced_certify)
     builder._build_level(1)
     assert [len(pavement) for pavement, _, _ in attempts] == [426, 1000, 2150, 4308]
-    # kept cells carry their parent cluster, so only the others are located
-    assert [int((up < 0).sum()) for _, (_, up), _ in attempts] == [426, 850, 1714, 3240]
     assert builder.built[1] is attempts[-1][2]
     level0 = builder.built[0]
+    for pavement, (settled, up), built in attempts:
+        # every cell carries its parent cluster, the one lookup gives
+        looked_up = _found_up(level0, pavement)
+        assert (looked_up >= 0).all() and np.array_equal(up, looked_up)
+        assert np.array_equal(built.parent_of[built.labels], looked_up)
+    # a retry keeps the cells its refinement did not split, the ones it
+    # shares with the attempt before
+    def shared(prev, pavement):
+        idx = prev.find(pavement.r, pavement.i, pavement.j)
+        return int(np.count_nonzero((idx >= 0) & (prev.r[idx] == pavement.r)))
+
+    assert [shared(a[0], b[0]) for a, b in zip(attempts, attempts[1:])] == [150, 436, 1068]
     for pavement, (settled, up), built in attempts[1:]:
         fresh = paved_clusters(builder.frame, pavement)
         assert np.array_equal(built.labels, fresh)
         # a whole-band retry touches every cluster with a band cell
         held = settled >= 0
         assert np.array_equal(held, np.isin(fresh, fresh[held]))
-        anc = level0.pavement.find(pavement.r, pavement.i, pavement.j)
-        looked_up = np.where(anc >= 0, level0.labels[anc], -1)
-        known = up >= 0
-        assert known.any() and np.array_equal(up[known], looked_up[known])
-        assert np.array_equal(built.parent_of[built.labels], looked_up)
     report = validate_restriction(pmap, disk, builder.levels[1], builder.built[1].pavement)
     assert report.n_components == 2
     assert list(report.branch_degrees) == [1, 1]
@@ -805,9 +849,9 @@ def test_empty_level_fails_certification(quadratic_map, quadratic_disk):
     for k in (1, 2):
         boxes = builder._solve_witness_preimages(k)
         with pytest.raises(tree_mod._Failure) as info:
-            builder._certify(k, empty, no_cells, _with_chain(builder, k, boxes))
+            _certify_at(builder, k, empty, no_cells, boxes)
         # nothing is left to refine, which ends the level in ResolutionExceeded
-        assert builder._subdivide_band(empty, no_cells, {}, info.value.refine) is None
+        assert builder._subdivide_band(empty, no_cells, empty.r, {}, info.value.refine) is None
 
 
 @pytest.mark.parametrize("center, radius", [(("0", "0"), "4"), (("0.3", "-0.7"), "2.5")])
@@ -1169,8 +1213,13 @@ def _attempt_digests(pmap, disk, depth, chain=True):
     handed over by the last failed attempt, the labels and parent clusters
     the attempt ends with, its failure text or its accepted witness points,
     and the mask of the cells its refinement split.  With ``chain`` false,
-    every witness goes to the exact walk, as in ``_walk_build``."""
-    digests = []
+    every witness goes to the exact walk, as in ``_walk_build``.
+
+    Every cell carries its parent cluster into ``_certify``; the digest
+    hashes the parent clusters of the kept cells alone, -1 for the others,
+    the hand-off the digests were pinned with.  The kept cells are the
+    cells of the last failed attempt's pavement that its split left."""
+    digests, handoff = [], []
     certify = tree_mod._TreeBuilder._certify
     subdivide = tree_mod._TreeBuilder._subdivide_band
 
@@ -1178,23 +1227,30 @@ def _attempt_digests(pmap, disk, depth, chain=True):
         for a in arrays:
             h.update(b"-" if a is None else np.asarray(a, dtype=np.int64).tobytes())
 
-    def traced_certify(self, k, pavement, interior, witness_boxes, settled=None, up=None):
+    def traced_certify(self, k, pavement, interior, witness_boxes, settled, up):
+        kept = np.zeros(len(pavement), dtype=bool)
+        if handoff:
+            old, chosen = handoff.pop()
+            kept[pavement.find(old.r[~chosen], old.i[~chosen], old.j[~chosen])] = True
         h = hashlib.sha256(str(k).encode())
-        update(h, pavement.r, pavement.i, pavement.j, interior, settled, up)
+        update(h, pavement.r, pavement.i, pavement.j, interior, settled,
+               np.where(kept, up, -1))
         digests.append(h)
         try:
             built = certify(self, k, pavement, interior, witness_boxes, settled, up)
         except tree_mod._Failure as fail:
-            update(h, fail.labels, fail.up)
+            update(h, fail.labels, up)
             h.update(str(fail).encode())
             raise
         update(h, built.labels, built.parent_of[built.labels])
         h.update(repr(built.witness_points).encode())
         return built
 
-    def traced_subdivide(self, pavement, interior, pending, targets):
-        chosen = subdivide(self, pavement, interior, pending, targets)
+    def traced_subdivide(self, pavement, interior, up, pending, targets):
+        chosen = subdivide(self, pavement, interior, up, pending, targets)
         update(digests[-1], chosen)
+        if chosen is not None:
+            handoff.append((pavement, chosen))
         return chosen
 
     with pytest.MonkeyPatch.context() as mp:
