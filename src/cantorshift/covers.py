@@ -333,6 +333,9 @@ def paved_clusters(frame: Frame, cells, settled=None):
     # each settled group starts as one tree rooted at its least cell
     grouped = np.flatnonzero(settled >= 0)
     ids = settled[grouped]
+    if ids.max(initial=-1) >= n:
+        # renumber ids past the cover's length, so the table is at most n long
+        ids = np.unique(ids, return_inverse=True)[1]
     least = np.full(int(ids.max(initial=-1)) + 1, n)
     np.minimum.at(least, ids, grouped)
     root = np.arange(n, dtype=np.int32)

@@ -433,6 +433,17 @@ def test_paved_clusters_of_no_cells():
         assert labels.dtype == np.int64 and labels.shape == (0,)
 
 
+def test_settled_ids_far_past_the_cover_length():
+    # settled ids are any integers >= 0: sparse ids far past the cover's
+    # length name the same groups as small ones, and need no table that long
+    fr = frame16()
+    cover = paved(fr, [(4, i, j) for i in range(16) for j in range(16) if (i + j) % 2 == 0])
+    plain = paved_clusters(fr, cover)
+    settled = np.where(plain % 3 == 0, plain, -1)
+    for ids in (settled, np.where(settled >= 0, settled * 2**50 + 2**60, -1)):
+        assert np.array_equal(paved_clusters(fr, cover, ids), plain)
+
+
 def test_cells_past_the_exact_key_limit_are_rejected():
     # at resolution 63, 1 << r wraps in int64: two edge-adjacent cells would
     # be labeled apart, so such covers are refused

@@ -594,8 +594,8 @@ def test_carried_attempts_match_fresh_lookups(request, case, depth):
     # a failed attempt hands the next one its settled clusters, and the
     # interior flag of every kept cell; on every attempt the labels and
     # interior mask must equal those that a from-scratch clustering and
-    # lookups give its pavement (test_carried_parent_clusters_equal_a_find
-    # checks the parent clusters)
+    # lookups give its pavement, and its carried parent clusters those that
+    # a lookup in the parent pavement gives
     classified, settled, tables, attempts = {}, [], [], []
     classify = tree_mod._TreeBuilder._classify_batch
     certify = tree_mod._TreeBuilder._certify
@@ -618,9 +618,9 @@ def test_carried_attempts_match_fresh_lookups(request, case, depth):
         if labels is not None:
             tables.append(labels)
 
-    def traced_certify(self, k, pavement, interior, *args):
-        attempts.append((k, pavement, interior, np.concatenate(classified[k])))
-        return certify(self, k, pavement, interior, *args)
+    def traced_certify(self, k, pavement, interior, boxes, groups, up):
+        attempts.append((k, pavement, interior, np.concatenate(classified[k]), up.copy()))
+        return certify(self, k, pavement, interior, boxes, groups, up)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_mod._TreeBuilder, "_classify_batch", traced_classify)
@@ -630,7 +630,7 @@ def test_carried_attempts_match_fresh_lookups(request, case, depth):
         tree = build_tree(request.getfixturevalue(f"{case}_map"),
                           request.getfixturevalue(f"{case}_disk"), depth, policy=small_policy())
     assert len(tables) == len(settled) == len(attempts) > depth
-    for (k, pavement, interior, inner_cells), labels, groups in zip(
+    for (k, pavement, interior, inner_cells, up), labels, groups in zip(
             attempts, tables, settled):
         fresh = paved_clusters(tree.frame, pavement)
         assert np.array_equal(labels, fresh)
@@ -639,6 +639,7 @@ def test_carried_attempts_match_fresh_lookups(request, case, depth):
         pairs = np.unique(np.stack((groups[held], fresh[held])), axis=1)
         assert len(set(pairs[0])) == len(set(pairs[1])) == pairs.shape[1]
         assert np.array_equal(held, np.isin(fresh, fresh[held]))
+        assert np.array_equal(up, _found_up(tree._built[k - 1], pavement))
         at = pavement.find(*inner_cells.T)
         assert (at >= 0).all()
         assert np.array_equal(interior, np.isin(np.arange(len(pavement)), at))
