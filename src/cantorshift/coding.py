@@ -141,6 +141,8 @@ def _carrier_table(assignment: SymbolAssignment, tree, lvl: int):
     T_lvl[v, s] is the index of the level-lvl component over image v whose
     symbol set holds s; -1 where none does, -2 where two or more do.  The
     repeats are (lvl, pair), once per repeated claim, in component order.
+    Symbols outside the alphabet, below 0 or from d on, get columns of their
+    own, so that a stray symbol never lands in the cell of another pair.
     """
     d = tree.degree
     comps = tree.levels[lvl]
@@ -152,8 +154,9 @@ def _carrier_table(assignment: SymbolAssignment, tree, lvl: int):
     image, owner = image.repeat(size), owner.repeat(size)  # one row per claim
     # unreached images and stray symbols get cells too, to find their repeats
     rows = max(len(tree.levels[lvl - 1]), int(image.max(initial=-1)) + 1)
-    cols = max(d, int(symbol.max(initial=-1)) + 1)
-    key = image * cols + symbol
+    low = min(0, int(symbol.min(initial=0)))  # symbol s sits in column s - low
+    cols = max(d, int(symbol.max(initial=-1)) + 1) - low
+    key = image * cols + symbol - low
     claimed = np.bincount(key, minlength=rows * cols)
     table = np.full(rows * cols, -1, dtype=np.int64)
     table[key] = owner
@@ -162,7 +165,7 @@ def _carrier_table(assignment: SymbolAssignment, tree, lvl: int):
     first = {}  # pair -> its first claim
     repeats = [(lvl, (int(image[p]), int(symbol[p])))
                for p in shared.tolist() if first.setdefault(key[p], p) != p]
-    return table.reshape(rows, cols)[:, :d], repeats
+    return table.reshape(rows, cols)[:, -low:d - low], repeats
 
 
 def _carrier_tables(assignment: SymbolAssignment, tree, k: int, defects=None) -> list:
@@ -436,12 +439,18 @@ def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> Verifica
     mixes first symbols has a critical component somewhere on its image
     chain.  They compare the codes of the words of lengths k - 1 and k; a
     failing check reports its least failing word or component.  Past the
-    word budget, BudgetExceeded comes before any word is resolved.
+    word budget, BudgetExceeded comes before any word is resolved.  Then
+    ``tree.check_structure`` runs, as in ``assign_symbols``: a malformed
+    tree raises InconsistentTree, so the checks judge the assignment alone.
+    On a well-formed tree the cumulative degrees of level k sum to d^k, so
+    fiber sizes that all match leave no word unresolved; the size check
+    then reports only a pair claimed twice (a symbol table defect).
     """
     check_level(k, tree.depth, lowest=1)
     d = tree.degree
     if d ** k > _MAX_WORDS:
         raise BudgetExceeded(f"{d}^{k} words exceed the enumeration budget")
+    check_structure(tree)
     # tolerate a broken assignment so that each defect still surfaces as a
     # counterexample below
     defects = []
@@ -476,16 +485,6 @@ def verify_semiconjugacy(assignment: SymbolAssignment, tree, k: int) -> Verifica
                        f"cumulative degree is {comp.cumulative_degree}")
             break
     else:
-        # a table defect, or else, when a word is unresolved, the first
-        # missing pair a word reaches: level by level, last symbol first
-        for lvl in range(1, k + 1):
-            if defects or resolved.all():
-                break
-            reach = np.tile(codes[lvl - 1], d)  # c(shift w) of each length-lvl word w
-            met = np.arange(d ** lvl).reshape((d,) * lvl).T.ravel()
-            gap = met[(codes[lvl][met] == -1) & (reach[met] >= 0)]
-            if gap.size:
-                defects.append((lvl, (int(reach[gap[0]]), int(gap[0] // d ** (lvl - 1)))))
         if defects:
             lvl, key = defects[0]
             size_ce = f"symbol table defect at level {lvl}, (image, symbol) = {key}"

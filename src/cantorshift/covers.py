@@ -77,15 +77,10 @@ class Frame:
     def cell_size(self, resolution: int) -> float:
         return math.ldexp(self.side, -resolution)  # exact power-of-two scaling
 
-    def cell_bounds(self, i: int, j: int, resolution: int):
-        """(re_lo, re_hi, im_lo, im_hi) of cell (i, j); exact tiling floats."""
-        s = math.ldexp(self.side, -resolution)
-        return (self.x0 + i * s, self.x0 + (i + 1) * s,
-                self.y0 + j * s, self.y0 + (j + 1) * s)
-
     def cell_walls(self, r, i, j):
-        """``cell_bounds`` for arrays: the walls of cells (i[n], j[n]) at
-        resolution r[n] (or a common r), computed the same way."""
+        """(re_lo, re_hi, im_lo, im_hi): the walls of cells (i[n], j[n]) at
+        resolution r[n] (or a common r), or of one cell given as scalars.
+        This is the one wall formula; every cell wall is computed by it."""
         s = np.ldexp(self.side, -r)
         return (self.x0 + i * s, self.x0 + (i + 1) * s,
                 self.y0 + j * s, self.y0 + (j + 1) * s)
@@ -94,15 +89,11 @@ class Frame:
         """(i_lo, i_hi, j_lo, j_hi): per rectangle of ``rects`` (four arrays
         of walls, each rectangle meeting the window), the index ranges of the
         grid cells at a resolution whose closed bounds meet it.  Walls are
-        compared exactly as ``cell_bounds`` computes them."""
+        compared exactly as ``cell_walls`` computes them."""
         s = self.cell_size(resolution)
         n = 1 << resolution
         return (_span(rects[0], rects[1], self.x0, s, n)
                 + _span(rects[2], rects[3], self.y0, s, n))
-
-    def __eq__(self, other):
-        return (isinstance(other, Frame) and self.x0 == other.x0
-                and self.y0 == other.y0 and self.side == other.side)
 
     def __repr__(self):
         return f"Frame(x0={self.x0!r}, y0={self.y0!r}, side={self.side!r})"
@@ -167,20 +158,14 @@ class PavedCover:
     __slots__ = ("frame", "r", "i", "j", "_layers", "_keys")
 
     def __init__(self, frame: Frame, r, i, j):
-        """The cover of cells (r[n], i[n], j[n]), in any order and possibly
-        repeated: one lexsort orders them, unless they come strictly
-        ascending in (r, i, j), and repeats are dropped.  Raises ValueError
-        for a resolution outside 0..MAX_RESOLUTION or a cell outside its
-        grid."""
+        """The cover of cells (r[n], i[n], j[n]), which must ascend strictly
+        in (r, i, j) order, so that none repeats.  Raises ValueError for
+        cells out of that order, a resolution outside 0..MAX_RESOLUTION or a
+        cell outside its grid."""
         self.frame = frame
         r, i, j = (np.asarray(v, dtype=np.int64) for v in (r, i, j))
         if not _ascending(r, i, j):
-            order = np.lexsort((j, i, r))
-            r, i, j = r[order], i[order], j[order]
-            del order
-            repeat = np.append(False, (r[1:] == r[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1]))
-            if repeat.any():
-                r, i, j = r[~repeat], i[~repeat], j[~repeat]
+            raise ValueError("cells must ascend strictly in (r, i, j) order")
         if len(r) and not 0 <= r[0] <= r[-1] <= MAX_RESOLUTION:
             raise ValueError(f"a cell resolution lies outside 0..{MAX_RESOLUTION}")
         self.r, self.i, self.j = r, i, j
@@ -243,7 +228,7 @@ class PavedCover:
         ascending order.  ``rects`` is four float arrays of walls, as
         ``Frame.cell_walls`` returns them; one column-strip pass per
         resolution run answers all the rectangles."""
-        q = np.flatnonzero(boverlap(rects, self.frame.cell_bounds(0, 0, 0)))
+        q = np.flatnonzero(boverlap(rects, self.frame.cell_walls(0, 0, 0)))
         top = self.finest
         a, b, c, e = self.frame.grid_span([v[q] for v in rects], top)
         owners, cells = [q[:0]], [q[:0]]  # empty int64 arrays for an empty pavement
@@ -269,7 +254,7 @@ class PavedCover:
         ``overlapping(rects)`` returned: the cells a rectangle hits tile its
         whole block of finest grid cells, and it stays inside the frame.
         Areas are Python ints: a block at resolution 40 holds 2^80 cells."""
-        root = self.frame.cell_bounds(0, 0, 0)
+        root = self.frame.cell_walls(0, 0, 0)
         inside = ((root[0] <= rects[0]) & (rects[1] <= root[1])
                   & (root[2] <= rects[2]) & (rects[3] <= root[3]))[box]
         box, cell = box[inside], cell[inside]
@@ -289,8 +274,9 @@ class PavedCover:
 _CHUNK = 1 << 12  # cells whose leftover neighbor slots one ``find`` call resolves
 
 
-def paved_clusters(frame: Frame, cells, settled=None):
-    """Partition mixed-resolution cells into maximal edge-adjacent clusters.
+def paved_clusters(frame: Frame, cover: PavedCover, settled=None):
+    """Partition the cells of a PavedCover into maximal edge-adjacent
+    clusters.
 
     Two cells are adjacent when their boundaries share a segment of
     positive length.  Corner contact does not connect: an open connected set
@@ -320,13 +306,10 @@ def paved_clusters(frame: Frame, cells, settled=None):
     A group is then joined without looking at any of its slots, so the
     work scales with the unsettled cells alone.
 
-    ``cells`` is a PavedCover or an iterable of (r, i, j).  Returns the
-    cluster index of each cell as an int64 array aligned with the cover
-    (the PavedCover of its columns, for an iterable), clusters numbered in
-    canonical order by their least fine-grid lower-left corner.
+    ``frame`` is not read: the cover carries its own.  Returns the cluster
+    index of each cell as an int64 array aligned with the cover, clusters
+    numbered in canonical order by their least fine-grid lower-left corner.
     """
-    cover = (cells if isinstance(cells, PavedCover)
-             else PavedCover(frame, *(list(zip(*cells)) or [()] * 3)))
     n = len(cover)
     if settled is None:
         settled = np.full(n, -1)
@@ -369,7 +352,7 @@ def paved_clusters(frame: Frame, cells, settled=None):
         hit = nbr >= 0
         u.append(src[hit])
         v.append(nbr[hit].astype(np.int32))
-    root = _components(n, np.concatenate(u), np.concatenate(v), root)
+    root = _components(np.concatenate(u), np.concatenate(v), root)
     del u, v
     # number clusters by their least fine-grid lower-left corner, the least
     # in (x, y) order over their cells; distinct non-overlapping cells never
@@ -387,14 +370,12 @@ def paved_clusters(frame: Frame, cells, settled=None):
     return rank[root]
 
 
-def _components(n, u, v, root=None):
-    """The least node of each node's component in the graph on 0..n-1 with
-    edges (u, v), starting from the trees ``root`` gives (each node's root,
-    the least node of its tree; ``arange(n)`` when None): each round hooks
-    every root onto the least root adjacent to its tree, then jumps pointers
+def _components(u, v, root):
+    """The least node of each node's component in the graph on the nodes
+    of ``root`` with edges (u, v), starting from the trees ``root`` gives
+    (each node's root, the least node of its tree): each round hooks every
+    root onto the least root adjacent to its tree, then jumps pointers
     until all point at roots (Shiloach and Vishkin, J. Algorithms 3, 1982)."""
-    if root is None:
-        root = np.arange(n, dtype=np.int32)
     while (cross := (ru := root[u]) != (rv := root[v])).any():
         # an edge inside a tree hooks its root onto itself, a no-op
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv, out=rv))

@@ -54,8 +54,11 @@ def shifted_coefficients(pmap, w):
 
 
 def paved(frame, cells):
-    """The PavedCover of a list of (r, i, j) cells."""
-    return PavedCover(frame, *np.array(cells, dtype=np.int64).reshape(-1, 3).T)
+    """The PavedCover of a list of distinct (r, i, j) cells in any order,
+    sorted into the (r, i, j) order the cover takes."""
+    r, i, j = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    order = np.lexsort((j, i, r))
+    return PavedCover(frame, r[order], i[order], j[order])
 
 
 def abstract_tree_d3():

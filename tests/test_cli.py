@@ -15,6 +15,8 @@ from cantorshift import render
 from cantorshift.render import render_svg
 from cantorshift.coding import assign_symbols
 
+from conftest import abstract_tree_d3
+
 QUAD_CONFIG = {
     "coefficients": [["-6", "0"], ["0", "0"], ["1", "0"]],
     "disk_center": ["0", "0"],
@@ -414,6 +416,41 @@ def test_map_config_auto_radius(tmp_path):
     assert disk.radius == 7  # escape radius of z^2 - 6
     assert horizon == 20
     assert shrink is None
+
+
+def _config_error(tmp_path, document):
+    """The message ``load_map_config`` raises on a map file of ``document``,
+    without its path prefix."""
+    from cantorshift.config import load_map_config
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError) as info:
+        load_map_config(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+    return str(info.value)[len(f"{path}: "):]
+
+
+def test_map_config_without_coefficients_is_rejected(tmp_path):
+    document = {key: value for key, value in QUAD_CONFIG.items() if key != "coefficients"}
+    assert _config_error(tmp_path, document) == "missing 'coefficients'"
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_map_config_horizon_below_one_is_rejected(tmp_path, horizon):
+    assert (_config_error(tmp_path, dict(QUAD_CONFIG, horizon=horizon))
+            == "horizon must be positive")
+
+
+@pytest.mark.parametrize("shrink", ["0", "1", "-0.5", "1.25"])
+def test_map_config_shrink_outside_the_open_unit_interval_is_rejected(tmp_path, shrink):
+    assert (_config_error(tmp_path, dict(QUAD_CONFIG, shrink_on_contact=shrink))
+            == "shrink_on_contact must be in (0, 1)")
+
+
+def test_render_rejects_an_unknown_coloring():
+    with pytest.raises(ValueError) as info:
+        render.svg_parts(abstract_tree_d3(), 1, "hue")
+    assert str(info.value) == "color_by must be 'level' or 'symbols'"
 
 
 def test_shrink_on_contact_retries(tmp_path, capsys):

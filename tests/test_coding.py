@@ -542,43 +542,58 @@ def test_verify_reports_a_mixed_fiber_off_the_critical_chains():
     assert verify_semiconjugacy(a, tree, 2).checks[4] == ("mixed-fibers-are-critical", True, None)
 
 
-def test_verify_reports_a_symbol_table_defect_where_fibers_match():
-    # two extra level-1 components over an image no word reaches (level 0
-    # has no component 1) both claim symbol 0; they get no word, so with
-    # cumulative degree 0 every fiber count matches and only the symbol
-    # table shows the defect
-    base = abstract_tree_d3()
-    a = assign_symbols(base)
-    extra = [AbstractComponent(1, idx, 0, 1, 1, 0) for idx in (2, 3)]
-    tree = AbstractTree(3, [base.levels[0], base.levels[1] + extra])
-    symbols = dict(a.symbols)
-    symbols.update({(1, 2): (0,), (1, 3): (0,)})
-    report = verify_semiconjugacy(type(a)(a.degree, symbols), tree, 1)
-    assert dict((name, ce) for name, ok, ce in report.checks if not ok) == {
-        "surjective-onto-level": "component (1,2) receives no word",
-        "fiber-size-equals-degree": "symbol table defect at level 1, (image, symbol) = (1, 0)",
-    }
-
-
 def test_verify_reports_the_first_missing_pair_a_word_reaches():
-    # at level 2, symbol 2 over A and symbol 0 over B lose their carriers;
-    # with the cumulative degrees lowered to match, only the symbol table
-    # shows the defect.  The words of a level are taken with the last
-    # symbol most significant, so (2,0) names its pair before (0,2) does
+    # at level 2, symbol 2 over A and symbol 0 over B lose their carriers
+    # on the well-formed tree: the image check names the least word that
+    # reaches a lost pair, and the size check the fiber left short
     base = abstract_tree_d3()
     a = assign_symbols(base)
-    level2 = [dataclasses.replace(c, cumulative_degree=n)
-              for c, n in zip(base.levels[2], (4, 1, 0, 1))]
-    tree = AbstractTree(3, base.levels[:2] + [level2])
     symbols = dict(a.symbols)
     symbols[(2, 1)], symbols[(2, 2)] = (1,), ()
-    report = verify_semiconjugacy(type(a)(a.degree, symbols), tree, 2)
+    report = verify_semiconjugacy(type(a)(a.degree, symbols), base, 2)
     assert report.checks[1:4] == (
         ("image-of-shift", False, "word (0,2) has no coded component"),
         ("surjective-onto-level", False, "component (2,2) receives no word"),
-        ("fiber-size-equals-degree", False,
-         "symbol table defect at level 2, (image, symbol) = (0, 2)"),
+        ("fiber-size-equals-degree", False, "fiber of (2,1) has 1 words, cumulative degree is 2"),
     )
+
+
+def test_verify_rejects_a_malformed_tree_first(monkeypatch):
+    # check_structure's error comes before any symbol table is built: two
+    # extra level-1 components over an image level 0 does not have, and
+    # level-2 cumulative degrees lowered below the product rule
+    base = abstract_tree_d3()
+    a = assign_symbols(base)
+    extra = [AbstractComponent(1, idx, 0, 1, 1, 0) for idx in (2, 3)]
+    level2 = [dataclasses.replace(c, cumulative_degree=n)
+              for c, n in zip(base.levels[2], (4, 1, 0, 1))]
+    monkeypatch.setattr(coding_mod, "_carrier_tables", None)  # never called
+    for tree, k, message in (
+            (AbstractTree(3, [base.levels[0], base.levels[1] + extra]), 1,
+             "container or image outside level 0 at (1, 2)"),
+            (AbstractTree(3, base.levels[:2] + [level2]), 2,
+             "cumulative degree 1 is not 2 times its image's 1 at (2, 1)")):
+        with pytest.raises(InconsistentTree) as info:
+            check_structure(tree)
+        assert str(info.value) == message
+        with pytest.raises(InconsistentTree) as info:
+            verify_semiconjugacy(a, tree, k)
+        assert str(info.value) == message
+
+
+def test_verify_reports_a_symbol_table_defect_where_fibers_match():
+    # symbol 2, outside the binary alphabet, added to both level-1
+    # components: no word reads it, so every fiber count matches and only
+    # the symbol table shows the pair claimed twice, at every level
+    tree = generate(1, 2, 2)
+    a = assign_symbols(tree)
+    symbols = dict(a.symbols)
+    symbols[(1, 0)], symbols[(1, 1)] = (0, 2), (1, 2)
+    for k in (1, 2):
+        report = verify_semiconjugacy(type(a)(a.degree, symbols), tree, k)
+        assert {name: ce for name, ok, ce in report.checks if not ok} == {
+            "fiber-size-equals-degree": "symbol table defect at level 1, (image, symbol) = (0, 2)",
+        }
 
 
 def test_verify_checks_the_word_budget_first(monkeypatch):
@@ -652,16 +667,18 @@ def test_stored_repeats_give_the_same_answers_in_any_call_order():
 
 
 def test_one_assignment_keeps_each_trees_own_tables():
-    # the wider tree of test_verify_reports_a_symbol_table_defect_where_fibers_match
-    # has two extra level-1 components that both claim symbol 0 over image 1;
-    # the base tree never reads their symbol sets
+    # two well-formed trees of degree 3: abstract_tree_d3, whose level 1
+    # splits (2, 1), and a depth-1 tree of three univalent components.  The
+    # canonical assignment of the first, with symbol 2 given to the third
+    # component as well, codes the first tree and claims (0, 2) twice on the
+    # second; the first tree never reads the third component's set
     base = abstract_tree_d3()
     a0 = assign_symbols(base)
-    extra = [AbstractComponent(1, idx, 0, 1, 1, 0) for idx in (2, 3)]
-    wide = AbstractTree(3, [base.levels[0], base.levels[1] + extra])
-    symbols = dict(a0.symbols)
-    symbols.update({(1, 2): (0,), (1, 3): (0,)})
-    for order in ((base, wide), (wide, base)):
+    root = base.levels[0][0]
+    three = AbstractTree(3, [[root], [AbstractComponent(1, idx, 0, 0, 1, 1) for idx in range(3)]])
+    check_structure(three)
+    symbols = {**a0.symbols, (1, 2): (2,)}
+    for order in ((base, three), (three, base)):
         a = type(a0)(a0.degree, symbols)
         for tree in order * 2:
             report = verify_semiconjugacy(a, tree, 1)
@@ -669,19 +686,23 @@ def test_one_assignment_keeps_each_trees_own_tables():
                 assert report.all_passed
                 assert verify_semiconjugacy(a, base, 2).all_passed
                 assert cylinder_component(a, base, (1, 0)) == (2, 0)
+                assert cylinder_component(a, base, (2,)) == (1, 1)
             else:
                 assert {name: ce for name, ok, ce in report.checks if not ok} == {
-                    "surjective-onto-level": "component (1,2) receives no word",
-                    "fiber-size-equals-degree":
-                        "symbol table defect at level 1, (image, symbol) = (1, 0)",
+                    "image-of-shift": "word (2) has no coded component",
+                    "surjective-onto-level": "component (1,1) receives no word",
+                    "fiber-size-equals-degree": "fiber of (1,0) has 2 words, cumulative degree is 1",
+                    "mixed-fibers-are-critical":
+                        "fiber of (1,0) mixes first symbols [0, 1] but its image chain is "
+                        "critical-free",
                 }
                 with pytest.raises(InconsistentTree,
-                                   match="^symbol 0 over image 1 is claimed twice at level 1$"):
-                    cylinder_component(a, wide, (0,))
+                                   match="^symbol 2 over image 0 is claimed twice at level 1$"):
+                    cylinder_component(a, three, (2,))
     # the store holds trees weakly: a tree no one else holds takes its
     # tables with it
     assert len(a._tables) == 2
-    del wide, order, tree
+    del three, order, tree
     gc.collect()
     assert list(a._tables) == [base]
 

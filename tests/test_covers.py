@@ -21,7 +21,7 @@ def _clusters(fr, cells):
     """``paved_clusters`` read back as the sorted cell list of each
     cluster, in label order."""
     cover = paved(fr, cells)
-    labels = paved_clusters(fr, cells)
+    labels = paved_clusters(fr, cover)
     assert labels.dtype == np.int64 and labels.shape == (len(cover),)
     return [cover.cells_at(np.flatnonzero(labels == c))
             for c in range(labels.max(initial=-1) + 1)]
@@ -64,12 +64,12 @@ def test_cells_tile_exactly():
     # shared walls: the upper bound of cell i equals the lower bound of i+1
     for r in (1, 3, 7):
         for i in (0, 1, 5):
-            a = fr.cell_bounds(i, 0, r)
-            b = fr.cell_bounds(i + 1, 0, r)
+            a = fr.cell_walls(r, i, 0)
+            b = fr.cell_walls(r, i + 1, 0)
             assert a[1] == b[0]
     # children tile the parent exactly
-    p = fr.cell_bounds(3, 2, 4)
-    kids = [fr.cell_bounds(6, 4, 5), fr.cell_bounds(7, 5, 5)]
+    p = fr.cell_walls(4, 3, 2)
+    kids = [fr.cell_walls(5, 6, 4), fr.cell_walls(5, 7, 5)]
     assert kids[0][0] == p[0] and kids[1][1] == p[1]
     assert kids[0][2] == p[2] and kids[1][3] == p[3]
 
@@ -93,11 +93,11 @@ def test_cluster_order_and_shuffle_determinism():
     fr = frame16()
     ref = _clusters(fr, cells)
     assert ref == _naive_clusters(fr, cells)
-    ref_labels = paved_clusters(fr, cells)
+    ref_labels = paved_clusters(fr, paved(fr, cells))
     rng = random.Random(0)
     for _ in range(5):
         rng.shuffle(cells)
-        assert np.array_equal(paved_clusters(fr, cells), ref_labels)
+        assert np.array_equal(paved_clusters(fr, paved(fr, cells)), ref_labels)
         assert _clusters(fr, cells) == ref
     # canonical order: by (min i, then min j)
     mins = [(min(i for _, i, _ in c), min(j for _, _, j in c)) for c in ref]
@@ -135,17 +135,17 @@ def test_paved_cover_queries():
     assert pc.ancestor_of(5, 31, 31) is None
     # closed rects touching a cell wall also touch the neighbor, so shrink
     # strictly inside for containment queries
-    x0, x1, y0, y1 = fr.cell_bounds(1, 1, 3)
+    x0, x1, y0, y1 = fr.cell_walls(3, 1, 1)
     rect = (x0 + 0.01, x1 - 0.01, y0 + 0.01, y1 - 0.01)
     assert _tiled(pc, rect)
-    x0, x1, y0, y1 = fr.cell_bounds(20, 20, 5)
+    x0, x1, y0, y1 = fr.cell_walls(5, 20, 20)
     inner = (x0 + 0.001, x1 - 0.001, y0 + 0.001, y1 - 0.001)
     assert _tiled(pc, inner)
-    outside = fr.cell_bounds(7, 7, 3)
+    outside = fr.cell_walls(3, 7, 7)
     assert not _tiled(pc, outside)
     assert pc.overlapping_cells(outside) == []
     assert pc.overlapping_cells(rect) == [(3, 1, 1)]
-    full = fr.cell_bounds(1, 1, 3)
+    full = fr.cell_walls(3, 1, 1)
     assert set(pc.overlapping_cells(full)) >= {(3, 1, 1), (4, 4, 2)}
 
 
@@ -157,11 +157,11 @@ def test_tiling_is_exact_beyond_int64():
     rings = [(r, a, b) for r in range(1, 41) for a, b in ((1, 0), (0, 1), (1, 1))]
     pc = paved(fr, [(40, 0, 0)] + rings)
     assert len(pc) == 121
-    assert _tiled(pc, fr.cell_bounds(0, 0, 0))
-    assert _tiled(pc, fr.cell_bounds(0, 0, 1))
-    assert not _tiled(paved(fr, rings), fr.cell_bounds(0, 0, 0))
+    assert _tiled(pc, fr.cell_walls(0, 0, 0))
+    assert _tiled(pc, fr.cell_walls(1, 0, 0))
+    assert not _tiled(paved(fr, rings), fr.cell_walls(0, 0, 0))
     holed = [(40, 0, 0)] + [c for c in rings if c != (8, 1, 1)]
-    assert not _tiled(paved(fr, holed), fr.cell_bounds(0, 0, 0))
+    assert not _tiled(paved(fr, holed), fr.cell_walls(0, 0, 0))
 
 
 @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=30))
@@ -189,12 +189,12 @@ def _random_pavement(rng, max_depth=4):
 
 
 def test_grid_span_matches_a_scan_of_the_walls():
-    # every wall at resolution <= 10 is compared as cell_bounds computes it
+    # every wall at resolution <= 10 is compared as cell_walls computes it
     fr = frame16()
     rng = random.Random(99)
     for r in range(11):
         n = 1 << r
-        walls = [fr.cell_bounds(i, 0, r)[0] for i in range(n)] + [fr.cell_bounds(n - 1, 0, r)[1]]
+        walls = [fr.cell_walls(r, i, 0)[0] for i in range(n)] + [fr.cell_walls(r, n - 1, 0)[1]]
         picks = [rng.choice(walls) for _ in range(20)] + [rng.uniform(-8, 8) for _ in range(20)]
         lo = np.array(picks + [-np.inf, -8.0, 8.0])
         hi = np.maximum(lo, np.array([rng.choice((x, x + 1e-3, x + rng.uniform(0, 16)))
@@ -209,7 +209,7 @@ def test_grid_span_matches_a_scan_of_the_walls():
 def _naive_overlaps(fr, cells, rect):
     from cantorshift.intervals import boverlap
     return sorted(c for c in cells
-                  if boverlap(rect, fr.cell_bounds(c[1], c[2], c[0])))
+                  if boverlap(rect, fr.cell_walls(*c)))
 
 
 def _naive_covers(fr, cells, rect, samples=7):
@@ -220,10 +220,10 @@ def _naive_covers(fr, cells, rect, samples=7):
         for b in range(samples):
             x = rect[0] + (rect[1] - rect[0]) * a / (samples - 1)
             y = rect[2] + (rect[3] - rect[2]) * b / (samples - 1)
-            if not any(fr.cell_bounds(c[1], c[2], c[0])[0] <= x
-                       <= fr.cell_bounds(c[1], c[2], c[0])[1]
-                       and fr.cell_bounds(c[1], c[2], c[0])[2] <= y
-                       <= fr.cell_bounds(c[1], c[2], c[0])[3] for c in cells):
+            if not any(fr.cell_walls(*c)[0] <= x
+                       <= fr.cell_walls(*c)[1]
+                       and fr.cell_walls(*c)[2] <= y
+                       <= fr.cell_walls(*c)[3] for c in cells):
                 return False
     return True
 
@@ -283,9 +283,6 @@ def test_paved_clusters_match_naive():
             continue
         assert _clusters(fr, cells) == _naive_clusters(fr, cells)
         _check_settled_groups(fr, cells, settle)
-        # a PavedCover input gives the labels of the list it was built from
-        assert np.array_equal(paved_clusters(fr, paved(fr, cells)),
-                              paved_clusters(fr, cells))
     for cells in DEEP_PAIRS + DEEP_ADJACENT:
         clusters = _clusters(fr, cells)
         assert clusters == _naive_clusters(fr, cells)
@@ -373,7 +370,8 @@ def test_components_match_union_find():
     # at every scale: hooking onto the least root takes one round per bit
     k = 10
     path = np.array([int(format(p, f"0{k}b")[::-1], 2) for p in range(1 << k)], np.int32)
-    assert np.array_equal(_components(1 << k, path[:-1], path[1:]), np.zeros(1 << k))
+    assert np.array_equal(_components(path[:-1], path[1:], np.arange(1 << k, dtype=np.int32)),
+                          np.zeros(1 << k))
     # a graph whose labels go stale without full pointer jumping, then
     # random multigraphs with loops and isolated nodes
     graphs = [(9, [(1, 6), (3, 7), (5, 2), (1, 3), (1, 6), (4, 8), (4, 5), (5, 6), (7, 5)])]
@@ -383,7 +381,8 @@ def test_components_match_union_find():
         graphs.append((n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14))]))
     for n, edges in graphs:
         u, v = (np.array([e[c] for e in edges], np.int32) for c in (0, 1))
-        assert _components(n, u, v).tolist() == _least_members(n, edges), edges
+        root = np.arange(n, dtype=np.int32)
+        assert _components(u, v, root).tolist() == _least_members(n, edges), edges
 
 
 def test_paved_clusters_memory_is_bounded():
@@ -412,25 +411,31 @@ def test_paved_clusters_memory_is_bounded():
 
 
 def test_ascending_cells_are_taken_as_they_come():
-    # a cover skips its lexsort exactly when the cells come strictly
-    # ascending in (r, i, j); any other order or a repeat is sorted and
-    # deduplicated, and both give the same cover
+    # a cover takes its cells as they come, strictly ascending in (r, i, j),
+    # and refuses any other order or a repeat
     rng = random.Random(7)
+    fr = frame16()
+    outcomes = set()
     for _ in range(500):
         cells = [(r, rng.randrange(1 << r), rng.randrange(1 << r))
                  for r in (rng.randint(0, 2) for _ in range(rng.randint(0, 6)))]
         columns = np.array(cells, dtype=np.int64).reshape(-1, 3).T
-        assert _ascending(*columns) == all(a < b for a, b in zip(cells, cells[1:]))
-        fr = frame16()
-        cover, ordered = PavedCover(fr, *columns), paved(fr, sorted(set(cells)))
-        assert cover.cells_at(np.arange(len(cover))) == sorted(set(cells))
-        assert np.array_equal(cover._keys, ordered._keys)
+        ascending = all(a < b for a, b in zip(cells, cells[1:]))
+        assert _ascending(*columns) == ascending
+        outcomes.add((ascending, len(set(cells)) < len(cells)))
+        if not ascending:
+            with pytest.raises(ValueError, match=r"^cells must ascend strictly in \(r, i, j\) order$"):
+                PavedCover(fr, *columns)
+            continue
+        cover = PavedCover(fr, *columns)
+        assert cover.cells_at(np.arange(len(cover))) == cells
+    # ascending cells never repeat; the refused lists include repeats
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def test_paved_clusters_of_no_cells():
-    for cells in ([], paved(frame16(), [])):
-        labels = paved_clusters(frame16(), cells)
-        assert labels.dtype == np.int64 and labels.shape == (0,)
+    labels = paved_clusters(frame16(), paved(frame16(), []))
+    assert labels.dtype == np.int64 and labels.shape == (0,)
 
 
 def test_settled_ids_far_past_the_cover_length():
@@ -448,10 +453,10 @@ def test_cells_past_the_exact_key_limit_are_rejected():
     # at resolution 63, 1 << r wraps in int64: two edge-adjacent cells would
     # be labeled apart, so such covers are refused
     fr = Frame(0.0, 0.0, 1.0)
-    assert paved_clusters(fr, [(62, 5, 5), (62, 6, 5)]).tolist() == [0, 0]
+    assert paved_clusters(fr, paved(fr, [(62, 5, 5), (62, 6, 5)])).tolist() == [0, 0]
     for cells in ([(63, 5, 5), (63, 6, 5)], [(-1, 0, 0)]):
         with pytest.raises(ValueError, match="outside 0..62"):
-            paved_clusters(fr, cells)
+            paved(fr, cells)
     for cell in ((3, 8, 0), (3, 0, 8), (3, -1, 2), (62, 2**62, 0), (0, 0, 1)):
         with pytest.raises(ValueError, match="outside the"):
             paved(fr, [(3, 1, 1), cell])
@@ -466,14 +471,13 @@ def test_pavement_queries_match_naive():
         cells = _random_pavement(rng)
         if not cells:
             continue
-        # the cover of shuffled columns with repeated cells equals the cover
-        # of the sorted unique cells
+        # shuffled columns with repeated cells are refused; the cover takes
+        # the sorted cells as they come
         rows = cells + [rng.choice(cells) for _ in range(rng.randint(1, len(cells)))]
         rng.shuffle(rows)
-        pc = PavedCover(fr, *(np.array(column) for column in zip(*rows)))
-        ref = paved(fr, sorted(cells))
-        for column in ("r", "i", "j"):
-            assert np.array_equal(getattr(pc, column), getattr(ref, column))
+        with pytest.raises(ValueError, match="ascend strictly"):
+            PavedCover(fr, *(np.array(column) for column in zip(*rows)))
+        pc = paved(fr, cells)
         assert pc.cells_at(np.arange(len(pc))) == sorted(cells)
         # containing cells of finer, same-size, neighbor and coarser queries
         queries = [q for r, i, j in cells for q in (
@@ -496,7 +500,7 @@ def test_pavement_queries_match_naive():
                 assert _naive_covers(fr, cells, rect)
         # on cell walls, of zero width, unbounded, outside and across the frame
         r, i, j = rng.choice(cells)
-        x0, x1, y0, y1 = fr.cell_bounds(i, j, r)
+        x0, x1, y0, y1 = fr.cell_walls(r, i, j)
         rects += [(x0, x1, y0, y1), (x1, x1, y0, y1), (x0, x0, y1, y1),
                   (-np.inf, x0, y0, y0), (x1, np.inf, -np.inf, np.inf),
                   (-20.0, -9.0, 0.0, 1.0), (9.0, 9.5, -1.0, 1.0), (-9.0, 0.0, 7.0, 9.0)]
@@ -509,12 +513,12 @@ def test_pavement_queries_match_naive():
     for cells in DEEP_PAIRS:
         pc = paved(fr, cells)
         (ra, ia, ja), (rb, ib, jb) = cells
-        a, b = fr.cell_bounds(ia, ja, ra), fr.cell_bounds(ib, jb, rb)
+        a, b = fr.cell_walls(ra, ia, ja), fr.cell_walls(rb, ib, jb)
         span = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
         assert pc.overlapping_cells(span) == _naive_overlaps(fr, cells, span) == cells
         assert not _tiled(pc, span)
         for r, i, j in cells:
-            x0, x1, y0, y1 = fr.cell_bounds(i, j, r)
+            x0, x1, y0, y1 = fr.cell_walls(r, i, j)
             q = (x1 - x0) / 4
             inner = (x0 + q, x1 - q, y0 + q, y1 - q)
             assert pc.overlapping_cells(inner) == _naive_overlaps(fr, cells, inner)

@@ -28,6 +28,7 @@ from cantorshift.maps import (
     certified_roots,
     p_derivative,
     p_eval,
+    qc_bits,
     squarefree_decomposition,
     witness_preimages,
 )
@@ -41,6 +42,13 @@ def test_map_requires_monic_and_degree_two():
         PolynomialMap([("1", "0"), ("2", "0"), ("3", "0")])  # lead 3
     with pytest.raises(ValueError):
         PolynomialMap([("1", "0"), ("1", "0")])  # degree 1
+
+
+@pytest.mark.parametrize("radius", ["0", "-2"])
+def test_disk_radius_below_or_at_zero_is_rejected(radius):
+    with pytest.raises(ValueError) as info:
+        DomainDisk(("0", "0"), radius)
+    assert str(info.value) == "disk radius must be positive"
 
 
 def test_exact_decimal_parsing():
@@ -474,6 +482,23 @@ def test_rectangle_orbit_stays_within_its_seed_precision(monkeypatch):
     assert orbit.exact_point() is None
 
 
+def test_exact_orbit_stops_at_its_bit_guard():
+    # 1/3 under z^2 - 3/4: each exact point has about twice the bits of the
+    # one before.  Below a guard of the first image's size the orbit stops
+    # at step 2 and gives no point for step 3; the size guard of
+    # exact_point then resumes it from there
+    pmap = PolynomialMap([("-0.75", "0"), ("0", "0"), ("1", "0")])
+    orbit = DyadicOrbit(pmap, DomainDisk(("0", "0"), "2"), (Fraction(1, 3), Fraction(0)))
+    points = [Fraction(1, 3)]
+    for _ in range(3):
+        orbit.advance()
+        points.append(points[-1] ** 2 - Fraction(3, 4))
+    first = (points[1], Fraction(0))
+    assert orbit._exact_within(qc_bits(first)) is None
+    assert orbit._exact == (2, (points[2], Fraction(0)))
+    assert orbit.exact_point() == (points[3], Fraction(0))
+
+
 _QUAD6 = [("-6", "0"), ("0", "0"), ("1", "0")]
 
 
@@ -542,7 +567,7 @@ def test_contains_cover_matches_cellwise_side():
     want = [disk.contains_cover(paved(frame, [cell])) for cell in cells]
     assert 0 < sum(want) < len(cells)
     for (r, i, j), inside in zip(cells, want):
-        walls = frame.cell_bounds(i, j, r)
+        walls = frame.cell_walls(r, i, j)
         far = max((Fraction(x) - disk.center[0]) ** 2 + (Fraction(y) - disk.center[1]) ** 2
                   for x in walls[:2] for y in walls[2:])
         if inside:

@@ -138,7 +138,10 @@ def _corrupted(tree, assignment, rng):
 def test_counts_equal_the_listed_words_on_corrupted_assignments():
     # generated trees, each with its own assignment and five corrupted
     # copies: the transfer counts equal the word lists' lengths, or both
-    # raise the same InconsistentTree at the same first failure
+    # raise the same InconsistentTree at the same first failure.
+    # coding.fibers raises InconsistentTree where they raise; where they
+    # count, it gives the same counts, or its count check names the first
+    # component whose count is not its cumulative degree
     rng = random.Random(11)
     outcomes = set()
     for _ in range(300):
@@ -152,11 +155,24 @@ def test_counts_equal_the_listed_words_on_corrupted_assignments():
                 with pytest.raises(InconsistentTree) as info:
                     brute_force_fibers(tree, a, depth)
                 assert info.value.args == exc.args
+                with pytest.raises(InconsistentTree):
+                    fibers(a, tree, depth)
                 outcomes.add("claimed twice" if "claimed twice" in str(exc) else "no carrier")
                 continue
             assert list(brute_force_fibers(tree, a, depth).items()) == list(want.items())
+            off = [(c.id, want.get(c.id, 0), c.cumulative_degree) for c in tree.levels[depth]
+                   if want.get(c.id, 0) != c.cumulative_degree]
+            if off:
+                cid, got, expected = off[0]
+                with pytest.raises(InconsistentTree) as info:
+                    fibers(a, tree, depth)
+                assert str(info.value) == f"fiber of {cid} has {got} words, expected {expected}"
+                outcomes.add("count check")
+                continue
+            table = fibers(a, tree, depth)
+            assert {cid: len(ws) for cid, ws in table.words_by_component.items()} == want
             outcomes.add("counted")
-    assert outcomes == {"counted", "claimed twice", "no carrier"}
+    assert outcomes == {"counted", "count check", "claimed twice", "no carrier"}
 
 
 def test_no_critical_means_singleton_fibers():

@@ -106,7 +106,7 @@ def test_bboxes_match_cellwise_bounds(request, case):
         assert np.array_equal(np.sort(every), np.arange(len(pavement)))
         for c in comps:
             assert c.cover.dtype == np.int64 and (np.diff(c.cover) > 0).all()
-            walls = [tree.frame.cell_bounds(i, j, r) for r, i, j in pavement.cells_at(c.cover)]
+            walls = [tree.frame.cell_walls(r, i, j) for r, i, j in pavement.cells_at(c.cover)]
             hull = (min(w[0] for w in walls), max(w[1] for w in walls),
                     min(w[2] for w in walls), max(w[3] for w in walls))
             assert all(type(x) is float for x in c.bbox)
@@ -543,8 +543,8 @@ def test_critical_point_on_a_corner_names_both_clusters(cubic_map, cubic_disk):
     builder = tree_mod._TreeBuilder(cubic_map, cubic_disk, small_policy())
     frame = Frame(-4.0, -4.0, 8.0)
     pavement = paved(frame, [(3, 4, 4), (3, 5, 3)])
-    assert frame.cell_bounds(4, 4, 3)[1::2] == (1.0, 1.0)
-    assert frame.cell_bounds(5, 3, 3)[::3] == (1.0, 0.0)
+    assert frame.cell_walls(3, 4, 4)[1::2] == (1.0, 1.0)
+    assert frame.cell_walls(3, 5, 3)[::3] == (1.0, 0.0)
     labels = paved_clusters(frame, pavement)
     assert sorted(labels.tolist()) == [0, 1]
     defects = tree_mod._Defects()
@@ -871,7 +871,7 @@ def test_level0_matches_cellwise_side(quadratic_map, center, radius):
     while queue:
         r, i, j = queue.pop()
         inside, outside = (bool(m[0]) for m in disk.sides(
-            [[v] for v in builder.frame.cell_bounds(i, j, r)]))
+            [[v] for v in builder.frame.cell_walls(r, i, j)]))
         if inside or (not outside and r == target):
             want[(r, i, j)] = inside
         elif not outside:
