@@ -303,12 +303,14 @@ def paved_clusters(frame: Frame, cover: PavedCover, settled=None):
     cells with the same id >= 0 form one group, and -1 (every cell, when
     None) marks a cell to be joined by its neighbor slots.  Each group must
     be a whole cluster: edge-connected, and adjacent to no cell outside it.
-    A group is then joined without looking at any of its slots, so the
-    work scales with the unsettled cells alone.
+    A group is then joined without looking at any of its slots, and every
+    edge found joins two unsettled cells, so the hooks and jumps of
+    ``_components`` run over those cells alone.
 
     ``frame`` is not read: the cover carries its own.  Returns the cluster
     index of each cell as an int64 array aligned with the cover, clusters
-    numbered in canonical order by their least fine-grid lower-left corner.
+    numbered in canonical order by their least fine-grid lower-left corner,
+    which is found a chunk of cells at a time.
     """
     n = len(cover)
     if settled is None:
@@ -323,6 +325,7 @@ def paved_clusters(frame: Frame, cover: PavedCover, settled=None):
     np.minimum.at(least, ids, grouped)
     root = np.arange(n, dtype=np.int32)
     root[grouped] = least[ids]
+    del grouped, ids
     todo = np.flatnonzero(settled < 0).astype(np.int32)
     # per run, its first cell and its number of distinct j
     layers = cover._layers.values()
@@ -352,22 +355,42 @@ def paved_clusters(frame: Frame, cover: PavedCover, settled=None):
         hit = nbr >= 0
         u.append(src[hit])
         v.append(nbr[hit].astype(np.int32))
-    root = _components(np.concatenate(u), np.concatenate(v), root)
+    # every edge joins two unsettled cells, as a settled group is a whole
+    # cluster; their components are found over those m cells alone,
+    # numbered 0..m-1 in cover order, so a least cell stays a least cell
+    u = np.concatenate(u)
+    v = np.concatenate(v)
+    m = len(todo)
+    if m < n:
+        local = np.empty(n, dtype=np.int32)
+        local[todo] = np.arange(m, dtype=np.int32)
+        u = local[u]
+        v = local[v]
+        del local
+    root[todo] = todo[_components(u, v, np.arange(m, dtype=np.int32))]
     del u, v
     # number clusters by their least fine-grid lower-left corner, the least
     # in (x, y) order over their cells; distinct non-overlapping cells never
-    # share that corner
-    d = cover.finest - cover.r
-    x, y = cover.i << d, cover.j << d
-    del d
-    least_x, least_y = np.full((2, n), np.iinfo(np.int64).max)
-    np.minimum.at(least_x, root, x)
-    at = x == least_x[root]
-    np.minimum.at(least_y, root[at], y[at])
-    roots = np.flatnonzero(root == np.arange(n))
-    rank = np.empty(n, dtype=np.int64)
-    rank[roots[np.lexsort((least_y[roots], least_x[roots]))]] = np.arange(len(roots))
-    return rank[root]
+    # share that corner.  Corners are taken a chunk of cells at a time, so
+    # only the cluster of each cell spans the cover
+    roots = np.flatnonzero(root == np.arange(n, dtype=np.int32)).astype(np.int32)
+    cluster = np.searchsorted(roots, root)
+    del root
+
+    def corners():
+        for s in range(0, n, _CHUNK):
+            d = cover.finest - cover.r[s:s + _CHUNK]
+            yield cluster[s:s + _CHUNK], cover.i[s:s + _CHUNK] << d, cover.j[s:s + _CHUNK] << d
+
+    least_x, least_y = np.full((2, len(roots)), np.iinfo(np.int64).max)
+    for c, x, _ in corners():
+        np.minimum.at(least_x, c, x)
+    for c, x, y in corners():
+        at = x == least_x[c]
+        np.minimum.at(least_y, c[at], y[at])
+    rank = np.empty(len(roots), dtype=np.int64)
+    rank[np.lexsort((least_y, least_x))] = np.arange(len(roots))
+    return rank[cluster]
 
 
 def _components(u, v, root):

@@ -113,6 +113,11 @@ def render_svg(tree, level: int, color_by: str = "level", assignment=None,
 
     ``color_by`` is "level" (hue per level) or "symbols" (hue per distinct
     symbol set, requires an assignment); ``size`` is the width and height in
-    pixels, at least 1.
+    pixels, at least 1.  The parts of ``svg_parts`` go into one buffer as
+    they come, decoded once at the end, so no list of parts lives beside
+    the result.
     """
-    return "".join(svg_parts(tree, level, color_by, assignment, size))
+    buf = bytearray()
+    for part in svg_parts(tree, level, color_by, assignment, size):
+        buf += part.encode()
+    return buf.decode()

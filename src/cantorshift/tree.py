@@ -217,25 +217,40 @@ def _children(r, i, j, up):
             (2 * j[:, None] + (0, 0, 1, 1)).ravel(), np.repeat(up, 4))
 
 
-def _pave(frame, interior, band, kept=None):
-    """The pavement of the interior and band cells, lists of (r, i, j, up)
-    column tuples emptied here before the sort, and of the cells a failed
-    attempt keeps: ``kept`` is its (pavement, keep mask, interior mask,
-    settled clusters, parent clusters), or None.  Returns the pavement, the
-    mask of its interior cells, each cell's settled cluster (a kept cell's
-    own, -1 for the others) and its parent cluster, which every cell
-    carries.  One lexsort orders the cells, its permutation places the
-    three columns, and the pavement takes the sorted cells as they are."""
-    parts, inner = [*interior, *band], np.repeat([True, False], [_count(interior), _count(band)])
-    settled = np.full(len(inner), -1)
-    if kept is not None:
-        old, keep, *flags = kept
-        parts.insert(0, _select((old.r, old.i, old.j, flags[2]), keep))
-        inner, settled = (np.concatenate((f[keep], v)) for f, v in zip(flags, (inner, settled)))
-    r, i, j, up = (np.concatenate(c) for c in zip(*parts))
-    del interior[:], band[:], parts
+def _pave(frame, interior, band, kept):
+    """The pavement of the cells of three lists, each emptied here: the
+    interior and band cells, as (r, i, j, up) column tuples, and ``kept``,
+    which holds the (r, i, j, up, interior, settled) columns of the cells a
+    failed attempt keeps, if any.  Returns the pavement, the mask of its
+    interior cells, each cell's settled cluster (a kept cell's own, -1 for
+    the others) and its parent cluster, which every cell carries.
+
+    Kept cells come in pavement order, so with no new cell they ascend
+    strictly already and pave as they are.  Otherwise one lexsort of the
+    joined (r, i, j) orders the cells, and each column is gathered by its
+    permutation and its unsorted form dropped before the next column is
+    joined from its pieces."""
+    new = [(*c, np.full(len(c[0]), flag), np.full(len(c[0]), -1))
+           for flag, parts in ((True, interior), (False, band)) for c in parts]
+    del interior[:], band[:]
+    if kept and not _count(new):
+        r, i, j, up, inner, settled = kept.pop()
+        return PavedCover(frame, r, i, j), inner, settled, up
+    columns = [list(c) for c in zip(*kept, *new)]
+    del kept[:], new
+
+    def joined(c):
+        pieces, columns[c] = columns[c], None
+        return np.concatenate(pieces)
+
+    r, i, j = joined(0), joined(1), joined(2)
     order = np.lexsort((j, i, r))
-    return PavedCover(frame, r[order], i[order], j[order]), inner[order], settled[order], up[order]
+    r = r[order]
+    i = i[order]
+    j = j[order]
+    up, inner, settled = (joined(c)[order] for c in (3, 4, 5))
+    del order
+    return PavedCover(frame, r, i, j), inner, settled, up
 
 
 def _distinct(groups, values, n_groups):
@@ -420,7 +435,7 @@ class _TreeBuilder:
                 break
             cells = _children(*cells)
             r += 1
-        pavement, inner, _, _ = _pave(self.frame, interior, [cells])
+        pavement, inner, _, _ = _pave(self.frame, interior, [cells], [])
         self._accept(_Built(pavement, inner, np.zeros(len(pavement), dtype=np.int64),
                             np.array([-1]), np.array([-1]), np.array([1]),
                             np.full(len(self.pmap.critical_points), -1), [self.disk.center]))
@@ -710,15 +725,20 @@ class _TreeBuilder:
         the level certifies.  Cells travel as (r, i, j, up) tuples of int64
         columns, ``up`` being the cell's parent cluster: a cell enters the
         level as a parent-pavement cell, which carries its own label, or as
-        a child of a cell of the level, which carries that cell's.  Each
-        attempt classifies ``pending`` in waves (``_classify_waves``) and
-        paves the result with the cells the last failed attempt keeps
-        (``_pave``), so no cell is ever located in the parent pavement.
+        a child of a cell of the level, which carries that cell's.  The
+        first attempt classifies the parent pavement's cells, and each later
+        one the children of the cells the last failed attempt split, in
+        waves (``_classify_waves``); each paves the result with the cells
+        the last failed attempt keeps (``_pave``), so no cell is ever
+        located in the parent pavement.
 
         A failed attempt keeps the cells that its refinement did not choose,
         each with its interior flag, parent cluster and settled cluster: its
-        own where that has no chosen cell, else -1.  Within a level the
-        cover only shrinks, so clusters can split but never merge, and a
+        own where that has no chosen cell, else -1.  Those six columns are
+        selected once and are all that outlives the attempt: its pavement,
+        masks and labels are dropped before the next classification, so the
+        level holds one whole copy of its cells at a time.  Within a level
+        the cover only shrinks, so clusters can split but never merge, and a
         settled cluster is a whole cluster of the next pavement too.  Its
         cells all survive, and no cell of the next pavement outside it is
         edge-adjacent to it: a kept cell of a touched cluster was not
@@ -733,13 +753,12 @@ class _TreeBuilder:
         witness_boxes = (rects, mults, sources, self._chain_inside(k, rects))
         parent = self.built[k - 1]
         self._build_scale_raster(parent)
-        pending = [(parent.pavement.r, parent.pavement.i, parent.pavement.j, parent.labels)]
-        interior, band, kept, uncontained = [], [], None, []
+        first = (parent.pavement.r, parent.pavement.i, parent.pavement.j, parent.labels)
+        pending, interior, band, kept, uncontained = [], [], [], [], []
         while True:
-            n_kept = 0 if kept is None else int(np.count_nonzero(kept[1]))
-            self._classify_waves(k, pending, interior, band, n_kept)
+            self._classify_waves(k, first, pending, interior, band, _count(kept))
+            first = None
             pavement, is_inner, settled, up = _pave(self.frame, interior, band, kept)
-            kept = None
             try:
                 built = self._certify(k, pavement, is_inner, witness_boxes, settled, up)
                 if k == 1 and not self.disk.contains_cover(pavement):
@@ -761,34 +780,46 @@ class _TreeBuilder:
                 touched = np.zeros(int(fail.labels.max(initial=-1)) + 1, dtype=bool)
                 touched[fail.labels[chosen]] = True
                 settled = np.where(touched[fail.labels], -1, fail.labels)
-                kept = (pavement, ~chosen, is_inner, settled, up)
-                continue
-            self._accept(built)
-            return
+            else:
+                self._accept(built)
+                return
+            # only the kept cells' columns outlive the attempt: with the
+            # failure gone, each column is selected as its source is dropped
+            keep = ~chosen
+            columns = [pavement.r, pavement.i, pavement.j, up, is_inner, settled]
+            del pavement, is_inner, settled, up, chosen
+            kept.append(tuple(columns.pop(0)[keep] for _ in range(6)))
 
-    def _classify_waves(self, k, pending, interior, band, n_kept):
-        """Classify the cells of the ``pending`` list of (r, i, j, up)
-        column tuples and their refinements, appending the interior and
-        band cells to those lists and leaving ``pending`` empty.
+    def _classify_waves(self, k, first, pending, interior, band, n_kept):
+        """Classify the cells of ``first``, a (r, i, j, up) column tuple or
+        None, then the children of the cells of the ``pending`` list of
+        such tuples, and so on down, appending the interior and band cells
+        to those lists and leaving ``pending`` empty.
 
-        The pending cells form one wave of mixed resolutions, and the
-        children of its cells that must refine form the next.  A wave goes
-        to ``_classify_batch`` in slices of at most ``_WAVE_SLICE`` cells,
-        the only chunking on the way to the interval kernels, which bounds
-        the orbit chain's arrays; the last wave is released on return,
-        before the caller paves.  A cell's status depends only on the
-        cell, so waves and slices give each attempt the cells that one
-        batch per resolution would.  Before each slice, the live cells
-        (``n_kept`` kept ones, the classified ones and the waiting ones)
-        must fit the box budget."""
+        ``first`` forms the first wave, of mixed resolutions.  The children
+        of the cells pending after a wave form the next, and a pending cell
+        stands for its four children until their slice is classified, so
+        only a slice of children is ever made.  A wave goes to
+        ``_classify_batch`` in slices of at most ``_WAVE_SLICE`` cells, the
+        only chunking on the way to the interval kernels, which bounds the
+        orbit chain's arrays.  A cell's status depends only on the cell, so
+        waves and slices give each attempt the cells that one batch per
+        resolution would.  Before each slice, the live cells (``n_kept``
+        kept ones, the classified ones and the waiting ones) must fit the
+        box budget."""
         cap = self.policy.max_boxes
-        while pending:
-            wave = [np.concatenate(c) for c in zip(*pending)]
-            pending.clear()
-            for start in range(0, len(wave[0]), _WAVE_SLICE):
-                cells = [c[start:start + _WAVE_SLICE] for c in wave]
+        wave, per = first, 1  # cells per wave entry: 1, or 4 children
+        while wave is not None or pending:
+            if wave is None:
+                wave, per = [np.concatenate(c) for c in zip(*pending)], 4
+                pending.clear()
+            step = _WAVE_SLICE // per
+            for start in range(0, len(wave[0]), step):
+                cells = [c[start:start + step] for c in wave]
+                if per > 1:
+                    cells = _children(*cells)
                 total = (n_kept + _count(interior) + _count(band)
-                         + len(wave[0]) - start + _count(pending))
+                         + per * (len(wave[0]) - start) + 4 * _count(pending))
                 if total > cap:
                     raise ResolutionExceeded(f"level {k}: {total} boxes exceed cap {cap}")
                 status = self._classify_batch(k, *cells[:3])
@@ -796,12 +827,14 @@ class _TreeBuilder:
                 band.append(_select(cells, status == 2))
                 refine = status == 3
                 if refine.any():
-                    pending.append(_children(*_select(cells, refine)))
+                    pending.append(_select(cells, refine))
+            wave = None
 
     def _subdivide_band(self, pavement, interior, up, pending, targets):
-        """Split refinable band cells once and add their children, with the
-        parent clusters ``up`` of the pavement's cells, to the ``pending``
-        list of (r, i, j, up) column tuples.
+        """Split refinable band cells once: add them, with the parent
+        clusters ``up`` of the pavement's cells, to the ``pending`` list of
+        (r, i, j, up) column tuples, whose children the next attempt
+        classifies.
 
         ``interior`` and ``targets`` are masks over the pavement; ``targets``
         localizes the split to the cells named by a failure (falling back to
@@ -814,7 +847,7 @@ class _TreeBuilder:
             chosen = band
             if not chosen.any():
                 return None
-        pending.append(_children(*_select((pavement.r, pavement.i, pavement.j, up), chosen)))
+        pending.append(_select((pavement.r, pavement.i, pavement.j, up), chosen))
         return chosen
 
     # -- public driver -------------------------------------------------------
@@ -840,17 +873,27 @@ class _TreeBuilder:
     def _accept(self, built):
         """Record an accepted level and build its components, with Python int
         and float fields: each cover is its cluster's group of the level's
-        cells, and each bbox one grouped min/max of their walls."""
+        cells, and each bbox one grouped min/max of their walls.  The walls
+        are computed for whole clusters together, in chunks of about
+        ``_WAVE_SLICE`` cells, so no wall array spans the level."""
         k = len(self.built)
         self.built.append(built)
         parent_of, image_of, local_degree, crit_cluster = (a.tolist() for a in (
             built.parent_of, built.image_of, built.local_degree, built.crit_cluster))
-        groups = _groups(built.labels, len(parent_of))
-        order, pav = np.concatenate(groups), built.pavement
-        walls = self.frame.cell_walls(pav.r[order], pav.i[order], pav.j[order])
-        starts = np.cumsum([0, *map(len, groups[:-1])])
-        bboxes = zip(*(f.reduceat(v, starts).tolist()
-                       for f, v in zip((np.minimum, np.maximum) * 2, walls)))
+        n, pav = len(parent_of), built.pavement
+        groups = _groups(built.labels, n)
+        ends = np.cumsum([len(g) for g in groups])
+        # each chunk ends with the cluster that reaches the next multiple of
+        # _WAVE_SLICE cells, or with the last cluster
+        marks = np.arange(_WAVE_SLICE, ends[-1] + _WAVE_SLICE, _WAVE_SLICE)
+        bounds = [0, *np.unique(np.minimum(np.searchsorted(ends, marks) + 1, n)).tolist()]
+        bboxes = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            cells = np.concatenate(groups[lo:hi])
+            walls = self.frame.cell_walls(pav.r[cells], pav.i[cells], pav.j[cells])
+            starts = np.cumsum([0, *map(len, groups[lo:hi - 1])])
+            bboxes += zip(*(f.reduceat(v, starts).tolist()
+                            for f, v in zip((np.minimum, np.maximum) * 2, walls)))
         comps = []
         for idx, (members, rect) in enumerate(zip(groups, bboxes)):
             if k == 0:

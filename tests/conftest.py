@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cantorshift import (
     DomainDisk,
@@ -32,6 +33,11 @@ from cantorshift import (
 )
 from cantorshift.coding import assign_symbols
 from cantorshift.oracle import AbstractComponent, AbstractTree
+
+# every run draws the same Hypothesis examples, so every run of the suite
+# runs the same statements; each test keeps its own example count and deadline
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # Newton-tuned, truncated to 40 digits: 1 -> b-2 -> (about 2.5e-40 from) q,
 # with q = -2.30746...-0.08766...i a repelling fixed point (multiplier ~ 13)

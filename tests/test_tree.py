@@ -430,6 +430,111 @@ def test_scale_raster_of_mixed_cells(quadratic_map, quadratic_disk):
     assert np.count_nonzero(raster) == 256 * 128 + 16 + 4 + 1 + 2
 
 
+def test_level_build_memory_per_cell_is_bounded(cubic_tree):
+    # building the cubic fixture's deepest level from the levels above holds
+    # at most one whole-level copy of the cells at a time.  Traced peak per
+    # cell of the level's pavement at depth 6: 83.8 bytes, against 151.1
+    # when each failed attempt's whole pavement lived through the next
+    k = cubic_tree.depth
+    builder = tree_mod._TreeBuilder(cubic_tree.map, cubic_tree.disk, cubic_tree.policy)
+    builder.built, builder.levels = cubic_tree._built[:k], cubic_tree.levels[:k]
+    tracemalloc.start()
+    try:
+        builder._build_level(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = len(builder.built[k].pavement)
+    assert cells == len(cubic_tree.pavement(k))
+    assert peak < 100 * cells, f"level {k} peaked at {peak / cells:.1f} bytes per cell"
+
+
+def _paving_reference(cells, inner, settled, up):
+    """The (r, i, j) order of the cells, and their interior flags, settled
+    and parent clusters in that order, by one lexsort."""
+    r, i, j = cells.T
+    order = np.lexsort((j, i, r))
+    return r[order], i[order], j[order], inner[order], settled[order], up[order]
+
+
+@pytest.mark.parametrize("n_new", [0, 1, 40])
+def test_pave_from_kept_columns_equals_a_lexsort_paving(n_new):
+    # _pave takes the kept cells in pavement order and the new cells in any
+    # order, in slices; the cover, interior mask, settled and parent
+    # clusters equal one lexsort of all cells.  With no new cell the kept
+    # columns pave as they are
+    rng = np.random.default_rng(n_new)
+    r = rng.integers(4, 6, 300)
+    cells = np.unique(np.stack((r, *rng.integers(0, 1 << r, (2, 300))), axis=1), axis=0)
+    rng.shuffle(cells)
+    n = len(cells)
+    inner = rng.random(n) < 0.4
+    settled = np.where(rng.random(n) < 0.7, rng.integers(0, 9, n), -1)
+    up = rng.integers(0, 5, n)
+    fresh = np.arange(n) >= n - n_new
+    settled[fresh] = -1
+    r, i, j, kept_inner, kept_settled, kept_up = _paving_reference(
+        cells[~fresh], inner[~fresh], settled[~fresh], up[~fresh])
+    kept = [(r, i, j, kept_up, kept_inner, kept_settled)]
+    interior, band = [], []
+    for part, flag in ((interior, True), (band, False)):
+        sel = np.flatnonzero(fresh & (inner == flag))
+        for piece in (sel[:3], sel[3:3], sel[3:]):  # slices, one of them empty
+            part.append((*cells[piece].T, up[piece]))
+    pavement, got_inner, got_settled, got_up = tree_mod._pave(
+        Frame(0.0, 0.0, 1.0), interior, band, kept)
+    assert kept == interior == band == []
+    want = _paving_reference(cells, inner, settled, up)
+    for got, expected in zip((pavement.r, pavement.i, pavement.j, got_inner, got_settled, got_up),
+                             want):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_failed_attempts_hand_on_exactly_their_unsplit_cells(cubic_map, cubic_disk):
+    # building the cubic to depth 6 as the fixture does: after each failed
+    # attempt, the next pavement holds every cell the split left, with its
+    # interior flag, settled cluster and parent cluster, and no split cell.
+    # The last attempt adds no cell, so its pavement is the kept cells alone
+    builder = tree_mod._TreeBuilder(cubic_map, cubic_disk,
+                                    ResolutionPolicy(max_resolution=44, max_boxes=8_000_000))
+    attempts = []
+    certify = tree_mod._TreeBuilder._certify
+    subdivide = tree_mod._TreeBuilder._subdivide_band
+
+    def traced_certify(self, k, pavement, interior, boxes, settled, up):
+        assert len(attempts) < 60, "the build does not settle"
+        attempts.append([k, (pavement, interior, settled, up)])
+        try:
+            return certify(self, k, pavement, interior, boxes, settled, up)
+        except tree_mod._Failure as fail:
+            attempts[-1].append(fail.labels)
+            raise
+
+    def traced_subdivide(self, pavement, interior, up, pending, targets):
+        chosen = subdivide(self, pavement, interior, up, pending, targets)
+        attempts[-1].append(chosen)
+        return chosen
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_mod._TreeBuilder, "_certify", traced_certify)
+        mp.setattr(tree_mod._TreeBuilder, "_subdivide_band", traced_subdivide)
+        builder.build(6)
+    # each failed attempt is [level, columns, labels, split mask]
+    handed_on = [(*failed[1:], attempt[1]) for failed, attempt in zip(attempts, attempts[1:])
+                 if len(failed) == 4]
+    assert len(handed_on) >= 10
+    for old, labels, chosen, (pavement, interior, settled, up) in handed_on:
+        assert (pavement.find(old[0].r[chosen], old[0].i[chosen], old[0].j[chosen]) < 0).all()
+        at = pavement.find(old[0].r[~chosen], old[0].i[~chosen], old[0].j[~chosen])
+        assert (at >= 0).all() and np.array_equal(pavement.r[at], old[0].r[~chosen])
+        touched = np.isin(labels, labels[chosen])
+        for got, want in ((interior, old[1]), (settled, np.where(touched, -1, labels)),
+                          (up, old[3])):
+            assert np.array_equal(got[at], want[~chosen])
+    old, _, chosen, last = handed_on[-1]
+    assert len(last[0]) == np.count_nonzero(~chosen)
+
+
 def test_scale_raster_repaint_stays_small(cubic_tree):
     # a repaint allocates no second raster: its traced peak on the largest
     # fixture pavement stays well below one 8 MB raster
