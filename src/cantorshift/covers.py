@@ -141,18 +141,22 @@ class PavedCover:
     so pavements are the representation that keeps cell counts proportional
     to geometric complexity rather than to the finest feature present.
 
-    The cells are stored once, as int64 arrays ``r``, ``i``, ``j`` sorted by
-    (r, i, j); a cell's index is its position there.  Each resolution is a
-    contiguous run, and one sorted int64 array keys every cell: the rank of
-    i among its run's distinct i times the number of the run's distinct j,
-    plus the rank of j, plus the run's offset, the sum of those products
-    over the runs before it.  The key is exact at every resolution up to
-    ``MAX_RESOLUTION``, where i and j still fit in int64, and its size is
-    bounded by the square of the cell count.  ``find`` answers which
-    present cell contains given grid cells, and ``overlapping`` which
-    present cells arrays of rectangles possibly meet; both read the same
-    sorted runs.  ``tiled`` turns the pairs that ``overlapping`` returns
-    into certified containment.
+    The cells are stored once, as arrays ``r``, ``i``, ``j`` sorted by
+    (r, i, j), all int64 as made; a cell's index is its position there.
+    Each resolution is a contiguous run, and one sorted int64 array keys
+    every cell: the rank of i among its run's distinct i times the number
+    of the run's distinct j, plus the rank of j, plus the run's offset, the
+    sum of those products over the runs before it.  The key is exact at
+    every resolution up to ``MAX_RESOLUTION``, where i and j still fit in
+    int64, and its size is bounded by the square of the cell count.  The
+    pavement of an accepted level is kept compact (``_compact``): ``r`` as
+    int8 and no keys, which ``find`` and ``paved_clusters`` rebuild on
+    first use, so only a queried kept pavement holds them.
+
+    ``find`` answers which present cell contains given grid cells, and
+    ``overlapping`` which present cells arrays of rectangles possibly meet;
+    both read the same sorted runs.  ``tiled`` turns the pairs that
+    ``overlapping`` returns into certified containment.
     """
 
     __slots__ = ("frame", "r", "i", "j", "_layers", "_keys")
@@ -170,19 +174,41 @@ class PavedCover:
             raise ValueError(f"a cell resolution lies outside 0..{MAX_RESOLUTION}")
         self.r, self.i, self.j = r, i, j
         self._layers = {}  # r -> (start, stop, distinct i, distinct j, key offset)
-        self._keys, offset = np.empty(len(r), dtype=np.int64), 0
+        offset = 0
         cuts = np.flatnonzero(np.diff(r, prepend=-1, append=-1)).tolist()
         for start, stop in zip(cuts, cuts[1:]):
             res = int(r[start])
             # a run's i ascend, so its distinct i are the heads of equal runs
-            column = np.append(True, i[start + 1:stop] != i[start:stop - 1])
-            xs, ri = i[start:stop][column], np.cumsum(column) - 1
-            ys, rj = np.unique(j[start:stop], return_inverse=True)
+            xs = i[start:stop][np.append(True, i[start + 1:stop] != i[start:stop - 1])]
+            ys = np.sort(j[start:stop])
+            ys = ys[np.append(True, ys[1:] != ys[:-1])]
             if min(xs[0], ys[0]) < 0 or max(xs[-1], ys[-1]) >> res:
                 raise ValueError(f"a cell at resolution {res} lies outside the grid")
-            self._keys[start:stop] = ri * len(ys) + rj + offset
             self._layers[res] = (start, stop, xs, ys, offset)
             offset += len(xs) * len(ys)
+        self._keys = None
+        self._search_keys()
+
+    def _search_keys(self):
+        """The sorted key of every cell, made when the cover is and again on
+        the first query after ``_compact`` dropped it."""
+        if self._keys is None:
+            self._keys = np.empty(len(self.r), dtype=np.int64)
+            for start, stop, _, ys, offset in self._layers.values():
+                # a run's i ascend, so the rank of an i counts the heads before it
+                i = self.i[start:stop]
+                ri = np.cumsum(np.append(False, i[1:] != i[:-1]))
+                rj = np.searchsorted(ys, self.j[start:stop])
+                self._keys[start:stop] = ri * len(ys) + rj + offset
+        return self._keys
+
+    def _compact(self):
+        """Keep the cells in the form of an accepted level: resolutions as
+        int8, which holds 0..MAX_RESOLUTION, and no search keys until a
+        query needs them again.  No arithmetic on ``r`` may then overflow
+        int8: an int8 array and a Python int combine in int8."""
+        self.r = self.r.astype(np.int8)
+        self._keys = None
 
     def __len__(self):
         return len(self.r)
@@ -198,10 +224,11 @@ class PavedCover:
     def find(self, r, i, j):
         """Index of the present cell containing grid cell (i[n], j[n]) at
         resolution r[n] (or a common r), or -1; arrays in, array out.
-        Present cells finer than the query never contain it."""
+        Present cells finer than the query never contain it.  On a kept
+        pavement the first call rebuilds the search keys."""
         r, i, j = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (r, i, j)))
         out = np.full(i.shape, -1, dtype=np.int64)
-        todo = np.arange(i.size)
+        todo, keys = np.arange(i.size), self._search_keys()
         for rp in sorted(self._layers, reverse=True):
             q = todo[r[todo] >= rp]
             if not q.size:
@@ -210,7 +237,7 @@ class PavedCover:
             d = r[q] - rp
             pi, hi = _rank(xs, i[q] >> d)
             pj, hj = _rank(ys, j[q] >> d)
-            pos, hk = _rank(self._keys[start:stop], pi * len(ys) + pj + offset)
+            pos, hk = _rank(keys[start:stop], pi * len(ys) + pj + offset)
             out[q] = np.where(hi & hj & hk, start + pos, -1)
             todo = todo[out[todo] < 0]
         return out
@@ -307,7 +334,9 @@ def paved_clusters(frame: Frame, cover: PavedCover, settled=None):
     edge found joins two unsettled cells, so the hooks and jumps of
     ``_components`` run over those cells alone.
 
-    ``frame`` is not read: the cover carries its own.  Returns the cluster
+    ``frame`` is not read: the cover carries its own.  A kept pavement
+    (int8 resolutions, keys dropped) gets its keys rebuilt first and is
+    clustered as the int64 cover of its cells.  Returns the cluster
     index of each cell as an int64 array aligned with the cover, clusters
     numbered in canonical order by their least fine-grid lower-left corner,
     which is found a chunk of cells at a time.
@@ -316,31 +345,31 @@ def paved_clusters(frame: Frame, cover: PavedCover, settled=None):
     if settled is None:
         settled = np.full(n, -1)
     # each settled group starts as one tree rooted at its least cell
-    grouped = np.flatnonzero(settled >= 0)
+    grouped = np.flatnonzero(settled >= 0).astype(np.int32)
     ids = settled[grouped]
     if ids.max(initial=-1) >= n:
         # renumber ids past the cover's length, so the table is at most n long
         ids = np.unique(ids, return_inverse=True)[1]
-    least = np.full(int(ids.max(initial=-1)) + 1, n)
+    least = np.full(int(ids.max(initial=-1)) + 1, n, dtype=np.int32)
     np.minimum.at(least, ids, grouped)
     root = np.arange(n, dtype=np.int32)
     root[grouped] = least[ids]
     del grouped, ids
     todo = np.flatnonzero(settled < 0).astype(np.int32)
     # per run, its first cell and its number of distinct j
-    layers = cover._layers.values()
+    layers, keys = cover._layers.values(), cover._search_keys()
     starts = np.array([start for start, *_ in layers], dtype=np.int64)
     widths = np.array([len(ys) for _, _, _, ys, _ in layers], dtype=np.int64)
     u, v = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     for first in range(0, len(todo), _CHUNK):
         src = todo[first:first + _CHUNK]
-        r, i, j, key = cover.r[src], cover.i[src], cover.j[src], cover._keys[src]
+        r, i, j, key = cover.r[src], cover.i[src], cover.j[src], keys[src]
         width = widths[np.searchsorted(starts, src, side="right") - 1]
         slots = []
         for di, dj in ((1, 0), (0, 1), (-1, 0), (0, -1)):
             # where the same-size neighbor would be: the next or previous
             # cell for +-j, the same rank of j a distinct column over for +-i
-            nbr = np.clip(src + dj if dj else np.searchsorted(cover._keys, key + di * width),
+            nbr = np.clip(src + dj if dj else np.searchsorted(keys, key + di * width),
                           0, n - 1)
             same = (cover.r[nbr] == r) & (cover.i[nbr] == i + di) & (cover.j[nbr] == j + dj)
             if di + dj > 0:
@@ -400,9 +429,14 @@ def _components(u, v, root):
     root onto the least root adjacent to its tree, then jumps pointers
     until all point at roots (Shiloach and Vishkin, J. Algorithms 3, 1982)."""
     while (cross := (ru := root[u]) != (rv := root[v])).any():
-        # an edge inside a tree hooks its root onto itself, a no-op
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv, out=rv))
-        u, v = u[cross], v[cross]
+        # each edge offers each end's root the other's, which lowers only the
+        # greater root (a root is the least node of its tree); an edge inside
+        # a tree offers its root itself, a no-op
+        np.minimum.at(root, ru, rv)
+        np.minimum.at(root, rv, ru)
+        del ru, rv
+        if not cross.all():
+            u, v = u[cross], v[cross]
         while not np.array_equal(nxt := root[root], root):
             root = nxt
     return root

@@ -166,7 +166,9 @@ class Component(AbstractComponent):
     """A component W of f^{-level}(U) with its geometry: ``cover`` holds the
     ascending int64 indices of W's cells in the level's pavement
     (``PuzzleTree.pavement``), ``bbox`` their (re_lo, re_hi, im_lo, im_hi)
-    hull and ``diameter_bound`` an upper bound on W's diameter."""
+    hull and ``diameter_bound`` an upper bound on W's diameter.  The covers
+    of a level are views into one int64 buffer, the level's cells grouped
+    by component."""
 
     cover: np.ndarray = field(compare=False)  # an array has no truth value
     bbox: tuple
@@ -177,7 +179,9 @@ class Component(AbstractComponent):
 class _Built:
     """The cluster table of an accepted level.  Aligned with the pavement's
     cells: ``interior``, the mask of the cells certified inside f^-k(U), and
-    ``labels``, the cluster ``paved_clusters`` gives each cell.  Per cluster,
+    ``labels``, the cluster ``paved_clusters`` gives each cell, int64 as
+    certified and int32 once the level is accepted (a level has fewer than
+    2^31 cells), when its pavement is compacted too.  Per cluster,
     int64 arrays: the parent clusters that contain it (``parent_of``) and
     that f maps it onto (``image_of``), both -1 at level 0, and its
     ``local_degree``.  Per critical point of the map, the cluster certified
@@ -258,7 +262,14 @@ def _distinct(groups, values, n_groups):
     Per group 0..n_groups-1: the number of distinct values its items carry,
     and that value where there is exactly one, else -1."""
     m = int(values.max(initial=-1)) + 2
-    group, value = np.divmod(np.unique(groups * m + values + 1), m)
+    # the distinct (group, value) keys, sorted: one key array, sorted in place
+    keys = groups * m
+    keys += values
+    keys += 1
+    keys.sort()
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    group, value = np.divmod(keys[head], m)
     count = np.bincount(group, minlength=n_groups)
     single = np.full(n_groups, -1, dtype=np.int64)
     single[group] = value - 1
@@ -329,7 +340,11 @@ class _Defects:
                 self.first = f"{kind}: {detail}"
             self.clusters.update([i] if clusters is None else clusters(i))
         if self.counts and self.labels is not None:
-            refine = np.isin(self.labels, list(self.clusters)) if self.clusters else None
+            refine = None
+            if self.clusters:
+                named = np.zeros(int(self.labels.max()) + 1, dtype=bool)
+                named[list(self.clusters)] = True
+                refine = named[self.labels]
             raise _Failure(str(self), self.labels, refine=refine)
 
     def __str__(self):
@@ -354,7 +369,9 @@ class PuzzleTree(AbstractTree):
         return len(self.levels[1]) if self.depth >= 1 else 0
 
     def pavement(self, level: int) -> PavedCover:
-        """The pavement of a level, whose cells its components' covers index."""
+        """The pavement of a level, whose cells its components' covers index,
+        in its kept form: int8 resolutions, and search keys only once a
+        ``find`` or ``paved_clusters`` has rebuilt them."""
         check_level(level, self.depth)
         return self._built[level].pavement
 
@@ -722,9 +739,11 @@ class _TreeBuilder:
 
     def _build_level(self, k):
         """Classify the parent pavement's cells and their refinements until
-        the level certifies.  Cells travel as (r, i, j, up) tuples of int64
+        the level certifies.  Cells travel as (r, i, j, up) tuples of integer
         columns, ``up`` being the cell's parent cluster: a cell enters the
-        level as a parent-pavement cell, which carries its own label, or as
+        level as a parent-pavement cell, which carries its own label (the
+        first wave is the parent level's kept int8 resolutions and int32
+        labels, so it and its children keep those dtypes), or as
         a child of a cell of the level, which carries that cell's.  The
         first attempt classifies the parent pavement's cells, and each later
         one the children of the cells the last failed attempt split, in
@@ -875,7 +894,10 @@ class _TreeBuilder:
         and float fields: each cover is its cluster's group of the level's
         cells, and each bbox one grouped min/max of their walls.  The walls
         are computed for whole clusters together, in chunks of about
-        ``_WAVE_SLICE`` cells, so no wall array spans the level."""
+        ``_WAVE_SLICE`` cells, so no wall array spans the level.  Then the
+        level is kept compact: its pavement's resolutions as int8 and no
+        search keys (``PavedCover._compact``), its labels as int32.  The
+        next level's first wave starts from these columns."""
         k = len(self.built)
         self.built.append(built)
         parent_of, image_of, local_degree, crit_cluster = (a.tolist() for a in (
@@ -894,6 +916,8 @@ class _TreeBuilder:
             starts = np.cumsum([0, *map(len, groups[lo:hi - 1])])
             bboxes += zip(*(f.reduceat(v, starts).tolist()
                             for f, v in zip((np.minimum, np.maximum) * 2, walls)))
+        pav._compact()
+        built.labels = built.labels.astype(np.int32)
         comps = []
         for idx, (members, rect) in enumerate(zip(groups, bboxes)):
             if k == 0:

@@ -30,8 +30,10 @@ from cantorshift import (
     PolynomialMap,
     ResolutionPolicy,
     build_tree,
+    paved_clusters,
 )
 from cantorshift.coding import assign_symbols
+from cantorshift.covers import MAX_RESOLUTION
 from cantorshift.oracle import AbstractComponent, AbstractTree
 
 # every run draws the same Hypothesis examples, so every run of the suite
@@ -65,6 +67,46 @@ def paved(frame, cells):
     r, i, j = np.array(cells, dtype=np.int64).reshape(-1, 3).T
     order = np.lexsort((j, i, r))
     return PavedCover(frame, r[order], i[order], j[order])
+
+
+def assert_same_answers(kept, fresh, rng, n=2048):
+    """``find``, ``overlapping``, ``tiled`` and ``paved_clusters`` of the
+    cover ``kept`` answer as those of ``fresh``, a cover of the same cells,
+    on queries around up to n of its cells: each cell, a descendant two
+    resolutions finer, its parent and its four neighbor slots, and
+    rectangles inside, on and around its walls.  Each cover's queries are
+    made from its own columns, and their walls must agree bit for bit."""
+    assert np.array_equal(kept.r, fresh.r) and np.array_equal(kept.i, fresh.i)
+    assert np.array_equal(kept.j, fresh.j)
+    at = rng.choice(len(fresh), size=min(n, len(fresh)), replace=False)
+    bits = rng.integers(0, 4, len(at))
+    walls, answers = [], []
+    for cover in (kept, fresh):
+        r, i, j = cover.r[at], cover.i[at], cover.j[at]
+        d = np.minimum(r + 2, MAX_RESOLUTION) - r
+        low = bits >> (2 - d)
+        queries = [(r, i, j), (r + d, (i << d) + low, (j << d) + low),
+                   (np.maximum(r - 1, 0), i >> (r > 0), j >> (r > 0)),
+                   (r, i + 1, j), (r, i - 1, j), (r, i, j + 1), (r, i, j - 1)]
+        found = [cover.find(*q) for q in queries]
+        x_lo, x_hi, y_lo, y_hi = cover.frame.cell_walls(r, i, j)
+        q = 0.25 * (x_hi - x_lo)
+        rects = [np.concatenate(v) for v in (
+            (x_lo + q, x_lo, x_lo - q, x_hi), (x_hi - q, x_hi, x_hi + q, x_hi),
+            (y_lo + q, y_lo, y_lo - q, y_hi), (y_hi - q, y_hi, y_hi + q, y_hi))]
+        box, cell = cover.overlapping(rects)
+        walls.append(rects)
+        answers.append((found, box, cell, cover.tiled(rects, box, cell),
+                        paved_clusters(cover.frame, cover)))
+    assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+               for a, b in zip(*walls))
+    (found, box, cell, tiled, labels), (found_f, box_f, cell_f, tiled_f, labels_f) = answers
+    assert all(np.array_equal(a, b) for a, b in zip(found, found_f))
+    assert np.array_equal(box, box_f) and np.array_equal(cell, cell_f)
+    assert np.array_equal(tiled, tiled_f)
+    assert labels.dtype == np.int64 and np.array_equal(labels, labels_f)
+    assert np.array_equal(kept._search_keys(), fresh._search_keys())
+    return labels
 
 
 def abstract_tree_d3():

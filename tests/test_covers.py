@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cantorshift import Frame, PavedCover, paved_clusters
 from cantorshift.covers import _ascending, _components
 
-from conftest import paved
+from conftest import assert_same_answers, paved
 
 
 def frame16():
@@ -204,6 +204,29 @@ def test_grid_span_matches_a_scan_of_the_walls():
         for a, b, f, g in zip(lo, hi, first.tolist(), last.tolist()):
             meets = [i for i in range(n) if walls[i] <= b and a <= walls[i + 1]]
             assert (f, g) == (meets[0], meets[-1])
+
+
+def test_grid_span_corrects_a_quotient_guess_upward():
+    # a frame origin that is not dyadic at the cell size rounds the walls at
+    # r = 57, so that runs of them repeat, and the quotient guess falls two
+    # walls short of the wall x.  Per side, grid_span gives the last index
+    # whose computed wall lies below x (or at x, for the upper side), found
+    # here by stepping through the walls near x
+    fr = Frame(-0.6837792684158389, -0.6837792684158389, 2.0)
+    r, x = 57, -0.20699828516053928
+    guess = int((x - fr.x0) / fr.cell_size(r))
+
+    def last(below):
+        near = range(guess - 8, guess + 9)
+        hits = [i for i in near if below(fr.cell_walls(r, i, 0)[0], x)]
+        assert hits[0] == near[0] and hits[-1] < near[-1]  # x lies inside the window
+        return hits[-1]
+
+    want = [last(np.less), last(np.less_equal)]
+    assert (guess, want) == (34355690536414496, [34355690536414498] * 2)
+    v = np.array([x])
+    i_lo, i_hi, j_lo, j_hi = fr.grid_span((v, v, v, v), r)
+    assert [i_lo.tolist(), i_hi.tolist()] == [j_lo.tolist(), j_hi.tolist()] == [[w] for w in want]
 
 
 def _naive_overlaps(fr, cells, rect):
@@ -461,6 +484,33 @@ def test_cells_past_the_exact_key_limit_are_rejected():
         with pytest.raises(ValueError, match="outside the"):
             paved(fr, [(3, 1, 1), cell])
     assert len(paved(fr, [(62, 2**62 - 1, 0), (0, 0, 0)])) == 2
+
+
+def _fine_pavement():
+    """Cells at resolutions 1 to 62 in three clusters.  Around each of two
+    points, at each resolution 57..61 the three children of a cell that do
+    not hold the point, and all four at 62, so that the cells tile a
+    resolution-56 cell; one point is the grid's last cell.  Two coarse
+    cells, edge-adjacent, form the third cluster."""
+    cells = [(1, 0, 0), (2, 2, 0)]
+    for x, y in ((2**62 - 1, 2**62 - 1), (3 * 2**60 + 12345, 2**61 + 678)):
+        for r in range(57, 63):
+            pi, pj = x >> (62 - r), y >> (62 - r)
+            cells += [(r, ci, cj) for ci in (pi & ~1, pi | 1) for cj in (pj & ~1, pj | 1)
+                      if r == 62 or (ci, cj) != (pi, pj)]
+    return cells
+
+
+def test_kept_form_answers_at_the_finest_resolutions():
+    # a compacted cover holds int8 resolutions and no search keys.  At
+    # resolutions 57 to 62, where a wrapped int8 would show, its first query
+    # rebuilds the keys, and it answers as the int64 cover of its cells
+    fr = Frame(-0.6837792684158389, -0.6837792684158389, 2.0)
+    kept, fresh = paved(fr, _fine_pavement()), paved(fr, _fine_pavement())
+    kept._compact()
+    assert kept.r.dtype == np.int8 and kept._keys is None and fresh.r.dtype == np.int64
+    labels = assert_same_answers(kept, fresh, np.random.default_rng(62))
+    assert sorted(np.bincount(labels).tolist()) == [2, 19, 19]
 
 
 def test_pavement_queries_match_naive():

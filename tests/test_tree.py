@@ -35,7 +35,7 @@ from cantorshift.errors import check_level
 from cantorshift.intervals import _one_box, boverlap, enclose_fraction, enclose_point, isqrt_hi
 from cantorshift.maps import _companion_roots, _orbit_status, certified_roots, parse_point
 
-from conftest import paved, shifted_coefficients
+from conftest import assert_same_answers, paved, shifted_coefficients
 
 
 def small_policy():
@@ -447,6 +447,47 @@ def test_level_build_memory_per_cell_is_bounded(cubic_tree):
     cells = len(builder.built[k].pavement)
     assert cells == len(cubic_tree.pavement(k))
     assert peak < 100 * cells, f"level {k} peaked at {peak / cells:.1f} bytes per cell"
+
+
+def _kept_bytes(built, comps):
+    """The bytes an accepted level keeps: its pavement's columns, search
+    keys if present, labels and interior mask, and the buffer behind its
+    components' covers, once."""
+    pav = built.pavement
+    arrays = [pav.r, pav.i, pav.j, built.labels, built.interior]
+    if pav._keys is not None:
+        arrays.append(pav._keys)
+    buffers = {}
+    for c in comps:
+        a = c.cover
+        while a.base is not None:
+            a = a.base
+        buffers[id(a)] = a
+    return sum(a.nbytes for a in arrays) + sum(a.nbytes for a in buffers.values())
+
+
+def test_accepted_levels_are_kept_compact(cubic_tree):
+    # an accepted level keeps its resolutions as int8, its labels as int32
+    # and no search keys: 30.0 bytes per cell on every level of the cubic
+    # fixture, where six int64 columns and the interior mask took 49.0
+    for k, (built, comps) in enumerate(zip(cubic_tree._built, cubic_tree.levels)):
+        assert built.pavement.r.dtype == np.int8 and built.labels.dtype == np.int32
+        per_cell = _kept_bytes(built, comps) / len(built.pavement)
+        assert per_cell <= 32, f"level {k} keeps {per_cell:.1f} bytes per cell"
+
+
+@pytest.mark.parametrize("case", ["quadratic", "cubic"])
+def test_kept_pavements_answer_as_fresh_ones(request, case):
+    # each kept pavement, queried through a shallow copy so that the fixture
+    # stays compact, answers as a fresh int64 cover of its cells, and its
+    # clusters are the level's labels
+    tree = request.getfixturevalue(f"{case}_tree")
+    rng = np.random.default_rng(38)
+    for built in tree._built:
+        kept = copy.copy(built.pavement)
+        fresh = PavedCover(tree.frame, kept.r, kept.i, kept.j)
+        assert fresh.r.dtype == np.int64
+        assert np.array_equal(assert_same_answers(kept, fresh, rng), built.labels)
 
 
 def _paving_reference(cells, inner, settled, up):
