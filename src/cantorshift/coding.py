@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections.abc import ItemsView, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,23 +234,153 @@ def cylinder_component(assignment: SymbolAssignment, tree, word):
     return (k, v)
 
 
+def _place(value, size: int):
+    """The int of range(size) that ``value`` equals, as a tuple's ``==``
+    would find it, or None."""
+    try:
+        return range(size).index(value)
+    except ValueError:
+        return None
+
+
+class _Fibers(Mapping):
+    """The fibers of one level, read off the codes of its words: a read-only
+    map from (level, index) to the words of each component that receives
+    one, in ascending index.
+
+    Each fiber is a ``_Fiber``.  Its ``len`` reads the per-component counts
+    and its ``in`` the code of one word, so neither lists a word.  The first
+    listing of any fiber groups all words of the level by one stable argsort
+    of the codes (``_listing``), and every later listing slices that one.
+    ``items`` makes each fiber without a key lookup.
+    """
+
+    __slots__ = ("_level", "_degree", "_code", "_counts", "_held", "_starts", "_grouped")
+
+    def __init__(self, level: int, degree: int, code: np.ndarray, counts: list):
+        self._level, self._degree, self._code, self._counts = level, degree, code, counts
+        # the components that receive a word: all of them, unless one of
+        # cumulative degree 0 passed the count check on an unchecked tree
+        self._held = range(len(counts)) if all(counts) else [i for i, n in enumerate(counts) if n]
+        self._starts = self._grouped = None
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2 and key[0] == self._level:
+            index = _place(key[1], len(self._counts))
+            if index is not None and self._counts[index]:
+                return _Fiber(self, index)
+        raise KeyError(key)
+
+    def __iter__(self):
+        return zip(itertools.repeat(self._level), self._held)
+
+    def __len__(self):
+        return len(self._held)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+    def items(self):
+        return _Items(self)
+
+    def _number(self, word):
+        """The number of a word of this level, base d with the first symbol
+        most significant, or None for anything a tuple of this level's
+        words would not hold."""
+        if not isinstance(word, tuple) or len(word) != self._level:
+            return None
+        number = 0
+        for s in word:
+            s = _place(s, self._degree)
+            if s is None:
+                return None
+            number = number * self._degree + s
+        return number
+
+    def _listing(self, index: int) -> tuple:
+        """The words of component ``index`` in ascending lexicographic
+        order."""
+        if self._grouped is None:
+            # the words in ascending number are in lexicographic order, so a
+            # stable sort by code keeps each fiber ascending; two readers may
+            # list at once, and both store the same starts before the words
+            words = list(itertools.product(range(self._degree), repeat=self._level))
+            order = np.argsort(self._code, kind="stable").tolist()
+            self._starts = list(itertools.accumulate(self._counts, initial=0))
+            self._grouped = tuple(map(words.__getitem__, order))
+        return self._grouped[self._starts[index]:self._starts[index + 1]]
+
+
+class _Items(ItemsView):
+    """The (key, fiber) pairs of a ``_Fibers``."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        fibers = self._mapping
+        return zip(fibers, map(_Fiber, itertools.repeat(fibers), fibers._held))
+
+
+class _Fiber(Sequence):
+    """The words of one component's fiber, in ascending lexicographic order.
+
+    ``len`` and ``in`` read the codes and list no word; ``in`` holds exactly
+    what the tuple of the words holds.  Iteration, indexing, ``repr`` and
+    equality with tuples read the words (``_Fibers._listing``).
+    """
+
+    __slots__ = ("_fibers", "_index")
+
+    def __init__(self, fibers: _Fibers, index: int):
+        self._fibers, self._index = fibers, index
+
+    def __len__(self):
+        return self._fibers._counts[self._index]
+
+    def __contains__(self, word):
+        number = self._fibers._number(word)
+        return number is not None and int(self._fibers._code[number]) == self._index
+
+    def __getitem__(self, i):
+        return self._fibers._listing(self._index)[i]
+
+    def __iter__(self):
+        return iter(self._fibers._listing(self._index))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Fiber)):
+            return self._fibers._listing(self._index) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(self._fibers._listing(self._index))
+
+
 @dataclass(frozen=True)
 class FiberTable:
     """All depth-k words grouped by the component they code: only the
     components that receive a word, in ascending index, each with its words
-    in ascending lexicographic order."""
+    in ascending lexicographic order.
+
+    ``words_by_component`` is a read-only mapping, not a dict, from
+    (level, index) to a sequence of the component's words, not a tuple.
+    The table keeps the codes of the level's words and a count per
+    component: a fiber's ``len``, ``in`` and ``count`` list no word, and its
+    words are listed only when read.
+    """
 
     level: int
     degree: int
-    words_by_component: dict  # (level, index) -> tuple of words
+    words_by_component: Mapping  # (level, index) -> sequence of words
 
     def count(self, level: int, index: int) -> int:
         return len(self.words_by_component.get((level, index), ()))
 
 
 def fibers(assignment: SymbolAssignment, tree, k: int) -> FiberTable:
-    """Group all d^k words by coded component, by one stable sort of the
-    codes of the length-k words.
+    """Count all d^k words by coded component, from the codes of the
+    length-k words; their words are listed, by one stable sort of the
+    codes, only when read (``FiberTable``).
 
     Per-component counts equal the cumulative degree and every level-k
     component receives at least one word; both facts are consequences of
@@ -262,19 +393,13 @@ def fibers(assignment: SymbolAssignment, tree, k: int) -> FiberTable:
     code = _codes(_carrier_tables(assignment, tree, k))[-1]
     if code.min() < 0:  # the least unresolved word names its missing carrier
         cylinder_component(assignment, tree, np.unravel_index(np.argmax(code < 0), (d,) * k))
-    words = list(itertools.product(range(d), repeat=k))
-    grouped = tuple(map(words.__getitem__, np.argsort(code, kind="stable").tolist()))
     got = np.bincount(code, minlength=len(tree.levels[k])).tolist()
-    # the fiber of component i is grouped[bounds[i]:bounds[i + 1]]
-    bounds = list(itertools.accumulate(got, initial=0))
-    table = FiberTable(k, d, {(k, idx): grouped[a:b] for idx, a, b
-                              in zip(itertools.count(), bounds, bounds[1:]) if b > a})
     for comp in tree.levels[k]:
         if got[comp.index] != comp.cumulative_degree:
             raise InconsistentTree(
                 f"fiber of {(k, comp.index)} has {got[comp.index]} words, expected "
                 f"{comp.cumulative_degree}")
-    return table
+    return FiberTable(k, d, _Fibers(k, d, code, got))
 
 
 # ---------------------------------------------------------------------------

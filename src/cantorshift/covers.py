@@ -424,19 +424,29 @@ def paved_clusters(frame: Frame, cover: PavedCover, settled=None):
 
 def _components(u, v, root):
     """The least node of each node's component in the graph on the nodes
-    of ``root`` with edges (u, v), starting from the trees ``root`` gives
-    (each node's root, the least node of its tree): each round hooks every
-    root onto the least root adjacent to its tree, then jumps pointers
-    until all point at roots (Shiloach and Vishkin, J. Algorithms 3, 1982)."""
-    while (cross := (ru := root[u]) != (rv := root[v])).any():
+    of ``root`` with edges (u, v), starting from the identity ``root``
+    (every node its own tree): each round hooks every root onto the least
+    root adjacent to its tree, then jumps pointers until all point at roots
+    (Shiloach and Vishkin, J. Algorithms 3, 1982).  In the first round the
+    ends of each edge are their own roots, so it hooks on ``u`` and ``v``
+    themselves.  Each later round keeps only the edges still between two
+    trees, found a chunk of edges at a time, so that only those edges' ends
+    and roots are copied whole."""
+    ru, rv = u, v
+    while len(u):
         # each edge offers each end's root the other's, which lowers only the
         # greater root (a root is the least node of its tree); an edge inside
         # a tree offers its root itself, a no-op
         np.minimum.at(root, ru, rv)
         np.minimum.at(root, rv, ru)
         del ru, rv
-        if not cross.all():
-            u, v = u[cross], v[cross]
         while not np.array_equal(nxt := root[root], root):
             root = nxt
+        cross = np.empty(len(u), dtype=bool)
+        for s in range(0, len(u), _CHUNK):
+            np.not_equal(root[u[s:s + _CHUNK]], root[v[s:s + _CHUNK]], out=cross[s:s + _CHUNK])
+        if not cross.all():
+            u, v = u[cross], v[cross]
+        del cross
+        ru, rv = root[u], root[v]
     return root

@@ -44,11 +44,13 @@ result a valid (possibly infinite) enclosure.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 
 _INF = math.inf
+_MAX = sys.float_info.max
 _nextafter = math.nextafter
 
 
@@ -60,11 +62,13 @@ def isqrt_hi(x):
 
 
 def enclose_fraction(q) -> tuple:
-    """Smallest float interval containing an exact rational (or int/float)."""
+    """Smallest float interval containing an exact rational (or int/float).
+    A rational past the float range gets (DBL_MAX, inf) or (-inf, -DBL_MAX)."""
     q = Fraction(q)
-    f = float(q)
-    if math.isinf(f):
-        return (-_INF, _INF) if f != f else ((f, _INF) if f > 0 else (-_INF, f))
+    try:
+        f = float(q)
+    except OverflowError:
+        return (_MAX, _INF) if q > 0 else (-_INF, -_MAX)
     fq = Fraction(f)
     if fq == q:
         return (f, f)

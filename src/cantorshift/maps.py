@@ -536,6 +536,13 @@ class PolynomialMap(_Monic):
             raise ValueError("degree must be at least 2")
         if coeffs[-1] != QC_ONE:
             raise ValueError("leading coefficient must be exactly 1")
+        for k, c in enumerate(coeffs):
+            # the float paths read each coefficient and each term of the
+            # derivative as a complex float
+            try:
+                _complex(c), _complex((k * c[0], k * c[1]))
+            except OverflowError:
+                raise ValueError(f"coefficient of z^{k} is past the float range") from None
         super().__init__(coeffs)
         # D: lcm of every coefficient denominator (see _orbit_status)
         self.coefficient_denominator = math.lcm(

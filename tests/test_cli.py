@@ -289,6 +289,20 @@ def test_non_finite_point_and_coefficient_are_usage_errors(quad_config, tmp_path
     assert not (tmp_path / "o").exists()
 
 
+def test_coefficient_past_the_float_range_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # such a coefficient used to end in an OverflowError traceback
+    _no_build(monkeypatch)
+    for value in ("1e400", "-1e400"):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(QUAD_CONFIG, coefficients=[[value, "0"], ["0", "0"],
+                                                                   ["1", "0"]])))
+        code, _, err = run(["analyze", "--config", str(path), "--out", str(tmp_path / "o")],
+                           capsys)
+        assert code == 2
+        assert err == "error: coefficient of z^0 is past the float range\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_chi_on_the_boundary_circle_is_a_certification_failure(tmp_path, capsys, monkeypatch,
                                                                 cubic_map, cubic_disk,
                                                                 cubic_tree):

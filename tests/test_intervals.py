@@ -82,6 +82,19 @@ def test_enclose_fraction_contains_exact():
         assert Fraction(lo) <= q <= Fraction(hi)
 
 
+
+def test_enclose_fraction_saturates_past_the_float_range():
+    # float() of such a rational raises OverflowError; the enclosure is the
+    # last finite float to infinity, on the rational's side
+    top = sys.float_info.max
+    for q in (Fraction(10) ** 400, Fraction(top) + Fraction(top), Fraction(3) ** 700 / 7):
+        assert enclose_fraction(q) == (top, math.inf)
+        assert enclose_fraction(-q) == (-math.inf, -top)
+    # past DBL_MAX but within half an ulp it rounds to DBL_MAX, still finite
+    q = Fraction(top) + 1
+    assert enclose_fraction(q) == (top, math.inf) and enclose_fraction(-q) == (-math.inf, -top)
+    assert enclose_fraction(top) == (top, top)
+
 def contains_exact(box, re, im):
     return (Fraction(box[0]) <= re <= Fraction(box[1])
             and Fraction(box[2]) <= im <= Fraction(box[3]))

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -871,3 +872,24 @@ def test_box_kernels_enclose_exact_values(case):
                     assert not any(map(math.isnan, e)), name
                     assert _contains(e[0], e[1], exact[name][0]), (name, n, rects[n])
                     assert _contains(e[2], e[3], exact[name][1]), (name, n, rects[n])
+
+
+def test_values_past_the_float_range():
+    # a coefficient, or a term of the derivative, that no float holds is a
+    # ValueError naming it; a disk whose squared radius or center lies past
+    # the float range is enclosed by the saturated bounds
+    top = sys.float_info.max
+    for sign in ("", "-"):
+        for coefficients, power in (
+                ([(f"{sign}1e400", "0"), ("0", "0"), ("1", "0")], 0),
+                ([("0", f"{sign}1e400"), ("0", "0"), ("1", "0")], 0),
+                ([("0", "0"), ("0", "0"), (f"{sign}1e308", "0"), ("1", "0")], 2)):
+            with pytest.raises(ValueError,
+                               match=f"^coefficient of z\\^{power} is past the float range$"):
+                PolynomialMap(coefficients)
+    PolynomialMap([("0", "0"), ("-1e308", "0"), ("1", "0")])  # 1e308 and its derivative fit
+    disk = DomainDisk(("0", "0"), "1e200")
+    assert (disk.r2_lo, disk.r2_hi) == (top, math.inf)
+    disk = DomainDisk(("-1e400", "1e400"), "1")
+    assert disk.center_box == (-math.inf, -top, top, math.inf)
+    assert disk.classify_exact((-Fraction(10) ** 400, Fraction(10) ** 400)) == "in"
